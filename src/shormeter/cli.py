@@ -137,8 +137,8 @@ def _simulate_csv(reports: dict[str, theorems.MeasureReport]) -> str:
 def cmd_simulate(cfg: RunConfig) -> int:
     instance = cfg.instance()
     states = statevec.run_order_finding_circuit(instance)
-    reports = theorems.verify_all(instance, states=states)
     table = ent.build_hamming_table(instance) if instance.m is not None else None
+    reports = theorems.verify_all(instance, states=states, table=table)
     ledger = theorems.algorithm_variations(instance.Q, instance.r, 1.0, 2.0, table)
     hint = extract_factors(instance.x, instance.r, instance.N)
     payload = {
@@ -206,6 +206,8 @@ def cmd_sweep(cfg: RunConfig, measure: str, grid_spec: Optional[str]) -> int:
 
 
 def cmd_factor(cfg: RunConfig, max_attempts: int, fast: bool) -> int:
+    if max_attempts < 1:
+        raise ConfigError(f"--max-attempts must be >= 1, got {max_attempts}")
     instance = cfg.instance()
     rng = np.random.default_rng(cfg.seed)
     if fast:

@@ -6,7 +6,10 @@ eta = cos(alpha/2)|0> + sin(alpha/2)|1>, which is what the closed forms are
 derived from.  Hamming-weight tables over the joint basis labels feed those
 closed forms.  Two cross-checks over the *full* product-state family are
 provided as well: a seeded alternating optimizer that works at pipeline
-scale, and a small brute-force oracle for up to three qubits.
+scale, and a small brute-force oracle for up to three qubits.  The
+alternating optimizer stops at the first start whose overlap reaches 1: the
+clamped value is 0.0 from then on, whatever the remaining starts find, so on
+the product-state stage one start returns the same float as all of them.
 
 The closed form for the post-transform stage squares a complex sum; since
 plain squaring and squared modulus differ once the sum leaves the real
@@ -20,7 +23,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -96,18 +99,11 @@ def build_hamming_table(instance: ShorInstance) -> HammingTable:
     return HammingTable(n=instance.n_qubits, weights_ab=weights_ab, weights_as=weights_as)
 
 
-def _popcounts(indices: np.ndarray, n_bits: int) -> np.ndarray:
-    counts = np.zeros(len(indices), dtype=np.int64)
-    for shift in range(n_bits):
-        counts += (indices >> shift) & 1
-    return counts
-
-
 def _weight_coefficients(state: PureState) -> np.ndarray:
     """Conjugated amplitude sums grouped by the Hamming weight of the label."""
     n = state.layout.n
     idx = state.support()
-    weights = _popcounts(idx, n)
+    weights = np.bitwise_count(idx)
     coeff = np.zeros(n + 1, dtype=np.complex128)
     np.add.at(coeff, weights, state.amplitudes[idx].conj())
     return coeff
@@ -339,6 +335,17 @@ def _symmetric_seed(state: PureState) -> list[np.ndarray]:
     return [eta.copy() for _ in range(state.layout.n)]
 
 
+def _product_starts(state: PureState, restarts: int, seed: int) -> Iterator[list[np.ndarray]]:
+    """Marginal seed, symmetric seed, uniform, then `restarts` seeded draws."""
+    n = state.layout.n
+    yield _marginal_seed(state)
+    yield _symmetric_seed(state)
+    yield [np.full(2, 1.0 / math.sqrt(2.0), dtype=np.complex128) for _ in range(n)]
+    rng = np.random.default_rng(seed)
+    for _ in range(restarts):
+        yield _random_qubit_states(n, rng)
+
+
 def geometric_entanglement_product(
     state: PureState, restarts: int = 8, seed: int = 1815
 ) -> float:
@@ -348,14 +355,19 @@ def geometric_entanglement_product(
     general, but the start set always contains the symmetric-ansatz optimum,
     so the result never exceeds the symmetric value, and the per-qubit
     marginal seed makes exactly separable states land on zero.
+
+    Starts are built lazily and the loop stops once 1 - best**2 <= 0.  The
+    clamped result is then already 0.0, and later starts could only raise
+    best, so the returned float is the one all starts would give.  On a
+    product state the marginal seed stops it after one ALS run, before the
+    symmetric seed is built.
     """
-    n = state.layout.n
-    conj_tensor = state.amplitudes.conj().reshape((2,) * n)
-    rng = np.random.default_rng(seed)
-    starts = [_marginal_seed(state), _symmetric_seed(state)]
-    starts.append([np.full(2, 1.0 / math.sqrt(2.0), dtype=np.complex128) for _ in range(n)])
-    starts.extend(_random_qubit_states(n, rng) for _ in range(restarts))
-    best = max(_als_overlap(conj_tensor, start) for start in starts)
+    conj_tensor = state.amplitudes.conj().reshape((2,) * state.layout.n)
+    best = 0.0
+    for start in _product_starts(state, restarts, seed):
+        best = max(best, _als_overlap(conj_tensor, start))
+        if 1.0 - best * best <= 0.0:
+            break
     return max(0.0, 1.0 - best * best)
 
 

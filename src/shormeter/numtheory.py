@@ -223,7 +223,8 @@ def recover_order(k: int, instance: ShorInstance) -> Optional[int]:
     for cand in sorted(candidates):
         if pow(x, cand, n) == 1:
             order = _order_from_multiple(x, n, cand)
-            assert pow(x, order, n) == 1
+            if pow(x, order, n) != 1:
+                raise ArithmeticError(f"recovered order {order} fails {x}**{order} == 1 (mod {n})")
             return order
     return None
 

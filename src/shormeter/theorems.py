@@ -329,13 +329,15 @@ def verify_stage(
     p_grid: Sequence[float] = P_GRID_DEFAULT,
     alpha_grid: Sequence[float] = ALPHA_GRID_DEFAULT,
     tol: float = COHERENCE_GAP_TOL,
+    table: Optional[ent.HammingTable] = None,
 ) -> MeasureReport:
     """Numeric-vs-closed-form comparison for one stage.
 
     Coherence rows are gated at `tol`.  When r does not divide Q the final
     stage has no closed forms; its rows are reported as not applicable and
     do not gate.  Entanglement rows are never gated: the ansatz optimum and
-    both closed-form readings are reported side by side.
+    both closed-form readings are reported side by side.  The weight table
+    for the psi2/psi3 closed forms is built here unless `table` is given.
     """
     if stage not in STAGES:
         raise ValueError(f"stage must be one of {STAGES}, got {stage!r}")
@@ -371,12 +373,15 @@ def verify_stage(
             tol,
         )
     )
-    rows.append(_entanglement_row(stage, instance, state))
+    rows.append(_entanglement_row(stage, instance, state, table))
     return MeasureReport(stage=stage, rows=tuple(rows))
 
 
 def _entanglement_row(
-    stage: str, instance: ShorInstance, state: statevec.PureState
+    stage: str,
+    instance: ShorInstance,
+    state: statevec.PureState,
+    table: Optional[ent.HammingTable],
 ) -> MeasureRow:
     opt = ent.geometric_entanglement_symmetric(state)
     details: dict = {"ansatz_alpha": opt.alpha_angle, "ansatz_overlap_sq": opt.overlap_sq}
@@ -388,7 +393,8 @@ def _entanglement_row(
         # wide margin; the full product-family optimum is reported alongside.
         details["product_family_numeric"] = ent.geometric_entanglement_product(state)
     elif instance.m is not None:
-        table = ent.build_hamming_table(instance)
+        if table is None:
+            table = ent.build_hamming_table(instance)
         if stage == "psi2":
             closed = ent.closed_form_eg_psi2(instance, table)
         else:
@@ -418,13 +424,26 @@ def verify_all(
     alpha_grid: Sequence[float] = ALPHA_GRID_DEFAULT,
     tol: float = COHERENCE_GAP_TOL,
     states: Optional[tuple[statevec.PureState, ...]] = None,
+    table: Optional[ent.HammingTable] = None,
 ) -> dict[str, MeasureReport]:
-    """Simulate the full circuit once and verify every stage against it."""
+    """Simulate the full circuit once and verify every stage against it.
+
+    The weight table is built once here when r | Q (unless `table` is
+    given) and shared by the psi2 and psi3 rows.
+    """
     if states is None:
         states = statevec.run_order_finding_circuit(instance)
+    if table is None and instance.m is not None:
+        table = ent.build_hamming_table(instance)
     return {
         stage: verify_stage(
-            stage, instance, state=state, p_grid=p_grid, alpha_grid=alpha_grid, tol=tol
+            stage,
+            instance,
+            state=state,
+            p_grid=p_grid,
+            alpha_grid=alpha_grid,
+            tol=tol,
+            table=table,
         )
         for stage, state in zip(STAGES, states)
     }

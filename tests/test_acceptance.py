@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from shormeter import entanglement as ent
-from shormeter import make_instance, measures, theorems
+from shormeter import make_instance, measures, run_order_finding_circuit, theorems
 from shormeter.cli import main
 from shormeter.statevec import (
     PureState,
@@ -139,15 +139,20 @@ def test_criterion_10_outcome_distribution_identities(pipeline15):
         # outcome_probability raises if its two evaluation routes differ by > 1e-9
         total = sum(outcome_probability(k, r, q) for k in range(q))
         worst_sum = max(worst_sum, abs(total - 1.0))
-    simulated = measurement_distribution_A(pipeline15[2]).probabilities
-    closed = outcome_distribution(4, 2048).probabilities
-    worst_dist = float(np.abs(simulated - closed).max())
-    ok = worst_sum <= 1e-9 and worst_dist <= 1e-9
+    # N=15 x=7 has r=4 | Q; N=21 x=2 has r=6, which does not divide Q=1024
+    worst_dist = 0.0
+    inst21 = make_instance(21, 2, t=10)
+    for psi3, r, q in ((pipeline15[2], 4, 2048), (run_order_finding_circuit(inst21)[2], 6, 1024)):
+        simulated = measurement_distribution_A(psi3).probabilities
+        closed = outcome_distribution(r, q).probabilities
+        worst_dist = max(worst_dist, float(np.abs(simulated - closed).max()))
+    ok = inst21.m is None and worst_sum <= 1e-9 and worst_dist <= 1e-9
     check(
         10,
         ok,
         "dual-path agreement on (4,2048), (3,64), (5,128); "
-        f"worst normalization gap {worst_sum:.3e}, worst simulated-vs-closed gap {worst_dist:.3e}",
+        f"worst normalization gap {worst_sum:.3e}, "
+        f"worst simulated-vs-closed gap {worst_dist:.3e} on N=15 t=11 and N=21 t=10",
     )
 
 

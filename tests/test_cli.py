@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from shormeter import entanglement as ent
 from shormeter.cli import main
 
 
@@ -151,6 +152,28 @@ def test_factor_method_inapplicable_base(tmp_path):
     payload = json.loads(raw)
     assert payload["success"] is False
     assert "note" in payload
+
+
+def test_factor_rejects_max_attempts_below_one(capsys):
+    for bad in ("0", "-3"):
+        code = main(["factor", "--n", "15", "--x", "7", "--max-attempts", bad, "--fast"])
+        assert code == 2
+        assert f"--max-attempts must be >= 1, got {bad}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_run_builds_weight_table_once(tmp_path, monkeypatch, command):
+    calls = []
+    build = ent.build_hamming_table
+
+    def counted(instance):
+        calls.append(instance)
+        return build(instance)
+
+    monkeypatch.setattr(ent, "build_hamming_table", counted)
+    code, _ = run_to_file(tmp_path, "run.json", [command, "--n", "15", "--x", "7", "--t", "8"])
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_verify_passes(tmp_path):

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from shormeter import entanglement as ent
+from shormeter import make_instance, run_order_finding_circuit
+from shormeter.cli import _perturbed
 from shormeter.statevec import PureState, RegisterLayout
 
 
@@ -250,3 +252,66 @@ def test_entanglement_values_stay_physical(pipeline15):
     for state in pipeline15:
         value = ent.geometric_entanglement_symmetric(state).entanglement
         assert 0.0 <= value <= 1.0
+
+
+def all_starts_product_entanglement(state, restarts=8, seed=1815):
+    """Reference for the product-family optimizer: every start, no early exit."""
+    n = state.layout.n
+    conj_tensor = state.amplitudes.conj().reshape((2,) * n)
+    rng = np.random.default_rng(seed)
+    starts = [ent._marginal_seed(state), ent._symmetric_seed(state)]
+    starts.append([np.full(2, 1.0 / math.sqrt(2.0), dtype=np.complex128) for _ in range(n)])
+    starts.extend(ent._random_qubit_states(n, rng) for _ in range(restarts))
+    best = max(ent._als_overlap(conj_tensor, start) for start in starts)
+    return max(0.0, 1.0 - best * best)
+
+
+@pytest.fixture(scope="module")
+def pipeline15_t8():
+    return run_order_finding_circuit(make_instance(15, 7, t=8))
+
+
+@pytest.mark.parametrize("make_state, seed", [(product_state, 404), (random_state, 77)])
+def test_product_family_matches_all_starts_on_random_states(make_state, seed):
+    # product states take the early exit; entangled ones run every start, and any can win
+    rng = np.random.default_rng(seed)
+    for lay in (RegisterLayout(t=1, L=1), RegisterLayout(t=2, L=2), RegisterLayout(t=3, L=3)):
+        for _ in range(6):
+            state = make_state(lay, rng)
+            assert ent.geometric_entanglement_product(state) == all_starts_product_entanglement(
+                state
+            )
+
+
+def test_product_family_early_exit_matches_all_starts_on_pipeline(pipeline15_t8):
+    psi1 = pipeline15_t8[0]
+    for state in (*pipeline15_t8, _perturbed(psi1, 1e-3)):
+        assert ent.geometric_entanglement_product(state) == all_starts_product_entanglement(
+            state
+        )
+
+
+def test_product_family_stops_after_marginal_seed_on_psi1(pipeline15, monkeypatch):
+    runs = []
+    als = ent._als_overlap
+
+    def counted(*args, **kwargs):
+        runs.append(1)
+        return als(*args, **kwargs)
+
+    def forbidden(state):
+        raise AssertionError("symmetric seed built after an exact start")
+
+    monkeypatch.setattr(ent, "_als_overlap", counted)
+    monkeypatch.setattr(ent, "_symmetric_seed", forbidden)
+    assert ent.geometric_entanglement_product(pipeline15[0]) == 0.0
+    assert len(runs) == 1
+
+
+def test_weight_coefficients_match_bit_loop():
+    rng = np.random.default_rng(5)
+    state = random_state(RegisterLayout(t=3, L=3), rng)
+    expected = np.zeros(state.layout.n + 1, dtype=np.complex128)
+    for i in state.support():
+        expected[int(i).bit_count()] += state.amplitudes[i].conj()
+    assert np.array_equal(ent._weight_coefficients(state), expected)
