@@ -33,6 +33,11 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_CONFIG = 2
 
+# Largest array a run may allocate for its dense state (complex128, 16 bytes
+# per amplitude) or its --fast outcome vector (float64, 8 bytes per outcome):
+# a 24-qubit dense state.  Larger configs exit 2 before allocating anything.
+MEMORY_BUDGET_BYTES = 2**28
+
 
 def _fmt(value: float) -> str:
     return format(float(value), ".17g")
@@ -91,6 +96,14 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             "no quantum run needed"
         )
     q = 2**t
+    if args.command == "factor" and args.fast:
+        need, what = 8 * q, f"the outcome vector over Q=2**{t} outcomes"
+    else:
+        need, what = 16 * 2 ** (t + sizes.L), f"the dense state on {t + sizes.L} qubits"
+    if need > MEMORY_BUDGET_BYTES:
+        raise ConfigError(
+            f"{what} needs {need} bytes, above the budget of {MEMORY_BUDGET_BYTES} bytes"
+        )
     return RunConfig(
         N=args.n,
         x=x,

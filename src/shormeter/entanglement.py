@@ -286,7 +286,9 @@ def _als_overlap(
 
     Each update replaces one qubit's state by the normalized environment
     vector, which is the exact conditional optimum, so the overlap is
-    non-decreasing sweep over sweep.
+    non-decreasing update over update.  It returns as soon as the overlap
+    reaches 1 (1 - value**2 <= 0): every caller clamps 1 - value**2 at 0, so
+    a further sweep could not change what they report.
     """
     n = conj_tensor.ndim
     states = [np.asarray(q, dtype=np.complex128).copy() for q in start]
@@ -301,6 +303,8 @@ def _als_overlap(
                 continue
             states[i] = env.conj() / norm
             value = norm
+            if 1.0 - value * value <= 0.0:
+                return value
         if value - previous <= tol:
             break
     return value

@@ -5,6 +5,13 @@ major, register B (L qubits, value y) minor.  The Hamming weight of a joint
 index is the popcount of the full (t+L)-bit string, which is what the
 entanglement closed forms consume.
 
+States are stored densely over all 2**(t+L) amplitudes.  The register-A
+gates (Hadamard layer, Fourier transforms) act on each register-B column of
+the (Q, 2**L) grid separately, so they transform only the occupied columns,
+those holding any exactly nonzero amplitude, and leave the rest zero.  In the
+circuit these are 1 column before modexp and the r residues x**a mod N
+after it; a generic state occupies every column and gets the full gate.
+
 States are immutable after construction; every operation returns a fresh
 state.
 """
@@ -14,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -79,7 +86,12 @@ class RegisterLayout:
 
 @dataclass(frozen=True)
 class PureState:
-    """Normalized complex amplitude vector over the joint basis."""
+    """Normalized complex amplitude vector over the joint basis.
+
+    The amplitudes are copied into a read-only array, except an array that
+    owns its data and is already read-only, which is kept as is: the gates
+    hand over their fresh outputs this way instead of paying for a copy.
+    """
 
     layout: RegisterLayout
     amplitudes: np.ndarray
@@ -91,8 +103,9 @@ class PureState:
         norm = float(np.vdot(arr, arr).real)
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state norm**2 = {norm!r} is not 1 within {NORM_TOL}")
-        arr = arr.copy()
-        arr.setflags(write=False)
+        if arr.flags.writeable or not arr.flags.owndata:
+            arr = arr.copy()
+            arr.setflags(write=False)
         object.__setattr__(self, "amplitudes", arr)
 
     def as_grid(self) -> np.ndarray:
@@ -112,20 +125,46 @@ def init_state(layout: RegisterLayout) -> PureState:
     """|0...0> on register A, |1> on register B."""
     vec = np.zeros(layout.dim, dtype=np.complex128)
     vec[1] = 1.0
+    vec.setflags(write=False)
     return PureState(layout, vec)
+
+
+def _register_a_gate(
+    state: PureState, transform: Callable[[np.ndarray], np.ndarray]
+) -> PureState:
+    """Apply a register-A transform to the occupied register-B columns.
+
+    ``transform`` maps a fresh (Q, k) array of columns, which it may
+    overwrite, to their images.  Columns with no exactly nonzero amplitude
+    map to zero under any register-A gate, so they are skipped (and come out
+    +0.0 even where the input held -0.0).
+    """
+    lay = state.layout
+    grid = state.as_grid()
+    cols = np.flatnonzero(grid.any(axis=0))
+    out = np.zeros(lay.dim, dtype=np.complex128)
+    out.reshape(lay.Q, lay.dim_b)[:, cols] = transform(grid[:, cols])
+    out.setflags(write=False)
+    return PureState(lay, out)
 
 
 def apply_hadamard_layer(state: PureState) -> PureState:
     """Hadamard on every register-A qubit (register B untouched)."""
-    lay = state.layout
-    arr = state.amplitudes.reshape((2,) * lay.t + (lay.dim_b,)).copy()
+    t = state.layout.t
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    for axis in range(lay.t):
-        view = np.moveaxis(arr, axis, 0)
-        top = view[0].copy()
-        view[0] = (top + view[1]) * inv_sqrt2
-        view[1] = (top - view[1]) * inv_sqrt2
-    return PureState(lay, arr.reshape(-1))
+
+    def butterflies(cols: np.ndarray) -> np.ndarray:
+        arr = cols.reshape((2,) * t + (cols.shape[1],))
+        for axis in range(t):
+            view = np.moveaxis(arr, axis, 0)
+            top = view[0].copy()
+            view[0] += view[1]
+            view[0] *= inv_sqrt2
+            np.subtract(top, view[1], out=view[1])
+            view[1] *= inv_sqrt2
+        return cols
+
+    return _register_a_gate(state, butterflies)
 
 
 def apply_modexp_unitary(state: PureState, instance: ShorInstance) -> PureState:
@@ -148,23 +187,32 @@ def apply_modexp_unitary(state: PureState, instance: ShorInstance) -> PureState:
         acc = (acc * x) % n_mod
     ys = np.arange(n_mod, dtype=np.int64)
     targets = (powers[:, None] * ys[None, :]) % n_mod
-    out = np.zeros_like(grid)
-    out[np.arange(lay.Q)[:, None], targets] = grid[:, :n_mod]
-    return PureState(lay, out.reshape(-1))
+    out = np.zeros(lay.dim, dtype=np.complex128)
+    out.reshape(lay.Q, lay.dim_b)[np.arange(lay.Q)[:, None], targets] = grid[:, :n_mod]
+    out.setflags(write=False)
+    return PureState(lay, out)
+
+
+def _qft_columns(cols: np.ndarray) -> np.ndarray:
+    out = np.fft.ifft(cols, axis=0)
+    out *= math.sqrt(cols.shape[0])
+    return out
+
+
+def _inverse_qft_columns(cols: np.ndarray) -> np.ndarray:
+    out = np.fft.fft(cols, axis=0)
+    out /= math.sqrt(cols.shape[0])
+    return out
 
 
 def apply_qft_A(state: PureState) -> PureState:
     """Fourier transform on register A: kernel exp(+2 pi i j k / Q) / sqrt(Q)."""
-    lay = state.layout
-    out = np.fft.ifft(state.as_grid(), axis=0) * math.sqrt(lay.Q)
-    return PureState(lay, out.reshape(-1))
+    return _register_a_gate(state, _qft_columns)
 
 
 def apply_inverse_qft_A(state: PureState) -> PureState:
     """Inverse Fourier transform on register A: kernel exp(-2 pi i j k / Q) / sqrt(Q)."""
-    lay = state.layout
-    out = np.fft.fft(state.as_grid(), axis=0) / math.sqrt(lay.Q)
-    return PureState(lay, out.reshape(-1))
+    return _register_a_gate(state, _inverse_qft_columns)
 
 
 def ideal_psi3(instance: ShorInstance) -> PureState:
@@ -272,23 +320,37 @@ def outcome_probability(k: int, r: int, q: int) -> float:
 
 
 def outcome_distribution(r: int, q: int) -> OutcomeDistribution:
-    """Full outcome distribution from the closed form (no O(Q**2) sums)."""
+    """Outcome distribution of the circuit for order r and dimension Q, in O(Q).
+
+    Write Q = n0*r + rho.  After modexp, register-B value x**a holds the
+    rows j = a, a + r, ... below Q: n0 + 1 of them for the rho residues
+    a < rho and n0 for the others.  The inverse transform maps such a column
+    to a geometric series in exp(-2 pi i r k / Q), so
+
+        p_k = [rho * F(n0 + 1, k) + (r - rho) * F(n0, k)] / Q**2,
+        F(n, k) = sin(pi (n r k mod Q) / Q)**2 / sin(pi (r k mod Q) / Q)**2,
+
+    with F(n, k) = n**2 where r k = 0 (mod Q).  This is exact for every r,
+    including r not dividing Q and r > Q (n0 = 0, a uniform distribution).
+    The phases are reduced mod Q in int64, so Q is capped at 2**31.
+    """
     if r < 1:
         raise ValueError(f"order must be >= 1, got {r}")
-    if q < 1:
-        raise ValueError(f"dimension must be >= 1, got {q}")
+    if not 1 <= q <= 2**31:
+        raise ValueError(f"dimension must lie in [1, 2**31], got {q}")
+    n0, rho = divmod(q, r)
     k = np.arange(q, dtype=np.int64)
+    step = (r % q) * k % q
+    peak = step == 0
     total = np.zeros(q, dtype=np.float64)
-    den = r * q
-    for s in range(r):
-        num = s * q - k * r
-        num_mod_den = num % den
-        num_mod_r = num % r
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.sin(np.pi * num_mod_r / r) / (q * np.sin(np.pi * num_mod_den / den))
-        term = np.where(num_mod_den == 0, 1.0, np.where(num_mod_r == 0, 0.0, ratio * ratio))
-        total += term
-    return OutcomeDistribution(total / r)
+    with np.errstate(divide="ignore", invalid="ignore"):  # only at the peaks, replaced below
+        inv_den = 1.0 / np.sin(np.pi * step / q) ** 2
+        for n, count in ((n0 + 1, rho), (n0, r - rho)):
+            if n == 0 or count == 0:
+                continue
+            ratio = np.sin(np.pi * ((n * r) % q * k % q) / q) ** 2 * inv_den
+            total += count * np.where(peak, float(n * n), ratio)
+    return OutcomeDistribution(total / (float(q) * q))
 
 
 def sample_outcome(

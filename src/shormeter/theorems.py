@@ -170,6 +170,12 @@ def _sign(value: float) -> str:
     return "zero"
 
 
+def _check(ok: bool, message: str) -> None:
+    """Raise ArithmeticError unless a ledger identity holds (survives python -O)."""
+    if not ok:
+        raise ArithmeticError(message)
+
+
 def operator_variations(
     Q: int,
     r: int,
@@ -177,7 +183,11 @@ def operator_variations(
     alpha: float,
     table: Optional[ent.HammingTable] = None,
 ) -> VariationLedger:
-    """Per-operator deltas; entanglement rows are absent without a table."""
+    """Per-operator deltas; entanglement rows are absent without a table.
+
+    With Q >= r**2 the transform-step coherence deltas must be negative and
+    the modexp-step entanglement change non-negative, else ArithmeticError.
+    """
     before = closed_forms_psi1(Q, p, alpha)
     after = closed_forms_psi3(r, p, alpha)
     dC1p_F = after.C_1p - before.C_1p
@@ -198,9 +208,13 @@ def operator_variations(
             "dEg_total_modulus_squared": 1.0 - overlap2_mod,
         }
         if Q >= r * r:
-            assert kwargs["dEg_U"] >= 0.0
+            _check(kwargs["dEg_U"] >= 0.0, f"dEg_U={eg2!r} < 0 with Q={Q} >= r**2={r * r}")
     if Q >= r * r:
-        assert dC1p_F <= 0.0 and dCalpha_F <= 0.0 and dCg_F < 0.0
+        _check(
+            dC1p_F <= 0.0 and dCalpha_F <= 0.0 and dCg_F < 0.0,
+            f"transform-step coherence deltas ({dC1p_F!r}, {dCalpha_F!r}, {dCg_F!r}) "
+            f"are not all negative with Q={Q} >= r**2={r * r}",
+        )
     return VariationLedger(
         Q=Q,
         r=r,
@@ -230,17 +244,28 @@ def algorithm_variations(
 
     For every quantifier the whole-run change equals the modexp-step change
     plus the transform-step change; with Q >= r**2 all three coherence
-    deltas are negative.
+    deltas are negative.  A failed check raises ArithmeticError.
     """
     ledger = operator_variations(Q, r, p, alpha, table)
-    assert abs(ledger.dC1p_U + ledger.dC1p_F - ledger.dC1p_total) <= 1e-9
-    assert abs(ledger.dCalpha_U + ledger.dCalpha_F - ledger.dCalpha_total) <= 1e-9
-    assert abs(ledger.dCg_U + ledger.dCg_F - ledger.dCg_total) <= 1e-9
+    sums = [
+        ("dC1p", ledger.dC1p_U, ledger.dC1p_F, ledger.dC1p_total),
+        ("dCalpha", ledger.dCalpha_U, ledger.dCalpha_F, ledger.dCalpha_total),
+        ("dCg", ledger.dCg_U, ledger.dCg_F, ledger.dCg_total),
+    ]
     if ledger.dEg_U is not None:
-        assert abs(ledger.dEg_U + ledger.dEg_F_literal - ledger.dEg_total_literal) <= 1e-9
-        assert (
-            abs(ledger.dEg_U + ledger.dEg_F_modulus_squared - ledger.dEg_total_modulus_squared)
-            <= 1e-9
+        sums += [
+            ("dEg_literal", ledger.dEg_U, ledger.dEg_F_literal, ledger.dEg_total_literal),
+            (
+                "dEg_modulus_squared",
+                ledger.dEg_U,
+                ledger.dEg_F_modulus_squared,
+                ledger.dEg_total_modulus_squared,
+            ),
+        ]
+    for name, step_u, step_f, total in sums:
+        _check(
+            abs(step_u + step_f - total) <= 1e-9,
+            f"{name}: U {step_u!r} + F {step_f!r} != total {total!r}",
         )
     return ledger
 

@@ -1,10 +1,11 @@
 import json
 import math
+import tracemalloc
 
 import pytest
 
 from shormeter import entanglement as ent
-from shormeter.cli import main
+from shormeter.cli import ConfigError, build_parser, main, resolve_config
 
 
 def run_to_file(tmp_path, name, argv):
@@ -223,3 +224,33 @@ def test_random_coprime_resolution_deterministic(tmp_path):
     assert first == second
     x = json.loads(first)["config"]["x"]
     assert 1 < x < 15 and math.gcd(x, 15) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, need",
+    [
+        (["simulate", "--n", "15", "--x", "7", "--t", "40"], 16 * 2**44),
+        (["factor", "--n", "15", "--x", "7", "--t", "40", "--fast"], 8 * 2**40),
+    ],
+)
+def test_oversized_config_exits_two_before_allocating(capsys, argv, need):
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert f"needs {need} bytes" in capsys.readouterr().err
+    assert peak < 2**20
+
+
+def test_memory_budget_admits_24_qubit_dense_states():
+    def resolve(t):
+        args = build_parser().parse_args(["verify", "--n", "15", "--x", "7", "--t", str(t)])
+        return resolve_config(args)
+
+    cfg = resolve(20)
+    assert cfg.t + cfg.L == 24
+    with pytest.raises(ConfigError, match="25 qubits needs 536870912 bytes"):
+        resolve(21)

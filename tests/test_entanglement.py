@@ -293,19 +293,28 @@ def test_product_family_early_exit_matches_all_starts_on_pipeline(pipeline15_t8)
 
 def test_product_family_stops_after_marginal_seed_on_psi1(pipeline15, monkeypatch):
     runs = []
+    contractions = []
     als = ent._als_overlap
+    environment = ent._environment
 
     def counted(*args, **kwargs):
         runs.append(1)
         return als(*args, **kwargs)
 
+    def counted_environment(*args, **kwargs):
+        contractions.append(1)
+        return environment(*args, **kwargs)
+
     def forbidden(state):
         raise AssertionError("symmetric seed built after an exact start")
 
     monkeypatch.setattr(ent, "_als_overlap", counted)
+    monkeypatch.setattr(ent, "_environment", counted_environment)
     monkeypatch.setattr(ent, "_symmetric_seed", forbidden)
     assert ent.geometric_entanglement_product(pipeline15[0]) == 0.0
     assert len(runs) == 1
+    # the ALS run returns once the overlap reaches 1, within its first sweep
+    assert 0 < len(contractions) <= pipeline15[0].layout.n
 
 
 def test_weight_coefficients_match_bit_loop():

@@ -109,6 +109,16 @@ def test_l1p_pure_basics():
         l1p_coherence_pure(PLUS, 2.1)
 
 
+def test_l1p_pure_matches_out_of_place_formula_bitwise():
+    rng = np.random.default_rng(47)
+    for psi in (random_pure(4096, rng), uniform(256), PLUS):
+        a = np.abs(psi)
+        for p in (1.0, 1.05, 1.5, 2.0):
+            ap = a**p
+            expected = float(np.sum(a * np.clip(np.sum(ap) - ap, 0.0, None) ** (1.0 / p)))
+            assert l1p_coherence_pure(psi, p) == expected
+
+
 def test_l1p_density_matches_pure_and_l1_reduction():
     rng = np.random.default_rng(31)
     for dim in (2, 4, 8, 16, 64):

@@ -19,6 +19,7 @@ from shormeter.statevec import (
     ideal_psi3,
     init_state,
     measurement_distribution_A,
+    run_order_finding_circuit,
     sample_outcome,
 )
 
@@ -26,6 +27,36 @@ from shormeter.statevec import (
 def random_state(layout, rng):
     vec = rng.standard_normal(layout.dim) + 1j * rng.standard_normal(layout.dim)
     return PureState(layout, vec / np.linalg.norm(vec))
+
+
+def hadamard_all_columns(state):
+    """Oracle: the Hadamard layer run over every register-B column."""
+    lay = state.layout
+    arr = state.amplitudes.reshape((2,) * lay.t + (lay.dim_b,)).copy()
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    for axis in range(lay.t):
+        view = np.moveaxis(arr, axis, 0)
+        top = view[0].copy()
+        view[0] = (top + view[1]) * inv_sqrt2
+        view[1] = (top - view[1]) * inv_sqrt2
+    return PureState(lay, arr.reshape(-1))
+
+
+def inverse_qft_all_columns(state):
+    """Oracle: the inverse register-A transform run over every register-B column."""
+    out = np.fft.fft(state.as_grid(), axis=0) / math.sqrt(state.layout.Q)
+    return PureState(state.layout, out.reshape(-1))
+
+
+def assert_same_bytes(got, expected):
+    assert got.amplitudes.tobytes() == expected.amplitudes.tobytes()
+
+
+def few_column_state(layout, columns, rng):
+    grid = np.zeros((layout.Q, layout.dim_b), dtype=complex)
+    shape = (layout.Q, len(columns))
+    grid[:, columns] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return PureState(layout, grid.reshape(-1) / np.linalg.norm(grid))
 
 
 def test_init_state_small():
@@ -49,6 +80,17 @@ def test_states_are_immutable():
     state = init_state(RegisterLayout(t=2, L=1))
     with pytest.raises(ValueError):
         state.amplitudes[0] = 1.0
+
+
+def test_state_does_not_share_caller_memory():
+    lay = RegisterLayout(t=1, L=1)
+    vec = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
+    readonly_view = vec[:]
+    readonly_view.setflags(write=False)
+    states = [PureState(lay, vec), PureState(lay, readonly_view)]
+    vec[1] = -1.0
+    for state in states:
+        assert state.amplitudes[1] == 1.0
 
 
 def test_hadamard_layer_uniform(pipeline15):
@@ -164,6 +206,40 @@ def test_gates_preserve_norm():
         assert abs(norm - 1.0) < 1e-10
 
 
+@pytest.mark.parametrize("t, L", [(1, 1), (3, 2), (6, 3)])
+def test_gates_match_all_column_oracles_on_dense_states(t, L):
+    rng = np.random.default_rng(100 * t + L)
+    for _ in range(3):
+        state = random_state(RegisterLayout(t=t, L=L), rng)
+        assert_same_bytes(apply_hadamard_layer(state), hadamard_all_columns(state))
+        assert_same_bytes(apply_inverse_qft_A(state), inverse_qft_all_columns(state))
+
+
+def test_gates_match_all_column_oracles_on_few_columns():
+    rng = np.random.default_rng(31)
+    lay = RegisterLayout(t=6, L=4)
+    for columns in ([1], [0, 5, 11], [2, 3, 15]):
+        state = few_column_state(lay, columns, rng)
+        for gate, oracle in (
+            (apply_hadamard_layer, hadamard_all_columns),
+            (apply_inverse_qft_A, inverse_qft_all_columns),
+        ):
+            out = gate(state)
+            assert_same_bytes(out, oracle(state))
+            assert out.register_b_support() == columns
+
+
+@pytest.mark.parametrize("n, x, t", [(15, 7, 11), (21, 2, 10), (33, 2, None)])
+def test_circuit_stages_match_all_column_oracles(n, x, t):
+    inst = make_instance(n, x, t=t)
+    psi1, psi2, psi3 = run_order_finding_circuit(inst)
+    expected1 = hadamard_all_columns(init_state(RegisterLayout.for_instance(inst)))
+    assert_same_bytes(psi1, expected1)
+    expected2 = apply_modexp_unitary(expected1, inst)
+    assert_same_bytes(psi2, expected2)
+    assert_same_bytes(psi3, inverse_qft_all_columns(expected2))
+
+
 def test_measurement_distribution_basics():
     lay = RegisterLayout(t=2, L=1)
     vec = np.zeros(lay.dim, dtype=complex)
@@ -197,6 +273,27 @@ def test_simulated_distribution_matches_closed_form(pipeline15):
     probs = measurement_distribution_A(pipeline15[2]).probabilities
     closed = outcome_distribution(4, 2048).probabilities
     assert np.abs(probs - closed).max() < 1e-9
+
+
+@pytest.mark.parametrize("n, x, t", [(21, 2, 10), (49, 3, 10)])
+def test_closed_form_distribution_matches_simulation_when_order_does_not_divide(n, x, t):
+    inst = make_instance(n, x, t=t)
+    assert inst.Q % inst.r != 0
+    simulated = measurement_distribution_A(run_order_finding_circuit(inst)[2]).probabilities
+    closed = outcome_distribution(inst.r, inst.Q).probabilities
+    assert np.abs(simulated - closed).max() < 1e-12
+
+
+@pytest.mark.parametrize("r, q", [(1, 16), (16, 16), (24, 16), (40, 8)])
+def test_outcome_distribution_edge_orders(r, q):
+    dist = outcome_distribution(r, q).probabilities
+    expected = [outcome_probability(k, r, q) for k in range(q)]
+    assert np.abs(dist - expected).max() < 1e-12
+
+
+def test_outcome_distribution_rejects_dimension_beyond_int64_phases():
+    with pytest.raises(ValueError, match="2\\*\\*31"):
+        outcome_distribution(3, 2**31 + 1)
 
 
 def test_sample_outcome_delta_distribution():

@@ -148,3 +148,11 @@ def test_stage1_dominates_stage3_pointwise():
 def test_verify_stage_rejects_unknown_stage(inst15):
     with pytest.raises(ValueError):
         theorems.verify_stage("psi4", inst15)
+
+
+def test_variation_checks_raise_arithmetic_error(monkeypatch):
+    # a transform step that raised coherence would contradict the Q >= r**2 signs
+    inflated = theorems.closed_forms_psi1(2**20, 1.0, 2.0)
+    monkeypatch.setattr(theorems, "closed_forms_psi3", lambda r, p, alpha: inflated)
+    with pytest.raises(ArithmeticError, match="not all negative"):
+        theorems.algorithm_variations(2048, 4, 1.0, 2.0)
