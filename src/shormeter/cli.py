@@ -9,6 +9,8 @@ back is lossless.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import sys
@@ -126,25 +128,27 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _simulate_csv(reports: dict[str, theorems.MeasureReport]) -> str:
-    lines = ["stage,measure,param,numeric,closed_form,gap,gated,pass,note"]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(
+        ["stage", "measure", "param", "numeric", "closed_form", "gap", "gated", "pass", "note"]
+    )
     for stage in theorems.STAGES:
         for row in reports[stage].rows:
-            lines.append(
-                ",".join(
-                    [
-                        stage,
-                        row.measure,
-                        "" if row.param is None else _fmt(row.param),
-                        _fmt(row.numeric),
-                        "" if row.closed_form is None else _fmt(row.closed_form),
-                        "" if row.gap is None else _fmt(row.gap),
-                        "1" if row.gated else "0",
-                        "" if row.passed is None else ("1" if row.passed else "0"),
-                        row.note.replace(",", ";"),
-                    ]
-                )
+            writer.writerow(
+                [
+                    stage,
+                    row.measure,
+                    "" if row.param is None else _fmt(row.param),
+                    _fmt(row.numeric),
+                    "" if row.closed_form is None else _fmt(row.closed_form),
+                    "" if row.gap is None else _fmt(row.gap),
+                    "1" if row.gated else "0",
+                    "" if row.passed is None else ("1" if row.passed else "0"),
+                    row.note,
+                ]
             )
-    return "\n".join(lines) + "\n"
+    return buf.getvalue()
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
@@ -193,26 +197,20 @@ def cmd_sweep(cfg: RunConfig, measure: str, grid_spec: Optional[str]) -> int:
     # index-based grid: accumulating float steps would drift past hi
     count = int(math.floor((hi - lo) / step + 1e-9)) + 1
     params = [round(lo + i * step, 12) for i in range(count)]
+    if measure == "l1p":
+        params = [param for param in params if 1.0 <= param <= 2.0]
+        curves = [measures.l1p_coherence_grid(s.amplitudes, params) for s in (psi1, psi2, psi3)]
+        limits = [0] * len(params)
+    else:
+        params = [param for param in params if 0.0 < param <= 2.0]
+        curves = [
+            measures.tsallis_coherence_grid(s.amplitudes, params) for s in (psi1, psi2, psi3)
+        ]
+        limits = [int(abs(param - 1.0) <= measures.ALPHA_ONE_TOL) for param in params]
     lines = ["param,C_psi1,C_psi2,C_psi3,delta,limit_flag"]
-    for param in params:
-        param = float(param)
-        limit = 0
-        if measure == "l1p":
-            if not 1.0 <= param <= 2.0:
-                continue
-            vals = [measures.l1p_coherence_pure(s.amplitudes, param) for s in (psi1, psi2, psi3)]
-        else:
-            if not 0.0 < param <= 2.0:
-                continue
-            limit = int(abs(param - 1.0) <= measures.ALPHA_ONE_TOL)
-            vals = [
-                measures.tsallis_coherence_pure(s.amplitudes, param) for s in (psi1, psi2, psi3)
-            ]
+    for param, limit, c1, c2, c3 in zip(params, limits, *curves):
         lines.append(
-            ",".join(
-                [_fmt(param), _fmt(vals[0]), _fmt(vals[1]), _fmt(vals[2]),
-                 _fmt(vals[2] - vals[0]), str(limit)]
-            )
+            ",".join([_fmt(param), _fmt(c1), _fmt(c2), _fmt(c3), _fmt(c3 - c1), str(limit)])
         )
     _emit("\n".join(lines) + "\n", cfg.out)
     return EXIT_OK

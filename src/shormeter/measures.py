@@ -1,37 +1,35 @@
-"""Coherence quantifiers in the fixed computational basis.
+"""Coherence quantifiers of pure states in the fixed computational basis.
 
 Three measures: the Tsallis relative alpha-entropy of coherence, the
-column-wise l_{1,p} norm of coherence, and geometric coherence.  Each comes
-as a pure-state fast path that scales to the full pipeline dimension;
-density-matrix implementations (eigendecomposition based) act as oracles and
-are capped at dim <= 256.  The relative-entropy and skew-information
-coherences are included because the Tsallis family reduces to them at
-alpha -> 1 and alpha = 1/2.
+column-wise l_{1,p} norm of coherence, and geometric coherence.  Zero
+amplitudes add nothing to any of them, so each state is first reduced to
+its nonzero support (positions, |c|**2 and, for l_{1,p}, |c| there), once
+per call.  A grid function evaluates a whole parameter grid from that
+reduction; the single-point functions are one-element grids.  Each grid
+point raises only the support values, scatters them into a zeroed buffer of
+the full dimension and sums that buffer, so every value is the same float
+as the dense expression over all amplitudes (0.0**e is +0.0 for e > 0, and
+the pairwise sum sees the same values at the same positions).  The
+density-matrix oracles and the dense expressions live with the tests.
 """
 
 from __future__ import annotations
 
-import math
+from typing import Iterable
 
 import numpy as np
 
 __all__ = [
     "ALPHA_ONE_TOL",
     "geometric_coherence_pure",
-    "l1p_coherence_density",
+    "l1p_coherence_grid",
     "l1p_coherence_pure",
-    "pure_density",
-    "relative_entropy_coherence",
-    "skew_info_coherence",
-    "tsallis_coherence_density",
+    "tsallis_coherence_grid",
     "tsallis_coherence_pure",
     "validate_alpha",
 ]
 
 ALPHA_ONE_TOL = 1e-6  # this close to 1, the removable singularity is bypassed
-_DENSITY_DIM_CAP = 256
-_EIG_CLAMP = 1e-12  # eigenvalues below this are zeroed before fractional powers
-_HERMITIAN_TOL = 1e-10
 
 
 def validate_alpha(alpha: float) -> None:
@@ -45,123 +43,88 @@ def _check_p(p: float) -> None:
         raise ValueError(f"p must lie in [1, 2], got {p}")
 
 
-def _pure_probs(state: np.ndarray) -> np.ndarray:
+def _support(state: np.ndarray, modulus: bool = False) -> tuple[np.ndarray, np.ndarray, int]:
+    """(positions, values, dimension) where the values are nonzero.
+
+    The values are |c|**2, or |c| when `modulus` is set.  The two supports
+    differ where |c|**2 underflows to 0 (|c| < 1.5e-154): such an amplitude
+    adds nothing to the dense |c|**2 expressions but does add to the dense
+    l_{1,p} sums, so it stays in the |c| support.  The dense |c|**2 is
+    freed before the caller allocates its buffer.  Positions stay intp:
+    numpy converts any other index dtype to intp on every fancy-index
+    operation.
+    """
     amps = np.asarray(state, dtype=np.complex128).reshape(-1)
-    return amps.real**2 + amps.imag**2
+    if modulus:
+        index = np.flatnonzero(amps)
+        return index, np.abs(amps[index]), amps.size
+    probs = amps.real**2 + amps.imag**2
+    index = np.flatnonzero(probs)
+    return index, probs[index], amps.size
 
 
-def _shannon_nats(p: np.ndarray) -> float:
-    nz = p[p > 0.0]
-    return float(-np.sum(nz * np.log(nz)))
-
-
-def pure_density(state: np.ndarray) -> np.ndarray:
-    """Rank-one density matrix |psi><psi| of an amplitude vector."""
-    amps = np.asarray(state, dtype=np.complex128).reshape(-1)
-    return np.outer(amps, amps.conj())
-
-
-def _validate_density(rho: np.ndarray) -> np.ndarray:
-    rho = np.asarray(rho, dtype=np.complex128)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError(f"density matrix must be square, got shape {rho.shape}")
-    if rho.shape[0] > _DENSITY_DIM_CAP:
-        raise ValueError(
-            f"density-matrix oracle capped at dim {_DENSITY_DIM_CAP}, got {rho.shape[0]}"
-        )
-    if np.abs(rho - rho.conj().T).max() > _HERMITIAN_TOL:
-        raise ValueError("density matrix is not Hermitian within tolerance")
-    trace = complex(np.trace(rho))
-    if abs(trace - 1.0) > _HERMITIAN_TOL:
-        raise ValueError(f"density matrix trace is {trace!r}, not 1")
-    return rho
-
-
-def tsallis_coherence_pure(state: np.ndarray, alpha: float) -> float:
-    """Tsallis relative alpha-entropy of coherence for a pure state.
+def tsallis_coherence_grid(state: np.ndarray, alphas: Iterable[float]) -> list[float]:
+    """Tsallis relative alpha-entropy of coherence of a pure state, per alpha.
 
     For pure rho the matrix power collapses (rho**alpha == rho), leaving
     (sum_i |c_i|**(2/alpha) - 1) / (alpha - 1); the alpha -> 1 limit is the
     diagonal Shannon entropy in nats.
     """
-    validate_alpha(alpha)
-    p = _pure_probs(state)
-    if abs(alpha - 1.0) <= ALPHA_ONE_TOL:
-        return _shannon_nats(p)
-    total = float(np.sum(p ** (1.0 / alpha)))
-    return (total - 1.0) / (alpha - 1.0)
+    alphas = [float(alpha) for alpha in alphas]
+    for alpha in alphas:
+        validate_alpha(alpha)
+    index, probs, dim = _support(state)
+    dense = np.zeros(dim)
+    powered = np.empty_like(probs)
+    values = []
+    for alpha in alphas:
+        if abs(alpha - 1.0) <= ALPHA_ONE_TOL:
+            np.log(probs, out=powered)
+            powered *= probs
+            values.append(float(-np.sum(powered)))
+            continue
+        np.power(probs, 1.0 / alpha, out=powered)
+        dense[index] = powered
+        values.append((float(np.sum(dense)) - 1.0) / (alpha - 1.0))
+    return values
 
 
-def tsallis_coherence_density(rho: np.ndarray, alpha: float) -> float:
-    """Tsallis relative alpha-entropy of coherence via eigendecomposition.
-
-    Computes sum_i <i|rho**alpha|i>**(1/alpha) with eigenvalues clamped at
-    zero before the fractional power (tiny negative roundoff eigenvalues
-    would otherwise turn into NaN for alpha < 1).
-    """
-    validate_alpha(alpha)
-    rho = _validate_density(rho)
-    if abs(alpha - 1.0) <= ALPHA_ONE_TOL:
-        return math.log(2.0) * relative_entropy_coherence(rho)
-    evals, vecs = np.linalg.eigh(rho)
-    evals = np.where(evals < _EIG_CLAMP, 0.0, evals)
-    weights = vecs.real**2 + vecs.imag**2  # |<i|v_k>|**2
-    diag_pow = np.clip(weights @ (evals**alpha), 0.0, None)
-    total = float(np.sum(diag_pow ** (1.0 / alpha)))
-    return (total - 1.0) / (alpha - 1.0)
+def tsallis_coherence_pure(state: np.ndarray, alpha: float) -> float:
+    """Tsallis relative alpha-entropy of coherence at one alpha."""
+    return tsallis_coherence_grid(state, (alpha,))[0]
 
 
-def relative_entropy_coherence(rho: np.ndarray) -> float:
-    """Relative entropy of coherence in bits: S(rho_diag) - S(rho)."""
-    rho = _validate_density(rho)
-    evals = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
-    diag = np.clip(np.real(np.diag(rho)), 0.0, None)
-    return (_shannon_nats(diag) - _shannon_nats(evals)) / math.log(2.0)
-
-
-def l1p_coherence_pure(state: np.ndarray, p: float) -> float:
-    """l_{1,p} coherence of a pure state.
+def l1p_coherence_grid(state: np.ndarray, ps: Iterable[float]) -> list[float]:
+    """l_{1,p} coherence of a pure state, per p.
 
     Column j of the off-diagonal part of |psi><psi| has p-norm
     |c_j| * (sum_{i != j} |c_i|**p)**(1/p); the measure sums those.
     """
-    _check_p(p)
-    a = np.abs(np.asarray(state, dtype=np.complex128).reshape(-1))
-    # Updated in place: with a fresh array per step, glibc handed the pages
-    # of these state-sized temporaries back after every call on 16-qubit
-    # states (about 30k page faults per 21-point sweep).
-    rest = a**p
-    np.subtract(np.sum(rest), rest, out=rest)
-    np.clip(rest, 0.0, None, out=rest)
-    rest **= 1.0 / p
-    rest *= a
-    return float(np.sum(rest))
+    ps = [float(p) for p in ps]
+    for p in ps:
+        _check_p(p)
+    index, modulus, dim = _support(state, modulus=True)
+    dense = np.zeros(dim)
+    rest = np.empty_like(modulus)
+    values = []
+    for p in ps:
+        np.power(modulus, p, out=rest)
+        dense[index] = rest
+        np.subtract(np.sum(dense), rest, out=rest)
+        np.clip(rest, 0.0, None, out=rest)
+        rest **= 1.0 / p
+        rest *= modulus
+        dense[index] = rest
+        values.append(float(np.sum(dense)))
+    return values
 
 
-def l1p_coherence_density(rho: np.ndarray, p: float) -> float:
-    """l_{1,p} coherence: strip the diagonal, p-norm each column, sum."""
-    _check_p(p)
-    rho = _validate_density(rho)
-    off = rho - np.diag(np.diag(rho))
-    col_norms = np.sum(np.abs(off) ** p, axis=0) ** (1.0 / p)
-    return float(np.sum(col_norms))
+def l1p_coherence_pure(state: np.ndarray, p: float) -> float:
+    """l_{1,p} coherence at one p."""
+    return l1p_coherence_grid(state, (p,))[0]
 
 
 def geometric_coherence_pure(state: np.ndarray) -> float:
     """Geometric coherence of a pure state: 1 - max_i |c_i|**2."""
-    p = _pure_probs(state)
-    return float(max(0.0, 1.0 - p.max()))
-
-
-def skew_info_coherence(rho: np.ndarray) -> float:
-    """Skew-information coherence: 1 - sum_j <j|sqrt(rho)|j>**2.
-
-    The Tsallis measure at alpha = 1/2 equals exactly twice this value,
-    which is what the cross-check tests exercise.
-    """
-    rho = _validate_density(rho)
-    evals, vecs = np.linalg.eigh(rho)
-    evals = np.where(evals < _EIG_CLAMP, 0.0, evals)  # sqrt would amplify roundoff
-    weights = vecs.real**2 + vecs.imag**2
-    diag_sqrt = weights @ np.sqrt(evals)
-    return float(1.0 - np.sum(diag_sqrt**2))
+    _, probs, _ = _support(state)
+    return float(max(0.0, 1.0 - probs.max(initial=0.0)))

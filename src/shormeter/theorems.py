@@ -341,16 +341,11 @@ def _gated_row(
     )
 
 
-def _stage_state(stage: str, instance: ShorInstance) -> statevec.PureState:
-    psi1, psi2, psi3 = statevec.run_order_finding_circuit(instance)
-    return {"psi1": psi1, "psi2": psi2, "psi3": psi3}[stage]
-
-
 def verify_stage(
     stage: str,
     instance: ShorInstance,
     *,
-    state: Optional[statevec.PureState] = None,
+    state: statevec.PureState,
     p_grid: Sequence[float] = P_GRID_DEFAULT,
     alpha_grid: Sequence[float] = ALPHA_GRID_DEFAULT,
     tol: float = COHERENCE_GAP_TOL,
@@ -358,9 +353,11 @@ def verify_stage(
 ) -> MeasureReport:
     """Numeric-vs-closed-form comparison for one stage.
 
-    Coherence rows are gated at `tol`.  When r does not divide Q the final
-    stage has no closed forms; its rows are reported as not applicable and
-    do not gate.  Entanglement rows are never gated: the ansatz optimum and
+    `state` is the simulated state after `stage`; the C_1p and C_alpha rows
+    come from one grid evaluation each over its nonzero support.  Coherence
+    rows are gated at `tol`.  When r does not divide Q the final stage has
+    no closed forms; its rows are reported as not applicable and do not
+    gate.  Entanglement rows are never gated: the ansatz optimum and
     both closed-form readings are reported side by side.  The weight table
     for the psi2/psi3 closed forms is built here unless `table` is given.
     """
@@ -368,8 +365,6 @@ def verify_stage(
         raise ValueError(f"stage must be one of {STAGES}, got {stage!r}")
     if instance.r is None:
         raise ValueError("instance needs its order r (call with_order() first)")
-    if state is None:
-        state = _stage_state(stage, instance)
     amps = state.amplitudes
 
     def closed(p: float, alpha: float) -> Optional[StageClosedForms]:
@@ -380,12 +375,10 @@ def verify_stage(
         return None
 
     rows: list[MeasureRow] = []
-    for p in p_grid:
-        numeric = measures.l1p_coherence_pure(amps, p)
+    for p, numeric in zip(p_grid, measures.l1p_coherence_grid(amps, p_grid)):
         forms = closed(p, 1.0)
         rows.append(_gated_row("C_1p", p, numeric, forms.C_1p if forms else None, tol))
-    for alpha in alpha_grid:
-        numeric = measures.tsallis_coherence_pure(amps, alpha)
+    for alpha, numeric in zip(alpha_grid, measures.tsallis_coherence_grid(amps, alpha_grid)):
         forms = closed(1.0, alpha)
         rows.append(_gated_row("C_alpha", alpha, numeric, forms.C_alpha if forms else None, tol))
     forms = closed(1.0, 2.0)

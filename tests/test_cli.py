@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import tracemalloc
@@ -62,6 +64,23 @@ def test_simulate_csv_round_trip(tmp_path):
     row = next(l for l in lines[1:] if l.startswith("psi1,C_1p,1,"))
     numeric = float(row.split(",")[3])
     assert numeric == expected  # 17 significant digits round-trip exactly
+    # notes may hold commas ("reported, not gated"); the csv module quotes them
+    _, report = run_to_file(
+        tmp_path, "sim.json", ["simulate", "--n", "15", "--x", "7", "--t", "11"]
+    )
+    stages = json.loads(report)["stages"]
+    expected_notes = {
+        (stage, measure): [entry["note"] for entry in entries]
+        for stage in stages
+        for measure, entries in stages[stage]["measures"].items()
+    }
+    rows = list(csv.reader(io.StringIO(raw.decode())))
+    assert all(len(r) == len(header) for r in rows)
+    notes: dict = {}
+    for r in rows[1:]:
+        notes.setdefault((r[0], r[1]), []).append(r[-1])
+    assert notes == expected_notes
+    assert any("," in note for group in notes.values() for note in group)
 
 
 def test_simulate_non_divisible_order_warns_but_passes(tmp_path):

@@ -1,16 +1,29 @@
+import csv
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from shormeter.measures import (
-    geometric_coherence_pure,
+from oracles import (
+    dense_geometric_pure,
+    dense_l1p_pure,
+    dense_tsallis_pure,
     l1p_coherence_density,
-    l1p_coherence_pure,
     pure_density,
     relative_entropy_coherence,
     skew_info_coherence,
     tsallis_coherence_density,
+)
+from shormeter import make_instance, run_order_finding_circuit, theorems
+from shormeter.cli import main
+from shormeter.measures import (
+    ALPHA_ONE_TOL,
+    geometric_coherence_pure,
+    l1p_coherence_grid,
+    l1p_coherence_pure,
+    tsallis_coherence_grid,
     tsallis_coherence_pure,
 )
 
@@ -197,3 +210,142 @@ def test_modexp_stage_keeps_all_coherences(pipeline15):
 def test_density_dim_cap():
     with pytest.raises(ValueError):
         tsallis_coherence_density(np.eye(512, dtype=complex) / 512, 1.5)
+
+
+# --- grids from the nonzero support against the dense expressions ---------
+
+ALPHAS_EDGE = (0.05, 0.5, 1.0 - ALPHA_ONE_TOL / 2, 1.0, 1.0 + ALPHA_ONE_TOL / 2, 1.5, 2.0)
+PS_EDGE = (1.0, 1.25, 1.5, 2.0)
+
+
+@st.composite
+def pure_states(draw, max_dim=64):
+    """Normalised random states, some with a random exact-zero pattern.
+
+    Some components may be scaled to 1e-100 or 1e-200.  At 1e-200, |c|**2
+    underflows to 0 while |c| does not: such amplitudes are outside the
+    |c|**2 support but inside the |c| support, and the dense l_{1,p}
+    expression still counts them.
+    """
+    dim = draw(st.integers(1, max_dim))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    tiny = draw(st.sampled_from((1.0, 1e-100, 1e-200)))
+    vec[rng.random(dim) < 0.3] *= tiny
+    if draw(st.booleans()):
+        vec[rng.random(dim) < draw(st.floats(0.0, 1.0))] = 0.0
+    keep = draw(st.integers(0, dim - 1))
+    if abs(vec[keep]) < 1e-50:
+        vec[keep] = 1.0
+    return vec / np.linalg.norm(vec)
+
+
+alphas_st = st.lists(
+    st.one_of(
+        st.floats(1e-3, 2.0),
+        st.floats(1.0 - ALPHA_ONE_TOL, 1.0 + ALPHA_ONE_TOL),
+        st.sampled_from(ALPHAS_EDGE),
+    ),
+    min_size=1,
+    max_size=8,
+)
+ps_st = st.lists(st.one_of(st.floats(1.0, 2.0), st.sampled_from(PS_EDGE)), min_size=1, max_size=8)
+
+
+@settings(deadline=None)
+@given(pure_states(), alphas_st, ps_st)
+@example(np.array([1.0, 1.8e-200j, 1.2e-200 + 0j]), [1.0], [1.0])
+def test_grids_equal_dense_expressions(psi, alphas, ps):
+    assert tsallis_coherence_grid(psi, alphas) == [dense_tsallis_pure(psi, a) for a in alphas]
+    assert l1p_coherence_grid(psi, ps) == [dense_l1p_pure(psi, p) for p in ps]
+    assert geometric_coherence_pure(psi) == dense_geometric_pure(psi)
+    assert tsallis_coherence_pure(psi, alphas[0]) == dense_tsallis_pure(psi, alphas[0])
+    assert l1p_coherence_pure(psi, ps[0]) == dense_l1p_pure(psi, ps[0])
+
+
+def tsallis_rounding(alpha):
+    """Rounding bound on C_alpha for dim <= 64.
+
+    The sum of |c|**(2/alpha) carries about dim * eps / alpha of rounding,
+    and away from the alpha -> 1 limit it is divided by alpha - 1.
+    """
+    gap = abs(alpha - 1.0)
+    return 1e-13 * max(1.0, 1.0 / alpha) / (gap if gap > ALPHA_ONE_TOL else 1.0)
+
+
+@settings(deadline=None)
+@given(pure_states(), alphas_st, ps_st, st.integers(0, 2**32 - 1))
+def test_measures_invariant_under_permutation(psi, alphas, ps, seed):
+    shuffled = psi[np.random.default_rng(seed).permutation(psi.size)]
+    moved = tsallis_coherence_grid(shuffled, alphas)
+    for alpha, a, b in zip(alphas, moved, tsallis_coherence_grid(psi, alphas)):
+        assert a == pytest.approx(b, rel=1e-12, abs=tsallis_rounding(alpha))
+    for a, b in zip(l1p_coherence_grid(shuffled, ps), l1p_coherence_grid(psi, ps)):
+        assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
+    assert geometric_coherence_pure(shuffled) == geometric_coherence_pure(psi)
+
+
+@settings(deadline=None)
+@given(pure_states(), alphas_st, ps_st)
+def test_measures_stay_within_bounds(psi, alphas, ps):
+    dim = psi.size
+    assert 0.0 <= geometric_coherence_pure(psi) <= 1.0 - 1.0 / dim + 1e-12
+    for alpha, value in zip(alphas, tsallis_coherence_grid(psi, alphas)):
+        assert value >= -tsallis_rounding(alpha)
+    for p, value in zip(ps, l1p_coherence_grid(psi, ps)):
+        assert 0.0 <= value <= (dim - 1) ** (1.0 / p) * (1.0 + 1e-12)
+
+
+def test_basis_state_has_no_coherence():
+    for dim in (1, 2, 64):
+        for k in {0, dim - 1}:
+            basis = np.zeros(dim, dtype=complex)
+            basis[k] = 1.0
+            assert tsallis_coherence_grid(basis, ALPHAS_EDGE) == [0.0] * len(ALPHAS_EDGE)
+            assert l1p_coherence_grid(basis, PS_EDGE) == [0.0] * len(PS_EDGE)
+            assert geometric_coherence_pure(basis) == 0.0
+
+
+def test_grid_edge_points_closed_forms():
+    rng = np.random.default_rng(91)
+    psi = random_pure(32, rng)
+    psi[rng.random(32) < 0.5] = 0.0
+    psi /= np.linalg.norm(psi)
+    probs = np.abs(psi) ** 2
+    mods = np.abs(psi)
+    nz = probs[probs > 0]
+    shannon = -float(np.sum(nz * np.log(nz)))
+    limit = tsallis_coherence_grid(psi, (1.0 - ALPHA_ONE_TOL / 2, 1.0, 1.0 + ALPHA_ONE_TOL / 2))
+    assert limit == pytest.approx([shannon] * 3, rel=1e-12)
+    c1, c2 = l1p_coherence_grid(psi, (1.0, 2.0))
+    assert c1 == pytest.approx(mods.sum() ** 2 - probs.sum(), rel=1e-12)
+    assert c2 == pytest.approx(float(np.sum(mods * np.sqrt(1.0 - probs))), rel=1e-12)
+
+
+def test_grids_reject_out_of_range_points():
+    with pytest.raises(ValueError):
+        tsallis_coherence_grid(PLUS, (0.5, 2.5))
+    with pytest.raises(ValueError):
+        l1p_coherence_grid(PLUS, (1.5, 0.9))
+
+
+@pytest.mark.parametrize("n,x,t", [(15, 7, 11), (21, 2, 10), (49, 3, 10)])
+def test_grids_equal_dense_expressions_on_circuit_states(tmp_path, n, x, t):
+    states = run_order_finding_circuit(make_instance(n, x, t=t))
+    sweeps = {}
+    for measure in ("tsallis", "l1p"):
+        out = tmp_path / f"{measure}.csv"
+        argv = ["sweep", "--n", str(n), "--x", str(x), "--t", str(t), "--measure", measure]
+        assert main(argv + ["--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            sweeps[measure] = [[float(v) for v in row[:4]] for row in list(csv.reader(fh))[1:]]
+    for column, state in enumerate(states, start=1):
+        amps = state.amplitudes
+        for row in sweeps["tsallis"]:
+            assert row[column] == dense_tsallis_pure(amps, row[0])
+        for row in sweeps["l1p"]:
+            assert row[column] == dense_l1p_pure(amps, row[0])
+        alphas, ps = theorems.ALPHA_GRID_DEFAULT, theorems.P_GRID_DEFAULT
+        assert tsallis_coherence_grid(amps, alphas) == [dense_tsallis_pure(amps, a) for a in alphas]
+        assert l1p_coherence_grid(amps, ps) == [dense_l1p_pure(amps, p) for p in ps]
+        assert geometric_coherence_pure(amps) == dense_geometric_pure(amps)

@@ -145,9 +145,9 @@ def test_stage1_dominates_stage3_pointwise():
         assert theorems.tsallis_closed(2048.0, alpha) > theorems.tsallis_closed(16.0, alpha)
 
 
-def test_verify_stage_rejects_unknown_stage(inst15):
+def test_verify_stage_rejects_unknown_stage(inst15, pipeline15):
     with pytest.raises(ValueError):
-        theorems.verify_stage("psi4", inst15)
+        theorems.verify_stage("psi4", inst15, state=pipeline15[0])
 
 
 def test_variation_checks_raise_arithmetic_error(monkeypatch):
