@@ -20,7 +20,6 @@ from typing import Optional
 
 import numpy as np
 
-from shormeter import entanglement as ent
 from shormeter import measures, statevec, theorems
 from shormeter.numtheory import (
     ShorInstance,
@@ -154,15 +153,13 @@ def _simulate_csv(reports: dict[str, theorems.MeasureReport]) -> str:
 def cmd_simulate(cfg: RunConfig) -> int:
     instance = cfg.instance()
     states = statevec.run_order_finding_circuit(instance)
-    table = ent.build_hamming_table(instance) if instance.m is not None else None
-    reports = theorems.verify_all(instance, states=states, table=table)
-    ledger = theorems.algorithm_variations(instance.Q, instance.r, 1.0, 2.0, table)
+    reports, overlaps = theorems.verify_all(instance, states)
     hint = extract_factors(instance.x, instance.r, instance.N)
     payload = {
         "config": cfg.to_dict(),
         "order": instance.r,
         "stages": {stage: reports[stage].to_dict() for stage in theorems.STAGES},
-        "variations": ledger.to_dict(),
+        "variations": theorems.algorithm_variations(instance.Q, instance.r, 1.0, 2.0, overlaps),
         "factor_hint": list(hint) if hint else None,
         "pass": all(reports[stage].passed for stage in theorems.STAGES),
     }
@@ -271,7 +268,7 @@ def cmd_verify(cfg: RunConfig, debug_perturb: float) -> int:
     states = statevec.run_order_finding_circuit(instance)
     if debug_perturb:
         states = tuple(_perturbed(s, debug_perturb) for s in states)
-    reports = theorems.verify_all(instance, states=states)
+    reports, _ = theorems.verify_all(instance, states)
     ok = True
     lines = []
     for stage in theorems.STAGES:

@@ -4,18 +4,19 @@ The production path restricts the product-state optimization to the
 one-parameter symmetric family eta(alpha)^(tensor n) with
 eta = cos(alpha/2)|0> + sin(alpha/2)|1>, which is what the closed forms are
 derived from.  Hamming-weight tables over the joint basis labels feed those
-closed forms.  Two cross-checks over the *full* product-state family are
-provided as well: a seeded alternating optimizer that works at pipeline
-scale, and a small brute-force oracle for up to three qubits.  The
-alternating optimizer stops at the first start whose overlap reaches 1: the
-clamped value is 0.0 from then on, whatever the remaining starts find, so on
-the product-state stage one start returns the same float as all of them.
+closed forms: `closed_form_overlaps` turns a table into the squared overlaps
+S_ab**2 / Q (post-modexp) and S_as**2 / r**2 (post-transform), and each
+closed form is 1 - overlap.  A seeded alternating optimizer over the *full*
+product-state family is the cross-check.  It stops at the first start whose
+overlap reaches 1: the clamped value is 0.0 from then on, whatever the
+remaining starts find, so on the product-state stage one start returns the
+same float as all of them.
 
-The closed form for the post-transform stage squares a complex sum; since
-plain squaring and squared modulus differ once the sum leaves the real
-axis, both readings are always computed side by side.  The squared-modulus
-reading is treated as canonical (an overlap maximum is a squared modulus),
-and for every power-of-two order checked the two agree anyway.
+The post-transform overlap squares a complex sum; since plain squaring and
+squared modulus differ once the sum leaves the real axis, both readings are
+always computed side by side.  The squared-modulus reading is treated as
+canonical (an overlap maximum is a squared modulus), and for every
+power-of-two order checked the two agree anyway.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,18 +32,14 @@ from shormeter.numtheory import ShorInstance
 from shormeter.statevec import PureState
 
 __all__ = [
+    "ClosedFormOverlaps",
     "HammingTable",
-    "Psi3ClosedForm",
     "SymmetricOptimum",
     "build_hamming_table",
-    "bruteforce_geometric_entanglement",
-    "closed_form_eg_psi2",
-    "closed_form_eg_psi3",
-    "gamma_factor",
+    "closed_form_overlaps",
     "geometric_entanglement_product",
     "geometric_entanglement_symmetric",
     "hamming_weight_term",
-    "symmetric_overlap",
     "weight_sum_ab",
     "weight_sum_as",
 ]
@@ -115,11 +112,6 @@ def _overlap_from_coefficients(coeff: np.ndarray, alpha_angle: float) -> complex
     s = math.sin(alpha_angle / 2.0)
     w = np.arange(n + 1)
     return complex(np.sum(coeff * (c ** (n - w)) * (s**w)))
-
-
-def symmetric_overlap(state: PureState, alpha_angle: float) -> complex:
-    """<state | eta(alpha)^(tensor n)> in one pass over nonzero amplitudes."""
-    return _overlap_from_coefficients(_weight_coefficients(state), alpha_angle)
 
 
 def _golden_max(f: Callable[[float], float], a: float, b: float, tol: float) -> tuple[float, float]:
@@ -197,67 +189,41 @@ def weight_sum_as(table: HammingTable) -> complex:
     return complex(total)
 
 
-def closed_form_eg_psi2(instance: ShorInstance, table: HammingTable) -> float:
-    """Closed-form entanglement of the post-modexp stage: 1 - S**2 / Q."""
-    total = weight_sum_ab(table)
-    value = 1.0 - total * total / instance.Q
-    if not 0.0 <= value <= 1.0:
-        warnings.warn(
-            f"closed-form entanglement {value!r} outside [0, 1]; non-physical weight table",
-            stacklevel=2,
-        )
-    return value
+class ClosedFormOverlaps(NamedTuple):
+    """Closed-form squared overlaps; each stage's E_g closed form is 1 - overlap.
 
-
-@dataclass(frozen=True)
-class Psi3ClosedForm:
-    """Both readings of the squared complex weight sum S for the final stage.
-
-    literal:          1 - Re(S**2) / r**2
-    modulus_squared:  1 - |S|**2 / r**2   (canonical)
+    psi2:          S_ab**2 / Q
+    psi3_literal:  Re(S_as**2) / r**2
+    psi3:          |S_as|**2 / r**2   (canonical: an overlap is a squared modulus)
     """
 
-    literal: float
-    modulus_squared: float
-    sum_value: complex
-
-    @property
-    def canonical(self) -> float:
-        return self.modulus_squared
+    psi2: float
+    psi3_literal: float
+    psi3: float
 
 
-def closed_form_eg_psi3(instance: ShorInstance, table: HammingTable) -> Psi3ClosedForm:
-    """Closed-form entanglement of the post-transform stage, both readings."""
-    if instance.m is None:
-        raise ValueError("closed form needs r | Q")
+def closed_form_overlaps(table: HammingTable, Q: int) -> ClosedFormOverlaps:
+    """Both weight sums of `table`, each computed once, as squared overlaps.
+
+    Warns when an entanglement value 1 - overlap leaves [0, 1], which only a
+    non-physical weight table can cause.
+    """
+    s_ab = weight_sum_ab(table)
+    s_as = weight_sum_as(table)
     r = table.weights_as.shape[0]
-    total = weight_sum_as(table)
-    literal = 1.0 - (total * total).real / r**2
-    modulus_squared = 1.0 - abs(total) ** 2 / r**2
-    if not 0.0 <= modulus_squared <= 1.0:
-        warnings.warn(
-            f"closed-form entanglement {modulus_squared!r} outside [0, 1]", stacklevel=2
-        )
-    return Psi3ClosedForm(literal=literal, modulus_squared=modulus_squared, sum_value=total)
-
-
-def gamma_factor(table: HammingTable, kind: str) -> float:
-    """Squared weight-term sum linking the two geometric quantities.
-
-    For a state whose largest basis probability is 1/D (D = Q for the
-    post-modexp stage, D = r**2 for the post-transform stage), the identity
-    C_g + (1 - E_g) / gamma == 1 holds with gamma = S**2, and 0 < gamma < D.
-    """
-    if kind == "ab":
-        total = weight_sum_ab(table)
-        gamma = total * total
-    elif kind == "as":
-        gamma = abs(weight_sum_as(table)) ** 2
-    else:
-        raise ValueError(f"kind must be 'ab' or 'as', got {kind!r}")
-    if gamma == 0.0:
-        warnings.warn("degenerate weight table: gamma = 0", stacklevel=2)
-    return float(gamma)
+    overlaps = ClosedFormOverlaps(
+        psi2=s_ab * s_ab / Q,
+        psi3_literal=(s_as * s_as).real / r**2,
+        psi3=abs(s_as) ** 2 / r**2,
+    )
+    for stage, overlap in (("psi2", overlaps.psi2), ("psi3", overlaps.psi3)):
+        if not 0.0 <= 1.0 - overlap <= 1.0:
+            warnings.warn(
+                f"closed-form {stage} entanglement {1.0 - overlap!r} outside [0, 1]; "
+                "non-physical weight table",
+                stacklevel=2,
+            )
+    return overlaps
 
 
 # ---------------------------------------------------------------------------
@@ -372,44 +338,4 @@ def geometric_entanglement_product(
         best = max(best, _als_overlap(conj_tensor, start))
         if 1.0 - best * best <= 0.0:
             break
-    return max(0.0, 1.0 - best * best)
-
-
-def _bloch_candidates(n_theta: int = 8, n_phi: int = 8) -> np.ndarray:
-    thetas = np.linspace(0.0, math.pi, n_theta)
-    phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
-    cands = np.empty((n_theta * n_phi, 2), dtype=np.complex128)
-    k = 0
-    for th in thetas:
-        for ph in phis:
-            cands[k, 0] = math.cos(th / 2.0)
-            cands[k, 1] = np.exp(1.0j * ph) * math.sin(th / 2.0)
-            k += 1
-    return cands
-
-
-def bruteforce_geometric_entanglement(
-    state: PureState, restarts: int = 24, seed: int = 97
-) -> float:
-    """Product-state entanglement oracle for up to three qubits.
-
-    A coarse joint Bloch grid picks the basin, then alternating per-qubit
-    refinement (the conditional optimum is analytic) polishes it; seeded
-    random restarts and the symmetric-ansatz optimum are thrown in so the
-    search cannot land below the restricted family.
-    """
-    n = state.layout.n
-    if n > 3:
-        raise ValueError(f"brute-force oracle limited to 3 qubits, got {n}")
-    conj_tensor = state.amplitudes.conj().reshape((2,) * n)
-    cands = _bloch_candidates()
-    paths = {1: "ax->xa", 2: "ax,by->xyab", 3: "ax,by,cz->xyzabc"}
-    joint = np.einsum(paths[n], *([cands] * n))
-    flat = conj_tensor.reshape(-1) @ joint.reshape(2**n, -1)
-    best_flat = int(np.argmax(np.abs(flat)))
-    grid_start = [cands[i] for i in np.unravel_index(best_flat, (len(cands),) * n)]
-    rng = np.random.default_rng(seed)
-    starts = [grid_start, _marginal_seed(state), _symmetric_seed(state)]
-    starts.extend(_random_qubit_states(n, rng) for _ in range(restarts))
-    best = max(_als_overlap(conj_tensor, start) for start in starts)
     return max(0.0, 1.0 - best * best)

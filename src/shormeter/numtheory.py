@@ -22,7 +22,6 @@ __all__ = [
     "find_order_bruteforce",
     "gcd",
     "make_instance",
-    "mod_pow",
     "recover_order",
     "register_sizes",
 ]
@@ -30,15 +29,6 @@ __all__ = [
 # Convergents are exact reduced rationals; Fraction already guarantees
 # lowest terms and exposes .numerator / .denominator.
 Convergent = Fraction
-
-
-def mod_pow(x: int, e: int, n: int) -> int:
-    """x**e mod n by square-and-multiply, for any non-negative exponent."""
-    if n < 2:
-        raise ValueError(f"modulus must be >= 2, got {n}")
-    if e < 0:
-        raise ValueError(f"exponent must be >= 0, got {e}")
-    return pow(x, e, n)
 
 
 def find_order_bruteforce(x: int, n: int) -> int:

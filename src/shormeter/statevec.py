@@ -5,12 +5,14 @@ major, register B (L qubits, value y) minor.  The Hamming weight of a joint
 index is the popcount of the full (t+L)-bit string, which is what the
 entanglement closed forms consume.
 
-States are stored densely over all 2**(t+L) amplitudes.  The register-A
-gates (Hadamard layer, Fourier transforms) act on each register-B column of
-the (Q, 2**L) grid separately, so they transform only the occupied columns,
-those holding any exactly nonzero amplitude, and leave the rest zero.  In the
-circuit these are 1 column before modexp and the r residues x**a mod N
-after it; a generic state occupies every column and gets the full gate.
+States are stored densely over all 2**(t+L) amplitudes.  Every gate reads
+only the occupied register-B columns of the (Q, 2**L) grid, those holding
+any exactly nonzero amplitude, and leaves the rest of its output zero: the
+register-A gates (Hadamard layer, inverse Fourier transform) transform each
+occupied column, and modular exponentiation relabels each occupied column
+below N.  In the circuit these are 1 column before modexp and the r residues
+x**a mod N after it; a generic state occupies every column and gets the
+full gate.
 
 States are immutable after construction; every operation returns a fresh
 state.
@@ -18,7 +20,6 @@ state.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -36,11 +37,7 @@ __all__ = [
     "apply_hadamard_layer",
     "apply_inverse_qft_A",
     "apply_modexp_unitary",
-    "apply_qft_A",
-    "dump_nonzero_json",
     "outcome_distribution",
-    "outcome_probability",
-    "ideal_psi3",
     "init_state",
     "measurement_distribution_A",
     "run_order_finding_circuit",
@@ -49,7 +46,6 @@ __all__ = [
 
 ZERO_TOL = 1e-12  # amplitudes below this modulus count as exact zeros
 NORM_TOL = 1e-10
-_DUAL_PATH_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -116,9 +112,6 @@ class PureState:
         """Joint indices carrying amplitude above the zero threshold."""
         return np.nonzero(np.abs(self.amplitudes) > ZERO_TOL)[0]
 
-    def register_b_support(self) -> list[int]:
-        marginal = np.sum(np.abs(self.as_grid()) ** 2, axis=0)
-        return [int(y) for y in np.nonzero(marginal > ZERO_TOL**2)[0]]
 
 
 def init_state(layout: RegisterLayout) -> PureState:
@@ -171,7 +164,10 @@ def apply_modexp_unitary(state: PureState, instance: ShorInstance) -> PureState:
     """|j>|y> -> |j>|x**j * y mod N> on register-B values below N.
 
     Multiplication by an invertible x permutes the residues mod N, so the map
-    is unitary; basis values y >= N must carry no amplitude.
+    is unitary; basis values y >= N must carry no amplitude.  Only the
+    occupied columns y < N, those holding any exactly nonzero amplitude, are
+    mapped (one column on the uniform stage); the rest of the output stays
+    zero, as in ``_register_a_gate``.
     """
     lay = state.layout
     if (lay.t, lay.L) != (instance.t, instance.L):
@@ -180,23 +176,17 @@ def apply_modexp_unitary(state: PureState, instance: ShorInstance) -> PureState:
     grid = state.as_grid()
     if n_mod < lay.dim_b and np.any(np.abs(grid[:, n_mod:]) > ZERO_TOL):
         raise ValueError(f"amplitude on register-B value >= N={n_mod}")
+    cols = np.flatnonzero(grid[:, :n_mod].any(axis=0))
     powers = np.empty(lay.Q, dtype=np.int64)
     acc = 1
     for j in range(lay.Q):
         powers[j] = acc
         acc = (acc * x) % n_mod
-    ys = np.arange(n_mod, dtype=np.int64)
-    targets = (powers[:, None] * ys[None, :]) % n_mod
+    targets = (powers[:, None] * cols[None, :]) % n_mod
     out = np.zeros(lay.dim, dtype=np.complex128)
-    out.reshape(lay.Q, lay.dim_b)[np.arange(lay.Q)[:, None], targets] = grid[:, :n_mod]
+    out.reshape(lay.Q, lay.dim_b)[np.arange(lay.Q)[:, None], targets] = grid[:, cols]
     out.setflags(write=False)
     return PureState(lay, out)
-
-
-def _qft_columns(cols: np.ndarray) -> np.ndarray:
-    out = np.fft.ifft(cols, axis=0)
-    out *= math.sqrt(cols.shape[0])
-    return out
 
 
 def _inverse_qft_columns(cols: np.ndarray) -> np.ndarray:
@@ -205,37 +195,9 @@ def _inverse_qft_columns(cols: np.ndarray) -> np.ndarray:
     return out
 
 
-def apply_qft_A(state: PureState) -> PureState:
-    """Fourier transform on register A: kernel exp(+2 pi i j k / Q) / sqrt(Q)."""
-    return _register_a_gate(state, _qft_columns)
-
-
 def apply_inverse_qft_A(state: PureState) -> PureState:
     """Inverse Fourier transform on register A: kernel exp(-2 pi i j k / Q) / sqrt(Q)."""
     return _register_a_gate(state, _inverse_qft_columns)
-
-
-def ideal_psi3(instance: ShorInstance) -> PureState:
-    """Post-transform state built directly, valid when r divides Q.
-
-    Amplitude exp(-2 pi i a s / r) / r at joint index (s*m, x**a mod N); the
-    support has at most r*r basis states, each of modulus 1/r.
-    """
-    if instance.r is None:
-        raise ValueError("instance needs its order r (call with_order() first)")
-    r, m = instance.r, instance.m
-    if m is None:
-        raise ValueError(
-            f"ideal post-transform state needs r | Q, but r={r} does not divide Q={instance.Q}"
-        )
-    lay = RegisterLayout.for_instance(instance)
-    vec = np.zeros(lay.dim, dtype=np.complex128)
-    for a in range(r):
-        y = pow(instance.x, a, instance.N)
-        for s in range(r):
-            phase = -2.0j * math.pi * ((a * s) % r) / r
-            vec[(s * m) * lay.dim_b + y] += np.exp(phase) / r
-    return PureState(lay, vec)
 
 
 def run_order_finding_circuit(instance: ShorInstance) -> tuple[PureState, PureState, PureState]:
@@ -274,49 +236,6 @@ def measurement_distribution_A(state: PureState) -> OutcomeDistribution:
     """p_k = sum_y |amplitude(k, y)|**2."""
     probs = np.sum(np.abs(state.as_grid()) ** 2, axis=1)
     return OutcomeDistribution(probs)
-
-
-def _peak_term(num: int, r: int, q: int) -> float:
-    """|(1/Q) sum_j exp(2 pi i j num/(rQ))|**2 via the geometric series.
-
-    With delta = num/(rQ): 1 when delta is an integer, 0 when Q*delta is an
-    integer but delta is not, else (sin(pi Q delta) / (Q sin(pi delta)))**2,
-    evaluated through reduced arguments so large multiples of pi never enter.
-    """
-    den = r * q
-    num_mod_den = num % den
-    if num_mod_den == 0:
-        return 1.0
-    if num % r == 0:  # sin(pi * Q * delta) vanishes exactly
-        return 0.0
-    ratio = math.sin(math.pi * (num % r) / r) / (q * math.sin(math.pi * num_mod_den / den))
-    return ratio * ratio
-
-
-def outcome_probability(k: int, r: int, q: int) -> float:
-    """Probability of register-A outcome k for order r and dimension Q.
-
-    Evaluates the outcome probability two ways, a direct O(Q) phase sum and
-    the geometric-series closed form, checks they agree to 1e-9, and returns
-    the closed form.
-    """
-    if r < 1:
-        raise ValueError(f"order must be >= 1, got {r}")
-    if q < 1 or not 0 <= k < q:
-        raise ValueError(f"need 0 <= k < Q, got k={k}, Q={q}")
-    closed = sum(_peak_term(s * q - k * r, r, q) for s in range(r)) / r
-    j = np.arange(q)
-    direct = 0.0
-    for s in range(r):
-        delta = s / r - k / q
-        amp = np.exp(2.0j * math.pi * delta * j).sum() / q
-        direct += float(abs(amp) ** 2)
-    direct /= r
-    if abs(direct - closed) > _DUAL_PATH_TOL:
-        raise AssertionError(
-            f"closed form {closed!r} disagrees with direct sum {direct!r} at k={k}, r={r}, Q={q}"
-        )
-    return closed
 
 
 def outcome_distribution(r: int, q: int) -> OutcomeDistribution:
@@ -364,12 +283,3 @@ def sample_outcome(
     u = rng.random() * cdf[-1]
     k = int(np.searchsorted(cdf, u, side="right"))
     return min(k, len(cdf) - 1)
-
-
-def dump_nonzero_json(state: PureState) -> str:
-    """JSON array of [index, re, im] triples for nonzero amplitudes."""
-    triples = [
-        [int(i), float(state.amplitudes[i].real), float(state.amplitudes[i].imag)]
-        for i in state.support()
-    ]
-    return json.dumps(triples)

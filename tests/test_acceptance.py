@@ -8,16 +8,15 @@ import math
 import numpy as np
 
 import oracles
+from oracles import ideal_psi3, outcome_probability
 from shormeter import entanglement as ent
 from shormeter import make_instance, measures, run_order_finding_circuit, theorems
 from shormeter.cli import main
 from shormeter.statevec import (
     PureState,
     RegisterLayout,
-    outcome_distribution,
-    outcome_probability,
-    ideal_psi3,
     measurement_distribution_A,
+    outcome_distribution,
 )
 
 P_GRID = (1.0, 1.25, 1.5, 1.75, 2.0)
@@ -50,45 +49,42 @@ def test_criterion_2_uniform_stage_entanglement_vanishes(pipeline15):
 
 def test_criterion_3_post_modexp_entanglement_closed_form(inst15):
     table = ent.build_hamming_table(inst15)
-    value = ent.closed_form_eg_psi2(inst15, table)
+    value = 1.0 - ent.closed_form_overlaps(table, inst15.Q).psi2
     ok = abs(value - 0.8445) <= 1e-3
     check(3, ok, f"closed-form E_g(psi2) = {value!r} vs printed 0.8445")
 
 
 def test_criterion_4_final_stage_geometric_coherence(inst15):
     numeric = measures.geometric_coherence_pure(ideal_psi3(inst15).amplitudes)
-    closed = theorems.closed_forms_psi3(4, 1.0, 2.0).C_g
+    closed = theorems.coherence_closed_forms(4 * 4, 1.0, 2.0)[2]
     ok = abs(numeric - 0.9375) <= 1e-12 and abs(closed - 0.9375) <= 1e-12
     check(4, ok, f"C_g(psi3) numeric {numeric!r}, closed {closed!r}, target 15/16")
 
 
 def test_criterion_5_final_stage_entanglement_closed_form(inst15):
     table = ent.build_hamming_table(inst15)
-    both = ent.closed_form_eg_psi3(inst15, table)
-    ok = (
-        abs(both.canonical - 0.9876) <= 1e-3
-        and abs(both.literal - 0.9876) <= 1e-3
-        and both.canonical == both.modulus_squared
-    )
+    overlaps = ent.closed_form_overlaps(table, inst15.Q)
+    modulus_squared, literal = 1.0 - overlaps.psi3, 1.0 - overlaps.psi3_literal
+    ok = abs(modulus_squared - 0.9876) <= 1e-3 and abs(literal - 0.9876) <= 1e-3
     check(
         5,
         ok,
-        f"E_g(psi3) modulus-squared reading {both.modulus_squared!r} (canonical), "
-        f"literal reading {both.literal!r}, both vs printed 0.9876",
+        f"E_g(psi3) modulus-squared reading {modulus_squared!r} (canonical), "
+        f"literal reading {literal!r}, both vs printed 0.9876",
     )
 
 
 def test_criterion_6_geometric_coherence_variation(inst15):
-    table = ent.build_hamming_table(inst15)
-    ledger = theorems.algorithm_variations(2048, 4, 1.0, 2.0, table)
+    overlaps = ent.closed_form_overlaps(ent.build_hamming_table(inst15), inst15.Q)
+    c_g = theorems.algorithm_variations(2048, 4, 1.0, 2.0, overlaps)["C_g"]
     target = 1.0 / 2048.0 - 1.0 / 16.0
-    additive = abs(ledger.dCg_U + ledger.dCg_F - ledger.dCg_total) <= 1e-9
-    ok = abs(ledger.dCg_total - target) <= 1e-12 and abs(ledger.dCg_total + 0.062) <= 1e-3
-    check(6, ok and additive, f"dC_g = {ledger.dCg_total!r} vs -0.062, additivity {additive}")
+    additive = abs(c_g["U"] + c_g["F_dagger"] - c_g["total"]) <= 1e-9
+    ok = abs(c_g["total"] - target) <= 1e-12 and abs(c_g["total"] + 0.062) <= 1e-3
+    check(6, ok and additive, f"dC_g = {c_g['total']!r} vs -0.062, additivity {additive}")
 
 
 def test_criterion_7_alpha_peak():
-    peak = theorems.find_alpha_peak(4, window=(1.0, 2.0), step=1e-4)
+    peak = oracles.find_alpha_peak(4, window=(1.0, 2.0), step=1e-4)
     ok = abs(peak.alpha - 1.629) <= 5e-3
     check(7, ok, f"alpha* = {peak.alpha!r} vs printed 1.629")
 
@@ -108,7 +104,7 @@ def test_criterion_9_stage_equivalence(inst15, pipeline15):
     psi1, psi2 = pipeline15[0].amplitudes, pipeline15[1].amplitudes
     worst = 0.0
     for p in P_GRID:
-        closed = theorems.closed_forms_psi1(2048, p, 1.0).C_1p
+        closed = theorems.coherence_closed_forms(2048, p, 1.0)[0]
         for amps in (psi1, psi2):
             worst = max(worst, abs(measures.l1p_coherence_pure(amps, p) - closed))
         worst = max(
@@ -116,7 +112,7 @@ def test_criterion_9_stage_equivalence(inst15, pipeline15):
             abs(measures.l1p_coherence_pure(psi1, p) - measures.l1p_coherence_pure(psi2, p)),
         )
     for alpha in ALPHA_GRID:
-        closed = theorems.closed_forms_psi1(2048, 1.0, alpha).C_alpha
+        closed = theorems.coherence_closed_forms(2048, 1.0, alpha)[1]
         for amps in (psi1, psi2):
             worst = max(worst, abs(measures.tsallis_coherence_pure(amps, alpha) - closed))
         worst = max(
@@ -215,7 +211,7 @@ def test_criterion_12_property_suite():
             vec = rng.standard_normal(lay.dim) + 1j * rng.standard_normal(lay.dim)
             state = PureState(lay, vec / np.linalg.norm(vec))
             sym = ent.geometric_entanglement_symmetric(state).entanglement
-            brute = ent.bruteforce_geometric_entanglement(state)
+            brute = oracles.bruteforce_geometric_entanglement(state)
             ordering_ok = ordering_ok and sym >= brute - 1e-12
     lay15 = RegisterLayout(t=11, L=4)
     weight_gap = 0.0
@@ -229,15 +225,17 @@ def test_criterion_12_property_suite():
     signs_ok = True
     for n, x in ((15, 7), (15, 2), (21, 2)):
         inst = make_instance(n, x)
-        table = ent.build_hamming_table(inst) if inst.m is not None else None
+        overlaps = None
+        if inst.m is not None:
+            overlaps = ent.closed_form_overlaps(ent.build_hamming_table(inst), inst.Q)
         for p in (1.0, 2.0):
             for alpha in (0.5, 1.5, 2.0):
-                ledger = theorems.algorithm_variations(inst.Q, inst.r, p, alpha, table)
-                signs_ok = signs_ok and ledger.dC1p_total < 0
-                signs_ok = signs_ok and ledger.dCalpha_total < 0
-                signs_ok = signs_ok and ledger.dCg_total < 0
-                if table is not None:
-                    signs_ok = signs_ok and ledger.dEg_U >= 0
+                ledger = theorems.algorithm_variations(inst.Q, inst.r, p, alpha, overlaps)
+                signs_ok = signs_ok and ledger["C_1p"]["total"] < 0
+                signs_ok = signs_ok and ledger["C_alpha"]["total"] < 0
+                signs_ok = signs_ok and ledger["C_g"]["total"] < 0
+                if overlaps is not None:
+                    signs_ok = signs_ok and ledger["E_g"]["U"] >= 0
     ok = ordering_ok and weight_gap <= 1e-9 and signs_ok
     check(
         12,

@@ -183,17 +183,23 @@ def test_factor_rejects_max_attempts_below_one(capsys):
 
 @pytest.mark.parametrize("command", ["simulate", "verify"])
 def test_run_builds_weight_table_once(tmp_path, monkeypatch, command):
-    calls = []
-    build = ent.build_hamming_table
+    calls = {name: 0 for name in ("build_hamming_table", "weight_sum_ab", "weight_sum_as")}
 
-    def counted(instance):
-        calls.append(instance)
-        return build(instance)
+    def counting(name):
+        original = getattr(ent, name)
 
-    monkeypatch.setattr(ent, "build_hamming_table", counted)
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(ent, name, counting(name))
     code, _ = run_to_file(tmp_path, "run.json", [command, "--n", "15", "--x", "7", "--t", "8"])
     assert code == 0
-    assert len(calls) == 1
+    # the table and both weight sums are computed once and shared by every E_g entry
+    assert calls == {"build_hamming_table": 1, "weight_sum_ab": 1, "weight_sum_as": 1}
 
 
 def test_verify_passes(tmp_path):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from shormeter import entanglement as ent
 from shormeter import make_instance, run_order_finding_circuit
 from shormeter.cli import _perturbed
@@ -60,10 +61,10 @@ def test_hamming_table_requires_divisible_order():
 def test_symmetric_overlap_trivial_angles():
     lay = RegisterLayout(t=2, L=1)
     zero = PureState(lay, np.eye(8, dtype=complex)[0])
-    assert ent.symmetric_overlap(zero, 0.0) == pytest.approx(1.0, abs=1e-12)
+    assert oracles.symmetric_overlap(zero, 0.0) == pytest.approx(1.0, abs=1e-12)
     rng = np.random.default_rng(4)
     state = random_state(lay, rng)
-    got = ent.symmetric_overlap(state, math.pi)
+    got = oracles.symmetric_overlap(state, math.pi)
     assert got == pytest.approx(complex(state.amplitudes[-1].conjugate()), abs=1e-9)
 
 
@@ -77,7 +78,7 @@ def test_symmetric_overlap_matches_weight_table_expression(inst15, pipeline15):
         expected = sum(
             c ** (n - int(w)) * s ** int(w) for w in table.weights_ab.flat
         ) / math.sqrt(q)
-        assert ent.symmetric_overlap(psi2, angle) == pytest.approx(expected, abs=1e-9)
+        assert oracles.symmetric_overlap(psi2, angle) == pytest.approx(expected, abs=1e-9)
 
 
 def test_symmetric_entanglement_product_state_zero():
@@ -117,7 +118,7 @@ def test_per_weight_maximum_identity():
 
 def test_closed_form_psi2_value(inst15):
     table = ent.build_hamming_table(inst15)
-    value = ent.closed_form_eg_psi2(inst15, table)
+    value = 1 - ent.closed_form_overlaps(table, inst15.Q).psi2
     assert value == pytest.approx(0.8445, abs=1e-3)
 
 
@@ -128,7 +129,7 @@ def test_closed_form_psi2_degenerate_table_warns(inst15):
         weights_as=np.zeros((4, 4), dtype=np.int64),
     )
     with pytest.warns(UserWarning, match="non-physical"):
-        value = ent.closed_form_eg_psi2(inst15, table)
+        value = 1 - ent.closed_form_overlaps(table, inst15.Q).psi2
     assert value == pytest.approx(1 - inst15.Q)
 
 
@@ -140,17 +141,32 @@ def test_closed_form_psi2_single_term_collapse(inst15):
         weights_as=np.array([[w]], dtype=np.int64),
     )
     expected = 1 - ent.hamming_weight_term(w, 15) ** 2 / inst15.Q
-    assert ent.closed_form_eg_psi2(inst15, table) == pytest.approx(expected, rel=1e-12)
+    assert 1 - ent.closed_form_overlaps(table, inst15.Q).psi2 == pytest.approx(expected, rel=1e-12)
 
 
 def test_closed_form_psi3_value(inst15):
     table = ent.build_hamming_table(inst15)
-    both = ent.closed_form_eg_psi3(inst15, table)
-    assert both.modulus_squared == pytest.approx(0.9876, abs=1e-3)
-    assert both.literal == pytest.approx(0.9876, abs=1e-3)
+    overlaps = ent.closed_form_overlaps(table, inst15.Q)
+    assert 1 - overlaps.psi3 == pytest.approx(0.9876, abs=1e-3)
+    assert 1 - overlaps.psi3_literal == pytest.approx(0.9876, abs=1e-3)
     # the phase-weighted sum is real for this instance, so the readings agree
-    assert abs(both.sum_value.imag) < 1e-12
-    assert both.canonical == both.modulus_squared
+    assert abs(ent.weight_sum_as(table).imag) < 1e-12
+    total = ent.weight_sum_as(table)
+    assert overlaps.psi3 == abs(total) ** 2 / 16
+    assert overlaps.psi3_literal == (total * total).real / 16
+
+
+def test_closed_form_overlaps_warn_outside_unit_interval(inst15):
+    # r = 2 with a light (a, s) = (1, 1) term: S_as ~ 3 > r, so 1 - |S_as|**2 / r**2 < 0
+    table = ent.HammingTable(
+        n=15,
+        weights_ab=np.full((2, 2), 7, dtype=np.int64),
+        weights_as=np.array([[0, 0], [0, 7]], dtype=np.int64),
+    )
+    with pytest.warns(UserWarning, match="outside") as record:
+        overlaps = ent.closed_form_overlaps(table, inst15.Q)
+    assert len(record) == 1 and "psi3" in str(record[0].message)
+    assert overlaps.psi3 > 1.0
 
 
 def test_closed_form_psi3_hand_sum():
@@ -171,41 +187,37 @@ def test_closed_form_psi3_trivial_order():
 
     inst = ShorInstance(N=15, x=1, t=3, L=4, r=1)
     table = ent.build_hamming_table(inst)
-    both = ent.closed_form_eg_psi3(inst, table)
-    assert both.literal == pytest.approx(both.modulus_squared, abs=1e-12)
+    overlaps = ent.closed_form_overlaps(table, inst.Q)
+    assert overlaps.psi3_literal == pytest.approx(overlaps.psi3, abs=1e-12)
 
 
 def test_gamma_factor_values_and_identity(inst15):
+    # gamma = S**2 = D * overlap (D = Q for psi2, r**2 for psi3) links the
+    # geometric quantities of a stage: C_g + (1 - E_g) / gamma == 1
     table = ent.build_hamming_table(inst15)
-    g_ab = ent.gamma_factor(table, "ab")
-    assert g_ab == pytest.approx(2048 * (1 - ent.closed_form_eg_psi2(inst15, table)), rel=1e-12)
+    overlaps = ent.closed_form_overlaps(table, inst15.Q)
+    eg2, eg3 = 1 - overlaps.psi2, 1 - overlaps.psi3
+    g_ab = ent.weight_sum_ab(table) ** 2
+    assert g_ab == pytest.approx(2048 * (1 - eg2), rel=1e-12)
     assert g_ab == pytest.approx(318.5, abs=0.1)
     assert 0.0 < g_ab < inst15.Q
     c_g2 = 1 - 1 / inst15.Q
-    assert c_g2 + (1 - ent.closed_form_eg_psi2(inst15, table)) / g_ab == pytest.approx(
-        1.0, abs=1e-9
-    )
-    g_as = ent.gamma_factor(table, "as")
+    assert c_g2 + (1 - eg2) / g_ab == pytest.approx(1.0, abs=1e-9)
+    g_as = abs(ent.weight_sum_as(table)) ** 2
+    assert g_as == pytest.approx(16 * overlaps.psi3, rel=1e-12)
     assert 0.0 < g_as < inst15.r**2
-    eg3 = ent.closed_form_eg_psi3(inst15, table).modulus_squared
     assert (1 - 1 / 16) + (1 - eg3) / g_as == pytest.approx(1.0, abs=1e-9)
     # gamma > 1 iff geometric coherence exceeds entanglement at that stage
-    assert g_ab > 1 and c_g2 > ent.closed_form_eg_psi2(inst15, table)
+    assert g_ab > 1 and c_g2 > eg2
     assert g_as < 1 and (1 - 1 / 16) < eg3
 
 
-def test_gamma_factor_kind_check(inst15):
-    table = ent.build_hamming_table(inst15)
-    with pytest.raises(ValueError):
-        ent.gamma_factor(table, "bogus")
-
-
 def test_bruteforce_known_values():
-    assert ent.bruteforce_geometric_entanglement(bell_state()) == pytest.approx(0.5, abs=1e-9)
+    assert oracles.bruteforce_geometric_entanglement(bell_state()) == pytest.approx(0.5, abs=1e-9)
     lay = RegisterLayout(t=2, L=1)
     w = np.zeros(8, dtype=complex)
     w[[1, 2, 4]] = 1 / math.sqrt(3)
-    assert ent.bruteforce_geometric_entanglement(PureState(lay, w)) == pytest.approx(
+    assert oracles.bruteforce_geometric_entanglement(PureState(lay, w)) == pytest.approx(
         5 / 9, abs=1e-9
     )
 
@@ -214,14 +226,14 @@ def test_bruteforce_product_states_vanish():
     rng = np.random.default_rng(9)
     for _ in range(5):
         state = product_state(RegisterLayout(t=2, L=1), rng)
-        assert ent.bruteforce_geometric_entanglement(state) <= 1e-6
+        assert oracles.bruteforce_geometric_entanglement(state) <= 1e-6
 
 
 def test_bruteforce_scale_cap():
     lay = RegisterLayout(t=3, L=1)
     state = PureState(lay, np.eye(16, dtype=complex)[0])
     with pytest.raises(ValueError):
-        ent.bruteforce_geometric_entanglement(state)
+        oracles.bruteforce_geometric_entanglement(state)
 
 
 def test_subset_ordering_symmetric_vs_bruteforce():
@@ -231,7 +243,7 @@ def test_subset_ordering_symmetric_vs_bruteforce():
         for _ in range(10):
             state = random_state(lay, rng)
             sym = ent.geometric_entanglement_symmetric(state).entanglement
-            brute = ent.bruteforce_geometric_entanglement(state)
+            brute = oracles.bruteforce_geometric_entanglement(state)
             assert sym >= brute - 1e-12
 
 

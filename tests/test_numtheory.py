@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import mod_pow
 from shormeter.numtheory import (
     ShorInstance,
     continued_fraction_convergents,
@@ -10,7 +11,6 @@ from shormeter.numtheory import (
     find_order_bruteforce,
     gcd,
     make_instance,
-    mod_pow,
     recover_order,
     register_sizes,
 )

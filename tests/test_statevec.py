@@ -4,6 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from oracles import (
+    apply_qft_A,
+    dump_nonzero_json,
+    ideal_psi3,
+    modexp_all_columns,
+    outcome_probability,
+    register_b_support,
+)
 from shormeter.numtheory import ShorInstance, make_instance
 from shormeter.statevec import (
     OutcomeDistribution,
@@ -12,13 +20,9 @@ from shormeter.statevec import (
     apply_hadamard_layer,
     apply_inverse_qft_A,
     apply_modexp_unitary,
-    apply_qft_A,
-    dump_nonzero_json,
-    outcome_distribution,
-    outcome_probability,
-    ideal_psi3,
     init_state,
     measurement_distribution_A,
+    outcome_distribution,
     run_order_finding_circuit,
     sample_outcome,
 )
@@ -114,7 +118,7 @@ def test_hadamard_single_qubit():
 
 def test_modexp_orbit_support(pipeline15):
     psi2 = pipeline15[1]
-    assert psi2.register_b_support() == [1, 4, 7, 13]
+    assert register_b_support(psi2) == [1, 4, 7, 13]
     assert abs(np.vdot(psi2.amplitudes, psi2.amplitudes).real - 1.0) < 1e-10
 
 
@@ -226,7 +230,7 @@ def test_gates_match_all_column_oracles_on_few_columns():
         ):
             out = gate(state)
             assert_same_bytes(out, oracle(state))
-            assert out.register_b_support() == columns
+            assert register_b_support(out) == columns
 
 
 @pytest.mark.parametrize("n, x, t", [(15, 7, 11), (21, 2, 10), (33, 2, None)])
@@ -235,9 +239,25 @@ def test_circuit_stages_match_all_column_oracles(n, x, t):
     psi1, psi2, psi3 = run_order_finding_circuit(inst)
     expected1 = hadamard_all_columns(init_state(RegisterLayout.for_instance(inst)))
     assert_same_bytes(psi1, expected1)
-    expected2 = apply_modexp_unitary(expected1, inst)
+    expected2 = modexp_all_columns(expected1, inst)
     assert_same_bytes(psi2, expected2)
     assert_same_bytes(psi3, inverse_qft_all_columns(expected2))
+
+
+@pytest.mark.parametrize("n, x", [(15, 7), (21, 2), (33, 2), (51, 2), (63, 2)])
+def test_modexp_matches_all_column_oracle_on_uniform_stage(n, x):
+    inst = make_instance(n, x)
+    psi1 = apply_hadamard_layer(init_state(RegisterLayout.for_instance(inst)))
+    assert_same_bytes(apply_modexp_unitary(psi1, inst), modexp_all_columns(psi1, inst))
+
+
+def test_modexp_matches_all_column_oracle_on_few_columns():
+    rng = np.random.default_rng(47)
+    inst = make_instance(15, 7, t=6)
+    lay = RegisterLayout.for_instance(inst)
+    for columns in ([0], [1, 4], [2, 9, 14], list(range(15))):
+        state = few_column_state(lay, columns, rng)
+        assert_same_bytes(apply_modexp_unitary(state, inst), modexp_all_columns(state, inst))
 
 
 def test_measurement_distribution_basics():
