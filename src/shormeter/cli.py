@@ -38,6 +38,7 @@ EXIT_CONFIG = 2
 # per amplitude) or its --fast outcome vector (float64, 8 bytes per outcome):
 # a 24-qubit dense state.  Larger configs exit 2 before allocating anything.
 MEMORY_BUDGET_BYTES = 2**28
+MAX_GRID_POINTS = 100_000  # a tiny --grid STEP exits 2 instead of listing unbounded points
 
 
 def _fmt(value: float) -> str:
@@ -84,6 +85,16 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     t = args.t if args.t is not None else sizes.t
     if t < 1:
         raise ConfigError(f"t must be >= 1, got {t}")
+    q = 2**t
+    if args.command == "factor" and args.fast:
+        need, what = 8 * q, f"the outcome vector over Q=2**{t} outcomes"
+    else:
+        need, what = 16 * 2 ** (t + sizes.L), f"the dense state on {t + sizes.L} qubits"
+    if need > MEMORY_BUDGET_BYTES:
+        raise ConfigError(
+            f"{what} needs {need} bytes, above the budget of {MEMORY_BUDGET_BYTES} bytes"
+        )
+    # drawn only for in-budget configs: the coprime list is linear in N
     x = args.x
     if x is None:
         rng = np.random.default_rng(args.seed)
@@ -95,15 +106,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(
             f"x={x} shares the factor {gcd(x, args.n)} with N={args.n}; "
             "no quantum run needed"
-        )
-    q = 2**t
-    if args.command == "factor" and args.fast:
-        need, what = 8 * q, f"the outcome vector over Q=2**{t} outcomes"
-    else:
-        need, what = 16 * 2 ** (t + sizes.L), f"the dense state on {t + sizes.L} qubits"
-    if need > MEMORY_BUDGET_BYTES:
-        raise ConfigError(
-            f"{what} needs {need} bytes, above the budget of {MEMORY_BUDGET_BYTES} bytes"
         )
     return RunConfig(
         N=args.n,
@@ -175,25 +177,26 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return EXIT_OK if payload["pass"] else EXIT_VERIFY_FAIL
 
 
-def _parse_grid(spec: str) -> tuple[float, float, float]:
+def _parse_grid(spec: str) -> list[float]:
     try:
         lo, hi, step = (float(part) for part in spec.split(":"))
     except ValueError as exc:
         raise ConfigError(f"grid must look like LO:HI:STEP, got {spec!r}") from exc
-    if step <= 0 or hi < lo:
+    if not all(math.isfinite(v) for v in (lo, hi, step)) or step <= 0 or hi < lo:
         raise ConfigError(f"bad grid bounds {spec!r}")
-    return lo, hi, step
+    span = (hi - lo) / step  # inf when hi - lo overflows
+    if span >= MAX_GRID_POINTS:
+        raise ConfigError(f"grid {spec!r} has more than {MAX_GRID_POINTS} points")
+    # index-based grid: accumulating float steps would drift past hi
+    count = int(math.floor(span + 1e-9)) + 1
+    return [round(lo + i * step, 12) for i in range(count)]
 
 
 def cmd_sweep(cfg: RunConfig, measure: str, grid_spec: Optional[str]) -> int:
-    instance = cfg.instance()
-    psi1, psi2, psi3 = statevec.run_order_finding_circuit(instance)
     if grid_spec is None:
         grid_spec = "1.0:2.0:0.05" if measure == "l1p" else "0.05:2.0:0.05"
-    lo, hi, step = _parse_grid(grid_spec)
-    # index-based grid: accumulating float steps would drift past hi
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    params = [round(lo + i * step, 12) for i in range(count)]
+    params = _parse_grid(grid_spec)
+    psi1, psi2, psi3 = statevec.run_order_finding_circuit(cfg.instance())
     if measure == "l1p":
         params = [param for param in params if 1.0 <= param <= 2.0]
         curves = [measures.l1p_coherence_grid(s.amplitudes, params) for s in (psi1, psi2, psi3)]

@@ -6,11 +6,12 @@ eta = cos(alpha/2)|0> + sin(alpha/2)|1>, which is what the closed forms are
 derived from.  Hamming-weight tables over the joint basis labels feed those
 closed forms: `closed_form_overlaps` turns a table into the squared overlaps
 S_ab**2 / Q (post-modexp) and S_as**2 / r**2 (post-transform), and each
-closed form is 1 - overlap.  A seeded alternating optimizer over the *full*
-product-state family is the cross-check.  It stops at the first start whose
-overlap reaches 1: the clamped value is 0.0 from then on, whatever the
-remaining starts find, so on the product-state stage one start returns the
-same float as all of them.
+closed form is 1 - overlap.  An alternating optimizer over the *full*
+product-state family is the cross-check on the uniform stage, a product
+state.  That stage occupies one register-B column, so the optimizer runs on
+the Q register-A amplitudes of that column, from the per-qubit marginal
+seed, and stops at the update where the overlap reaches 1 (E_g = 0.0).  The
+dense all-starts optimizer for entangled states is a test oracle.
 
 The post-transform overlap squares a complex sum; since plain squaring and
 squared modulus differ once the sum leaves the real axis, both readings are
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,6 +47,8 @@ __all__ = [
 
 GRID_POINTS = 2048
 REFINE_TOL = 1e-10
+_ALS_MAX_SWEEPS = 200
+_ALS_TOL = 1e-14  # a sweep that gains less than this ends the run
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -227,115 +230,105 @@ def closed_form_overlaps(table: HammingTable, Q: int) -> ClosedFormOverlaps:
 
 
 # ---------------------------------------------------------------------------
-# Full product-family optimizers (cross-checks for the symmetric restriction)
+# Full product-family optimizer on one register-B column (cross-check on psi1)
 # ---------------------------------------------------------------------------
 
 
-def _environment(conj_tensor: np.ndarray, qubit_states: Sequence[np.ndarray], i: int) -> np.ndarray:
-    """Contract conj(psi) with every single-qubit vector except qubit i."""
-    n = conj_tensor.ndim
-    v = np.moveaxis(conj_tensor, i, 0)
-    for j in range(n - 1, -1, -1):
-        if j == i:
-            continue
-        v = v @ qubit_states[j]
+def _register_a_environment(
+    right: np.ndarray, qubit_states: Sequence[np.ndarray], i: int
+) -> np.ndarray:
+    """Environment of register-A qubit i, before the register-B scalars.
+
+    `right` is conj(phi_A) contracted with the qubits after i, so it holds
+    qubits 0..i with i last; qubit i moves to the front and qubits
+    i-1, ..., 0 are contracted, the order of a dense contraction.
+    """
+    v = right.reshape(-1, 2).T.reshape(-1)
+    for j in range(i - 1, -1, -1):
+        v = v.reshape(-1, 2) @ qubit_states[j]
     return v
 
 
-def _als_overlap(
-    conj_tensor: np.ndarray,
-    start: Sequence[np.ndarray],
-    max_sweeps: int = 200,
-    tol: float = 1e-14,
-) -> float:
-    """Alternating per-qubit maximization of |<psi|prod>| from one start.
+def _marginal_seed(phi_a: np.ndarray, t: int) -> list[np.ndarray]:
+    """Per-qubit amplitude-magnitude seed of register A; exact for product states."""
+    probs = np.abs(phi_a) ** 2
+    seeds = []
+    for i in range(t):
+        p = probs.reshape(2**i, 2, -1).sum(axis=(0, 2))
+        seeds.append(np.sqrt(p / p.sum()).astype(np.complex128))
+    return seeds
 
-    Each update replaces one qubit's state by the normalized environment
-    vector, which is the exact conditional optimum, so the overlap is
-    non-decreasing update over update.  It returns as soon as the overlap
-    reaches 1 (1 - value**2 <= 0): every caller clamps 1 - value**2 at 0, so
-    a further sweep could not change what they report.
+
+def _register_a_overlap(phi_a: np.ndarray, y_bits: Sequence[int]) -> float:
+    """Alternating per-qubit maximization of |<phi_A (x) |y>|prod>| from the marginal seed.
+
+    Qubits are swept in the dense order: register A, then register B (bits
+    y_bits of y).  A register-B qubit enters every contraction as the scalar
+    q_j[y_j], taken in the order j = n-1, ..., t, and its environment is the
+    register-A contraction placed at basis vector y_j.  Each update is the
+    exact conditional optimum, so the overlap never decreases; the run
+    returns once it reaches 1, where the clamped entanglement is 0.0.
     """
-    n = conj_tensor.ndim
-    states = [np.asarray(q, dtype=np.complex128).copy() for q in start]
+    t = len(phi_a).bit_length() - 1
+    n = t + len(y_bits)
+    conj_a = phi_a.conj()
+    basis = np.eye(2, dtype=np.complex128)
+    states = _marginal_seed(phi_a, t) + [basis[bit] for bit in y_bits]
+
+    def contracted(stop: int) -> list[np.ndarray]:
+        # conj(phi_A), then contracted with qubits t-1, ..., stop in turn
+        chain = [conj_a]
+        for j in range(t - 1, stop - 1, -1):
+            chain.append(chain[-1].reshape(-1, 2) @ states[j])
+        return chain
+
     value = 0.0
-    for _ in range(max_sweeps):
+    for _ in range(_ALS_MAX_SWEEPS):
         previous = value
+        right = contracted(1)  # this sweep's register-A qubits, none updated yet
         for i in range(n):
-            env = _environment(conj_tensor, states, i)
+            if i < t:
+                env = _register_a_environment(right[t - 1 - i], states, i)
+            else:
+                if i == t:
+                    full = contracted(0)[-1]
+                env = basis[y_bits[i - t]] * full
+            for j in range(n - 1, t - 1, -1):
+                if j != i:
+                    env = env * states[j][y_bits[j - t]]
             norm = float(np.linalg.norm(env))
             if norm < 1e-300:
-                states[i] = np.array([1.0, 0.0], dtype=np.complex128)
+                states[i] = basis[0]
                 continue
             states[i] = env.conj() / norm
             value = norm
             if 1.0 - value * value <= 0.0:
                 return value
-        if value - previous <= tol:
+        if value - previous <= _ALS_TOL:
             break
     return value
 
 
-def _random_qubit_states(n: int, rng: np.random.Generator) -> list[np.ndarray]:
-    out = []
-    for _ in range(n):
-        v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        out.append(v / np.linalg.norm(v))
-    return out
-
-
-def _marginal_seed(state: PureState) -> list[np.ndarray]:
-    """Per-qubit amplitude-magnitude seed; exact for product states."""
-    n = state.layout.n
-    probs = np.abs(state.amplitudes.reshape((2,) * n)) ** 2
-    seeds = []
-    for i in range(n):
-        axes = tuple(j for j in range(n) if j != i)
-        p = probs.sum(axis=axes)
-        seeds.append(np.sqrt(p / p.sum()).astype(np.complex128))
-    return seeds
-
-
-def _symmetric_seed(state: PureState) -> list[np.ndarray]:
-    opt = geometric_entanglement_symmetric(state)
-    eta = np.array(
-        [math.cos(opt.alpha_angle / 2.0), math.sin(opt.alpha_angle / 2.0)],
-        dtype=np.complex128,
-    )
-    return [eta.copy() for _ in range(state.layout.n)]
-
-
-def _product_starts(state: PureState, restarts: int, seed: int) -> Iterator[list[np.ndarray]]:
-    """Marginal seed, symmetric seed, uniform, then `restarts` seeded draws."""
-    n = state.layout.n
-    yield _marginal_seed(state)
-    yield _symmetric_seed(state)
-    yield [np.full(2, 1.0 / math.sqrt(2.0), dtype=np.complex128) for _ in range(n)]
-    rng = np.random.default_rng(seed)
-    for _ in range(restarts):
-        yield _random_qubit_states(n, rng)
-
-
-def geometric_entanglement_product(
-    state: PureState, restarts: int = 8, seed: int = 1815
-) -> float:
+def geometric_entanglement_product(state: PureState) -> float:
     """1 - max |<state|product>|**2 over the full product-state family.
 
-    Seeded alternating optimization; converges to a local optimum in
-    general, but the start set always contains the symmetric-ansatz optimum,
-    so the result never exceeds the symmetric value, and the per-qubit
-    marginal seed makes exactly separable states land on zero.
-
-    Starts are built lazily and the loop stops once 1 - best**2 <= 0.  The
-    clamped result is then already 0.0, and later starts could only raise
-    best, so the returned float is the one all starts would give.  On a
-    product state the marginal seed stops it after one ALS run, before the
-    symmetric seed is built.
+    The state must occupy one register-B column y (the same exact-zero test
+    the register-A gates use), so it is phi_A (x) |y> and the maximal product
+    overlap factorizes: one alternating-optimization run from the per-qubit
+    marginal seed works on the Q amplitudes of phi_A, and register B enters
+    through its basis state.  The marginal seed makes product states such as
+    the uniform stage land on 0.0.  It converges to a local optimum in
+    general; the all-starts dense optimizer is a test oracle.  Raises
+    ValueError when more than one column is occupied.
     """
-    conj_tensor = state.amplitudes.conj().reshape((2,) * state.layout.n)
-    best = 0.0
-    for start in _product_starts(state, restarts, seed):
-        best = max(best, _als_overlap(conj_tensor, start))
-        if 1.0 - best * best <= 0.0:
-            break
+    L = state.layout.L
+    grid = state.as_grid()
+    cols = np.flatnonzero(grid.any(axis=0))
+    if len(cols) != 1:
+        raise ValueError(
+            f"product-family optimizer needs one occupied register-B column, got {len(cols)}"
+        )
+    y = int(cols[0])
+    y_bits = [(y >> (L - 1 - k)) & 1 for k in range(L)]
+    best = _register_a_overlap(grid[:, y], y_bits)
     return max(0.0, 1.0 - best * best)

@@ -167,7 +167,8 @@ def apply_modexp_unitary(state: PureState, instance: ShorInstance) -> PureState:
     is unitary; basis values y >= N must carry no amplitude.  Only the
     occupied columns y < N, those holding any exactly nonzero amplitude, are
     mapped (one column on the uniform stage); the rest of the output stays
-    zero, as in ``_register_a_gate``.
+    zero, as in ``_register_a_gate``.  Residue products are formed in int64,
+    which holds them for every N below 2**31.
     """
     lay = state.layout
     if (lay.t, lay.L) != (instance.t, instance.L):
@@ -177,11 +178,11 @@ def apply_modexp_unitary(state: PureState, instance: ShorInstance) -> PureState:
     if n_mod < lay.dim_b and np.any(np.abs(grid[:, n_mod:]) > ZERO_TOL):
         raise ValueError(f"amplitude on register-B value >= N={n_mod}")
     cols = np.flatnonzero(grid[:, :n_mod].any(axis=0))
-    powers = np.empty(lay.Q, dtype=np.int64)
-    acc = 1
-    for j in range(lay.Q):
-        powers[j] = acc
-        acc = (acc * x) % n_mod
+    powers = np.ones(lay.Q, dtype=np.int64)
+    k = 1
+    while k < lay.Q:  # x**(k + j) = x**j * x**k, doubling the filled prefix
+        powers[k : 2 * k] = powers[:k] * pow(x, k, n_mod) % n_mod
+        k *= 2
     targets = (powers[:, None] * cols[None, :]) % n_mod
     out = np.zeros(lay.dim, dtype=np.complex128)
     out.reshape(lay.Q, lay.dim_b)[np.arange(lay.Q)[:, None], targets] = grid[:, cols]

@@ -88,9 +88,9 @@ def algorithm_variations(
     inverse transform moves them from their D = Q values to their D = r**2
     values.  Entanglement entries need the closed-form overlaps (r | Q) and
     carry both readings of the squared complex sum; without them they are
-    None.  With Q >= r**2 the transform-step coherence deltas must be
-    negative and the modexp-step entanglement change non-negative, and every
-    row must satisfy U + F = total; a failed check raises ArithmeticError.
+    None.  Q >= r**2 needs a non-negative modexp-step entanglement change,
+    Q > r**2 negative transform-step coherence deltas (0 at Q = r**2), and
+    every row U + F = total; a failed check raises ArithmeticError.
     """
     c1p_before, calpha_before, _ = coherence_closed_forms(Q, p, alpha)
     c1p_after, calpha_after, _ = coherence_closed_forms(r * r, p, alpha)
@@ -129,11 +129,11 @@ def algorithm_variations(
             (f"dEg_{reading}", eg["U"], eg[f"F_dagger_{reading}"], eg[f"total_{reading}"])
             for reading in ("literal", "modulus_squared")
         ]
-    if Q >= r * r:
+    if Q > r * r:
         _check(
             dC1p_F <= 0.0 and dCalpha_F <= 0.0 and dCg_F < 0.0,
             f"transform-step coherence deltas ({dC1p_F!r}, {dCalpha_F!r}, {dCg_F!r}) "
-            f"are not all negative with Q={Q} >= r**2={r * r}",
+            f"are not all negative with Q={Q} > r**2={r * r}",
         )
     for name, step_u, step_f, total in sums:
         _check(

@@ -8,10 +8,10 @@ capped at dim <= 256.  The relative-entropy and skew-information
 coherences are included because the Tsallis family reduces to them at
 alpha -> 1 and alpha = 1/2.  The circuit and entanglement oracles (ideal
 post-transform state, dual-path outcome probability, all-column modexp,
-forward transform, brute-force product-state search, symmetric overlap,
-alpha-peak search) and small helpers (`mod_pow`, `register_b_support`,
-`dump_nonzero_json`) serve only the tests, so they are kept out of the
-library.
+forward transform, dense all-starts product-family optimizer, brute-force
+product-state search, symmetric overlap, alpha-peak search) and small
+helpers (`mod_pow`, `register_b_support`, `dump_nonzero_json`) serve only
+the tests, so they are kept out of the library.
 """
 
 from __future__ import annotations
@@ -19,16 +19,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from shormeter.entanglement import (
-    _als_overlap,
-    _marginal_seed,
     _overlap_from_coefficients,
-    _random_qubit_states,
-    _symmetric_seed,
     _weight_coefficients,
+    geometric_entanglement_symmetric,
 )
 from shormeter.measures import ALPHA_ONE_TOL, validate_alpha
 from shormeter.numtheory import ShorInstance
@@ -293,6 +291,111 @@ def outcome_probability(k: int, r: int, q: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _environment(conj_tensor: np.ndarray, qubit_states: Sequence[np.ndarray], i: int) -> np.ndarray:
+    """Contract conj(psi) with every single-qubit vector except qubit i."""
+    n = conj_tensor.ndim
+    v = np.moveaxis(conj_tensor, i, 0)
+    for j in range(n - 1, -1, -1):
+        if j == i:
+            continue
+        v = v @ qubit_states[j]
+    return v
+
+
+def _als_overlap(
+    conj_tensor: np.ndarray,
+    start: Sequence[np.ndarray],
+    max_sweeps: int = 200,
+    tol: float = 1e-14,
+) -> float:
+    """Alternating per-qubit maximization of |<psi|prod>| from one start.
+
+    Each update replaces one qubit's state by the normalized environment
+    vector, which is the exact conditional optimum, so the overlap is
+    non-decreasing update over update.  It returns as soon as the overlap
+    reaches 1 (1 - value**2 <= 0), where the clamped entanglement is 0.0.
+    """
+    n = conj_tensor.ndim
+    states = [np.asarray(q, dtype=np.complex128).copy() for q in start]
+    value = 0.0
+    for _ in range(max_sweeps):
+        previous = value
+        for i in range(n):
+            env = _environment(conj_tensor, states, i)
+            norm = float(np.linalg.norm(env))
+            if norm < 1e-300:
+                states[i] = np.array([1.0, 0.0], dtype=np.complex128)
+                continue
+            states[i] = env.conj() / norm
+            value = norm
+            if 1.0 - value * value <= 0.0:
+                return value
+        if value - previous <= tol:
+            break
+    return value
+
+
+def _random_qubit_states(n: int, rng: np.random.Generator) -> list[np.ndarray]:
+    out = []
+    for _ in range(n):
+        v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        out.append(v / np.linalg.norm(v))
+    return out
+
+
+def dense_marginal_seed(state: PureState) -> list[np.ndarray]:
+    """Per-qubit amplitude-magnitude seed over all t+L qubits."""
+    n = state.layout.n
+    probs = np.abs(state.amplitudes.reshape((2,) * n)) ** 2
+    seeds = []
+    for i in range(n):
+        axes = tuple(j for j in range(n) if j != i)
+        p = probs.sum(axis=axes)
+        seeds.append(np.sqrt(p / p.sum()).astype(np.complex128))
+    return seeds
+
+
+def _symmetric_seed(state: PureState) -> list[np.ndarray]:
+    opt = geometric_entanglement_symmetric(state)
+    eta = np.array(
+        [math.cos(opt.alpha_angle / 2.0), math.sin(opt.alpha_angle / 2.0)],
+        dtype=np.complex128,
+    )
+    return [eta.copy() for _ in range(state.layout.n)]
+
+
+def _product_starts(state: PureState, restarts: int, seed: int) -> list[list[np.ndarray]]:
+    """Marginal seed, symmetric seed, uniform, then `restarts` seeded draws."""
+    n = state.layout.n
+    starts = [dense_marginal_seed(state), _symmetric_seed(state)]
+    starts.append([np.full(2, 1.0 / math.sqrt(2.0), dtype=np.complex128) for _ in range(n)])
+    rng = np.random.default_rng(seed)
+    starts.extend(_random_qubit_states(n, rng) for _ in range(restarts))
+    return starts
+
+
+def dense_product_entanglement(
+    state: PureState, starts: Sequence[Sequence[np.ndarray]]
+) -> float:
+    """1 - max |<state|product>|**2 over ALS runs on the dense (2,)*n tensor."""
+    conj_tensor = state.amplitudes.conj().reshape((2,) * state.layout.n)
+    best = max(_als_overlap(conj_tensor, start) for start in starts)
+    return max(0.0, 1.0 - best * best)
+
+
+def all_starts_product_entanglement(
+    state: PureState, restarts: int = 8, seed: int = 1815
+) -> float:
+    """Product-family cross-check for any state, entangled or multi-column.
+
+    Every start runs (marginal, symmetric, uniform and `restarts` seeded
+    draws) on the dense tensor.  The symmetric start keeps the result at or
+    below the symmetric-ansatz value, and the marginal start makes exactly
+    separable states land on zero.
+    """
+    return dense_product_entanglement(state, _product_starts(state, restarts, seed))
+
+
 def symmetric_overlap(state: PureState, alpha_angle: float) -> complex:
     """<state | eta(alpha)^(tensor n)> in one pass over nonzero amplitudes."""
     return _overlap_from_coefficients(_weight_coefficients(state), alpha_angle)
@@ -332,7 +435,7 @@ def bruteforce_geometric_entanglement(
     best_flat = int(np.argmax(np.abs(flat)))
     grid_start = [cands[i] for i in np.unravel_index(best_flat, (len(cands),) * n)]
     rng = np.random.default_rng(seed)
-    starts = [grid_start, _marginal_seed(state), _symmetric_seed(state)]
+    starts = [grid_start, dense_marginal_seed(state), _symmetric_seed(state)]
     starts.extend(_random_qubit_states(n, rng) for _ in range(restarts))
     best = max(_als_overlap(conj_tensor, start) for start in starts)
     return max(0.0, 1.0 - best * best)

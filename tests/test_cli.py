@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -5,6 +6,8 @@ import math
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shormeter import entanglement as ent
 from shormeter.cli import ConfigError, build_parser, main, resolve_config
@@ -268,6 +271,74 @@ def test_oversized_config_exits_two_before_allocating(capsys, argv, need):
     assert code == 2
     assert f"needs {need} bytes" in capsys.readouterr().err
     assert peak < 2**20
+
+
+def test_budget_is_checked_before_drawing_x(capsys):
+    # without --x, every unit below N would be listed before the budget check
+    tracemalloc.start()
+    try:
+        code = main(["simulate", "--n", "1000000007"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "above the budget" in capsys.readouterr().err
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize(
+    "grid", ["nan:2:0.5", "0.5:inf:0.5", "1:2:inf", "-1e308:1e308:1", "0.05:2:1e-300"]
+)
+def test_non_finite_or_oversized_grid_is_config_error(grid, capsys):
+    assert main(["sweep", "--n", "15", "--x", "7", "--t", "4", f"--grid={grid}"]) == 2
+    assert "grid" in capsys.readouterr().err
+
+
+GRID_VALUES = ("-1", "0", "0.05", "1", "1.5", "2", "3", "nan", "inf", "-inf")
+GRID_STEPS = ("0.05", "0.5", "1", "0", "-0.1", "1e-300", "nan", "inf")
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    command=st.sampled_from(["simulate", "verify", "sweep", "factor", "factor --fast"]),
+    n=st.integers(-2, 31).map(lambda k: 2 * k + 1),
+    t=st.integers(-1, 10),
+    x=st.one_of(st.none(), st.integers(-1, 65)),
+    max_attempts=st.integers(-1, 3),
+    grid=st.one_of(
+        st.none(),
+        st.sampled_from(["nonsense", "1:2", "1:2:3:4", ""]),
+        st.builds(
+            ":".join,
+            st.tuples(
+                st.sampled_from(GRID_VALUES),
+                st.sampled_from(GRID_VALUES),
+                st.sampled_from(GRID_STEPS),
+            ),
+        ),
+    ),
+    measure=st.sampled_from(["tsallis", "l1p"]),
+)
+def test_cli_fuzz_exits_with_a_known_code(command, n, t, x, max_attempts, grid, measure):
+    # odd N <= 63 and t <= 10 keep every run small; x, the attempts and the
+    # grid range over valid and invalid values
+    argv = command.split() + ["--n", str(n), "--t", str(t)]
+    if x is not None:
+        argv += ["--x", str(x)]
+    if command.startswith("factor"):
+        argv += ["--max-attempts", str(max_attempts)]
+    if command == "sweep":
+        argv += ["--measure", measure] + ([] if grid is None else [f"--grid={grid}"])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().strip()
 
 
 def test_memory_budget_admits_24_qubit_dense_states():

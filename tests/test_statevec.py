@@ -251,6 +251,18 @@ def test_modexp_matches_all_column_oracle_on_uniform_stage(n, x):
     assert_same_bytes(apply_modexp_unitary(psi1, inst), modexp_all_columns(psi1, inst))
 
 
+@pytest.mark.parametrize("n, x, t", [(15, 7, 1), (15, 7, 11), (21, 2, 10), (35, 3, 9), (63, 2, 15)])
+def test_modexp_power_table_matches_pow(n, x, t):
+    # register-B value 1 holds every row j, and modexp sends it to x**j mod N
+    inst = make_instance(n, x, t=t)
+    lay = RegisterLayout.for_instance(inst)
+    grid = np.zeros((lay.Q, lay.dim_b), dtype=complex)
+    grid[:, 1] = 1.0 / math.sqrt(lay.Q)
+    out = apply_modexp_unitary(PureState(lay, grid.reshape(-1)), inst).as_grid()
+    assert np.count_nonzero(out) == lay.Q
+    assert np.argmax(out != 0, axis=1).tolist() == [pow(x, j, n) for j in range(lay.Q)]
+
+
 def test_modexp_matches_all_column_oracle_on_few_columns():
     rng = np.random.default_rng(47)
     inst = make_instance(15, 7, t=6)

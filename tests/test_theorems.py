@@ -174,6 +174,13 @@ def test_verify_stage_requires_overlaps_when_order_divides(inst15, pipeline15):
         theorems.verify_stage("psi2", inst15, state=pipeline15[1], overlaps=None)
 
 
+def test_variations_at_q_equal_r_squared_have_zero_coherence_steps():
+    # N=3 x=2 t=2: r = 2, so the transform keeps D = Q = r**2 = 4
+    ledger = theorems.algorithm_variations(4, 2, 1.0, 2.0)
+    assert ledger["C_1p"]["total"] == ledger["C_alpha"]["total"] == ledger["C_g"]["total"] == 0.0
+    assert ledger["signs"]["dCg"] == "zero"
+
+
 def test_variation_checks_raise_arithmetic_error(monkeypatch):
     # a transform step that raised coherence would contradict the Q >= r**2 signs
     closed = theorems.coherence_closed_forms
