@@ -1,4 +1,4 @@
-"""Dense simulator of the quantum order-finding routine with resource meters.
+"""Simulator of the quantum order-finding routine with resource meters.
 
 The package evolves the two-register state through every circuit stage,
 computes coherence and entanglement quantifiers on the simulated states,

@@ -34,9 +34,10 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_CONFIG = 2
 
-# Largest array a run may allocate for its dense state (complex128, 16 bytes
-# per amplitude) or its --fast outcome vector (float64, 8 bytes per outcome):
-# a 24-qubit dense state.  Larger configs exit 2 before allocating anything.
+# Byte budget of a run: 16 per basis state (bounding the stored columns and
+# the float64 sum buffers, 8 per basis state), 8 per --fast outcome, and,
+# without --x, the list of candidate bases.  2**28 bytes is a 24-qubit dense
+# state; larger configs exit 2 before allocating anything.
 MEMORY_BUDGET_BYTES = 2**28
 MAX_GRID_POINTS = 100_000  # a tiny --grid STEP exits 2 instead of listing unbounded points
 
@@ -87,14 +88,17 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"t must be >= 1, got {t}")
     q = 2**t
     if args.command == "factor" and args.fast:
-        need, what = 8 * q, f"the outcome vector over Q=2**{t} outcomes"
+        budget = [(8 * q, f"the outcome vector over Q=2**{t} outcomes")]
     else:
-        need, what = 16 * 2 ** (t + sizes.L), f"the dense state on {t + sizes.L} qubits"
-    if need > MEMORY_BUDGET_BYTES:
-        raise ConfigError(
-            f"{what} needs {need} bytes, above the budget of {MEMORY_BUDGET_BYTES} bytes"
-        )
-    # drawn only for in-budget configs: the coprime list is linear in N
+        budget = [(16 * 2 ** (t + sizes.L), f"the dense state on {t + sizes.L} qubits")]
+    if args.x is None:  # a list slot and an int object per candidate base
+        size = (8 + sys.getsizeof(args.n)) * (args.n - 2)
+        budget.append((size, f"the list of bases below N={args.n}"))
+    for need, what in budget:
+        if need > MEMORY_BUDGET_BYTES:
+            raise ConfigError(
+                f"{what} needs {need} bytes, above the budget of {MEMORY_BUDGET_BYTES} bytes"
+            )
     x = args.x
     if x is None:
         rng = np.random.default_rng(args.seed)
@@ -199,13 +203,11 @@ def cmd_sweep(cfg: RunConfig, measure: str, grid_spec: Optional[str]) -> int:
     psi1, psi2, psi3 = statevec.run_order_finding_circuit(cfg.instance())
     if measure == "l1p":
         params = [param for param in params if 1.0 <= param <= 2.0]
-        curves = [measures.l1p_coherence_grid(s.amplitudes, params) for s in (psi1, psi2, psi3)]
+        curves = [measures.l1p_coherence_grid(s.entries(), params) for s in (psi1, psi2, psi3)]
         limits = [0] * len(params)
     else:
         params = [param for param in params if 0.0 < param <= 2.0]
-        curves = [
-            measures.tsallis_coherence_grid(s.amplitudes, params) for s in (psi1, psi2, psi3)
-        ]
+        curves = [measures.tsallis_coherence_grid(s.entries(), params) for s in (psi1, psi2, psi3)]
         limits = [int(abs(param - 1.0) <= measures.ALPHA_ONE_TOL) for param in params]
     lines = ["param,C_psi1,C_psi2,C_psi3,delta,limit_flag"]
     for param, limit, c1, c2, c3 in zip(params, limits, *curves):
@@ -260,10 +262,11 @@ def cmd_factor(cfg: RunConfig, max_attempts: int, fast: bool) -> int:
 
 
 def _perturbed(state: statevec.PureState, eps: float) -> statevec.PureState:
-    amps = state.amplitudes.copy()
+    block = state.block.copy()
+    amps = block.reshape(-1)
     amps[int(np.argmax(np.abs(amps)))] *= 1.0 + eps
     amps /= np.sqrt(np.vdot(amps, amps).real)
-    return statevec.PureState(state.layout, amps)
+    return statevec.PureState(state.layout, block, state.labels)
 
 
 def cmd_verify(cfg: RunConfig, debug_perturb: float) -> int:

@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from shormeter.numtheory import ShorInstance
-from shormeter.statevec import PureState
+from shormeter.statevec import ZERO_TOL, PureState
 
 __all__ = [
     "ClosedFormOverlaps",
@@ -87,25 +87,21 @@ def build_hamming_table(instance: ShorInstance) -> HammingTable:
     if m is None:
         raise ValueError(f"weight tables need r | Q, but r={r} does not divide Q={instance.Q}")
     dim_b = 2**instance.L
-    residues = [pow(instance.x, a, instance.N) for a in range(r)]
-    weights_ab = np.empty((r, m), dtype=np.int64)
-    weights_as = np.empty((r, r), dtype=np.int64)
-    for a in range(r):
-        y = residues[a]
-        for b in range(m):
-            weights_ab[a, b] = ((a + b * r) * dim_b + y).bit_count()
-        for s in range(r):
-            weights_as[a, s] = ((s * m) * dim_b + y).bit_count()
+    residues = np.array([pow(instance.x, a, instance.N) for a in range(r)], dtype=np.int64)[:, None]
+    rows = np.arange(r, dtype=np.int64)[:, None]
+    labels_ab = (rows + np.arange(m, dtype=np.int64) * r) * dim_b + residues
+    labels_as = np.arange(r, dtype=np.int64) * m * dim_b + residues
+    weights_ab = np.bitwise_count(labels_ab).astype(np.int64)
+    weights_as = np.bitwise_count(labels_as).astype(np.int64)
     return HammingTable(n=instance.n_qubits, weights_ab=weights_ab, weights_as=weights_as)
 
 
 def _weight_coefficients(state: PureState) -> np.ndarray:
     """Conjugated amplitude sums grouped by the Hamming weight of the label."""
-    n = state.layout.n
-    idx = state.support()
-    weights = np.bitwise_count(idx)
-    coeff = np.zeros(n + 1, dtype=np.complex128)
-    np.add.at(coeff, weights, state.amplitudes[idx].conj())
+    positions, amplitudes, _ = state.entries()
+    keep = np.abs(amplitudes) > ZERO_TOL
+    coeff = np.zeros(state.layout.n + 1, dtype=np.complex128)
+    np.add.at(coeff, np.bitwise_count(positions[keep]), amplitudes[keep].conj())
     return coeff
 
 
@@ -312,23 +308,21 @@ def _register_a_overlap(phi_a: np.ndarray, y_bits: Sequence[int]) -> float:
 def geometric_entanglement_product(state: PureState) -> float:
     """1 - max |<state|product>|**2 over the full product-state family.
 
-    The state must occupy one register-B column y (the same exact-zero test
-    the register-A gates use), so it is phi_A (x) |y> and the maximal product
-    overlap factorizes: one alternating-optimization run from the per-qubit
-    marginal seed works on the Q amplitudes of phi_A, and register B enters
-    through its basis state.  The marginal seed makes product states such as
-    the uniform stage land on 0.0.  It converges to a local optimum in
-    general; the all-starts dense optimizer is a test oracle.  Raises
-    ValueError when more than one column is occupied.
+    The state must occupy one register-B column y, so it is phi_A (x) |y>
+    and the maximal product overlap factorizes: one alternating-optimization
+    run from the per-qubit marginal seed works on the Q amplitudes of phi_A,
+    and register B enters through its basis state.  The marginal seed makes
+    product states such as the uniform stage land on 0.0.  It converges to a
+    local optimum in general; the all-starts dense optimizer is a test
+    oracle.  Raises ValueError when more than one column is occupied.
     """
     L = state.layout.L
-    grid = state.as_grid()
-    cols = np.flatnonzero(grid.any(axis=0))
-    if len(cols) != 1:
+    if len(state.labels) != 1:
         raise ValueError(
-            f"product-family optimizer needs one occupied register-B column, got {len(cols)}"
+            "product-family optimizer needs one occupied register-B column, "
+            f"got {len(state.labels)}"
         )
-    y = int(cols[0])
+    y = int(state.labels[0])
     y_bits = [(y >> (L - 1 - k)) & 1 for k in range(L)]
-    best = _register_a_overlap(grid[:, y], y_bits)
+    best = _register_a_overlap(state.block[:, 0], y_bits)
     return max(0.0, 1.0 - best * best)

@@ -1,16 +1,18 @@
 """Coherence quantifiers of pure states in the fixed computational basis.
 
 Three measures: the Tsallis relative alpha-entropy of coherence, the
-column-wise l_{1,p} norm of coherence, and geometric coherence.  Zero
-amplitudes add nothing to any of them, so each state is first reduced to
-its nonzero support (positions, |c|**2 and, for l_{1,p}, |c| there), once
-per call.  A grid function evaluates a whole parameter grid from that
-reduction; the single-point functions are one-element grids.  Each grid
-point raises only the support values, scatters them into a zeroed buffer of
-the full dimension and sums that buffer, so every value is the same float
-as the dense expression over all amplitudes (0.0**e is +0.0 for e > 0, and
-the pairwise sum sees the same values at the same positions).  The
-density-matrix oracles and the dense expressions live with the tests.
+column-wise l_{1,p} norm of coherence, and geometric coherence.  A state
+arrives as the triple (positions, amplitudes, dimension) of its stored
+entries, positions increasing (`PureState.entries`); amplitudes outside the
+positions are zero.  Zero amplitudes add nothing to any measure, so each
+call first reduces the entries to their nonzero support (positions, |c|**2
+and, for l_{1,p}, |c| there).  A grid function evaluates a whole parameter
+grid from that reduction.  Each grid point raises only the support values,
+scatters them into a zeroed float64 buffer of the full dimension and sums
+that buffer, so every value is the same float as the dense expression over
+all amplitudes (0.0**e is +0.0 for e > 0, and the pairwise sum sees the
+same values at the same positions).  The density-matrix oracles, the dense
+expressions and the single-point wrappers live with the tests.
 """
 
 from __future__ import annotations
@@ -19,13 +21,13 @@ from typing import Iterable
 
 import numpy as np
 
+Entries = tuple[np.ndarray, np.ndarray, int]  # (positions, amplitudes, dimension)
+
 __all__ = [
     "ALPHA_ONE_TOL",
     "geometric_coherence_pure",
     "l1p_coherence_grid",
-    "l1p_coherence_pure",
     "tsallis_coherence_grid",
-    "tsallis_coherence_pure",
     "validate_alpha",
 ]
 
@@ -43,27 +45,26 @@ def _check_p(p: float) -> None:
         raise ValueError(f"p must lie in [1, 2], got {p}")
 
 
-def _support(state: np.ndarray, modulus: bool = False) -> tuple[np.ndarray, np.ndarray, int]:
+def _support(entries: Entries, modulus: bool = False) -> tuple[np.ndarray, np.ndarray, int]:
     """(positions, values, dimension) where the values are nonzero.
 
     The values are |c|**2, or |c| when `modulus` is set.  The two supports
     differ where |c|**2 underflows to 0 (|c| < 1.5e-154): such an amplitude
     adds nothing to the dense |c|**2 expressions but does add to the dense
-    l_{1,p} sums, so it stays in the |c| support.  The dense |c|**2 is
-    freed before the caller allocates its buffer.  Positions stay intp:
+    l_{1,p} sums, so it stays in the |c| support.  Positions stay intp:
     numpy converts any other index dtype to intp on every fancy-index
     operation.
     """
-    amps = np.asarray(state, dtype=np.complex128).reshape(-1)
+    positions, amps, dim = entries
     if modulus:
-        index = np.flatnonzero(amps)
-        return index, np.abs(amps[index]), amps.size
+        keep = np.flatnonzero(amps)
+        return positions[keep], np.abs(amps[keep]), dim
     probs = amps.real**2 + amps.imag**2
-    index = np.flatnonzero(probs)
-    return index, probs[index], amps.size
+    keep = np.flatnonzero(probs)
+    return positions[keep], probs[keep], dim
 
 
-def tsallis_coherence_grid(state: np.ndarray, alphas: Iterable[float]) -> list[float]:
+def tsallis_coherence_grid(entries: Entries, alphas: Iterable[float]) -> list[float]:
     """Tsallis relative alpha-entropy of coherence of a pure state, per alpha.
 
     For pure rho the matrix power collapses (rho**alpha == rho), leaving
@@ -73,7 +74,7 @@ def tsallis_coherence_grid(state: np.ndarray, alphas: Iterable[float]) -> list[f
     alphas = [float(alpha) for alpha in alphas]
     for alpha in alphas:
         validate_alpha(alpha)
-    index, probs, dim = _support(state)
+    index, probs, dim = _support(entries)
     dense = np.zeros(dim)
     powered = np.empty_like(probs)
     values = []
@@ -89,12 +90,7 @@ def tsallis_coherence_grid(state: np.ndarray, alphas: Iterable[float]) -> list[f
     return values
 
 
-def tsallis_coherence_pure(state: np.ndarray, alpha: float) -> float:
-    """Tsallis relative alpha-entropy of coherence at one alpha."""
-    return tsallis_coherence_grid(state, (alpha,))[0]
-
-
-def l1p_coherence_grid(state: np.ndarray, ps: Iterable[float]) -> list[float]:
+def l1p_coherence_grid(entries: Entries, ps: Iterable[float]) -> list[float]:
     """l_{1,p} coherence of a pure state, per p.
 
     Column j of the off-diagonal part of |psi><psi| has p-norm
@@ -103,7 +99,7 @@ def l1p_coherence_grid(state: np.ndarray, ps: Iterable[float]) -> list[float]:
     ps = [float(p) for p in ps]
     for p in ps:
         _check_p(p)
-    index, modulus, dim = _support(state, modulus=True)
+    index, modulus, dim = _support(entries, modulus=True)
     dense = np.zeros(dim)
     rest = np.empty_like(modulus)
     values = []
@@ -119,12 +115,7 @@ def l1p_coherence_grid(state: np.ndarray, ps: Iterable[float]) -> list[float]:
     return values
 
 
-def l1p_coherence_pure(state: np.ndarray, p: float) -> float:
-    """l_{1,p} coherence at one p."""
-    return l1p_coherence_grid(state, (p,))[0]
-
-
-def geometric_coherence_pure(state: np.ndarray) -> float:
+def geometric_coherence_pure(entries: Entries) -> float:
     """Geometric coherence of a pure state: 1 - max_i |c_i|**2."""
-    _, probs, _ = _support(state)
+    _, probs, _ = _support(entries)
     return float(max(0.0, 1.0 - probs.max(initial=0.0)))

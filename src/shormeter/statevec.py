@@ -1,18 +1,19 @@
-"""Dense pure-state simulation of the order-finding circuit.
+"""Pure-state simulation of the order-finding circuit on occupied columns.
 
 Joint basis convention: index = j * 2**L + y, register A (t qubits, value j)
 major, register B (L qubits, value y) minor.  The Hamming weight of a joint
 index is the popcount of the full (t+L)-bit string, which is what the
 entanglement closed forms consume.
 
-States are stored densely over all 2**(t+L) amplitudes.  Every gate reads
-only the occupied register-B columns of the (Q, 2**L) grid, those holding
-any exactly nonzero amplitude, and leaves the rest of its output zero: the
-register-A gates (Hadamard layer, inverse Fourier transform) transform each
-occupied column, and modular exponentiation relabels each occupied column
-below N.  In the circuit these are 1 column before modexp and the r residues
-x**a mod N after it; a generic state occupies every column and gets the
-full gate.
+A state stores only its occupied register-B columns, those holding any
+exactly nonzero amplitude: a (Q, k) block and the k sorted labels of its
+columns, whose row-major order is the dense joint order.  In the circuit k
+is 1 before modexp and r (the residues x**a mod N) after it.  The register-A
+gates (Hadamard layer, inverse Fourier transform) transform the block and
+keep the labels; modular exponentiation relabels it.  Nothing allocates the
+2**(t+L) complex amplitudes: only the float64 sum buffers of the measures
+and of `measurement_distribution_A` have that size, to keep numpy's dense
+summation order.
 
 States are immutable after construction; every operation returns a fresh
 state.
@@ -82,63 +83,68 @@ class RegisterLayout:
 
 @dataclass(frozen=True)
 class PureState:
-    """Normalized complex amplitude vector over the joint basis.
+    """Normalized state held as its occupied register-B columns.
 
-    The amplitudes are copied into a read-only array, except an array that
-    owns its data and is already read-only, which is kept as is: the gates
+    `block[j, c]` is the amplitude of joint index j * 2**L + labels[c], with
+    strictly increasing register-B labels.  Construction drops every column
+    without an exactly nonzero amplitude and copies the block into a
+    read-only array, except an owned, already read-only array: the gates
     hand over their fresh outputs this way instead of paying for a copy.
     """
 
     layout: RegisterLayout
-    amplitudes: np.ndarray
+    block: np.ndarray
+    labels: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.amplitudes, dtype=np.complex128)
-        if arr.shape != (self.layout.dim,):
-            raise ValueError(f"expected {self.layout.dim} amplitudes, got shape {arr.shape}")
-        norm = float(np.vdot(arr, arr).real)
+        lay = self.layout
+        block = np.asarray(self.block, dtype=np.complex128)
+        labels = np.asarray(self.labels, dtype=np.intp)
+        if labels.ndim != 1 or block.shape != (lay.Q, len(labels)):
+            raise ValueError(
+                f"expected a ({lay.Q}, k) block for k labels, got {block.shape}, {labels.shape}"
+            )
+        if np.any(labels[1:] <= labels[:-1]) or np.any((labels < 0) | (labels >= lay.dim_b)):
+            raise ValueError(f"labels must increase strictly within [0, {lay.dim_b})")
+        occupied = block.any(axis=0)
+        if not occupied.all():
+            block, labels = block[:, occupied], labels[occupied]
+        norm = float(np.vdot(block, block).real)
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state norm**2 = {norm!r} is not 1 within {NORM_TOL}")
-        if arr.flags.writeable or not arr.flags.owndata:
-            arr = arr.copy()
-            arr.setflags(write=False)
-        object.__setattr__(self, "amplitudes", arr)
+        if block.flags.writeable or not block.flags.owndata:
+            block = block.copy()
+            block.setflags(write=False)
+        labels = labels.copy()
+        labels.setflags(write=False)
+        object.__setattr__(self, "block", block)
+        object.__setattr__(self, "labels", labels)
 
-    def as_grid(self) -> np.ndarray:
-        """(Q, 2**L) view: rows are register-A values, columns register-B."""
-        return self.amplitudes.reshape(self.layout.Q, self.layout.dim_b)
-
-    def support(self) -> np.ndarray:
-        """Joint indices carrying amplitude above the zero threshold."""
-        return np.nonzero(np.abs(self.amplitudes) > ZERO_TOL)[0]
-
+    def entries(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """(joint positions, amplitudes, dimension) of the block, in dense order."""
+        lay = self.layout
+        rows = np.arange(lay.Q, dtype=np.intp) * lay.dim_b
+        positions = (rows[:, None] + self.labels[None, :]).reshape(-1)
+        return positions, self.block.reshape(-1), lay.dim
 
 
 def init_state(layout: RegisterLayout) -> PureState:
     """|0...0> on register A, |1> on register B."""
-    vec = np.zeros(layout.dim, dtype=np.complex128)
-    vec[1] = 1.0
-    vec.setflags(write=False)
-    return PureState(layout, vec)
+    block = np.zeros((layout.Q, 1), dtype=np.complex128)
+    block[0, 0] = 1.0
+    block.setflags(write=False)
+    return PureState(layout, block, np.array([1]))
 
 
-def _register_a_gate(
-    state: PureState, transform: Callable[[np.ndarray], np.ndarray]
-) -> PureState:
+def _register_a_gate(state: PureState, transform: Callable[[np.ndarray], np.ndarray]) -> PureState:
     """Apply a register-A transform to the occupied register-B columns.
 
     ``transform`` maps a fresh (Q, k) array of columns, which it may
-    overwrite, to their images.  Columns with no exactly nonzero amplitude
-    map to zero under any register-A gate, so they are skipped (and come out
-    +0.0 even where the input held -0.0).
+    overwrite, to their images; the labels stay.
     """
-    lay = state.layout
-    grid = state.as_grid()
-    cols = np.flatnonzero(grid.any(axis=0))
-    out = np.zeros(lay.dim, dtype=np.complex128)
-    out.reshape(lay.Q, lay.dim_b)[:, cols] = transform(grid[:, cols])
+    out = transform(state.block.copy())
     out.setflags(write=False)
-    return PureState(lay, out)
+    return PureState(state.layout, out, state.labels)
 
 
 def apply_hadamard_layer(state: PureState) -> PureState:
@@ -164,30 +170,29 @@ def apply_modexp_unitary(state: PureState, instance: ShorInstance) -> PureState:
     """|j>|y> -> |j>|x**j * y mod N> on register-B values below N.
 
     Multiplication by an invertible x permutes the residues mod N, so the map
-    is unitary; basis values y >= N must carry no amplitude.  Only the
-    occupied columns y < N, those holding any exactly nonzero amplitude, are
-    mapped (one column on the uniform stage); the rest of the output stays
-    zero, as in ``_register_a_gate``.  Residue products are formed in int64,
-    which holds them for every N below 2**31.
+    is unitary; basis values y >= N must carry no amplitude.  Row j of
+    column y < N moves to column x**j * y mod N: the distinct targets are the
+    new labels, filled by one scatter.  Residue products are formed in
+    int64, which holds them for every N below 2**31.
     """
     lay = state.layout
     if (lay.t, lay.L) != (instance.t, instance.L):
         raise ValueError("state layout does not match the instance registers")
     n_mod, x = instance.N, instance.x
-    grid = state.as_grid()
-    if n_mod < lay.dim_b and np.any(np.abs(grid[:, n_mod:]) > ZERO_TOL):
+    inside = int(np.searchsorted(state.labels, n_mod))
+    if np.any(np.abs(state.block[:, inside:]) > ZERO_TOL):
         raise ValueError(f"amplitude on register-B value >= N={n_mod}")
-    cols = np.flatnonzero(grid[:, :n_mod].any(axis=0))
     powers = np.ones(lay.Q, dtype=np.int64)
     k = 1
     while k < lay.Q:  # x**(k + j) = x**j * x**k, doubling the filled prefix
         powers[k : 2 * k] = powers[:k] * pow(x, k, n_mod) % n_mod
         k *= 2
-    targets = (powers[:, None] * cols[None, :]) % n_mod
-    out = np.zeros(lay.dim, dtype=np.complex128)
-    out.reshape(lay.Q, lay.dim_b)[np.arange(lay.Q)[:, None], targets] = grid[:, cols]
+    targets = (powers[:, None] * state.labels[None, :inside]) % n_mod
+    labels, columns = np.unique(targets, return_inverse=True)
+    out = np.zeros((lay.Q, len(labels)), dtype=np.complex128)
+    out[np.arange(lay.Q)[:, None], columns.reshape(targets.shape)] = state.block[:, :inside]
     out.setflags(write=False)
-    return PureState(lay, out)
+    return PureState(lay, out, labels)
 
 
 def _inverse_qft_columns(cols: np.ndarray) -> np.ndarray:
@@ -234,9 +239,15 @@ class OutcomeDistribution:
 
 
 def measurement_distribution_A(state: PureState) -> OutcomeDistribution:
-    """p_k = sum_y |amplitude(k, y)|**2."""
-    probs = np.sum(np.abs(state.as_grid()) ** 2, axis=1)
-    return OutcomeDistribution(probs)
+    """p_k = sum_y |amplitude(k, y)|**2, summed over all 2**L values of y.
+
+    A zeroed (Q, 2**L) buffer keeps the dense summation order, and with it
+    the sampled draws.
+    """
+    lay = state.layout
+    probs = np.zeros((lay.Q, lay.dim_b))
+    probs[:, state.labels] = np.abs(state.block) ** 2
+    return OutcomeDistribution(np.sum(probs, axis=1))
 
 
 def outcome_distribution(r: int, q: int) -> OutcomeDistribution:

@@ -247,7 +247,7 @@ def verify_stage(
         raise ValueError("instance needs its order r (call with_order() first)")
     if stage != "psi1" and instance.m is not None and overlaps is None:
         raise ValueError(f"the {stage} rows need the closed-form overlaps when r | Q")
-    amps = state.amplitudes
+    entries = state.entries()
     d: Optional[int] = None  # count of equal-weight basis states
     if stage != "psi3":
         d = instance.Q
@@ -257,14 +257,14 @@ def verify_stage(
     def closed(index: int, p: float = 1.0, alpha: float = 1.0) -> Optional[float]:
         return None if d is None else coherence_closed_forms(d, p, alpha)[index]
 
-    p_values = measures.l1p_coherence_grid(amps, P_GRID_DEFAULT)
-    alpha_values = measures.tsallis_coherence_grid(amps, ALPHA_GRID_DEFAULT)
+    p_values = measures.l1p_coherence_grid(entries, P_GRID_DEFAULT)
+    alpha_values = measures.tsallis_coherence_grid(entries, ALPHA_GRID_DEFAULT)
     rows = [_gated_row("C_1p", p, v, closed(0, p=p)) for p, v in zip(P_GRID_DEFAULT, p_values)]
     rows += [
         _gated_row("C_alpha", alpha, v, closed(1, alpha=alpha))
         for alpha, v in zip(ALPHA_GRID_DEFAULT, alpha_values)
     ]
-    rows.append(_gated_row("C_g", None, measures.geometric_coherence_pure(amps), closed(2)))
+    rows.append(_gated_row("C_g", None, measures.geometric_coherence_pure(entries), closed(2)))
     rows.append(_entanglement_row(stage, state, overlaps))
     return MeasureReport(stage=stage, rows=tuple(rows))
 

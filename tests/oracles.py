@@ -2,16 +2,19 @@
 
 Three kinds live here.  The dense expressions evaluate a pure-state measure
 over every amplitude of the state, zeros included; `shormeter.measures`
-must reproduce them bit for bit from the nonzero support.  The
+must reproduce them bit for bit from the nonzero support, and the
+single-point wrappers evaluate a one-element grid on a dense vector.  The
 density-matrix measures (eigendecomposition based) are independent routes,
 capped at dim <= 256.  The relative-entropy and skew-information
 coherences are included because the Tsallis family reduces to them at
-alpha -> 1 and alpha = 1/2.  The circuit and entanglement oracles (ideal
-post-transform state, dual-path outcome probability, all-column modexp,
-forward transform, dense all-starts product-family optimizer, brute-force
-product-state search, symmetric overlap, alpha-peak search) and small
-helpers (`mod_pow`, `register_b_support`, `dump_nonzero_json`) serve only
-the tests, so they are kept out of the library.
+alpha -> 1 and alpha = 1/2.  The circuit and entanglement oracles (dense
+materialization of column-stored states, all-column Hadamard layer, inverse
+transform and modexp on dense vectors, ideal post-transform state,
+dual-path outcome probability, forward transform, loop-built weight table,
+dense all-starts product-family optimizer, brute-force product-state
+search, symmetric overlap, alpha-peak search) and small helpers
+(`mod_pow`, `register_b_support`, `dump_nonzero_json`) serve only the
+tests, so they are kept out of the library.
 """
 
 from __future__ import annotations
@@ -24,11 +27,17 @@ from typing import Sequence
 import numpy as np
 
 from shormeter.entanglement import (
+    HammingTable,
     _overlap_from_coefficients,
     _weight_coefficients,
     geometric_entanglement_symmetric,
 )
-from shormeter.measures import ALPHA_ONE_TOL, validate_alpha
+from shormeter.measures import (
+    ALPHA_ONE_TOL,
+    l1p_coherence_grid,
+    tsallis_coherence_grid,
+    validate_alpha,
+)
 from shormeter.numtheory import ShorInstance
 from shormeter.statevec import ZERO_TOL, PureState, RegisterLayout, _register_a_gate
 
@@ -74,6 +83,22 @@ def dense_l1p_pure(state: np.ndarray, p: float) -> float:
 def dense_geometric_pure(state: np.ndarray) -> float:
     """1 - max_i |c_i|**2 over all amplitudes."""
     return float(max(0.0, 1.0 - _pure_probs(state).max()))
+
+
+def dense_entries(state: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """The measures' (positions, amplitudes, dimension) triple of a dense vector."""
+    amps = np.asarray(state, dtype=np.complex128).reshape(-1)
+    return np.arange(amps.size), amps, amps.size
+
+
+def tsallis_coherence_pure(state: np.ndarray, alpha: float) -> float:
+    """Tsallis relative alpha-entropy of coherence of a dense vector at one alpha."""
+    return tsallis_coherence_grid(dense_entries(state), (alpha,))[0]
+
+
+def l1p_coherence_pure(state: np.ndarray, p: float) -> float:
+    """l_{1,p} coherence of a dense vector at one p."""
+    return l1p_coherence_grid(dense_entries(state), (p,))[0]
 
 
 def pure_density(state: np.ndarray) -> np.ndarray:
@@ -163,19 +188,48 @@ def mod_pow(x: int, e: int, n: int) -> int:
     return pow(x, e, n)
 
 
+def from_dense(layout: RegisterLayout, vec: np.ndarray) -> PureState:
+    """Column-stored state of a dense amplitude vector (all-zero columns dropped)."""
+    grid = np.asarray(vec, dtype=np.complex128).reshape(layout.Q, layout.dim_b)
+    return PureState(layout, grid, np.arange(layout.dim_b))
+
+
+def to_dense(state: PureState) -> np.ndarray:
+    """All 2**(t+L) amplitudes of a column-stored state."""
+    lay = state.layout
+    vec = np.zeros(lay.dim, dtype=np.complex128)
+    vec.reshape(lay.Q, lay.dim_b)[:, state.labels] = state.block
+    return vec
+
+
 def register_b_support(state: PureState) -> list[int]:
     """Register-B values carrying probability above ZERO_TOL**2."""
-    marginal = np.sum(np.abs(state.as_grid()) ** 2, axis=0)
-    return [int(y) for y in np.nonzero(marginal > ZERO_TOL**2)[0]]
+    marginal = np.sum(np.abs(state.block) ** 2, axis=0)
+    return [int(y) for y in state.labels[marginal > ZERO_TOL**2]]
 
 
 def dump_nonzero_json(state: PureState) -> str:
-    """JSON array of [index, re, im] triples for nonzero amplitudes."""
-    triples = [
-        [int(i), float(state.amplitudes[i].real), float(state.amplitudes[i].imag)]
-        for i in state.support()
-    ]
+    """JSON array of [index, re, im] triples for amplitudes above ZERO_TOL."""
+    positions, amps, _ = state.entries()
+    keep = np.abs(amps) > ZERO_TOL
+    triples = [[int(i), float(c.real), float(c.imag)] for i, c in zip(positions[keep], amps[keep])]
     return json.dumps(triples)
+
+
+def hamming_table_loop(instance: ShorInstance) -> HammingTable:
+    """Weight table built label by label with int.bit_count."""
+    r, m = instance.r, instance.m
+    dim_b = 2**instance.L
+    residues = [pow(instance.x, a, instance.N) for a in range(r)]
+    weights_ab = np.empty((r, m), dtype=np.int64)
+    weights_as = np.empty((r, r), dtype=np.int64)
+    for a in range(r):
+        y = residues[a]
+        for b in range(m):
+            weights_ab[a, b] = ((a + b * r) * dim_b + y).bit_count()
+        for s in range(r):
+            weights_as[a, s] = ((s * m) * dim_b + y).bit_count()
+    return HammingTable(n=instance.n_qubits, weights_ab=weights_ab, weights_as=weights_as)
 
 
 # ---------------------------------------------------------------------------
@@ -183,17 +237,33 @@ def dump_nonzero_json(state: PureState) -> str:
 # ---------------------------------------------------------------------------
 
 
-def modexp_all_columns(state: PureState, instance: ShorInstance) -> PureState:
-    """|j>|y> -> |j>|x**j * y mod N>, mapping every register-B column below N.
+def hadamard_all_columns(vec: np.ndarray, layout: RegisterLayout) -> np.ndarray:
+    """The Hadamard layer run over every register-B column of a dense vector."""
+    arr = np.array(vec, dtype=np.complex128).reshape((2,) * layout.t + (layout.dim_b,))
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    for axis in range(layout.t):
+        view = np.moveaxis(arr, axis, 0)
+        top = view[0].copy()
+        view[0] = (top + view[1]) * inv_sqrt2
+        view[1] = (top - view[1]) * inv_sqrt2
+    return arr.reshape(-1)
+
+
+def inverse_qft_all_columns(vec: np.ndarray, layout: RegisterLayout) -> np.ndarray:
+    """The inverse register-A transform run over every register-B column of a dense vector."""
+    grid = np.asarray(vec, dtype=np.complex128).reshape(layout.Q, layout.dim_b)
+    return (np.fft.fft(grid, axis=0) / math.sqrt(layout.Q)).reshape(-1)
+
+
+def modexp_all_columns(vec: np.ndarray, instance: ShorInstance) -> np.ndarray:
+    """|j>|y> -> |j>|x**j * y mod N> on a dense vector, mapping every column below N.
 
     Multiplication by an invertible x permutes the residues mod N, so the map
     is unitary; basis values y >= N must carry no amplitude.
     """
-    lay = state.layout
-    if (lay.t, lay.L) != (instance.t, instance.L):
-        raise ValueError("state layout does not match the instance registers")
+    lay = RegisterLayout.for_instance(instance)
     n_mod, x = instance.N, instance.x
-    grid = state.as_grid()
+    grid = np.asarray(vec, dtype=np.complex128).reshape(lay.Q, lay.dim_b)
     if n_mod < lay.dim_b and np.any(np.abs(grid[:, n_mod:]) > ZERO_TOL):
         raise ValueError(f"amplitude on register-B value >= N={n_mod}")
     powers = np.empty(lay.Q, dtype=np.int64)
@@ -205,8 +275,7 @@ def modexp_all_columns(state: PureState, instance: ShorInstance) -> PureState:
     targets = (powers[:, None] * ys[None, :]) % n_mod
     out = np.zeros(lay.dim, dtype=np.complex128)
     out.reshape(lay.Q, lay.dim_b)[np.arange(lay.Q)[:, None], targets] = grid[:, :n_mod]
-    out.setflags(write=False)
-    return PureState(lay, out)
+    return out
 
 
 def _qft_columns(cols: np.ndarray) -> np.ndarray:
@@ -240,7 +309,7 @@ def ideal_psi3(instance: ShorInstance) -> PureState:
         for s in range(r):
             phase = -2.0j * math.pi * ((a * s) % r) / r
             vec[(s * m) * lay.dim_b + y] += np.exp(phase) / r
-    return PureState(lay, vec)
+    return from_dense(lay, vec)
 
 
 def _peak_term(num: int, r: int, q: int) -> float:
@@ -346,7 +415,7 @@ def _random_qubit_states(n: int, rng: np.random.Generator) -> list[np.ndarray]:
 def dense_marginal_seed(state: PureState) -> list[np.ndarray]:
     """Per-qubit amplitude-magnitude seed over all t+L qubits."""
     n = state.layout.n
-    probs = np.abs(state.amplitudes.reshape((2,) * n)) ** 2
+    probs = np.abs(to_dense(state).reshape((2,) * n)) ** 2
     seeds = []
     for i in range(n):
         axes = tuple(j for j in range(n) if j != i)
@@ -378,7 +447,7 @@ def dense_product_entanglement(
     state: PureState, starts: Sequence[Sequence[np.ndarray]]
 ) -> float:
     """1 - max |<state|product>|**2 over ALS runs on the dense (2,)*n tensor."""
-    conj_tensor = state.amplitudes.conj().reshape((2,) * state.layout.n)
+    conj_tensor = to_dense(state).conj().reshape((2,) * state.layout.n)
     best = max(_als_overlap(conj_tensor, start) for start in starts)
     return max(0.0, 1.0 - best * best)
 
@@ -427,7 +496,7 @@ def bruteforce_geometric_entanglement(
     n = state.layout.n
     if n > 3:
         raise ValueError(f"brute-force oracle limited to 3 qubits, got {n}")
-    conj_tensor = state.amplitudes.conj().reshape((2,) * n)
+    conj_tensor = to_dense(state).conj().reshape((2,) * n)
     cands = _bloch_candidates()
     paths = {1: "ax->xa", 2: "ax,by->xyab", 3: "ax,by,cz->xyzabc"}
     joint = np.einsum(paths[n], *([cands] * n))

@@ -13,7 +13,6 @@ from shormeter import entanglement as ent
 from shormeter import make_instance, measures, run_order_finding_circuit, theorems
 from shormeter.cli import main
 from shormeter.statevec import (
-    PureState,
     RegisterLayout,
     measurement_distribution_A,
     outcome_distribution,
@@ -29,7 +28,7 @@ def check(criterion, ok, detail):
 
 
 def test_criterion_1_geometric_coherence_uniform_stage(pipeline15):
-    numeric = measures.geometric_coherence_pure(pipeline15[0].amplitudes)
+    numeric = measures.geometric_coherence_pure(pipeline15[0].entries())
     closed = 1.0 - 1.0 / 2048.0
     ok = abs(numeric - closed) <= 1e-9 and abs(numeric - 0.9995) <= 5e-5
     check(1, ok, f"C_g(psi1) = {numeric!r} vs closed {closed!r} and printed 0.9995")
@@ -55,7 +54,7 @@ def test_criterion_3_post_modexp_entanglement_closed_form(inst15):
 
 
 def test_criterion_4_final_stage_geometric_coherence(inst15):
-    numeric = measures.geometric_coherence_pure(ideal_psi3(inst15).amplitudes)
+    numeric = measures.geometric_coherence_pure(ideal_psi3(inst15).entries())
     closed = theorems.coherence_closed_forms(4 * 4, 1.0, 2.0)[2]
     ok = abs(numeric - 0.9375) <= 1e-12 and abs(closed - 0.9375) <= 1e-12
     check(4, ok, f"C_g(psi3) numeric {numeric!r}, closed {closed!r}, target 15/16")
@@ -101,31 +100,30 @@ def test_criterion_8_end_to_end_factoring(tmp_path):
 
 
 def test_criterion_9_stage_equivalence(inst15, pipeline15):
-    psi1, psi2 = pipeline15[0].amplitudes, pipeline15[1].amplitudes
+    psi1, psi2 = (oracles.to_dense(state) for state in pipeline15[:2])
     worst = 0.0
     for p in P_GRID:
         closed = theorems.coherence_closed_forms(2048, p, 1.0)[0]
         for amps in (psi1, psi2):
-            worst = max(worst, abs(measures.l1p_coherence_pure(amps, p) - closed))
+            worst = max(worst, abs(oracles.l1p_coherence_pure(amps, p) - closed))
         worst = max(
             worst,
-            abs(measures.l1p_coherence_pure(psi1, p) - measures.l1p_coherence_pure(psi2, p)),
+            abs(oracles.l1p_coherence_pure(psi1, p) - oracles.l1p_coherence_pure(psi2, p)),
         )
     for alpha in ALPHA_GRID:
         closed = theorems.coherence_closed_forms(2048, 1.0, alpha)[1]
         for amps in (psi1, psi2):
-            worst = max(worst, abs(measures.tsallis_coherence_pure(amps, alpha) - closed))
+            worst = max(worst, abs(oracles.tsallis_coherence_pure(amps, alpha) - closed))
         worst = max(
             worst,
             abs(
-                measures.tsallis_coherence_pure(psi1, alpha)
-                - measures.tsallis_coherence_pure(psi2, alpha)
+                oracles.tsallis_coherence_pure(psi1, alpha)
+                - oracles.tsallis_coherence_pure(psi2, alpha)
             ),
         )
     for amps in (psi1, psi2):
-        worst = max(
-            worst, abs(measures.geometric_coherence_pure(amps) - (1.0 - 1.0 / 2048.0))
-        )
+        numeric = measures.geometric_coherence_pure(oracles.dense_entries(amps))
+        worst = max(worst, abs(numeric - (1.0 - 1.0 / 2048.0)))
     ok = worst <= 1e-9
     check(9, ok, f"stage-1/stage-2 coherence identities, worst gap {worst:.3e}")
 
@@ -166,7 +164,7 @@ def test_criterion_11_oracle_equivalence():
                 worst = max(
                     worst,
                     abs(
-                        measures.l1p_coherence_pure(vec, p)
+                        oracles.l1p_coherence_pure(vec, p)
                         - oracles.l1p_coherence_density(rho, p)
                     ),
                 )
@@ -174,14 +172,14 @@ def test_criterion_11_oracle_equivalence():
                 worst = max(
                     worst,
                     abs(
-                        measures.tsallis_coherence_pure(vec, alpha)
+                        oracles.tsallis_coherence_pure(vec, alpha)
                         - oracles.tsallis_coherence_density(rho, alpha)
                     ),
                 )
             worst = max(
                 worst,
                 abs(
-                    measures.tsallis_coherence_pure(vec, 0.5)
+                    oracles.tsallis_coherence_pure(vec, 0.5)
                     - 2.0 * oracles.skew_info_coherence(rho)
                 ),
             )
@@ -193,7 +191,7 @@ def test_criterion_11_oracle_equivalence():
         target = math.log(2.0) * oracles.relative_entropy_coherence(rho)
         for alpha in (1.0 - 1e-4, 1.0 + 1e-4):
             continuity = max(
-                continuity, abs(measures.tsallis_coherence_pure(vec, alpha) - target)
+                continuity, abs(oracles.tsallis_coherence_pure(vec, alpha) - target)
             )
     ok = worst <= 1e-9 and continuity <= 1e-3
     check(
@@ -209,7 +207,7 @@ def test_criterion_12_property_suite():
     for lay in (RegisterLayout(t=1, L=1), RegisterLayout(t=2, L=1)):
         for _ in range(8):
             vec = rng.standard_normal(lay.dim) + 1j * rng.standard_normal(lay.dim)
-            state = PureState(lay, vec / np.linalg.norm(vec))
+            state = oracles.from_dense(lay, vec / np.linalg.norm(vec))
             sym = ent.geometric_entanglement_symmetric(state).entanglement
             brute = oracles.bruteforce_geometric_entanglement(state)
             ordering_ok = ordering_ok and sym >= brute - 1e-12
@@ -218,7 +216,7 @@ def test_criterion_12_property_suite():
     for w in range(16):
         vec = np.zeros(lay15.dim, dtype=complex)
         vec[(1 << w) - 1] = 1.0
-        opt = ent.geometric_entanglement_symmetric(PureState(lay15, vec))
+        opt = ent.geometric_entanglement_symmetric(oracles.from_dense(lay15, vec))
         weight_gap = max(
             weight_gap, abs(math.sqrt(opt.overlap_sq) - ent.hamming_weight_term(w, 15))
         )
@@ -246,22 +244,22 @@ def test_criterion_12_property_suite():
 
 
 def test_sweep_properties(pipeline15):
-    psi1, psi2, psi3 = (s.amplitudes for s in pipeline15)
+    psi1, psi2, psi3 = (oracles.to_dense(s) for s in pipeline15)
     p_grid = np.linspace(1.0, 2.0, 21)
     mono_p = True
     for amps in (psi1, psi2, psi3):
-        series = [measures.l1p_coherence_pure(amps, float(p)) for p in p_grid]
+        series = [oracles.l1p_coherence_pure(amps, float(p)) for p in p_grid]
         mono_p = mono_p and all(a > b for a, b in zip(series, series[1:]))
     alpha_grid = [a for a in np.linspace(0.05, 2.0, 40) if abs(a - 1.0) > 1e-6]
     mono_alpha = True
     for amps in (psi1, psi2):
-        series = [measures.tsallis_coherence_pure(amps, float(a)) for a in alpha_grid]
+        series = [oracles.tsallis_coherence_pure(amps, float(a)) for a in alpha_grid]
         lower = [v for a, v in zip(alpha_grid, series) if a < 1.0]
         upper = [v for a, v in zip(alpha_grid, series) if a > 1.0]
         mono_alpha = mono_alpha and all(x < y for x, y in zip(lower, lower[1:]))
         mono_alpha = mono_alpha and all(x < y for x, y in zip(upper, upper[1:]))
     upper_alphas = [a for a in alpha_grid if a > 1.0]
-    stage3 = [measures.tsallis_coherence_pure(psi3, float(a)) for a in upper_alphas]
+    stage3 = [oracles.tsallis_coherence_pure(psi3, float(a)) for a in upper_alphas]
     peak_idx = int(np.argmax(stage3))
     interior_peak = 0 < peak_idx < len(stage3) - 1
     ok = mono_p and mono_alpha and interior_peak

@@ -63,7 +63,7 @@ def test_simulate_csv_round_trip(tmp_path):
     from shormeter import make_instance, run_order_finding_circuit
 
     psi1 = run_order_finding_circuit(make_instance(15, 7))[0]
-    expected = measures.l1p_coherence_pure(psi1.amplitudes, 1.0)
+    expected = measures.l1p_coherence_grid(psi1.entries(), (1.0,))[0]
     row = next(l for l in lines[1:] if l.startswith("psi1,C_1p,1,"))
     numeric = float(row.split(",")[3])
     assert numeric == expected  # 17 significant digits round-trip exactly
@@ -284,6 +284,29 @@ def test_budget_is_checked_before_drawing_x(capsys):
     assert code == 2
     assert "above the budget" in capsys.readouterr().err
     assert peak < 2**20
+
+
+def test_base_list_is_budgeted_before_it_is_built(capsys):
+    # --fast at t=1 budgets 16 bytes of outcomes; the list of candidate bases
+    # below N costs an 8-byte slot and a 32-byte int per candidate
+    n = 10_000_000_001
+    tracemalloc.start()
+    try:
+        code = main(["factor", "--fast", "--t", "1", "--n", str(n)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert f"N={n} needs {40 * (n - 2)} bytes, above the budget" in capsys.readouterr().err
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("n, seed, x", [(15, 5, 11), (91, 5, 61), (1001, 3, 813)])
+def test_in_budget_random_base_draws_are_pinned(n, seed, x):
+    args = build_parser().parse_args(
+        ["factor", "--fast", "--t", "1", "--n", str(n), "--seed", str(seed)]
+    )
+    assert resolve_config(args).x == x
 
 
 @pytest.mark.parametrize(

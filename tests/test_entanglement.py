@@ -19,17 +19,17 @@ def product_state(layout, rng):
     vec = qubits[0]
     for q in qubits[1:]:
         vec = np.kron(vec, q)
-    return PureState(layout, vec)
+    return oracles.from_dense(layout, vec)
 
 
 def random_state(layout, rng):
     vec = rng.standard_normal(layout.dim) + 1j * rng.standard_normal(layout.dim)
-    return PureState(layout, vec / np.linalg.norm(vec))
+    return oracles.from_dense(layout, vec / np.linalg.norm(vec))
 
 
 def bell_state():
     lay = RegisterLayout(t=1, L=1)
-    return PureState(lay, np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2))
+    return oracles.from_dense(lay, np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2))
 
 
 def test_weight_term_edges_and_interior():
@@ -61,12 +61,12 @@ def test_hamming_table_requires_divisible_order():
 
 def test_symmetric_overlap_trivial_angles():
     lay = RegisterLayout(t=2, L=1)
-    zero = PureState(lay, np.eye(8, dtype=complex)[0])
+    zero = oracles.from_dense(lay, np.eye(8, dtype=complex)[0])
     assert oracles.symmetric_overlap(zero, 0.0) == pytest.approx(1.0, abs=1e-12)
     rng = np.random.default_rng(4)
     state = random_state(lay, rng)
     got = oracles.symmetric_overlap(state, math.pi)
-    assert got == pytest.approx(complex(state.amplitudes[-1].conjugate()), abs=1e-9)
+    assert got == pytest.approx(complex(oracles.to_dense(state)[-1].conjugate()), abs=1e-9)
 
 
 def test_symmetric_overlap_matches_weight_table_expression(inst15, pipeline15):
@@ -84,7 +84,7 @@ def test_symmetric_overlap_matches_weight_table_expression(inst15, pipeline15):
 
 def test_symmetric_entanglement_product_state_zero():
     lay = RegisterLayout(t=2, L=1)
-    zero = PureState(lay, np.eye(8, dtype=complex)[0])
+    zero = oracles.from_dense(lay, np.eye(8, dtype=complex)[0])
     opt = ent.geometric_entanglement_symmetric(zero)
     assert opt.entanglement == pytest.approx(0.0, abs=1e-12)
     assert opt.alpha_angle == pytest.approx(0.0, abs=1e-6)
@@ -109,7 +109,7 @@ def test_per_weight_maximum_identity():
     for w in range(n + 1):
         vec = np.zeros(lay.dim, dtype=complex)
         vec[(1 << w) - 1] = 1.0  # label with w low bits set
-        opt = ent.geometric_entanglement_symmetric(PureState(lay, vec))
+        opt = ent.geometric_entanglement_symmetric(oracles.from_dense(lay, vec))
         target = ent.hamming_weight_term(w, n)
         assert math.sqrt(opt.overlap_sq) == pytest.approx(target, abs=1e-9)
         if 0 < w < n:
@@ -218,7 +218,7 @@ def test_bruteforce_known_values():
     lay = RegisterLayout(t=2, L=1)
     w = np.zeros(8, dtype=complex)
     w[[1, 2, 4]] = 1 / math.sqrt(3)
-    assert oracles.bruteforce_geometric_entanglement(PureState(lay, w)) == pytest.approx(
+    assert oracles.bruteforce_geometric_entanglement(oracles.from_dense(lay, w)) == pytest.approx(
         5 / 9, abs=1e-9
     )
 
@@ -232,7 +232,7 @@ def test_bruteforce_product_states_vanish():
 
 def test_bruteforce_scale_cap():
     lay = RegisterLayout(t=3, L=1)
-    state = PureState(lay, np.eye(16, dtype=complex)[0])
+    state = oracles.from_dense(lay, np.eye(16, dtype=complex)[0])
     with pytest.raises(ValueError):
         oracles.bruteforce_geometric_entanglement(state)
 
@@ -255,11 +255,8 @@ def pipeline15_t8():
 
 def single_column_state(make_state, t, L, y, rng):
     """make_state's state on t qubits as register A, with register B in |y>."""
-    phi = make_state(RegisterLayout(t=t - 1, L=1), rng).amplitudes
-    lay = RegisterLayout(t=t, L=L)
-    vec = np.zeros(lay.dim, dtype=complex)
-    vec.reshape(lay.Q, lay.dim_b)[:, y] = phi
-    return PureState(lay, vec)
+    phi = oracles.to_dense(make_state(RegisterLayout(t=t - 1, L=1), rng))
+    return PureState(RegisterLayout(t=t, L=L), phi[:, None], [y])
 
 
 def test_product_family_optimizer_on_separable_states():
@@ -363,7 +360,19 @@ def test_product_family_memory_stays_on_register_a():
 def test_weight_coefficients_match_bit_loop():
     rng = np.random.default_rng(5)
     state = random_state(RegisterLayout(t=3, L=3), rng)
+    dense = oracles.to_dense(state)
     expected = np.zeros(state.layout.n + 1, dtype=np.complex128)
-    for i in state.support():
-        expected[int(i).bit_count()] += state.amplitudes[i].conj()
+    for i in np.flatnonzero(np.abs(dense) > 1e-12):
+        expected[int(i).bit_count()] += dense[i].conj()
     assert np.array_equal(ent._weight_coefficients(state), expected)
+
+
+@pytest.mark.parametrize("n, x, t", [(15, 7, 11), (15, 2, 6), (17, 3, 9), (51, 2, 12), (51, 5, 8)])
+def test_hamming_table_matches_bit_count_loop(n, x, t):
+    inst = make_instance(n, x, t=t)
+    table = ent.build_hamming_table(inst)
+    expected = oracles.hamming_table_loop(inst)
+    assert table.n == expected.n
+    for field in ("weights_ab", "weights_as"):
+        got, want = getattr(table, field), getattr(expected, field)
+        assert got.dtype == want.dtype and np.array_equal(got, want)

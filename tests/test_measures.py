@@ -7,14 +7,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    dense_entries,
     dense_geometric_pure,
     dense_l1p_pure,
     dense_tsallis_pure,
     l1p_coherence_density,
+    l1p_coherence_pure,
     pure_density,
     relative_entropy_coherence,
     skew_info_coherence,
+    to_dense,
     tsallis_coherence_density,
+    tsallis_coherence_pure,
 )
 from shormeter import make_instance, run_order_finding_circuit, theorems
 from shormeter.cli import main
@@ -22,9 +26,7 @@ from shormeter.measures import (
     ALPHA_ONE_TOL,
     geometric_coherence_pure,
     l1p_coherence_grid,
-    l1p_coherence_pure,
     tsallis_coherence_grid,
-    tsallis_coherence_pure,
 )
 
 PLUS = np.array([1.0, 1.0]) / math.sqrt(2.0)
@@ -147,8 +149,9 @@ def test_l1p_density_matches_pure_and_l1_reduction():
 
 
 def test_geometric_coherence_values():
-    assert geometric_coherence_pure(uniform(2048)) == pytest.approx(1 - 1 / 2048, abs=1e-12)
-    assert geometric_coherence_pure(np.array([0, 1], dtype=complex)) == 0.0
+    uniform_entries = dense_entries(uniform(2048))
+    assert geometric_coherence_pure(uniform_entries) == pytest.approx(1 - 1 / 2048, abs=1e-12)
+    assert geometric_coherence_pure(dense_entries(np.array([0, 1], dtype=complex))) == 0.0
 
 
 def test_skew_info_identity():
@@ -179,8 +182,8 @@ def test_diagonal_phase_invariance():
             assert tsallis_coherence_pure(rotated, alpha) == pytest.approx(
                 tsallis_coherence_pure(psi, alpha), abs=1e-9
             )
-        assert geometric_coherence_pure(rotated) == pytest.approx(
-            geometric_coherence_pure(psi), abs=1e-12
+        assert geometric_coherence_pure(dense_entries(rotated)) == pytest.approx(
+            geometric_coherence_pure(dense_entries(psi)), abs=1e-12
         )
 
 
@@ -189,21 +192,21 @@ def test_positive_on_coherent_states():
     psi = random_pure(8, rng)
     assert tsallis_coherence_pure(psi, 1.5) > 1e-6
     assert l1p_coherence_pure(psi, 1.5) > 1e-6
-    assert geometric_coherence_pure(psi) > 1e-6
+    assert geometric_coherence_pure(dense_entries(psi)) > 1e-6
 
 
 def test_modexp_stage_keeps_all_coherences(pipeline15):
-    psi1, psi2, _ = pipeline15
+    psi1, psi2 = (to_dense(state) for state in pipeline15[:2])
     for p in (1.0, 1.5, 2.0):
-        assert l1p_coherence_pure(psi2.amplitudes, p) == pytest.approx(
-            l1p_coherence_pure(psi1.amplitudes, p), abs=1e-9
+        assert l1p_coherence_pure(psi2, p) == pytest.approx(
+            l1p_coherence_pure(psi1, p), abs=1e-9
         )
     for alpha in (0.3, 0.5, 1.5, 2.0):
-        assert tsallis_coherence_pure(psi2.amplitudes, alpha) == pytest.approx(
-            tsallis_coherence_pure(psi1.amplitudes, alpha), abs=1e-9
+        assert tsallis_coherence_pure(psi2, alpha) == pytest.approx(
+            tsallis_coherence_pure(psi1, alpha), abs=1e-9
         )
-    assert geometric_coherence_pure(psi2.amplitudes) == pytest.approx(
-        geometric_coherence_pure(psi1.amplitudes), abs=1e-12
+    assert geometric_coherence_pure(dense_entries(psi2)) == pytest.approx(
+        geometric_coherence_pure(dense_entries(psi1)), abs=1e-12
     )
 
 
@@ -256,9 +259,13 @@ ps_st = st.lists(st.one_of(st.floats(1.0, 2.0), st.sampled_from(PS_EDGE)), min_s
 @given(pure_states(), alphas_st, ps_st)
 @example(np.array([1.0, 1.8e-200j, 1.2e-200 + 0j]), [1.0], [1.0])
 def test_grids_equal_dense_expressions(psi, alphas, ps):
-    assert tsallis_coherence_grid(psi, alphas) == [dense_tsallis_pure(psi, a) for a in alphas]
-    assert l1p_coherence_grid(psi, ps) == [dense_l1p_pure(psi, p) for p in ps]
-    assert geometric_coherence_pure(psi) == dense_geometric_pure(psi)
+    tsallis = [dense_tsallis_pure(psi, a) for a in alphas]
+    l1p = [dense_l1p_pure(psi, p) for p in ps]
+    stored = np.flatnonzero(psi)  # entries may leave out any zero amplitude
+    for entries in (dense_entries(psi), (stored, psi[stored], psi.size)):
+        assert tsallis_coherence_grid(entries, alphas) == tsallis
+        assert l1p_coherence_grid(entries, ps) == l1p
+        assert geometric_coherence_pure(entries) == dense_geometric_pure(psi)
     assert tsallis_coherence_pure(psi, alphas[0]) == dense_tsallis_pure(psi, alphas[0])
     assert l1p_coherence_pure(psi, ps[0]) == dense_l1p_pure(psi, ps[0])
 
@@ -276,23 +283,24 @@ def tsallis_rounding(alpha):
 @settings(deadline=None)
 @given(pure_states(), alphas_st, ps_st, st.integers(0, 2**32 - 1))
 def test_measures_invariant_under_permutation(psi, alphas, ps, seed):
-    shuffled = psi[np.random.default_rng(seed).permutation(psi.size)]
-    moved = tsallis_coherence_grid(shuffled, alphas)
-    for alpha, a, b in zip(alphas, moved, tsallis_coherence_grid(psi, alphas)):
+    entries = dense_entries(psi)
+    moved = dense_entries(psi[np.random.default_rng(seed).permutation(psi.size)])
+    tsallis = tsallis_coherence_grid(entries, alphas)
+    for alpha, a, b in zip(alphas, tsallis_coherence_grid(moved, alphas), tsallis):
         assert a == pytest.approx(b, rel=1e-12, abs=tsallis_rounding(alpha))
-    for a, b in zip(l1p_coherence_grid(shuffled, ps), l1p_coherence_grid(psi, ps)):
+    for a, b in zip(l1p_coherence_grid(moved, ps), l1p_coherence_grid(entries, ps)):
         assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
-    assert geometric_coherence_pure(shuffled) == geometric_coherence_pure(psi)
+    assert geometric_coherence_pure(moved) == geometric_coherence_pure(entries)
 
 
 @settings(deadline=None)
 @given(pure_states(), alphas_st, ps_st)
 def test_measures_stay_within_bounds(psi, alphas, ps):
     dim = psi.size
-    assert 0.0 <= geometric_coherence_pure(psi) <= 1.0 - 1.0 / dim + 1e-12
-    for alpha, value in zip(alphas, tsallis_coherence_grid(psi, alphas)):
+    assert 0.0 <= geometric_coherence_pure(dense_entries(psi)) <= 1.0 - 1.0 / dim + 1e-12
+    for alpha, value in zip(alphas, tsallis_coherence_grid(dense_entries(psi), alphas)):
         assert value >= -tsallis_rounding(alpha)
-    for p, value in zip(ps, l1p_coherence_grid(psi, ps)):
+    for p, value in zip(ps, l1p_coherence_grid(dense_entries(psi), ps)):
         assert 0.0 <= value <= (dim - 1) ** (1.0 / p) * (1.0 + 1e-12)
 
 
@@ -301,9 +309,10 @@ def test_basis_state_has_no_coherence():
         for k in {0, dim - 1}:
             basis = np.zeros(dim, dtype=complex)
             basis[k] = 1.0
-            assert tsallis_coherence_grid(basis, ALPHAS_EDGE) == [0.0] * len(ALPHAS_EDGE)
-            assert l1p_coherence_grid(basis, PS_EDGE) == [0.0] * len(PS_EDGE)
-            assert geometric_coherence_pure(basis) == 0.0
+            entries = dense_entries(basis)
+            assert tsallis_coherence_grid(entries, ALPHAS_EDGE) == [0.0] * len(ALPHAS_EDGE)
+            assert l1p_coherence_grid(entries, PS_EDGE) == [0.0] * len(PS_EDGE)
+            assert geometric_coherence_pure(entries) == 0.0
 
 
 def test_grid_edge_points_closed_forms():
@@ -315,18 +324,19 @@ def test_grid_edge_points_closed_forms():
     mods = np.abs(psi)
     nz = probs[probs > 0]
     shannon = -float(np.sum(nz * np.log(nz)))
-    limit = tsallis_coherence_grid(psi, (1.0 - ALPHA_ONE_TOL / 2, 1.0, 1.0 + ALPHA_ONE_TOL / 2))
+    near_one = (1.0 - ALPHA_ONE_TOL / 2, 1.0, 1.0 + ALPHA_ONE_TOL / 2)
+    limit = tsallis_coherence_grid(dense_entries(psi), near_one)
     assert limit == pytest.approx([shannon] * 3, rel=1e-12)
-    c1, c2 = l1p_coherence_grid(psi, (1.0, 2.0))
+    c1, c2 = l1p_coherence_grid(dense_entries(psi), (1.0, 2.0))
     assert c1 == pytest.approx(mods.sum() ** 2 - probs.sum(), rel=1e-12)
     assert c2 == pytest.approx(float(np.sum(mods * np.sqrt(1.0 - probs))), rel=1e-12)
 
 
 def test_grids_reject_out_of_range_points():
     with pytest.raises(ValueError):
-        tsallis_coherence_grid(PLUS, (0.5, 2.5))
+        tsallis_coherence_grid(dense_entries(PLUS), (0.5, 2.5))
     with pytest.raises(ValueError):
-        l1p_coherence_grid(PLUS, (1.5, 0.9))
+        l1p_coherence_grid(dense_entries(PLUS), (1.5, 0.9))
 
 
 @pytest.mark.parametrize("n,x,t", [(15, 7, 11), (21, 2, 10), (49, 3, 10)])
@@ -340,12 +350,14 @@ def test_grids_equal_dense_expressions_on_circuit_states(tmp_path, n, x, t):
         with open(out, newline="") as fh:
             sweeps[measure] = [[float(v) for v in row[:4]] for row in list(csv.reader(fh))[1:]]
     for column, state in enumerate(states, start=1):
-        amps = state.amplitudes
+        entries, amps = state.entries(), to_dense(state)
         for row in sweeps["tsallis"]:
             assert row[column] == dense_tsallis_pure(amps, row[0])
         for row in sweeps["l1p"]:
             assert row[column] == dense_l1p_pure(amps, row[0])
         alphas, ps = theorems.ALPHA_GRID_DEFAULT, theorems.P_GRID_DEFAULT
-        assert tsallis_coherence_grid(amps, alphas) == [dense_tsallis_pure(amps, a) for a in alphas]
-        assert l1p_coherence_grid(amps, ps) == [dense_l1p_pure(amps, p) for p in ps]
-        assert geometric_coherence_pure(amps) == dense_geometric_pure(amps)
+        assert tsallis_coherence_grid(entries, alphas) == [
+            dense_tsallis_pure(amps, a) for a in alphas
+        ]
+        assert l1p_coherence_grid(entries, ps) == [dense_l1p_pure(amps, p) for p in ps]
+        assert geometric_coherence_pure(entries) == dense_geometric_pure(amps)

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import mod_pow
 from shormeter.numtheory import (
@@ -135,6 +137,17 @@ def test_recover_order_never_wrong():
             for k in np.nonzero(probs > 1e-6)[0]:
                 got = recover_order(int(k), inst)
                 assert got is None or got == r
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 63).map(lambda k: 2 * k + 1), t=st.integers(1, 10), data=st.data())
+def test_recover_order_is_exact_or_none_for_every_outcome(n, t, data):
+    x = data.draw(st.sampled_from([c for c in range(1, n) if gcd(c, n) == 1]), label="x")
+    r = find_order_bruteforce(x, n)
+    inst = ShorInstance(N=n, x=x, t=t, L=n.bit_length(), r=r)
+    for k in range(inst.Q):
+        got = recover_order(k, inst)
+        assert got is None or got == r, (k, got)
 
 
 def test_extract_factors_examples():
