@@ -40,6 +40,9 @@ EXIT_CONFIG = 2
 # state; larger configs exit 2 before allocating anything.
 MEMORY_BUDGET_BYTES = 2**28
 MAX_GRID_POINTS = 100_000  # a tiny --grid STEP exits 2 instead of listing unbounded points
+# The brute-force order search takes up to N - 1 modular multiplications
+# (about 1 s at N = 2**23), so a larger N exits 2 before searching.
+MAX_ORDER_SEARCH_N = 2**23
 
 
 def _fmt(value: float) -> str:
@@ -99,6 +102,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(
                 f"{what} needs {need} bytes, above the budget of {MEMORY_BUDGET_BYTES} bytes"
             )
+    if args.n > MAX_ORDER_SEARCH_N:
+        raise ConfigError(
+            f"N={args.n} is above the order-search bound of {MAX_ORDER_SEARCH_N}"
+        )
     x = args.x
     if x is None:
         rng = np.random.default_rng(args.seed)

@@ -3,15 +3,16 @@
 The production path restricts the product-state optimization to the
 one-parameter symmetric family eta(alpha)^(tensor n) with
 eta = cos(alpha/2)|0> + sin(alpha/2)|1>, which is what the closed forms are
-derived from.  Hamming-weight tables over the joint basis labels feed those
-closed forms: `closed_form_overlaps` turns a table into the squared overlaps
-S_ab**2 / Q (post-modexp) and S_as**2 / r**2 (post-transform), and each
-closed form is 1 - overlap.  An alternating optimizer over the *full*
-product-state family is the cross-check on the uniform stage, a product
-state.  That stage occupies one register-B column, so the optimizer runs on
-the Q register-A amplitudes of that column, from the per-qubit marginal
-seed, and stops at the update where the overlap reaches 1 (E_g = 0.0).  The
-dense all-starts optimizer for entangled states is a test oracle.
+derived from.  Each closed form is 1 - overlap, and `closed_form_overlaps`
+is their one entry point: it evaluates the n + 1 per-weight maxima and the
+r phases once each, and sums them over the popcounts of the joint labels
+into the squared overlaps S_ab**2 / Q (post-modexp) and S_as**2 / r**2
+(post-transform).  An alternating optimizer over the *full* product-state
+family is the cross-check on the uniform stage, a product state.  That
+stage occupies one register-B column, so the optimizer runs on the Q
+register-A amplitudes of that column, from the per-qubit marginal seed, and
+stops at the update where the overlap reaches 1 (E_g = 0.0).  The dense
+all-starts optimizer for entangled states is a test oracle.
 
 The post-transform overlap squares a complex sum; since plain squaring and
 squared modulus differ once the sum leaves the real axis, both readings are
@@ -25,7 +26,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -34,15 +35,11 @@ from shormeter.statevec import ZERO_TOL, PureState
 
 __all__ = [
     "ClosedFormOverlaps",
-    "HammingTable",
     "SymmetricOptimum",
-    "build_hamming_table",
     "closed_form_overlaps",
     "geometric_entanglement_product",
     "geometric_entanglement_symmetric",
     "hamming_weight_term",
-    "weight_sum_ab",
-    "weight_sum_as",
 ]
 
 GRID_POINTS = 2048
@@ -63,37 +60,6 @@ def hamming_weight_term(w: int, n: int) -> float:
     lo = ((n - w) / n) ** ((n - w) / 2.0) if w < n else 1.0
     hi = (w / n) ** (w / 2.0) if w > 0 else 1.0
     return lo * hi
-
-
-@dataclass(frozen=True)
-class HammingTable:
-    """Popcounts of the joint labels entering the closed forms.
-
-    weights_ab[a, b] is the popcount of the label (a + b*r, x**a mod N) and
-    weights_as[a, s] that of (s*Q/r, x**a mod N), both under the A-major
-    index convention.  Requires r | Q, because both index families tile the
-    register-A range only then.
-    """
-
-    n: int
-    weights_ab: np.ndarray
-    weights_as: np.ndarray
-
-
-def build_hamming_table(instance: ShorInstance) -> HammingTable:
-    if instance.r is None:
-        raise ValueError("instance needs its order r (call with_order() first)")
-    r, m = instance.r, instance.m
-    if m is None:
-        raise ValueError(f"weight tables need r | Q, but r={r} does not divide Q={instance.Q}")
-    dim_b = 2**instance.L
-    residues = np.array([pow(instance.x, a, instance.N) for a in range(r)], dtype=np.int64)[:, None]
-    rows = np.arange(r, dtype=np.int64)[:, None]
-    labels_ab = (rows + np.arange(m, dtype=np.int64) * r) * dim_b + residues
-    labels_as = np.arange(r, dtype=np.int64) * m * dim_b + residues
-    weights_ab = np.bitwise_count(labels_ab).astype(np.int64)
-    weights_as = np.bitwise_count(labels_as).astype(np.int64)
-    return HammingTable(n=instance.n_qubits, weights_ab=weights_ab, weights_as=weights_as)
 
 
 def _weight_coefficients(state: PureState) -> np.ndarray:
@@ -140,9 +106,7 @@ class SymmetricOptimum:
     overlap_sq: float
 
 
-def geometric_entanglement_symmetric(
-    state: PureState, grid_points: int = GRID_POINTS
-) -> SymmetricOptimum:
+def geometric_entanglement_symmetric(state: PureState) -> SymmetricOptimum:
     """1 - max_alpha |<state|eta(alpha)^n>|**2 over the symmetric family.
 
     A dense grid over [0, pi] seeds a golden-section refinement, which is
@@ -151,7 +115,7 @@ def geometric_entanglement_symmetric(
     """
     coeff = _weight_coefficients(state)
     n = len(coeff) - 1
-    grid = np.linspace(0.0, math.pi, grid_points)
+    grid = np.linspace(0.0, math.pi, GRID_POINTS)
     c = np.cos(grid / 2.0)
     s = np.sin(grid / 2.0)
     w = np.arange(n + 1)
@@ -159,7 +123,7 @@ def geometric_entanglement_symmetric(
     values = np.abs(overlaps) ** 2
     best = int(np.argmax(values))
     lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, grid_points - 1)]
+    hi = grid[min(best + 1, GRID_POINTS - 1)]
 
     def objective(angle: float) -> float:
         return abs(_overlap_from_coefficients(coeff, angle)) ** 2
@@ -170,22 +134,6 @@ def geometric_entanglement_symmetric(
     return SymmetricOptimum(
         entanglement=1.0 - val_star, alpha_angle=alpha_star, overlap_sq=val_star
     )
-
-
-def weight_sum_ab(table: HammingTable) -> float:
-    """Sum of per-weight maxima over the (a, b) label family (a real number)."""
-    return float(sum(hamming_weight_term(int(w), table.n) for w in table.weights_ab.flat))
-
-
-def weight_sum_as(table: HammingTable) -> complex:
-    """Phase-weighted sum of per-weight maxima over the (a, s) family."""
-    r = table.weights_as.shape[0]
-    total = 0.0 + 0.0j
-    for a in range(r):
-        for s in range(r):
-            phase = np.exp(-2.0j * math.pi * ((a * s) % r) / r)
-            total += phase * hamming_weight_term(int(table.weights_as[a, s]), table.n)
-    return complex(total)
 
 
 class ClosedFormOverlaps(NamedTuple):
@@ -201,15 +149,41 @@ class ClosedFormOverlaps(NamedTuple):
     psi3: float
 
 
-def closed_form_overlaps(table: HammingTable, Q: int) -> ClosedFormOverlaps:
-    """Both weight sums of `table`, each computed once, as squared overlaps.
+def closed_form_overlaps(instance: ShorInstance) -> Optional[ClosedFormOverlaps]:
+    """Squared overlaps of the E_g closed forms, or None when r does not divide Q.
 
-    Warns when an entanglement value 1 - overlap leaves [0, 1], which only a
-    non-physical weight table can cause.
+    Labels (a + b*r, x**a mod N) with b < Q/r enter S_ab, and labels
+    (s*Q/r, x**a mod N) with s < r enter S_as with phase exp(-2 pi i a s / r);
+    both families tile register A only when r | Q.
     """
-    s_ab = weight_sum_ab(table)
-    s_as = weight_sum_as(table)
-    r = table.weights_as.shape[0]
+    if instance.r is None:
+        raise ValueError("instance needs its order r (call with_order() first)")
+    r, m = instance.r, instance.m
+    if m is None:
+        return None
+    dim_b = 2**instance.L
+    residues = np.array([pow(instance.x, a, instance.N) for a in range(r)], dtype=np.int64)[:, None]
+    rows = np.arange(r, dtype=np.int64)[:, None]
+    weights_ab = np.bitwise_count((rows + np.arange(m, dtype=np.int64) * r) * dim_b + residues)
+    weights_as = np.bitwise_count(np.arange(r, dtype=np.int64) * m * dim_b + residues)
+    return _overlaps_from_weights(weights_ab, weights_as, instance.n_qubits, instance.Q)
+
+
+def _overlaps_from_weights(
+    weights_ab: np.ndarray, weights_as: np.ndarray, n: int, Q: int
+) -> ClosedFormOverlaps:
+    """Both weight sums over the popcount grids (a-major), as squared overlaps.
+
+    The sums accumulate left to right (np.cumsum), so their floats do not
+    depend on the interpreter's sum().  Warns when an entanglement value
+    1 - overlap leaves [0, 1], which only non-physical weights can cause.
+    """
+    r = weights_as.shape[0]
+    terms = np.array([hamming_weight_term(w, n) for w in range(n + 1)])
+    phases = np.array([np.exp(-2.0j * math.pi * k / r) for k in range(r)])
+    exponents = np.arange(r)[:, None] * np.arange(r) % r
+    s_ab = float(np.cumsum(terms[weights_ab])[-1])
+    s_as = complex(np.cumsum(phases[exponents] * terms[weights_as])[-1])
     overlaps = ClosedFormOverlaps(
         psi2=s_ab * s_ab / Q,
         psi3_literal=(s_as * s_as).real / r**2,
@@ -220,7 +194,7 @@ def closed_form_overlaps(table: HammingTable, Q: int) -> ClosedFormOverlaps:
             warnings.warn(
                 f"closed-form {stage} entanglement {1.0 - overlap!r} outside [0, 1]; "
                 "non-physical weight table",
-                stacklevel=2,
+                stacklevel=3,
             )
     return overlaps
 

@@ -105,7 +105,7 @@ class ShorInstance:
             raise ValueError(f"t must be >= 1, got {self.t}")
         if 2**self.L < self.N + 1:
             raise ValueError(f"register B too small: 2**{self.L} < {self.N + 1}")
-        if self.r is not None and self.r != find_order_bruteforce(self.x, self.N):
+        if self.r is not None and not _is_order(self.x, self.N, self.r):
             raise ValueError(f"r={self.r} is not the order of {self.x} mod {self.N}")
 
     @property
@@ -180,6 +180,11 @@ def _divisors(n: int) -> list[int]:
                 large.append(n // i)
         i += 1
     return small + large[::-1]
+
+
+def _is_order(x: int, n: int, r: int) -> bool:
+    """True iff r is the order of x mod n: x**r == 1 and no smaller divisor of r maps x to 1."""
+    return r >= 1 and pow(x, r, n) == 1 and _order_from_multiple(x, n, r) == r
 
 
 def _order_from_multiple(x: int, n: int, multiple: int) -> int:

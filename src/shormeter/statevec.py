@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -284,13 +284,8 @@ def outcome_distribution(r: int, q: int) -> OutcomeDistribution:
     return OutcomeDistribution(total / (float(q) * q))
 
 
-def sample_outcome(
-    distribution: OutcomeDistribution,
-    rng: Union[int, np.random.Generator],
-) -> int:
-    """Inverse-CDF draw of one outcome; an int seeds a fresh generator."""
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
+def sample_outcome(distribution: OutcomeDistribution, rng: np.random.Generator) -> int:
+    """Inverse-CDF draw of one outcome."""
     cdf = np.cumsum(distribution.probabilities)
     u = rng.random() * cdf[-1]
     k = int(np.searchsorted(cdf, u, side="right"))

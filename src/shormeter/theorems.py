@@ -5,11 +5,11 @@ after the modular-exponentiation unitary, "psi3" after the inverse Fourier
 transform.  Each coherence closed form depends on one number, the count D of
 equal-weight basis states: D = Q before the transform and D = r**2 after it
 (r | Q).  The entanglement closed forms are 1 - overlap, with the squared
-overlaps computed once per run from the weight table.  Coherence closed
-forms are hard-gated against the simulator at 1e-9; entanglement rows are
-reported with their gaps but never gated, because the closed forms take
-each overlap term at its own optimal angle rather than a shared one, so
-they need not coincide with a single-angle numeric optimum.
+overlaps computed once per run.  Coherence closed forms are hard-gated
+against the simulator at 1e-9; entanglement rows are reported with their
+gaps but never gated, because the closed forms take each overlap term at
+its own optimal angle rather than a shared one, so they need not coincide
+with a single-angle numeric optimum.
 """
 
 from __future__ import annotations
@@ -307,13 +307,11 @@ def verify_all(
 ) -> tuple[dict[str, MeasureReport], Optional[ent.ClosedFormOverlaps]]:
     """Verify every stage of the simulated circuit `states`.
 
-    This is where a run builds its weight table and closed-form overlaps,
-    once, when r | Q; they are returned beside the reports so the ledger can
-    reuse them (None when r does not divide Q).
+    This is where a run computes its closed-form overlaps, once; they are
+    returned beside the reports so the ledger can reuse them (None when r
+    does not divide Q).
     """
-    overlaps = None
-    if instance.m is not None:
-        overlaps = ent.closed_form_overlaps(ent.build_hamming_table(instance), instance.Q)
+    overlaps = ent.closed_form_overlaps(instance)
     reports = {
         stage: verify_stage(stage, instance, state=state, overlaps=overlaps)
         for stage, state in zip(STAGES, states)

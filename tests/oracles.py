@@ -10,8 +10,8 @@ coherences are included because the Tsallis family reduces to them at
 alpha -> 1 and alpha = 1/2.  The circuit and entanglement oracles (dense
 materialization of column-stored states, all-column Hadamard layer, inverse
 transform and modexp on dense vectors, ideal post-transform state,
-dual-path outcome probability, forward transform, loop-built weight table,
-dense all-starts product-family optimizer, brute-force product-state
+dual-path outcome probability, forward transform, loop-summed closed-form
+overlaps, dense all-starts product-family optimizer, brute-force product-state
 search, symmetric overlap, alpha-peak search) and small helpers
 (`mod_pow`, `register_b_support`, `dump_nonzero_json`) serve only the
 tests, so they are kept out of the library.
@@ -22,15 +22,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from shormeter.entanglement import (
-    HammingTable,
+    ClosedFormOverlaps,
     _overlap_from_coefficients,
     _weight_coefficients,
     geometric_entanglement_symmetric,
+    hamming_weight_term,
 )
 from shormeter.measures import (
     ALPHA_ONE_TOL,
@@ -216,20 +217,32 @@ def dump_nonzero_json(state: PureState) -> str:
     return json.dumps(triples)
 
 
-def hamming_table_loop(instance: ShorInstance) -> HammingTable:
-    """Weight table built label by label with int.bit_count."""
+def weight_sums_loop(instance: ShorInstance) -> tuple[float, complex]:
+    """S_ab and S_as label by label: int.bit_count popcounts, += left to right, a-major."""
     r, m = instance.r, instance.m
-    dim_b = 2**instance.L
-    residues = [pow(instance.x, a, instance.N) for a in range(r)]
-    weights_ab = np.empty((r, m), dtype=np.int64)
-    weights_as = np.empty((r, r), dtype=np.int64)
+    n, dim_b = instance.n_qubits, 2**instance.L
+    s_ab, s_as = 0.0, 0.0 + 0.0j
     for a in range(r):
-        y = residues[a]
+        y = pow(instance.x, a, instance.N)
         for b in range(m):
-            weights_ab[a, b] = ((a + b * r) * dim_b + y).bit_count()
+            s_ab += hamming_weight_term(((a + b * r) * dim_b + y).bit_count(), n)
         for s in range(r):
-            weights_as[a, s] = ((s * m) * dim_b + y).bit_count()
-    return HammingTable(n=instance.n_qubits, weights_ab=weights_ab, weights_as=weights_as)
+            phase = np.exp(-2.0j * math.pi * ((a * s) % r) / r)
+            s_as += phase * hamming_weight_term(((s * m) * dim_b + y).bit_count(), n)
+    return s_ab, complex(s_as)
+
+
+def closed_form_overlaps_loop(instance: ShorInstance) -> Optional[ClosedFormOverlaps]:
+    """Reference for `closed_form_overlaps` from `weight_sums_loop`; None unless r | Q."""
+    if instance.m is None:
+        return None
+    s_ab, s_as = weight_sums_loop(instance)
+    r = instance.r
+    return ClosedFormOverlaps(
+        psi2=s_ab * s_ab / instance.Q,
+        psi3_literal=(s_as * s_as).real / r**2,
+        psi3=abs(s_as) ** 2 / r**2,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -47,8 +47,7 @@ def test_criterion_2_uniform_stage_entanglement_vanishes(pipeline15):
 
 
 def test_criterion_3_post_modexp_entanglement_closed_form(inst15):
-    table = ent.build_hamming_table(inst15)
-    value = 1.0 - ent.closed_form_overlaps(table, inst15.Q).psi2
+    value = 1.0 - ent.closed_form_overlaps(inst15).psi2
     ok = abs(value - 0.8445) <= 1e-3
     check(3, ok, f"closed-form E_g(psi2) = {value!r} vs printed 0.8445")
 
@@ -61,8 +60,7 @@ def test_criterion_4_final_stage_geometric_coherence(inst15):
 
 
 def test_criterion_5_final_stage_entanglement_closed_form(inst15):
-    table = ent.build_hamming_table(inst15)
-    overlaps = ent.closed_form_overlaps(table, inst15.Q)
+    overlaps = ent.closed_form_overlaps(inst15)
     modulus_squared, literal = 1.0 - overlaps.psi3, 1.0 - overlaps.psi3_literal
     ok = abs(modulus_squared - 0.9876) <= 1e-3 and abs(literal - 0.9876) <= 1e-3
     check(
@@ -74,7 +72,7 @@ def test_criterion_5_final_stage_entanglement_closed_form(inst15):
 
 
 def test_criterion_6_geometric_coherence_variation(inst15):
-    overlaps = ent.closed_form_overlaps(ent.build_hamming_table(inst15), inst15.Q)
+    overlaps = ent.closed_form_overlaps(inst15)
     c_g = theorems.algorithm_variations(2048, 4, 1.0, 2.0, overlaps)["C_g"]
     target = 1.0 / 2048.0 - 1.0 / 16.0
     additive = abs(c_g["U"] + c_g["F_dagger"] - c_g["total"]) <= 1e-9
@@ -223,9 +221,7 @@ def test_criterion_12_property_suite():
     signs_ok = True
     for n, x in ((15, 7), (15, 2), (21, 2)):
         inst = make_instance(n, x)
-        overlaps = None
-        if inst.m is not None:
-            overlaps = ent.closed_form_overlaps(ent.build_hamming_table(inst), inst.Q)
+        overlaps = ent.closed_form_overlaps(inst)
         for p in (1.0, 2.0):
             for alpha in (0.5, 1.5, 2.0):
                 ledger = theorems.algorithm_variations(inst.Q, inst.r, p, alpha, overlaps)

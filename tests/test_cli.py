@@ -186,7 +186,7 @@ def test_factor_rejects_max_attempts_below_one(capsys):
 
 @pytest.mark.parametrize("command", ["simulate", "verify"])
 def test_run_builds_weight_table_once(tmp_path, monkeypatch, command):
-    calls = {name: 0 for name in ("build_hamming_table", "weight_sum_ab", "weight_sum_as")}
+    calls = {name: 0 for name in ("closed_form_overlaps", "hamming_weight_term")}
 
     def counting(name):
         original = getattr(ent, name)
@@ -201,8 +201,9 @@ def test_run_builds_weight_table_once(tmp_path, monkeypatch, command):
         monkeypatch.setattr(ent, name, counting(name))
     code, _ = run_to_file(tmp_path, "run.json", [command, "--n", "15", "--x", "7", "--t", "8"])
     assert code == 0
-    # the table and both weight sums are computed once and shared by every E_g entry
-    assert calls == {"build_hamming_table": 1, "weight_sum_ab": 1, "weight_sum_as": 1}
+    # the overlaps are computed once and shared by every E_g entry, from one
+    # evaluation of each of the n + 1 = 13 per-weight maxima
+    assert calls == {"closed_form_overlaps": 1, "hamming_weight_term": 13}
 
 
 def test_verify_passes(tmp_path):
@@ -299,6 +300,20 @@ def test_base_list_is_budgeted_before_it_is_built(capsys):
     assert code == 2
     assert f"N={n} needs {40 * (n - 2)} bytes, above the budget" in capsys.readouterr().err
     assert peak < 2**20
+
+
+def test_order_search_is_bounded_before_it_starts(capsys, monkeypatch):
+    # with --x no list of bases is built, so the bound on N is what stops a
+    # brute-force order search of up to N - 1 steps
+    import shormeter.numtheory
+
+    def fail(*args):
+        raise AssertionError("the order search ran")
+
+    monkeypatch.setattr(shormeter.numtheory, "find_order_bruteforce", fail)
+    code = main(["factor", "--fast", "--t", "1", "--n", "10000000001", "--x", "2"])
+    assert code == 2
+    assert f"order-search bound of {2**23}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n, seed, x", [(15, 5, 11), (91, 5, 61), (1001, 3, 813)])

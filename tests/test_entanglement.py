@@ -42,21 +42,32 @@ def test_weight_term_edges_and_interior():
         ent.hamming_weight_term(16, 15)
 
 
-def test_hamming_table_entries(inst15):
-    table = ent.build_hamming_table(inst15)
-    assert table.weights_ab.shape == (4, 512)
-    assert table.weights_as.shape == (4, 4)
-    assert table.weights_ab[0, 0] == 1  # label (0, 1) -> popcount 1
-    assert table.weights_as[1, 1] == 4  # label 8192 + 7 -> popcount 4
-    assert table.weights_ab.max() <= 15 and table.weights_as.max() <= 15
-    assert table.weights_ab.min() >= 0
+def test_closed_form_overlaps_evaluate_each_weight_and_phase_once(monkeypatch, inst15):
+    weights, phases = [], []
+    term, exp = ent.hamming_weight_term, np.exp
+
+    def counted_term(w, n):
+        weights.append((w, n))
+        return term(w, n)
+
+    def counted_exp(z):
+        phases.append(z)
+        return exp(z)
+
+    monkeypatch.setattr(ent, "hamming_weight_term", counted_term)
+    monkeypatch.setattr(ent.np, "exp", counted_exp)
+    ent.closed_form_overlaps(inst15)
+    assert weights == [(w, 15) for w in range(16)]
+    assert len(phases) == inst15.r
 
 
 def test_hamming_table_requires_divisible_order():
-    from shormeter import make_instance
-
-    with pytest.raises(ValueError, match="divide"):
-        ent.build_hamming_table(make_instance(21, 2))
+    inst = make_instance(21, 2)
+    assert inst.m is None
+    assert ent.closed_form_overlaps(inst) is None
+    assert oracles.closed_form_overlaps_loop(inst) is None
+    with pytest.raises(ValueError, match="with_order"):
+        ent.closed_form_overlaps(make_instance(21, 2, with_order=False))
 
 
 def test_symmetric_overlap_trivial_angles():
@@ -72,13 +83,12 @@ def test_symmetric_overlap_trivial_angles():
 def test_symmetric_overlap_matches_weight_table_expression(inst15, pipeline15):
     # the one-pass overlap must equal the per-weight-table double sum
     psi2 = pipeline15[1]
-    table = ent.build_hamming_table(inst15)
     n, q = 15, inst15.Q
+    # the (a, b) labels are j * 2**L + x**j mod N for j < Q
+    weights = [(j * 2**inst15.L + pow(inst15.x, j, inst15.N)).bit_count() for j in range(q)]
     for angle in (0.3, 1.0, 1.7, 2.9):
         c, s = math.cos(angle / 2), math.sin(angle / 2)
-        expected = sum(
-            c ** (n - int(w)) * s ** int(w) for w in table.weights_ab.flat
-        ) / math.sqrt(q)
+        expected = sum(c ** (n - w) * s**w for w in weights) / math.sqrt(q)
         assert oracles.symmetric_overlap(psi2, angle) == pytest.approx(expected, abs=1e-9)
 
 
@@ -95,11 +105,13 @@ def test_symmetric_entanglement_bell():
     assert opt.entanglement == pytest.approx(0.5, abs=1e-9)
 
 
-def test_symmetric_entanglement_grid_doubling_invariance(pipeline15):
-    for state in pipeline15[1:]:
-        coarse = ent.geometric_entanglement_symmetric(state, grid_points=2048)
-        fine = ent.geometric_entanglement_symmetric(state, grid_points=4096)
-        assert abs(coarse.entanglement - fine.entanglement) < 1e-9
+def test_symmetric_entanglement_grid_doubling_invariance(monkeypatch, pipeline15):
+    assert ent.GRID_POINTS == 2048
+    coarse = [ent.geometric_entanglement_symmetric(state) for state in pipeline15[1:]]
+    monkeypatch.setattr(ent, "GRID_POINTS", 4096)
+    fine = [ent.geometric_entanglement_symmetric(state) for state in pipeline15[1:]]
+    for c, f in zip(coarse, fine):
+        assert abs(c.entanglement - f.entanglement) < 1e-9
 
 
 def test_per_weight_maximum_identity():
@@ -118,94 +130,81 @@ def test_per_weight_maximum_identity():
 
 
 def test_closed_form_psi2_value(inst15):
-    table = ent.build_hamming_table(inst15)
-    value = 1 - ent.closed_form_overlaps(table, inst15.Q).psi2
+    value = 1 - ent.closed_form_overlaps(inst15).psi2
     assert value == pytest.approx(0.8445, abs=1e-3)
 
 
 def test_closed_form_psi2_degenerate_table_warns(inst15):
-    table = ent.HammingTable(
-        n=15,
-        weights_ab=np.zeros((4, 512), dtype=np.int64),
-        weights_as=np.zeros((4, 4), dtype=np.int64),
-    )
+    weights_ab = np.zeros((4, 512), dtype=np.int64)
+    weights_as = np.zeros((4, 4), dtype=np.int64)
     with pytest.warns(UserWarning, match="non-physical"):
-        value = 1 - ent.closed_form_overlaps(table, inst15.Q).psi2
+        value = 1 - ent._overlaps_from_weights(weights_ab, weights_as, 15, inst15.Q).psi2
     assert value == pytest.approx(1 - inst15.Q)
 
 
 def test_closed_form_psi2_single_term_collapse(inst15):
     w = 6
-    table = ent.HammingTable(
-        n=15,
-        weights_ab=np.array([[w]], dtype=np.int64),
-        weights_as=np.array([[w]], dtype=np.int64),
-    )
+    single = np.array([[w]], dtype=np.int64)
     expected = 1 - ent.hamming_weight_term(w, 15) ** 2 / inst15.Q
-    assert 1 - ent.closed_form_overlaps(table, inst15.Q).psi2 == pytest.approx(expected, rel=1e-12)
+    overlaps = ent._overlaps_from_weights(single, single, 15, inst15.Q)
+    assert 1 - overlaps.psi2 == pytest.approx(expected, rel=1e-12)
 
 
 def test_closed_form_psi3_value(inst15):
-    table = ent.build_hamming_table(inst15)
-    overlaps = ent.closed_form_overlaps(table, inst15.Q)
+    overlaps = ent.closed_form_overlaps(inst15)
     assert 1 - overlaps.psi3 == pytest.approx(0.9876, abs=1e-3)
     assert 1 - overlaps.psi3_literal == pytest.approx(0.9876, abs=1e-3)
     # the phase-weighted sum is real for this instance, so the readings agree
-    assert abs(ent.weight_sum_as(table).imag) < 1e-12
-    total = ent.weight_sum_as(table)
+    _, total = oracles.weight_sums_loop(inst15)
+    assert abs(total.imag) < 1e-12
     assert overlaps.psi3 == abs(total) ** 2 / 16
     assert overlaps.psi3_literal == (total * total).real / 16
 
 
 def test_closed_form_overlaps_warn_outside_unit_interval(inst15):
     # r = 2 with a light (a, s) = (1, 1) term: S_as ~ 3 > r, so 1 - |S_as|**2 / r**2 < 0
-    table = ent.HammingTable(
-        n=15,
-        weights_ab=np.full((2, 2), 7, dtype=np.int64),
-        weights_as=np.array([[0, 0], [0, 7]], dtype=np.int64),
-    )
+    weights_ab = np.full((2, 2), 7, dtype=np.int64)
+    weights_as = np.array([[0, 0], [0, 7]], dtype=np.int64)
     with pytest.warns(UserWarning, match="outside") as record:
-        overlaps = ent.closed_form_overlaps(table, inst15.Q)
+        overlaps = ent._overlaps_from_weights(weights_ab, weights_as, 15, inst15.Q)
     assert len(record) == 1 and "psi3" in str(record[0].message)
     assert overlaps.psi3 > 1.0
 
 
 def test_closed_form_psi3_hand_sum():
     # r = 2 with all-equal weights: phases are {+1, +1, +1, -1}
+    # (the sign of S_as never reaches an output: r**2 * overlap is |S_as|**2)
     w, n = 7, 15
-    table = ent.HammingTable(
-        n=n,
-        weights_ab=np.zeros((2, 2), dtype=np.int64),
-        weights_as=np.full((2, 2), w, dtype=np.int64),
-    )
+    weights_as = np.full((2, 2), w, dtype=np.int64)
     term = ent.hamming_weight_term(w, n)
-    total = ent.weight_sum_as(table)
-    assert total == pytest.approx(2 * term, abs=1e-12)
+    overlaps = ent._overlaps_from_weights(np.zeros((2, 2), dtype=np.int64), weights_as, n, 16)
+    assert 4 * overlaps.psi3 == pytest.approx((2 * term) ** 2, abs=1e-12)
+    assert 4 * overlaps.psi3_literal == pytest.approx((2 * term) ** 2, abs=1e-12)
 
 
 def test_closed_form_psi3_trivial_order():
     from shormeter.numtheory import ShorInstance
 
     inst = ShorInstance(N=15, x=1, t=3, L=4, r=1)
-    table = ent.build_hamming_table(inst)
-    overlaps = ent.closed_form_overlaps(table, inst.Q)
+    overlaps = ent.closed_form_overlaps(inst)
     assert overlaps.psi3_literal == pytest.approx(overlaps.psi3, abs=1e-12)
 
 
 def test_gamma_factor_values_and_identity(inst15):
     # gamma = S**2 = D * overlap (D = Q for psi2, r**2 for psi3) links the
     # geometric quantities of a stage: C_g + (1 - E_g) / gamma == 1
-    table = ent.build_hamming_table(inst15)
-    overlaps = ent.closed_form_overlaps(table, inst15.Q)
+    overlaps = ent.closed_form_overlaps(inst15)
     eg2, eg3 = 1 - overlaps.psi2, 1 - overlaps.psi3
-    g_ab = ent.weight_sum_ab(table) ** 2
+    s_ab, s_as = oracles.weight_sums_loop(inst15)
+    g_ab = inst15.Q * overlaps.psi2  # S_ab**2
+    assert g_ab == pytest.approx(s_ab**2, rel=1e-12)
     assert g_ab == pytest.approx(2048 * (1 - eg2), rel=1e-12)
     assert g_ab == pytest.approx(318.5, abs=0.1)
     assert 0.0 < g_ab < inst15.Q
     c_g2 = 1 - 1 / inst15.Q
     assert c_g2 + (1 - eg2) / g_ab == pytest.approx(1.0, abs=1e-9)
-    g_as = abs(ent.weight_sum_as(table)) ** 2
-    assert g_as == pytest.approx(16 * overlaps.psi3, rel=1e-12)
+    g_as = inst15.r**2 * overlaps.psi3  # |S_as|**2
+    assert g_as == pytest.approx(abs(s_as) ** 2, rel=1e-12)
     assert 0.0 < g_as < inst15.r**2
     assert (1 - 1 / 16) + (1 - eg3) / g_as == pytest.approx(1.0, abs=1e-9)
     # gamma > 1 iff geometric coherence exceeds entanglement at that stage
@@ -367,12 +366,12 @@ def test_weight_coefficients_match_bit_loop():
     assert np.array_equal(ent._weight_coefficients(state), expected)
 
 
-@pytest.mark.parametrize("n, x, t", [(15, 7, 11), (15, 2, 6), (17, 3, 9), (51, 2, 12), (51, 5, 8)])
+# orders r = 4, 4, 16, 8, 16, 1, 2
+@pytest.mark.parametrize(
+    "n, x, t", [(15, 7, 11), (15, 2, 6), (17, 3, 9), (51, 2, 12), (51, 5, 8), (15, 1, 3), (15, 4, 8)]
+)
 def test_hamming_table_matches_bit_count_loop(n, x, t):
+    # the popcount grids and weight sums behind the closed forms, bit for bit
     inst = make_instance(n, x, t=t)
-    table = ent.build_hamming_table(inst)
-    expected = oracles.hamming_table_loop(inst)
-    assert table.n == expected.n
-    for field in ("weights_ab", "weights_as"):
-        got, want = getattr(table, field), getattr(expected, field)
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+    got, want = ent.closed_form_overlaps(inst), oracles.closed_form_overlaps_loop(inst)
+    assert [v.hex() for v in got] == [v.hex() for v in want]

@@ -3,9 +3,13 @@
 The files under ``tests/data/golden/`` hold the exact output of the
 commands below, and a change that keeps the report bytes must reproduce
 them byte for byte (``simulate`` and ``verify`` on N=15, where r | Q, and on
-N=21, where it does not).  They pin the output of numpy 2.4.6; another
-numpy may round FFTs and reductions differently, and regenerating them
-(run each command with ``--out``) is then a deliberate step.
+N=21, where it does not; ``simulate`` on N=51 and N=17, whose orders 8 and
+16 give irrational phases in the post-transform closed-form sum).  They pin
+the output of numpy 2.4.6; another numpy may round FFTs and reductions
+differently, and regenerating them (run each command with ``--out``) is
+then a deliberate step.  The closed-form sums accumulate left to right with
+numpy, so they no longer depend on the interpreter's builtin ``sum()``,
+which compensates from Python 3.12 on.
 """
 
 from pathlib import Path
@@ -21,6 +25,8 @@ CASES = {
     "simulate_n15_x7_t8.csv": "simulate --n 15 --x 7 --t 8 --format csv",
     "simulate_n21_x2_t10.json": "simulate --n 21 --x 2 --t 10",
     "simulate_n21_x2_t10.csv": "simulate --n 21 --x 2 --t 10 --format csv",
+    "simulate_n51_x2_t12.json": "simulate --n 51 --x 2 --t 12",
+    "simulate_n17_x3_t8.json": "simulate --n 17 --x 3 --t 8",
     "verify_n15_x7_t8.json": "verify --n 15 --x 7 --t 8",
     "verify_n21_x2_t10.json": "verify --n 21 --x 2 --t 10",
     "sweep_l1p_n15_x7_t8.csv": "sweep --n 15 --x 7 --t 8 --measure l1p",

@@ -175,6 +175,36 @@ def test_instance_invariants():
         ShorInstance(N=15, x=7, t=11, L=4, r=3)  # not the order
 
 
+def test_with_order_searches_once(monkeypatch):
+    import shormeter.numtheory as nt
+
+    calls = []
+
+    def counted(x, n):
+        calls.append((x, n))
+        return find_order_bruteforce(x, n)
+
+    monkeypatch.setattr(nt, "find_order_bruteforce", counted)
+    inst = ShorInstance(N=91, x=2, t=4, L=7).with_order()
+    assert inst.r == 12 and calls == [(2, 91)]
+
+
+@given(n=st.integers(3, 200).filter(lambda v: v % 2 == 1), x=st.integers(1, 199))
+@settings(max_examples=60, deadline=None)
+def test_instance_accepts_exactly_the_order(n, x):
+    # x**r == 1 with x**d != 1 for every proper divisor d of r holds for the order alone
+    x = x % n or 1
+    if gcd(x, n) != 1:
+        return
+    order = find_order_bruteforce(x, n)
+    for r in range(-2, 2 * n):
+        if r == order:
+            assert ShorInstance(N=n, x=x, t=4, L=n.bit_length(), r=r).r == order
+        else:
+            with pytest.raises(ValueError, match="not the order"):
+                ShorInstance(N=n, x=x, t=4, L=n.bit_length(), r=r)
+
+
 def test_instance_without_divisible_order():
     inst = make_instance(21, 2)
     assert inst.r == 6

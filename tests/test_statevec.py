@@ -443,7 +443,7 @@ def test_outcome_distribution_rejects_dimension_beyond_int64_phases():
 def test_sample_outcome_delta_distribution():
     dist = OutcomeDistribution(np.array([0.0, 0.0, 1.0, 0.0]))
     for seed in (0, 1, 12345):
-        assert sample_outcome(dist, seed) == 2
+        assert sample_outcome(dist, np.random.default_rng(seed)) == 2
 
 
 def test_sample_outcome_frequencies(inst15, pipeline15):

@@ -14,7 +14,7 @@ from shormeter import make_instance, run_order_finding_circuit, theorems
 
 
 def overlaps_for(inst):
-    return ent.closed_form_overlaps(ent.build_hamming_table(inst), inst.Q)
+    return ent.closed_form_overlaps(inst)
 
 
 def test_closed_forms_psi1_values():
