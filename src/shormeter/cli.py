@@ -35,10 +35,13 @@ EXIT_VERIFY_FAIL = 1
 EXIT_CONFIG = 2
 
 # Byte budget of a run: 16 per basis state (bounding the stored columns and
-# the float64 sum buffers, 8 per basis state), 8 per --fast outcome, and,
-# without --x, the list of candidate bases.  2**28 bytes is a 24-qubit dense
-# state; larger configs exit 2 before allocating anything.
+# the float64 sum buffers, 8 per basis state), FAST_BYTES_PER_OUTCOME per
+# --fast outcome, and, without --x, the list of candidate bases.  2**28 bytes
+# is a 24-qubit dense state; larger configs exit 2 before allocating anything.
 MEMORY_BUDGET_BYTES = 2**28
+# Traced peak of `factor --fast` per outcome, rounded up: the four Q-long
+# buffers of `statevec.outcome_distribution` (32.1 bytes at Q = 2**20).
+FAST_BYTES_PER_OUTCOME = 33
 MAX_GRID_POINTS = 100_000  # a tiny --grid STEP exits 2 instead of listing unbounded points
 # The brute-force order search takes up to N - 1 modular multiplications
 # (about 1 s at N = 2**23), so a larger N exits 2 before searching.
@@ -91,7 +94,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"t must be >= 1, got {t}")
     q = 2**t
     if args.command == "factor" and args.fast:
-        budget = [(8 * q, f"the outcome vector over Q=2**{t} outcomes")]
+        budget = [(FAST_BYTES_PER_OUTCOME * q, f"the outcome buffers over Q=2**{t} outcomes")]
     else:
         budget = [(16 * 2 ** (t + sizes.L), f"the dense state on {t + sizes.L} qubits")]
     if args.x is None:  # a list slot and an int object per candidate base

@@ -63,7 +63,11 @@ def hamming_weight_term(w: int, n: int) -> float:
 
 
 def _weight_coefficients(state: PureState) -> np.ndarray:
-    """Conjugated amplitude sums grouped by the Hamming weight of the label."""
+    """Conjugated amplitude sums grouped by the Hamming weight of the label.
+
+    The boolean mask reads the (Q, k) entries row by row, so np.add.at
+    accumulates each weight in the dense order.
+    """
     positions, amplitudes, _ = state.entries()
     keep = np.abs(amplitudes) > ZERO_TOL
     coeff = np.zeros(state.layout.n + 1, dtype=np.complex128)

@@ -3,13 +3,14 @@
 Three measures: the Tsallis relative alpha-entropy of coherence, the
 column-wise l_{1,p} norm of coherence, and geometric coherence.  A state
 arrives as the triple (positions, amplitudes, dimension) of its stored
-entries, positions increasing (`PureState.entries`); amplitudes outside the
-positions are zero.  Zero amplitudes add nothing to any measure, so each
-call first reduces the entries to their nonzero support (positions, |c|**2
-and, for l_{1,p}, |c| there).  A grid function evaluates a whole parameter
-grid from that reduction.  Each grid point raises only the support values,
-scatters them into a zeroed float64 buffer of the full dimension and sums
-that buffer, so every value is the same float as the dense expression over
+entries (`PureState.entries`): two arrays of one shape whose row-major
+order has increasing positions; amplitudes outside the positions are zero.
+Zero amplitudes add nothing to any measure, so each call first reduces the
+entries to their nonzero support (positions, |c|**2 and, for l_{1,p}, |c|
+there).  A grid function evaluates a whole parameter grid from that
+reduction.  Each grid point raises only the support values, scatters them
+into a zeroed float64 buffer of the full dimension and sums that buffer,
+so every value is the same float as the dense expression over
 all amplitudes (0.0**e is +0.0 for e > 0, and the pairwise sum sees the
 same values at the same positions).  The density-matrix oracles, the dense
 expressions and the single-point wrappers live with the tests.
@@ -53,15 +54,15 @@ def _support(entries: Entries, modulus: bool = False) -> tuple[np.ndarray, np.nd
     adds nothing to the dense |c|**2 expressions but does add to the dense
     l_{1,p} sums, so it stays in the |c| support.  Positions stay intp:
     numpy converts any other index dtype to intp on every fancy-index
-    operation.
+    operation.  The values are formed element by element in the layout of
+    the amplitudes, then read in row-major order, which is the order of the
+    positions.
     """
     positions, amps, dim = entries
-    if modulus:
-        keep = np.flatnonzero(amps)
-        return positions[keep], np.abs(amps[keep]), dim
-    probs = amps.real**2 + amps.imag**2
-    keep = np.flatnonzero(probs)
-    return positions[keep], probs[keep], dim
+    values = np.abs(amps) if modulus else amps.real**2 + amps.imag**2
+    values = values.ravel()
+    keep = np.flatnonzero(values)
+    return positions.ravel()[keep], values[keep], dim
 
 
 def tsallis_coherence_grid(entries: Entries, alphas: Iterable[float]) -> list[float]:

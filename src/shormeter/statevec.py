@@ -7,13 +7,15 @@ entanglement closed forms consume.
 
 A state stores only its occupied register-B columns, those holding any
 exactly nonzero amplitude: a (Q, k) block and the k sorted labels of its
-columns, whose row-major order is the dense joint order.  In the circuit k
-is 1 before modexp and r (the residues x**a mod N) after it.  The register-A
-gates (Hadamard layer, inverse Fourier transform) transform the block and
-keep the labels; modular exponentiation relabels it.  Nothing allocates the
-2**(t+L) complex amplitudes: only the float64 sum buffers of the measures
-and of `measurement_distribution_A` have that size, to keep numpy's dense
-summation order.
+columns.  In the circuit k is 1 before modexp and r (the residues x**a mod
+N) after it.  The block is column-major, so each column is one contiguous
+run of Q amplitudes; its logical row-major order is the dense joint order,
+in which `PureState.entries` is read.  The register-A gates (Hadamard layer,
+inverse Fourier transform) transform the block and keep the labels; modular
+exponentiation relabels it.  Nothing allocates the 2**(t+L) complex
+amplitudes, and `measurement_distribution_A` sums the rows in numpy's
+pairwise order without the (Q, 2**L) buffer; only the float64 sum buffer of
+the measures has that size, to keep numpy's dense summation order.
 
 States are immutable after construction; every operation returns a fresh
 state.
@@ -22,7 +24,7 @@ state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -88,8 +90,9 @@ class PureState:
     `block[j, c]` is the amplitude of joint index j * 2**L + labels[c], with
     strictly increasing register-B labels.  Construction drops every column
     without an exactly nonzero amplitude and copies the block into a
-    read-only array, except an owned, already read-only array: the gates
-    hand over their fresh outputs this way instead of paying for a copy.
+    read-only column-major array, except an owned, already read-only
+    column-major array: the gates hand over their fresh outputs this way
+    instead of paying for a copy.
     """
 
     layout: RegisterLayout
@@ -109,23 +112,30 @@ class PureState:
         occupied = block.any(axis=0)
         if not occupied.all():
             block, labels = block[:, occupied], labels[occupied]
-        norm = float(np.vdot(block, block).real)
+        if block.flags.writeable or not block.flags.owndata or not block.flags.f_contiguous:
+            block = np.array(block, order="F")
+            block.setflags(write=False)
+        # vdot ravels in C order: the transpose is the contiguous view
+        norm = float(np.vdot(block.T, block.T).real)
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state norm**2 = {norm!r} is not 1 within {NORM_TOL}")
-        if block.flags.writeable or not block.flags.owndata:
-            block = block.copy()
-            block.setflags(write=False)
         labels = labels.copy()
         labels.setflags(write=False)
         object.__setattr__(self, "block", block)
         object.__setattr__(self, "labels", labels)
 
     def entries(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """(joint positions, amplitudes, dimension) of the block, in dense order."""
+        """(joint positions, amplitudes, dimension) of the block.
+
+        Positions and amplitudes are (Q, k) arrays, the amplitudes the block
+        itself; read row by row (C order, as `ravel()` and boolean masks read
+        them) they are the dense order.  Consumers reduce the amplitudes
+        element by element before they flatten, so no complex row-major copy
+        of the column-major block is made.
+        """
         lay = self.layout
         rows = np.arange(lay.Q, dtype=np.intp) * lay.dim_b
-        positions = (rows[:, None] + self.labels[None, :]).reshape(-1)
-        return positions, self.block.reshape(-1), lay.dim
+        return rows[:, None] + self.labels[None, :], self.block, lay.dim
 
 
 def init_state(layout: RegisterLayout) -> PureState:
@@ -139,10 +149,10 @@ def init_state(layout: RegisterLayout) -> PureState:
 def _register_a_gate(state: PureState, transform: Callable[[np.ndarray], np.ndarray]) -> PureState:
     """Apply a register-A transform to the occupied register-B columns.
 
-    ``transform`` maps a fresh (Q, k) array of columns, which it may
-    overwrite, to their images; the labels stay.
+    ``transform`` maps the read-only (Q, k) column-major block to a fresh
+    column-major array of its images; the labels stay.
     """
-    out = transform(state.block.copy())
+    out = transform(state.block)
     out.setflags(write=False)
     return PureState(state.layout, out, state.labels)
 
@@ -152,9 +162,12 @@ def apply_hadamard_layer(state: PureState) -> PureState:
     t = state.layout.t
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
 
-    def butterflies(cols: np.ndarray) -> np.ndarray:
-        arr = cols.reshape((2,) * t + (cols.shape[1],))
-        for axis in range(t):
+    def butterflies(block: np.ndarray) -> np.ndarray:
+        cols = block.copy(order="F")
+        # a view through the contiguous (k, Q) transpose: register-A bit b
+        # (most significant first) is axis b + 1
+        arr = cols.T.reshape((cols.shape[1],) + (2,) * t)
+        for axis in range(1, t + 1):
             view = np.moveaxis(arr, axis, 0)
             top = view[0].copy()
             view[0] += view[1]
@@ -189,15 +202,15 @@ def apply_modexp_unitary(state: PureState, instance: ShorInstance) -> PureState:
         k *= 2
     targets = (powers[:, None] * state.labels[None, :inside]) % n_mod
     labels, columns = np.unique(targets, return_inverse=True)
-    out = np.zeros((lay.Q, len(labels)), dtype=np.complex128)
+    out = np.zeros((lay.Q, len(labels)), dtype=np.complex128, order="F")
     out[np.arange(lay.Q)[:, None], columns.reshape(targets.shape)] = state.block[:, :inside]
     out.setflags(write=False)
     return PureState(lay, out, labels)
 
 
-def _inverse_qft_columns(cols: np.ndarray) -> np.ndarray:
-    out = np.fft.fft(cols, axis=0)
-    out /= math.sqrt(cols.shape[0])
+def _inverse_qft_columns(block: np.ndarray) -> np.ndarray:
+    out = np.fft.fft(block, axis=0)  # keeps the column-major layout
+    out /= math.sqrt(block.shape[0])
     return out
 
 
@@ -216,9 +229,15 @@ def run_order_finding_circuit(instance: ShorInstance) -> tuple[PureState, PureSt
 
 @dataclass(frozen=True)
 class OutcomeDistribution:
-    """Probabilities of the register-A measurement outcomes."""
+    """Probabilities of the register-A measurement outcomes, with their CDF.
+
+    Construction copies the probabilities into a read-only array, except an
+    owned, already read-only one, and accumulates the CDF that every
+    `sample_outcome` draw reads.
+    """
 
     probabilities: np.ndarray
+    cdf: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.probabilities, dtype=np.float64)
@@ -229,25 +248,64 @@ class OutcomeDistribution:
         total = float(arr.sum())
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
-        arr = arr.copy()
-        arr.setflags(write=False)
+        if arr.flags.writeable or not arr.flags.owndata:
+            arr = arr.copy()
+            arr.setflags(write=False)
+        cdf = np.cumsum(arr)
+        cdf.setflags(write=False)
         object.__setattr__(self, "probabilities", arr)
+        object.__setattr__(self, "cdf", cdf)
 
     @property
     def Q(self) -> int:
         return len(self.probabilities)
 
 
+def _row_sums_of_squares(block: np.ndarray, labels: np.ndarray, width: int) -> np.ndarray:
+    """np.sum(dense, axis=1) of the (Q, width) array holding |block|**2 at
+    columns `labels` and +0.0 elsewhere, float for float, without building it.
+
+    numpy sums a contiguous float64 row pairwise (`pairwise_sum` in its
+    `loops_utils.h.src`).  Below 8 values it adds them in order.  Otherwise
+    each block of 128 values (or of the whole row, if shorter) runs 8
+    interleaved accumulators, lane i taking the values at i, i + 8, ..., which
+    combine as ((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7)); a longer
+    row splits in halves at multiples of 8, which for a power-of-two width is
+    a perfect binary tree over its blocks.  Adding +0.0 leaves every sum of
+    nonnegative values unchanged, so each lane is the in-order sum of its
+    occupied columns.
+    """
+    q = block.shape[0]
+    size = min(width, 128)
+    if width < 8:
+        lane = np.zeros(len(labels), dtype=np.intp)
+    else:
+        lane = (labels // size) * 8 + labels % 8
+    lanes = np.zeros((1 if width < 8 else 8 * (width // size), q))
+    col = np.empty(q)
+    for c, row in enumerate(lane.tolist()):
+        np.abs(block[:, c], out=col)
+        np.square(col, out=col)
+        lanes[row] += col
+    if width < 8:
+        return lanes[0]
+    sums = ((lanes[0::8] + lanes[1::8]) + (lanes[2::8] + lanes[3::8])) + (
+        (lanes[4::8] + lanes[5::8]) + (lanes[6::8] + lanes[7::8])
+    )
+    while len(sums) > 1:
+        sums = sums[0::2] + sums[1::2]
+    return sums[0]
+
+
 def measurement_distribution_A(state: PureState) -> OutcomeDistribution:
     """p_k = sum_y |amplitude(k, y)|**2, summed over all 2**L values of y.
 
-    A zeroed (Q, 2**L) buffer keeps the dense summation order, and with it
-    the sampled draws.
+    The row sums come out float for float as numpy's over the dense (Q, 2**L)
+    array, which keeps the sampled draws, but read only the occupied
+    columns.
     """
     lay = state.layout
-    probs = np.zeros((lay.Q, lay.dim_b))
-    probs[:, state.labels] = np.abs(state.block) ** 2
-    return OutcomeDistribution(np.sum(probs, axis=1))
+    return OutcomeDistribution(_row_sums_of_squares(state.block, state.labels, lay.dim_b))
 
 
 def outcome_distribution(r: int, q: int) -> OutcomeDistribution:
@@ -261,32 +319,62 @@ def outcome_distribution(r: int, q: int) -> OutcomeDistribution:
         p_k = [rho * F(n0 + 1, k) + (r - rho) * F(n0, k)] / Q**2,
         F(n, k) = sin(pi (n r k mod Q) / Q)**2 / sin(pi (r k mod Q) / Q)**2,
 
-    with F(n, k) = n**2 where r k = 0 (mod Q).  This is exact for every r,
-    including r not dividing Q and r > Q (n0 = 0, a uniform distribution).
-    The phases are reduced mod Q in int64, so Q is capped at 2**31.
+    with F(n, k) = n**2 where r k = 0 (mod Q), that is at the multiples of
+    Q / gcd(r, Q).  This is exact for every r, including r not dividing Q
+    and r > Q (n0 = 0, a uniform distribution).  Q must be a power of two,
+    so a phase reduces mod Q with a mask; it is capped at 2**31, so the
+    phase products fit int64.  The passes run in place on four Q-long
+    buffers.
     """
     if r < 1:
         raise ValueError(f"order must be >= 1, got {r}")
     if not 1 <= q <= 2**31:
         raise ValueError(f"dimension must lie in [1, 2**31], got {q}")
+    if q & (q - 1):
+        raise ValueError(f"dimension must be a power of two, got {q}")
+    return OutcomeDistribution(_outcome_probabilities(r, q))
+
+
+def _sin_squared(phase: np.ndarray, q: int, out: np.ndarray) -> np.ndarray:
+    """np.sin(np.pi * phase / q) ** 2 into `out`, float for float."""
+    np.multiply(phase, np.pi, out=out)
+    out /= q
+    np.sin(out, out=out)
+    return np.square(out, out=out)
+
+
+def _outcome_probabilities(r: int, q: int) -> np.ndarray:
+    """The p_k of `outcome_distribution`, read-only; its buffers are freed on
+    return, before the distribution accumulates its CDF."""
     n0, rho = divmod(q, r)
-    k = np.arange(q, dtype=np.int64)
-    step = (r % q) * k % q
-    peak = step == 0
-    total = np.zeros(q, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):  # only at the peaks, replaced below
-        inv_den = 1.0 / np.sin(np.pi * step / q) ** 2
-        for n, count in ((n0 + 1, rho), (n0, r - rho)):
-            if n == 0 or count == 0:
-                continue
-            ratio = np.sin(np.pi * ((n * r) % q * k % q) / q) ** 2 * inv_den
-            total += count * np.where(peak, float(n * n), ratio)
-    return OutcomeDistribution(total / (float(q) * q))
+    mask = q - 1
+    peaks = slice(None, None, q // math.gcd(r, q))  # the k with r k = 0 (mod Q)
+    step = np.arange(q, dtype=np.int64)
+    step *= r & mask
+    step &= mask
+    inv_den = _sin_squared(step, q, np.empty(q))
+    inv_den[peaks] = 1.0  # keeps 1/0 out; the peaks take n**2 below
+    np.divide(1.0, inv_den, out=inv_den)
+    terms = [(n, count) for n, count in ((n0 + 1, rho), (n0, r - rho)) if n and count]
+    total = None
+    for index, (n, count) in enumerate(terms):
+        # n r k = n (r k mod Q) (mod Q); the last term's phases overwrite `step`
+        phase = step if index == len(terms) - 1 else np.empty(q, dtype=np.int64)
+        np.multiply(step, n & mask, out=phase)
+        phase &= mask
+        ratio = _sin_squared(phase, q, np.empty(q))
+        ratio *= inv_den
+        ratio[peaks] = float(n * n)
+        ratio *= count
+        total = ratio if total is None else np.add(total, ratio, out=total)
+    total /= float(q) * q
+    total.setflags(write=False)
+    return total
 
 
 def sample_outcome(distribution: OutcomeDistribution, rng: np.random.Generator) -> int:
     """Inverse-CDF draw of one outcome."""
-    cdf = np.cumsum(distribution.probabilities)
+    cdf = distribution.cdf
     u = rng.random() * cdf[-1]
     k = int(np.searchsorted(cdf, u, side="right"))
     return min(k, len(cdf) - 1)

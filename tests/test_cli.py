@@ -10,7 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shormeter import entanglement as ent
-from shormeter.cli import ConfigError, build_parser, main, resolve_config
+from shormeter.cli import (
+    FAST_BYTES_PER_OUTCOME,
+    ConfigError,
+    build_parser,
+    main,
+    resolve_config,
+)
+from shormeter.numtheory import make_instance
 
 
 def run_to_file(tmp_path, name, argv):
@@ -259,7 +266,7 @@ def test_random_coprime_resolution_deterministic(tmp_path):
     "argv, need",
     [
         (["simulate", "--n", "15", "--x", "7", "--t", "40"], 16 * 2**44),
-        (["factor", "--n", "15", "--x", "7", "--t", "40", "--fast"], 8 * 2**40),
+        (["factor", "--n", "15", "--x", "7", "--t", "40", "--fast"], 33 * 2**40),
     ],
 )
 def test_oversized_config_exits_two_before_allocating(capsys, argv, need):
@@ -272,6 +279,31 @@ def test_oversized_config_exits_two_before_allocating(capsys, argv, need):
     assert code == 2
     assert f"needs {need} bytes" in capsys.readouterr().err
     assert peak < 2**20
+
+
+def test_fast_factor_peaks_below_its_budgeted_bytes():
+    # r = 42 does not divide Q, so both geometric-series terms run
+    inst = make_instance(129, 5, t=20)
+    assert inst.Q % inst.r != 0
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["factor", "--fast", "--n", "129", "--x", "5", "--t", "20"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code in (0, 1)
+    assert peak < FAST_BYTES_PER_OUTCOME * 2**20
+
+
+def test_memory_budget_admits_fast_factor_up_to_t_22():
+    def resolve(t):
+        args = build_parser().parse_args(["factor", "--fast", "--n", "15", "--x", "7", "--t", str(t)])
+        return resolve_config(args)
+
+    assert resolve(22).t == 22
+    with pytest.raises(ConfigError, match=f"needs {FAST_BYTES_PER_OUTCOME * 2**23} bytes"):
+        resolve(23)
 
 
 def test_budget_is_checked_before_drawing_x(capsys):
@@ -288,7 +320,7 @@ def test_budget_is_checked_before_drawing_x(capsys):
 
 
 def test_base_list_is_budgeted_before_it_is_built(capsys):
-    # --fast at t=1 budgets 16 bytes of outcomes; the list of candidate bases
+    # --fast at t=1 budgets 66 bytes of outcomes; the list of candidate bases
     # below N costs an 8-byte slot and a 32-byte int per candidate
     n = 10_000_000_001
     tracemalloc.start()

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import tracemalloc
@@ -22,6 +24,7 @@ from oracles import (
 from shormeter.numtheory import ShorInstance, make_instance
 from shormeter.statevec import (
     NORM_TOL,
+    _row_sums_of_squares,
     OutcomeDistribution,
     PureState,
     RegisterLayout,
@@ -105,7 +108,7 @@ def test_construction_drops_all_zero_columns():
     state = PureState(lay, block, [0, 2, 5, 7])
     assert state.labels.tolist() == [2, 7]
     assert state.block.tolist() == [[0, 0], [0.6, 0], [0, 0], [0, -0.8j]]
-    assert state.block.flags.c_contiguous
+    assert state.block.flags.f_contiguous
     assert to_dense(state).tobytes() == to_dense(from_dense(lay, to_dense(state))).tobytes()
 
 
@@ -127,15 +130,40 @@ def test_construction_rejects_a_block_that_does_not_fit(shape):
 
 
 def test_entries_are_the_dense_order():
+    # _weight_coefficients (np.add.at over a boolean mask) and the alpha ~ 1
+    # Shannon sum (over the raveled support) accumulate in this order, so the
+    # column-major block must read back row by row; it is handed over as is
     rng = np.random.default_rng(5)
     lay = RegisterLayout(t=3, L=3)
     state = few_column_state(lay, [1, 4, 6], rng)
     positions, amps, dim = state.entries()
     dense = to_dense(state)
     assert dim == lay.dim
-    assert np.all(np.diff(positions) > 0)
-    assert dense[positions].tobytes() == amps.tobytes()
+    assert amps is state.block and amps.flags.f_contiguous
+    assert positions.shape == amps.shape == (lay.Q, 3)
+    assert np.all(np.diff(positions.ravel()) > 0)
+    assert dense[positions.ravel()].tobytes() == amps.ravel().tobytes()
+    keep = np.abs(amps) > 0.2
+    assert 0 < np.count_nonzero(keep) < amps.size
+    assert np.all(np.diff(positions[keep]) > 0)
+    assert amps[keep].tobytes() == dense[positions[keep]].tobytes()
     assert np.count_nonzero(dense) == np.count_nonzero(amps)
+
+
+def test_circuit_stages_and_gate_outputs_are_column_major_and_read_only():
+    inst = make_instance(21, 2, t=7)
+    lay = RegisterLayout.for_instance(inst)
+    rng = np.random.default_rng(13)
+    wide = few_column_state(lay, [1, 4, 16], rng)
+    outputs = list(run_order_finding_circuit(inst)) + [
+        apply_hadamard_layer(wide),
+        apply_inverse_qft_A(wide),
+        apply_modexp_unitary(wide, inst),
+    ]
+    for state in outputs:
+        assert state.block.flags.f_contiguous and state.block.flags.owndata
+        assert not state.block.flags.writeable
+        assert not state.labels.flags.writeable
 
 
 def test_hadamard_layer_uniform(pipeline15):
@@ -370,6 +398,68 @@ def test_outcome_distribution_of_column_stored_state_matches_dense_row_sums(case
     assert got.tobytes() == expected.tobytes()
 
 
+def _dense_row_sums(block, labels, width):
+    dense = np.zeros((block.shape[0], width))
+    dense[:, labels] = np.abs(block) ** 2
+    return np.sum(dense, axis=1)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    L=st.integers(1, 11),
+    q=st.sampled_from((1, 2, 3, 8)),
+    fill=st.floats(0.01, 1.0),
+    zero_rows=st.booleans(),
+    zero_cols=st.booleans(),
+    scale=st.sampled_from((1.0, 1e-150, 1e-160, 1e-300)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_row_sums_match_numpy_over_the_dense_row(L, q, fill, zero_rows, zero_cols, scale, seed):
+    # widths 2 to 2048 cover the in-order branch (< 8), one 8-lane block
+    # (8 to 128) and the pairwise tree over 128-blocks; the scales put
+    # |c|**2 at, below and past the edge of the subnormals
+    width = 2**L
+    rng = np.random.default_rng(seed)
+    labels = np.flatnonzero(rng.random(width) < fill)
+    if len(labels) == 0:
+        labels = np.array([rng.integers(width)])
+    block = rng.standard_normal((q, len(labels))) + 1j * rng.standard_normal((q, len(labels)))
+    block *= scale * 10.0 ** rng.integers(-8, 1, size=block.shape)
+    if zero_rows:
+        block[rng.random(q) < 0.5, :] = 0.0
+    if zero_cols:
+        block[:, rng.random(len(labels)) < 0.5] = 0.0
+    block = np.asfortranarray(block)
+    got = _row_sums_of_squares(block, labels, width)
+    assert got.tobytes() == _dense_row_sums(block, labels, width).tobytes()
+
+
+@pytest.mark.parametrize("n, x, t", [(15, 7, 11), (49, 3, 8), (255, 2, 4)])
+def test_measurement_distribution_matches_dense_row_sums_on_circuit_states(n, x, t):
+    # N=255 puts register B at width 256: two 128-blocks
+    psi3 = run_order_finding_circuit(make_instance(n, x, t=t))[2]
+    expected = _dense_row_sums(psi3.block, psi3.labels, psi3.layout.dim_b)
+    assert measurement_distribution_A(psi3).probabilities.tobytes() == expected.tobytes()
+
+
+def test_factor_peak_stays_below_three_column_blocks():
+    # the parent scattered psi3 into a (Q, 2**L) buffer and peaked at
+    # 3.26 * 16 * Q * r bytes on this 21-qubit, r = 42 instance
+    from shormeter.cli import main
+
+    inst = make_instance(49, 3)
+    assert (inst.Q, inst.r) == (2**15, 42)
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["factor", "--n", "49", "--x", "3"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code in (0, 1)
+    assert peak < 3 * 16 * inst.Q * inst.r
+
+
 def test_circuit_stays_below_one_dense_state_in_memory():
     inst = make_instance(33, 2)
     lay = RegisterLayout.for_instance(inst)
@@ -438,6 +528,28 @@ def test_outcome_distribution_edge_orders(r, q):
 def test_outcome_distribution_rejects_dimension_beyond_int64_phases():
     with pytest.raises(ValueError, match="2\\*\\*31"):
         outcome_distribution(3, 2**31 + 1)
+
+
+@pytest.mark.parametrize("q", [3, 6, 12, 2**20 + 2**19])
+def test_outcome_distribution_rejects_dimension_that_is_not_a_power_of_two(q):
+    with pytest.raises(ValueError, match="power of two"):
+        outcome_distribution(3, q)
+
+
+def test_distribution_holds_one_read_only_cdf_that_draws_reuse():
+    q = 2**16
+    dist = outcome_distribution(6, q)
+    assert dist.cdf.tobytes() == np.cumsum(dist.probabilities).tobytes()
+    assert not dist.cdf.flags.writeable and not dist.probabilities.flags.writeable
+    rng = np.random.default_rng(3)
+    tracemalloc.start()
+    try:
+        draws = [sample_outcome(dist, rng) for _ in range(10)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(0 <= k < q for k in draws)
+    assert peak < 8 * q  # no draw accumulates a Q-long CDF of its own
 
 
 def test_sample_outcome_delta_distribution():
