@@ -1,9 +1,9 @@
 """Command-line front end: simulate, sweep, factor, verify.
 
 Exit codes: 0 success, 1 gated verification failure (or factoring gave up),
-2 configuration error.  With a fixed seed every command writes byte-identical
-output, and reals in CSV files carry 17 significant digits so parsing them
-back is lossless.
+2 configuration error (bad input, or an --out that cannot be written).  With
+a fixed seed every command writes byte-identical output, and reals in CSV
+files carry 17 significant digits so parsing them back is lossless.
 """
 
 from __future__ import annotations
@@ -89,6 +89,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         sizes = register_sizes(args.n, args.epsilon)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     t = args.t if args.t is not None else sizes.t
     if t < 1:
         raise ConfigError(f"t must be >= 1, got {t}")
@@ -136,33 +138,37 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out {out!r}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
 
-def _simulate_csv(reports: dict[str, theorems.MeasureReport]) -> str:
+def _simulate_csv(reports: dict[str, dict]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(
         ["stage", "measure", "param", "numeric", "closed_form", "gap", "gated", "pass", "note"]
     )
     for stage in theorems.STAGES:
-        for row in reports[stage].rows:
-            writer.writerow(
-                [
-                    stage,
-                    row.measure,
-                    "" if row.param is None else _fmt(row.param),
-                    _fmt(row.numeric),
-                    "" if row.closed_form is None else _fmt(row.closed_form),
-                    "" if row.gap is None else _fmt(row.gap),
-                    "1" if row.gated else "0",
-                    "" if row.passed is None else ("1" if row.passed else "0"),
-                    row.note,
-                ]
-            )
+        for measure, rows in reports[stage]["measures"].items():
+            for row in rows:
+                writer.writerow(
+                    [
+                        stage,
+                        measure,
+                        "" if row["param"] is None else _fmt(row["param"]),
+                        _fmt(row["numeric"]),
+                        "" if row["closed_form"] is None else _fmt(row["closed_form"]),
+                        "" if row["gap"] is None else _fmt(row["gap"]),
+                        "1" if row["gated"] else "0",
+                        "" if row["pass"] is None else ("1" if row["pass"] else "0"),
+                        row["note"],
+                    ]
+                )
     return buf.getvalue()
 
 
@@ -174,10 +180,10 @@ def cmd_simulate(cfg: RunConfig) -> int:
     payload = {
         "config": cfg.to_dict(),
         "order": instance.r,
-        "stages": {stage: reports[stage].to_dict() for stage in theorems.STAGES},
+        "stages": reports,
         "variations": theorems.algorithm_variations(instance.Q, instance.r, 1.0, 2.0, overlaps),
         "factor_hint": list(hint) if hint else None,
-        "pass": all(reports[stage].passed for stage in theorems.STAGES),
+        "pass": all(report["pass"] for report in reports.values()),
     }
     if instance.m is None:
         payload["warning"] = (
@@ -210,15 +216,18 @@ def cmd_sweep(cfg: RunConfig, measure: str, grid_spec: Optional[str]) -> int:
     if grid_spec is None:
         grid_spec = "1.0:2.0:0.05" if measure == "l1p" else "0.05:2.0:0.05"
     params = _parse_grid(grid_spec)
-    psi1, psi2, psi3 = statevec.run_order_finding_circuit(cfg.instance())
     if measure == "l1p":
+        grid, domain = measures.l1p_coherence_grid, "p in [1, 2]"
         params = [param for param in params if 1.0 <= param <= 2.0]
-        curves = [measures.l1p_coherence_grid(s.entries(), params) for s in (psi1, psi2, psi3)]
         limits = [0] * len(params)
     else:
+        grid, domain = measures.tsallis_coherence_grid, "alpha in (0, 2]"
         params = [param for param in params if 0.0 < param <= 2.0]
-        curves = [measures.tsallis_coherence_grid(s.entries(), params) for s in (psi1, psi2, psi3)]
         limits = [int(abs(param - 1.0) <= measures.ALPHA_ONE_TOL) for param in params]
+    if not params:
+        raise ConfigError(f"grid {grid_spec!r} has no point with {domain}")
+    states = statevec.run_order_finding_circuit(cfg.instance())
+    curves = [grid(s.entries(), params) for s in states]
     lines = ["param,C_psi1,C_psi2,C_psi3,delta,limit_flag"]
     for param, limit, c1, c2, c3 in zip(params, limits, *curves):
         lines.append(
@@ -276,31 +285,33 @@ def _perturbed(state: statevec.PureState, eps: float) -> statevec.PureState:
     amps = block.reshape(-1)
     amps[int(np.argmax(np.abs(amps)))] *= 1.0 + eps
     amps /= np.sqrt(np.vdot(amps, amps).real)
-    return statevec.PureState(state.layout, block, state.labels)
+    try:
+        return statevec.PureState(state.layout, block, state.labels)
+    except ValueError as exc:
+        raise ConfigError(f"--debug-perturb {eps!r} leaves no valid state: {exc}") from exc
 
 
 def cmd_verify(cfg: RunConfig, debug_perturb: float) -> int:
+    if not math.isfinite(debug_perturb):
+        raise ConfigError(f"--debug-perturb must be finite, got {debug_perturb!r}")
     instance = cfg.instance()
     states = statevec.run_order_finding_circuit(instance)
     if debug_perturb:
         states = tuple(_perturbed(s, debug_perturb) for s in states)
     reports, _ = theorems.verify_all(instance, states)
-    ok = True
     lines = []
-    for stage in theorems.STAGES:
-        report = reports[stage]
-        ok = ok and report.passed
-        gated = [row for row in report.rows if row.gated]
-        worst = max((row.gap for row in gated), default=None)
+    for stage, report in reports.items():
+        gaps = [row["gap"] for rows in report["measures"].values() for row in rows if row["gated"]]
         lines.append(
-            f"{stage}: {'PASS' if report.passed else 'FAIL'}"
-            + (f" (worst gated gap {_fmt(worst)})" if worst is not None else " (no gated rows)")
+            f"{stage}: {'PASS' if report['pass'] else 'FAIL'}"
+            + (f" (worst gated gap {_fmt(max(gaps))})" if gaps else " (no gated rows)")
         )
+    ok = all(report["pass"] for report in reports.values())
     payload = {
         "config": cfg.to_dict(),
         "order": instance.r,
         "debug_perturb": debug_perturb,
-        "stages": {stage: reports[stage].to_dict() for stage in theorems.STAGES},
+        "stages": reports,
         "pass": ok,
     }
     _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", cfg.out)

@@ -117,7 +117,7 @@ class PureState:
             block.setflags(write=False)
         # vdot ravels in C order: the transpose is the contiguous view
         norm = float(np.vdot(block.T, block.T).real)
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:  # written so that a NaN norm fails
             raise ValueError(f"state norm**2 = {norm!r} is not 1 within {NORM_TOL}")
         labels = labels.copy()
         labels.setflags(write=False)
@@ -246,7 +246,7 @@ class OutcomeDistribution:
         if np.any(arr < -1e-12):
             raise ValueError(f"negative probability {arr.min()!r}")
         total = float(arr.sum())
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:  # a NaN anywhere makes the total NaN
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         if arr.flags.writeable or not arr.flags.owndata:
             arr = arr.copy()

@@ -10,14 +10,17 @@ against the simulator at 1e-9; entanglement rows are reported with their
 gaps but never gated, because the closed forms take each overlap term at
 its own optimal angle rather than a shared one, so they need not coincide
 with a single-angle numeric optimum.
+
+A stage report is the dict the CLI prints: {"stage", "pass", "measures"},
+where "measures" maps C_1p, C_alpha, C_g and E_g to lists of rows, each row
+{"param", "numeric", "closed_form", "gap", "gated", "pass", "note"} and the
+E_g row also "details"; "pass" is True when every gated row passes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Optional
-
 
 from shormeter import entanglement as ent
 from shormeter import measures, statevec
@@ -27,8 +30,6 @@ __all__ = [
     "ALPHA_GRID_DEFAULT",
     "COHERENCE_GAP_TOL",
     "P_GRID_DEFAULT",
-    "MeasureReport",
-    "MeasureRow",
     "algorithm_variations",
     "coherence_closed_forms",
     "tsallis_closed",
@@ -153,75 +154,17 @@ def algorithm_variations(
     }
 
 
-@dataclass(frozen=True)
-class MeasureRow:
-    """One numeric-vs-closed-form comparison inside a stage report."""
-
-    measure: str
-    param: Optional[float]
-    numeric: float
-    closed_form: Optional[float]
-    gap: Optional[float]
-    gated: bool
-    passed: Optional[bool]
-    note: str = ""
-    details: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "param": self.param,
-            "numeric": self.numeric,
-            "closed_form": self.closed_form,
-            "gap": self.gap,
-            "gated": self.gated,
-            "pass": self.passed,
-            "note": self.note,
-            **({"details": self.details} if self.details else {}),
-        }
-
-
-@dataclass(frozen=True)
-class MeasureReport:
-    """All quantifier rows of one stage plus the aggregate gate result."""
-
-    stage: str
-    rows: tuple[MeasureRow, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(row.passed for row in self.rows if row.gated)
-
-    def to_dict(self) -> dict:
-        grouped: dict[str, list] = {}
-        for row in self.rows:
-            grouped.setdefault(row.measure, []).append(row.to_dict())
-        return {"stage": self.stage, "pass": self.passed, "measures": grouped}
-
-
-def _gated_row(
-    measure: str, param: Optional[float], numeric: float, closed: Optional[float]
-) -> MeasureRow:
-    if closed is None:
-        return MeasureRow(
-            measure=measure,
-            param=param,
-            numeric=numeric,
-            closed_form=None,
-            gap=None,
-            gated=False,
-            passed=None,
-            note="closed form not applicable",
-        )
-    gap = abs(numeric - closed)
-    return MeasureRow(
-        measure=measure,
-        param=param,
-        numeric=numeric,
-        closed_form=closed,
-        gap=gap,
-        gated=True,
-        passed=gap <= COHERENCE_GAP_TOL,
-    )
+def _gated_row(param: Optional[float], numeric: float, closed: Optional[float]) -> dict:
+    gap = None if closed is None else abs(numeric - closed)
+    return {
+        "param": param,
+        "numeric": numeric,
+        "closed_form": closed,
+        "gap": gap,
+        "gated": gap is not None,
+        "pass": None if gap is None else gap <= COHERENCE_GAP_TOL,
+        "note": "closed form not applicable" if gap is None else "",
+    }
 
 
 def verify_stage(
@@ -230,8 +173,15 @@ def verify_stage(
     *,
     state: statevec.PureState,
     overlaps: Optional[ent.ClosedFormOverlaps],
-) -> MeasureReport:
-    """Numeric-vs-closed-form comparison for one stage.
+) -> dict:
+    """Numeric-vs-closed-form comparison for one stage, as the dict a report prints.
+
+    Returns {"stage": stage, "pass": bool, "measures": {"C_1p": [...],
+    "C_alpha": [...], "C_g": [row], "E_g": [row]}}, one row per grid point
+    (P_GRID_DEFAULT, ALPHA_GRID_DEFAULT) in grid order.  Each row holds
+    "param", "numeric", "closed_form", "gap", "gated", "pass" and "note";
+    the E_g row also holds "details".  "pass" is True when every gated row
+    passes.
 
     `state` is the simulated state after `stage`; the C_1p and C_alpha rows
     come from one grid evaluation each over its nonzero support.  Coherence
@@ -259,19 +209,22 @@ def verify_stage(
 
     p_values = measures.l1p_coherence_grid(entries, P_GRID_DEFAULT)
     alpha_values = measures.tsallis_coherence_grid(entries, ALPHA_GRID_DEFAULT)
-    rows = [_gated_row("C_1p", p, v, closed(0, p=p)) for p, v in zip(P_GRID_DEFAULT, p_values)]
-    rows += [
-        _gated_row("C_alpha", alpha, v, closed(1, alpha=alpha))
-        for alpha, v in zip(ALPHA_GRID_DEFAULT, alpha_values)
-    ]
-    rows.append(_gated_row("C_g", None, measures.geometric_coherence_pure(entries), closed(2)))
-    rows.append(_entanglement_row(stage, state, overlaps))
-    return MeasureReport(stage=stage, rows=tuple(rows))
+    groups = {
+        "C_1p": [_gated_row(p, v, closed(0, p=p)) for p, v in zip(P_GRID_DEFAULT, p_values)],
+        "C_alpha": [
+            _gated_row(alpha, v, closed(1, alpha=alpha))
+            for alpha, v in zip(ALPHA_GRID_DEFAULT, alpha_values)
+        ],
+        "C_g": [_gated_row(None, measures.geometric_coherence_pure(entries), closed(2))],
+        "E_g": [_entanglement_row(stage, state, overlaps)],
+    }
+    passed = all(row["pass"] for rows in groups.values() for row in rows if row["gated"])
+    return {"stage": stage, "pass": passed, "measures": groups}
 
 
 def _entanglement_row(
     stage: str, state: statevec.PureState, overlaps: Optional[ent.ClosedFormOverlaps]
-) -> MeasureRow:
+) -> dict:
     opt = ent.geometric_entanglement_symmetric(state)
     details: dict = {"ansatz_alpha": opt.alpha_angle, "ansatz_overlap_sq": opt.overlap_sq}
     closed: Optional[float] = None
@@ -288,24 +241,17 @@ def _entanglement_row(
     else:
         closed = 1.0 - overlaps.psi3
         details["closed_form_literal"] = 1.0 - overlaps.psi3_literal
-    gap = None if closed is None else abs(opt.entanglement - closed)
-    return MeasureRow(
-        measure="E_g",
-        param=None,
-        numeric=opt.entanglement,
-        closed_form=closed,
-        gap=gap,
-        gated=False,
-        passed=None,
-        note=note,
-        details=details,
-    )
+    row = _gated_row(None, opt.entanglement, closed)  # same gap, but reported, not gated
+    return {**row, "gated": False, "pass": None, "note": note, "details": details}
 
 
 def verify_all(
     instance: ShorInstance, states: tuple[statevec.PureState, ...]
-) -> tuple[dict[str, MeasureReport], Optional[ent.ClosedFormOverlaps]]:
+) -> tuple[dict[str, dict], Optional[ent.ClosedFormOverlaps]]:
     """Verify every stage of the simulated circuit `states`.
+
+    Returns ({"psi1": report, "psi2": report, "psi3": report}, overlaps),
+    each report the stage dict of `verify_stage`, in stage order.
 
     This is where a run computes its closed-form overlaps, once; they are
     returned beside the reports so the ledger can reuse them (None when r

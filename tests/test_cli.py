@@ -3,10 +3,12 @@ import csv
 import io
 import json
 import math
+import os
+import tempfile
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shormeter import entanglement as ent
@@ -18,6 +20,10 @@ from shormeter.cli import (
     resolve_config,
 )
 from shormeter.numtheory import make_instance
+
+
+def reject_constant(token):
+    raise ValueError(f"non-finite JSON constant {token}")
 
 
 def run_to_file(tmp_path, name, argv):
@@ -238,6 +244,71 @@ def test_verify_debug_perturbation_fails(tmp_path):
     assert gaps and max(gaps) > 1e-9
 
 
+@pytest.mark.parametrize("eps", ["nan", "inf", "-inf", "1e300"])
+def test_non_finite_or_overflowing_debug_perturb_is_config_error(eps, capsys):
+    argv = ["verify", "--n", "15", "--x", "7", "--t", "8", f"--debug-perturb={eps}"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "--debug-perturb" in err
+
+
+def test_debug_perturb_that_zeroes_the_peak_still_reports(tmp_path):
+    argv = ["verify", "--n", "15", "--x", "7", "--t", "8", "--debug-perturb=-1"]
+    code, raw = run_to_file(tmp_path, "zeroed.json", argv)
+    assert code == 1
+    assert json.loads(raw, parse_constant=reject_constant)["pass"] is False
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--n", "15"],
+        ["simulate", "--n", "15", "--x", "7"],
+        ["factor", "--n", "15", "--x", "7"],
+        ["sweep", "--n", "15"],
+    ],
+)
+def test_negative_seed_is_config_error(argv, capsys):
+    assert main(argv + ["--t", "4", "--seed", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --seed must be >= 0, got -1\n"
+
+
+def test_unwritable_out_is_config_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    argv = ["simulate", "--n", "15", "--x", "7", "--t", "8", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and str(out) in err
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "measure, grid, domain",
+    [
+        ("l1p", "3:4:1", "p in [1, 2]"),
+        ("l1p", "0:0.5:0.25", "p in [1, 2]"),
+        ("tsallis", "3:4:1", "alpha in (0, 2]"),
+        ("tsallis", "-1:0:0.5", "alpha in (0, 2]"),
+    ],
+)
+def test_grid_outside_the_measure_domain_is_config_error(measure, grid, domain, capsys):
+    argv = ["sweep", "--n", "15", "--x", "7", "--t", "4", "--measure", measure, f"--grid={grid}"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: grid {grid!r} has no point with {domain}\n"
+
+
+def test_grid_partly_outside_the_domain_keeps_its_inside_points(capsys):
+    argv = ["sweep", "--n", "15", "--x", "7", "--t", "4", "--measure", "l1p", "--grid=0:1.5:0.5"]
+    assert main(argv) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [row["param"] for row in rows] == ["1", "1.5"]
+
+
 def test_shared_factor_is_config_error(capsys):
     assert main(["simulate", "--n", "15", "--x", "5"]) == 2
     assert "factor" in capsys.readouterr().err
@@ -374,6 +445,7 @@ GRID_STEPS = ("0.05", "0.5", "1", "0", "-0.1", "1e-300", "nan", "inf")
     n=st.integers(-2, 31).map(lambda k: 2 * k + 1),
     t=st.integers(-1, 10),
     x=st.one_of(st.none(), st.integers(-1, 65)),
+    seed=st.integers(-2, 3),
     max_attempts=st.integers(-1, 3),
     grid=st.one_of(
         st.none(),
@@ -388,27 +460,50 @@ GRID_STEPS = ("0.05", "0.5", "1", "0", "-0.1", "1e-300", "nan", "inf")
         ),
     ),
     measure=st.sampled_from(["tsallis", "l1p"]),
+    debug_perturb=st.sampled_from(["0", "1e-3", "-1", "nan", "inf", "1e300"]),
+    out=st.sampled_from([None, "out.txt", os.path.join("missing", "out.txt")]),
 )
-def test_cli_fuzz_exits_with_a_known_code(command, n, t, x, max_attempts, grid, measure):
-    # odd N <= 63 and t <= 10 keep every run small; x, the attempts and the
-    # grid range over valid and invalid values
-    argv = command.split() + ["--n", str(n), "--t", str(t)]
+# one pinned example per input that once escaped main as an exception or a NaN
+@example("simulate", 15, 4, None, -1, 1, None, "l1p", "0", None)
+@example("factor", 15, 4, 7, -2, 1, None, "l1p", "0", None)
+@example("verify", 15, 4, 7, 0, 1, None, "l1p", "nan", None)
+@example("verify", 15, 4, 7, 0, 1, None, "l1p", "1e300", None)
+@example("simulate", 15, 4, 7, 0, 1, None, "l1p", "0", os.path.join("missing", "out.txt"))
+def test_cli_fuzz_exits_with_a_known_code(
+    command, n, t, x, seed, max_attempts, grid, measure, debug_perturb, out
+):
+    # odd N <= 63 and t <= 10 keep every run small; x, the seed, the attempts,
+    # the grid, the perturbation and the output path range over valid and
+    # invalid values
+    argv = command.split() + ["--n", str(n), "--t", str(t), "--seed", str(seed)]
     if x is not None:
         argv += ["--x", str(x)]
     if command.startswith("factor"):
         argv += ["--max-attempts", str(max_attempts)]
     if command == "sweep":
         argv += ["--measure", measure] + ([] if grid is None else [f"--grid={grid}"])
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse usage errors
-            code = exc.code
+    if command == "verify":
+        argv += [f"--debug-perturb={debug_perturb}"]
+    stdout, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = None if out is None else os.path.join(tmp, out)
+        if path is not None:
+            argv += ["--out", path]
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+        text = stdout.getvalue()
+        if path is not None and os.path.exists(path):
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert err.getvalue().strip()
+    elif command != "sweep":
+        json.loads(text, parse_constant=reject_constant)
 
 
 def test_memory_budget_admits_24_qubit_dense_states():

@@ -77,6 +77,12 @@ def test_norm_validation():
         PureState(lay, np.array([[1.0], [1.0]]), [0])
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(np.nan, 0.5)])
+def test_norm_validation_rejects_a_non_finite_block(value):
+    with pytest.raises(ValueError, match="norm"):
+        PureState(RegisterLayout(2, 2), np.full((4, 1), value), [1])
+
+
 def test_states_are_immutable():
     state = init_state(RegisterLayout(t=2, L=1))
     with pytest.raises(ValueError):
@@ -480,6 +486,14 @@ def test_measurement_distribution_basics():
     vec[4] = 1.0  # register-A value 2, register-B value 0
     probs = measurement_distribution_A(from_dense(lay, vec)).probabilities
     assert probs.tolist() == [0.0, 0.0, 1.0, 0.0]
+
+
+@pytest.mark.parametrize(
+    "probs", [[np.nan, np.nan], [np.nan, 1.0], [0.5, np.nan, 0.5], [np.inf, 0.0]]
+)
+def test_distribution_rejects_non_finite_probabilities(probs):
+    with pytest.raises(ValueError, match="sum"):
+        OutcomeDistribution(np.array(probs))
 
 
 def test_outcome_peak_and_offpeak_values():
