@@ -14,7 +14,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 from typing import Optional
 
@@ -34,10 +34,10 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_CONFIG = 2
 
-# Byte budget of a run: 16 per basis state (bounding the stored columns and
-# the float64 sum buffers, 8 per basis state), FAST_BYTES_PER_OUTCOME per
-# --fast outcome, and, without --x, the list of candidate bases.  2**28 bytes
-# is a 24-qubit dense state; larger configs exit 2 before allocating anything.
+# Byte budget of a run: 16 per basis state (one dense complex state, which
+# bounds the stored columns), FAST_BYTES_PER_OUTCOME per --fast outcome, and,
+# without --x, the list of candidate bases.  2**28 bytes is a 24-qubit dense
+# state; larger configs exit 2 before allocating anything.
 MEMORY_BUDGET_BYTES = 2**28
 # Traced peak of `factor --fast` per outcome, rounded up: the four Q-long
 # buffers of `statevec.outcome_distribution` (32.1 bytes at Q = 2**20).
@@ -58,26 +58,13 @@ class RunConfig:
     x: int
     t: int
     L: int
-    epsilon: float
     seed: int
-    window_ok: bool
+    printed: dict = field(hash=False)  # the "config" object of every JSON report
     fmt: str = "json"
     out: Optional[str] = None
 
     def instance(self) -> ShorInstance:
         return ShorInstance(N=self.N, x=self.x, t=self.t, L=self.L).with_order()
-
-    def to_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "x": self.x,
-            "t": self.t,
-            "L": self.L,
-            "Q": 2**self.t,
-            "epsilon": self.epsilon,
-            "seed": self.seed,
-            "quadratic_window_ok": self.window_ok,
-        }
 
 
 class ConfigError(Exception):
@@ -123,14 +110,15 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             f"x={x} shares the factor {gcd(x, args.n)} with N={args.n}; "
             "no quantum run needed"
         )
+    printed = dict(N=args.n, x=x, t=t, L=sizes.L, Q=q, epsilon=args.epsilon, seed=args.seed)
+    printed["quadratic_window_ok"] = args.n**2 <= q < 2 * args.n**2
     return RunConfig(
         N=args.n,
         x=x,
         t=t,
         L=sizes.L,
-        epsilon=args.epsilon,
         seed=args.seed,
-        window_ok=args.n**2 <= q < 2 * args.n**2,
+        printed=printed,
         fmt=getattr(args, "format", "json"),
         out=args.out,
     )
@@ -178,7 +166,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     reports, overlaps = theorems.verify_all(instance, states)
     hint = extract_factors(instance.x, instance.r, instance.N)
     payload = {
-        "config": cfg.to_dict(),
+        "config": cfg.printed,
         "order": instance.r,
         "stages": reports,
         "variations": theorems.algorithm_variations(instance.Q, instance.r, 1.0, 2.0, overlaps),
@@ -227,7 +215,7 @@ def cmd_sweep(cfg: RunConfig, measure: str, grid_spec: Optional[str]) -> int:
     if not params:
         raise ConfigError(f"grid {grid_spec!r} has no point with {domain}")
     states = statevec.run_order_finding_circuit(cfg.instance())
-    curves = [grid(s.entries(), params) for s in states]
+    curves = [grid(s, params) for s in states]
     lines = ["param,C_psi1,C_psi2,C_psi3,delta,limit_flag"]
     for param, limit, c1, c2, c3 in zip(params, limits, *curves):
         lines.append(
@@ -264,7 +252,7 @@ def cmd_factor(cfg: RunConfig, max_attempts: int, fast: bool) -> int:
             factors = pair
             break
     payload = {
-        "config": cfg.to_dict(),
+        "config": cfg.printed,
         "fast": fast,
         "max_attempts": max_attempts,
         "attempts": attempts,
@@ -308,7 +296,7 @@ def cmd_verify(cfg: RunConfig, debug_perturb: float) -> int:
         )
     ok = all(report["pass"] for report in reports.values())
     payload = {
-        "config": cfg.to_dict(),
+        "config": cfg.printed,
         "order": instance.r,
         "debug_perturb": debug_perturb,
         "stages": reports,

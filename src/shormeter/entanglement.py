@@ -65,13 +65,15 @@ def hamming_weight_term(w: int, n: int) -> float:
 def _weight_coefficients(state: PureState) -> np.ndarray:
     """Conjugated amplitude sums grouped by the Hamming weight of the label.
 
-    The boolean mask reads the (Q, k) entries row by row, so np.add.at
+    Joint index j * 2**L + y has weight popcount(j) + popcount(y).  The
+    boolean mask reads the (Q, k) block row by row, so np.add.at
     accumulates each weight in the dense order.
     """
-    positions, amplitudes, _ = state.entries()
+    amplitudes, lay = state.block, state.layout
     keep = np.abs(amplitudes) > ZERO_TOL
-    coeff = np.zeros(state.layout.n + 1, dtype=np.complex128)
-    np.add.at(coeff, np.bitwise_count(positions[keep]), amplitudes[keep].conj())
+    weights = np.bitwise_count(np.arange(lay.Q))[:, None] + np.bitwise_count(state.labels)
+    coeff = np.zeros(lay.n + 1, dtype=np.complex128)
+    np.add.at(coeff, weights[keep], amplitudes[keep].conj())
     return coeff
 
 

@@ -9,13 +9,13 @@ A state stores only its occupied register-B columns, those holding any
 exactly nonzero amplitude: a (Q, k) block and the k sorted labels of its
 columns.  In the circuit k is 1 before modexp and r (the residues x**a mod
 N) after it.  The block is column-major, so each column is one contiguous
-run of Q amplitudes; its logical row-major order is the dense joint order,
-in which `PureState.entries` is read.  The register-A gates (Hadamard layer,
-inverse Fourier transform) transform the block and keep the labels; modular
-exponentiation relabels it.  Nothing allocates the 2**(t+L) complex
-amplitudes, and `measurement_distribution_A` sums the rows in numpy's
-pairwise order without the (Q, 2**L) buffer; only the float64 sum buffer of
-the measures has that size, to keep numpy's dense summation order.
+run of Q amplitudes; its logical row-major order is the dense joint order.
+The register-A gates (Hadamard layer, inverse Fourier transform) transform
+the block and keep the labels; modular exponentiation relabels it.  No
+array has one element per basis state: the row sums of
+`measurement_distribution_A` and the flat sums of the measures
+(`_flat_sum`) give the floats of numpy's sum over the dense array from the
+stored entries, through one shared fold of numpy's lanes.
 
 States are immutable after construction; every operation returns a fresh
 state.
@@ -123,19 +123,6 @@ class PureState:
         labels.setflags(write=False)
         object.__setattr__(self, "block", block)
         object.__setattr__(self, "labels", labels)
-
-    def entries(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """(joint positions, amplitudes, dimension) of the block.
-
-        Positions and amplitudes are (Q, k) arrays, the amplitudes the block
-        itself; read row by row (C order, as `ravel()` and boolean masks read
-        them) they are the dense order.  Consumers reduce the amplitudes
-        element by element before they flatten, so no complex row-major copy
-        of the column-major block is made.
-        """
-        lay = self.layout
-        rows = np.arange(lay.Q, dtype=np.intp) * lay.dim_b
-        return rows[:, None] + self.labels[None, :], self.block, lay.dim
 
 
 def init_state(layout: RegisterLayout) -> PureState:
@@ -261,40 +248,75 @@ class OutcomeDistribution:
         return len(self.probabilities)
 
 
+def _lanes(positions: np.ndarray, n: int) -> np.ndarray:
+    """Accumulator lane of each position in numpy's sum of n float64 values.
+
+    numpy sums pairwise (`pairwise_sum` in its `loops_utils.h.src`): below 8
+    values in order, in one lane; otherwise each block of 128 values (or of
+    all n) runs 8 interleaved lanes, accumulator pos % 8 of block pos // 128,
+    and a power-of-two n splits in halves down to its blocks.  The lanes are
+    numbered accumulator-major, so each accumulator's blocks are contiguous.
+    """
+    if n < 8:
+        return np.zeros_like(positions)
+    return (positions & 7) * max(1, n >> 7) + (positions >> 7)
+
+
+def _lane_count(n: int) -> int:
+    return 1 if n < 8 else max(8, n // 16)
+
+
+def _pairwise_fold(lanes: np.ndarray):
+    """numpy's pairwise sum from its lanes (axis 0), each filled in order.
+
+    Adding +0.0 leaves a sum of nonnegative values unchanged, so lanes that
+    skip the zeros hold numpy's accumulators.
+    """
+    if len(lanes) == 1:
+        return lanes[0]
+    acc = lanes.reshape((8, -1) + lanes.shape[1:])
+    sums = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    while len(sums) > 1:
+        sums = sums[0::2] + sums[1::2]
+    return sums[0]
+
+
 def _row_sums_of_squares(block: np.ndarray, labels: np.ndarray, width: int) -> np.ndarray:
     """np.sum(dense, axis=1) of the (Q, width) array holding |block|**2 at
     columns `labels` and +0.0 elsewhere, float for float, without building it.
 
-    numpy sums a contiguous float64 row pairwise (`pairwise_sum` in its
-    `loops_utils.h.src`).  Below 8 values it adds them in order.  Otherwise
-    each block of 128 values (or of the whole row, if shorter) runs 8
-    interleaved accumulators, lane i taking the values at i, i + 8, ..., which
-    combine as ((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7)); a longer
-    row splits in halves at multiples of 8, which for a power-of-two width is
-    a perfect binary tree over its blocks.  Adding +0.0 leaves every sum of
-    nonnegative values unchanged, so each lane is the in-order sum of its
-    occupied columns.
+    Each row is its own pairwise sum of `width` values; one column at a time
+    is added to the lane of its label, for all rows at once.
     """
     q = block.shape[0]
-    size = min(width, 128)
-    if width < 8:
-        lane = np.zeros(len(labels), dtype=np.intp)
-    else:
-        lane = (labels // size) * 8 + labels % 8
-    lanes = np.zeros((1 if width < 8 else 8 * (width // size), q))
+    lanes = np.zeros((_lane_count(width), q))
     col = np.empty(q)
-    for c, row in enumerate(lane.tolist()):
+    for c, lane in enumerate(_lanes(labels, width).tolist()):
         np.abs(block[:, c], out=col)
         np.square(col, out=col)
-        lanes[row] += col
-    if width < 8:
-        return lanes[0]
-    sums = ((lanes[0::8] + lanes[1::8]) + (lanes[2::8] + lanes[3::8])) + (
-        (lanes[4::8] + lanes[5::8]) + (lanes[6::8] + lanes[7::8])
-    )
-    while len(sums) > 1:
-        sums = sums[0::2] + sums[1::2]
-    return sums[0]
+        lanes[lane] += col
+    return _pairwise_fold(lanes)
+
+
+def _flat_support(values: np.ndarray, labels: np.ndarray, width: int) -> tuple:
+    """The nonzero entries of the (Q, k) `values` row by row (the dense joint
+    order) and their lanes in the flat Q * width sum.  For a power-of-two
+    width the lane of j * width + label is the lane of j * width plus that of
+    the label: j * width mod 8 (mod 128) is a multiple of width below 8 (128)
+    and label < width, so neither pos % 8 nor pos // 128 carries.
+    """
+    q = values.shape[0]
+    flat = values.ravel()
+    keep = np.flatnonzero(flat)
+    rows = np.arange(q, dtype=np.intp) * width
+    lanes = _lanes(rows, q * width)[:, None] + _lanes(labels, q * width)
+    return flat[keep], lanes.ravel()[keep]
+
+
+def _flat_sum(values: np.ndarray, lanes: np.ndarray, n: int) -> float:
+    """np.sum, float for float, of the length-n array holding the entries of
+    `_flat_support` and +0.0 elsewhere; np.bincount adds in input order."""
+    return float(_pairwise_fold(np.bincount(lanes, values, minlength=_lane_count(n))))
 
 
 def measurement_distribution_A(state: PureState) -> OutcomeDistribution:

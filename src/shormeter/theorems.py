@@ -197,7 +197,6 @@ def verify_stage(
         raise ValueError("instance needs its order r (call with_order() first)")
     if stage != "psi1" and instance.m is not None and overlaps is None:
         raise ValueError(f"the {stage} rows need the closed-form overlaps when r | Q")
-    entries = state.entries()
     d: Optional[int] = None  # count of equal-weight basis states
     if stage != "psi3":
         d = instance.Q
@@ -207,15 +206,15 @@ def verify_stage(
     def closed(index: int, p: float = 1.0, alpha: float = 1.0) -> Optional[float]:
         return None if d is None else coherence_closed_forms(d, p, alpha)[index]
 
-    p_values = measures.l1p_coherence_grid(entries, P_GRID_DEFAULT)
-    alpha_values = measures.tsallis_coherence_grid(entries, ALPHA_GRID_DEFAULT)
+    p_values = measures.l1p_coherence_grid(state, P_GRID_DEFAULT)
+    alpha_values = measures.tsallis_coherence_grid(state, ALPHA_GRID_DEFAULT)
     groups = {
         "C_1p": [_gated_row(p, v, closed(0, p=p)) for p, v in zip(P_GRID_DEFAULT, p_values)],
         "C_alpha": [
             _gated_row(alpha, v, closed(1, alpha=alpha))
             for alpha, v in zip(ALPHA_GRID_DEFAULT, alpha_values)
         ],
-        "C_g": [_gated_row(None, measures.geometric_coherence_pure(entries), closed(2))],
+        "C_g": [_gated_row(None, measures.geometric_coherence_pure(state), closed(2))],
         "E_g": [_entanglement_row(stage, state, overlaps)],
     }
     passed = all(row["pass"] for rows in groups.values() for row in rows if row["gated"])

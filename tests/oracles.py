@@ -3,7 +3,8 @@
 Three kinds live here.  The dense expressions evaluate a pure-state measure
 over every amplitude of the state, zeros included; `shormeter.measures`
 must reproduce them bit for bit from the nonzero support, and the
-single-point wrappers evaluate a one-element grid on a dense vector.  The
+single-point wrappers evaluate a one-element grid on `as_state(vector)`, the
+vector zero-padded to a power of two and held as a `PureState`.  The
 density-matrix measures (eigendecomposition based) are independent routes,
 capped at dim <= 256.  The relative-entropy and skew-information
 coherences are included because the Tsallis family reduces to them at
@@ -13,8 +14,8 @@ transform and modexp on dense vectors, ideal post-transform state,
 dual-path outcome probability, forward transform, loop-summed closed-form
 overlaps, dense all-starts product-family optimizer, brute-force product-state
 search, symmetric overlap, alpha-peak search) and small helpers
-(`mod_pow`, `register_b_support`, `dump_nonzero_json`) serve only the
-tests, so they are kept out of the library.
+(`as_state`, `mod_pow`, `register_b_support`, `dump_nonzero_json`) serve
+only the tests, so they are kept out of the library.
 """
 
 from __future__ import annotations
@@ -86,20 +87,24 @@ def dense_geometric_pure(state: np.ndarray) -> float:
     return float(max(0.0, 1.0 - _pure_probs(state).max()))
 
 
-def dense_entries(state: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """The measures' (positions, amplitudes, dimension) triple of a dense vector."""
-    amps = np.asarray(state, dtype=np.complex128).reshape(-1)
-    return np.arange(amps.size), amps, amps.size
+def as_state(vec: np.ndarray) -> PureState:
+    """A normalized vector as a `PureState` with L = 1, zero-padded to 2**m >= 4
+    amplitudes; `to_dense` gives back the padded vector."""
+    amps = np.asarray(vec, dtype=np.complex128).reshape(-1)
+    size = max(4, 1 << (amps.size - 1).bit_length())
+    padded = np.zeros(size, dtype=np.complex128)
+    padded[: amps.size] = amps
+    return from_dense(RegisterLayout(t=size.bit_length() - 2, L=1), padded)
 
 
 def tsallis_coherence_pure(state: np.ndarray, alpha: float) -> float:
-    """Tsallis relative alpha-entropy of coherence of a dense vector at one alpha."""
-    return tsallis_coherence_grid(dense_entries(state), (alpha,))[0]
+    """Tsallis relative alpha-entropy of coherence of a vector at one alpha."""
+    return tsallis_coherence_grid(as_state(state), (alpha,))[0]
 
 
 def l1p_coherence_pure(state: np.ndarray, p: float) -> float:
-    """l_{1,p} coherence of a dense vector at one p."""
-    return l1p_coherence_grid(dense_entries(state), (p,))[0]
+    """l_{1,p} coherence of a vector at one p."""
+    return l1p_coherence_grid(as_state(state), (p,))[0]
 
 
 def pure_density(state: np.ndarray) -> np.ndarray:
@@ -211,10 +216,9 @@ def register_b_support(state: PureState) -> list[int]:
 
 def dump_nonzero_json(state: PureState) -> str:
     """JSON array of [index, re, im] triples for amplitudes above ZERO_TOL."""
-    positions, amps, _ = state.entries()
-    keep = np.abs(amps) > ZERO_TOL
-    triples = [[int(i), float(c.real), float(c.imag)] for i, c in zip(positions[keep], amps[keep])]
-    return json.dumps(triples)
+    amps = to_dense(state)
+    keep = np.flatnonzero(np.abs(amps) > ZERO_TOL)
+    return json.dumps([[int(i), float(amps[i].real), float(amps[i].imag)] for i in keep])
 
 
 def weight_sums_loop(instance: ShorInstance) -> tuple[float, complex]:

@@ -76,7 +76,7 @@ def test_simulate_csv_round_trip(tmp_path):
     from shormeter import make_instance, run_order_finding_circuit
 
     psi1 = run_order_finding_circuit(make_instance(15, 7))[0]
-    expected = measures.l1p_coherence_grid(psi1.entries(), (1.0,))[0]
+    expected = measures.l1p_coherence_grid(psi1, (1.0,))[0]
     row = next(l for l in lines[1:] if l.startswith("psi1,C_1p,1,"))
     numeric = float(row.split(",")[3])
     assert numeric == expected  # 17 significant digits round-trip exactly

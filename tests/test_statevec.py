@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -24,6 +24,8 @@ from oracles import (
 from shormeter.numtheory import ShorInstance, make_instance
 from shormeter.statevec import (
     NORM_TOL,
+    _flat_sum,
+    _flat_support,
     _row_sums_of_squares,
     OutcomeDistribution,
     PureState,
@@ -133,27 +135,6 @@ def test_construction_rejects_a_block_that_does_not_fit(shape):
     block.reshape(-1)[0] = 1.0
     with pytest.raises(ValueError, match="block"):
         PureState(lay, block, [1])
-
-
-def test_entries_are_the_dense_order():
-    # _weight_coefficients (np.add.at over a boolean mask) and the alpha ~ 1
-    # Shannon sum (over the raveled support) accumulate in this order, so the
-    # column-major block must read back row by row; it is handed over as is
-    rng = np.random.default_rng(5)
-    lay = RegisterLayout(t=3, L=3)
-    state = few_column_state(lay, [1, 4, 6], rng)
-    positions, amps, dim = state.entries()
-    dense = to_dense(state)
-    assert dim == lay.dim
-    assert amps is state.block and amps.flags.f_contiguous
-    assert positions.shape == amps.shape == (lay.Q, 3)
-    assert np.all(np.diff(positions.ravel()) > 0)
-    assert dense[positions.ravel()].tobytes() == amps.ravel().tobytes()
-    keep = np.abs(amps) > 0.2
-    assert 0 < np.count_nonzero(keep) < amps.size
-    assert np.all(np.diff(positions[keep]) > 0)
-    assert amps[keep].tobytes() == dense[positions[keep]].tobytes()
-    assert np.count_nonzero(dense) == np.count_nonzero(amps)
 
 
 def test_circuit_stages_and_gate_outputs_are_column_major_and_read_only():
@@ -438,6 +419,46 @@ def test_row_sums_match_numpy_over_the_dense_row(L, q, fill, zero_rows, zero_col
     block = np.asfortranarray(block)
     got = _row_sums_of_squares(block, labels, width)
     assert got.tobytes() == _dense_row_sums(block, labels, width).tobytes()
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    L=st.integers(1, 11),
+    t=st.integers(1, 7),
+    fill=st.floats(0.01, 1.0),
+    zero_rows=st.booleans(),
+    zero_cols=st.booleans(),
+    scale=st.sampled_from((1.0, 1e-150, 1e-160, 1e-300)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(L=1, t=1, fill=1.0, zero_rows=False, zero_cols=False, scale=1.0, seed=0)
+@example(L=1, t=5, fill=0.5, zero_rows=True, zero_cols=False, scale=1.0, seed=1)
+@example(L=2, t=7, fill=0.5, zero_rows=False, zero_cols=True, scale=1e-160, seed=2)
+@example(L=3, t=3, fill=0.5, zero_rows=True, zero_cols=True, scale=1.0, seed=3)
+@example(L=6, t=4, fill=0.3, zero_rows=True, zero_cols=False, scale=1e-300, seed=4)
+def test_flat_sum_matches_numpy_over_the_dense_vector(
+    L, t, fill, zero_rows, zero_cols, scale, seed
+):
+    # Q * 2**L runs from 4 to 2**18: the in-order branch (< 8), one 8-lane
+    # block (8 to 128) and the pairwise tree, with widths below and above 8
+    # and 128 for the row-plus-label lanes; the scales underflow |c|**2
+    width, q = 2**L, 2**t
+    rng = np.random.default_rng(seed)
+    labels = np.flatnonzero(rng.random(width) < fill)
+    if len(labels) == 0:
+        labels = np.array([rng.integers(width)])
+    block = rng.standard_normal((q, len(labels))) + 1j * rng.standard_normal((q, len(labels)))
+    block *= scale * 10.0 ** rng.integers(-8, 1, size=block.shape)
+    if zero_rows:
+        block[rng.random(q) < 0.5, :] = 0.0
+    if zero_cols:
+        block[:, rng.random(len(labels)) < 0.5] = 0.0
+    block = np.asfortranarray(block)
+    for values in (np.abs(block), block.real**2 + block.imag**2):
+        dense = np.zeros(q * width)
+        dense.reshape(q, width)[:, labels] = values
+        got = _flat_sum(*_flat_support(values, labels, width), q * width)
+        assert np.float64(got).tobytes() == np.sum(dense).tobytes()
 
 
 @pytest.mark.parametrize("n, x, t", [(15, 7, 11), (49, 3, 8), (255, 2, 4)])
