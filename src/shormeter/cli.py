@@ -14,7 +14,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 from typing import Optional
 
@@ -37,7 +37,10 @@ EXIT_CONFIG = 2
 # Byte budget of a run: 16 per basis state (one dense complex state, which
 # bounds the stored columns), FAST_BYTES_PER_OUTCOME per --fast outcome, and,
 # without --x, the list of candidate bases.  2**28 bytes is a 24-qubit dense
-# state; larger configs exit 2 before allocating anything.
+# state; larger configs exit 2 before allocating anything.  Dense `factor`
+# peaks at one (Q, r) block of psi3 plus a scratch of 2 MiB or 8 columns;
+# simulate, verify and sweep hold psi1, psi2 and psi3 together and can
+# exceed it when r is close to 2**L.
 MEMORY_BUDGET_BYTES = 2**28
 # Traced peak of `factor --fast` per outcome, rounded up: the four Q-long
 # buffers of `statevec.outcome_distribution` (32.1 bytes at Q = 2**20).
@@ -59,9 +62,24 @@ class RunConfig:
     t: int
     L: int
     seed: int
-    printed: dict = field(hash=False)  # the "config" object of every JSON report
+    epsilon: float
     fmt: str = "json"
     out: Optional[str] = None
+
+    @property
+    def printed(self) -> dict:
+        """The "config" object of every JSON report."""
+        q = 2**self.t
+        return dict(
+            N=self.N,
+            x=self.x,
+            t=self.t,
+            L=self.L,
+            Q=q,
+            epsilon=self.epsilon,
+            seed=self.seed,
+            quadratic_window_ok=self.N**2 <= q < 2 * self.N**2,
+        )
 
     def instance(self) -> ShorInstance:
         return ShorInstance(N=self.N, x=self.x, t=self.t, L=self.L).with_order()
@@ -110,15 +128,13 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             f"x={x} shares the factor {gcd(x, args.n)} with N={args.n}; "
             "no quantum run needed"
         )
-    printed = dict(N=args.n, x=x, t=t, L=sizes.L, Q=q, epsilon=args.epsilon, seed=args.seed)
-    printed["quadratic_window_ok"] = args.n**2 <= q < 2 * args.n**2
     return RunConfig(
         N=args.n,
         x=x,
         t=t,
         L=sizes.L,
         seed=args.seed,
-        printed=printed,
+        epsilon=args.epsilon,
         fmt=getattr(args, "format", "json"),
         out=args.out,
     )
@@ -232,9 +248,10 @@ def cmd_factor(cfg: RunConfig, max_attempts: int, fast: bool) -> int:
     rng = np.random.default_rng(cfg.seed)
     if fast:
         dist = statevec.outcome_distribution(instance.r, instance.Q)
-    else:
-        _, _, psi3 = statevec.run_order_finding_circuit(instance)
-        dist = statevec.measurement_distribution_A(psi3)
+    else:  # psi3 straight from psi1: the modexp image is never held
+        layout = statevec.RegisterLayout.for_instance(instance)
+        psi1 = statevec.apply_hadamard_layer(statevec.init_state(layout))
+        dist = statevec.measurement_distribution_A(statevec.final_state(psi1, instance))
     attempts = []
     factors: Optional[tuple[int, int]] = None
     orders_seen = 0

@@ -10,9 +10,15 @@ exactly nonzero amplitude: a (Q, k) block and the k sorted labels of its
 columns.  In the circuit k is 1 before modexp and r (the residues x**a mod
 N) after it.  The block is column-major, so each column is one contiguous
 run of Q amplitudes; its logical row-major order is the dense joint order.
-The register-A gates (Hadamard layer, inverse Fourier transform) transform
-the block and keep the labels; modular exponentiation relabels it.  No
-array has one element per basis state: the row sums of
+The Hadamard layer transforms the block and keeps the labels; modular
+exponentiation relabels it.  The last stage, the inverse Fourier transform
+on register A of the modexp image, comes straight from psi1
+(`final_state`): the image columns are scattered a chunk at a time (2 MiB,
+or 8 columns when those are larger) into one scratch and transformed
+there, so psi2 is never held and the dense `factor` job peaks at one
+(Q, r) block plus the scratch.  `apply_modexp_unitary` still builds psi2
+for the reports, with the same targets and scatter.  No array has one
+element per basis state: the row sums of
 `measurement_distribution_A` and the flat sums of the measures
 (`_flat_sum`) give the floats of numpy's sum over the dense array from the
 stored entries, through one shared fold of numpy's lanes.
@@ -38,8 +44,8 @@ __all__ = [
     "PureState",
     "RegisterLayout",
     "apply_hadamard_layer",
-    "apply_inverse_qft_A",
     "apply_modexp_unitary",
+    "final_state",
     "outcome_distribution",
     "init_state",
     "measurement_distribution_A",
@@ -166,14 +172,16 @@ def apply_hadamard_layer(state: PureState) -> PureState:
     return _register_a_gate(state, butterflies)
 
 
-def apply_modexp_unitary(state: PureState, instance: ShorInstance) -> PureState:
-    """|j>|y> -> |j>|x**j * y mod N> on register-B values below N.
+def _modexp_targets(state: PureState, instance: ShorInstance) -> tuple:
+    """(source, labels, columns) of modexp on `state`.
 
-    Multiplication by an invertible x permutes the residues mod N, so the map
-    is unitary; basis values y >= N must carry no amplitude.  Row j of
-    column y < N moves to column x**j * y mod N: the distinct targets are the
-    new labels, filled by one scatter.  Residue products are formed in
-    int64, which holds them for every N below 2**31.
+    `source` is the block of the input columns below N.  x**j mod N repeats
+    with a period P, the order of x (or Q, if x**j does not come back to 1
+    below Q), and `columns` has one row per j < P and one column per source
+    column: row j of source column c moves to the image column
+    columns[j % P, c], whose register-B label is x**j * labels[c] mod N.
+    The labels are the distinct targets, sorted.  Residue products are
+    formed in int64, which holds them for every N below 2**31.
     """
     lay = state.layout
     if (lay.t, lay.L) != (instance.t, instance.L):
@@ -187,31 +195,89 @@ def apply_modexp_unitary(state: PureState, instance: ShorInstance) -> PureState:
     while k < lay.Q:  # x**(k + j) = x**j * x**k, doubling the filled prefix
         powers[k : 2 * k] = powers[:k] * pow(x, k, n_mod) % n_mod
         k *= 2
-    targets = (powers[:, None] * state.labels[None, :inside]) % n_mod
+    again = np.flatnonzero(powers[1:] == 1)
+    period = int(again[0]) + 1 if len(again) else lay.Q
+    targets = (powers[:period, None] * state.labels[None, :inside]) % n_mod
     labels, columns = np.unique(targets, return_inverse=True)
-    out = np.zeros((lay.Q, len(labels)), dtype=np.complex128, order="F")
-    out[np.arange(lay.Q)[:, None], columns.reshape(targets.shape)] = state.block[:, :inside]
+    return state.block[:, :inside], labels, columns.reshape(targets.shape)
+
+
+def _scatter(out: np.ndarray, source: np.ndarray, columns: np.ndarray, c0: int) -> None:
+    """Write the image columns c0, c0 + 1, ... into the zeroed columns of `out`.
+
+    The rows j = p, p + P, ... of a source column share their image column,
+    so each (p, source column) pair landing in the range is one strided
+    copy: P copies per source column in all.  For a fixed row,
+    multiplication by x**j permutes the residues, so no two copies share a
+    slot.
+    """
+    period = len(columns)
+    rows, cols = np.nonzero((columns >= c0) & (columns < c0 + out.shape[1]))
+    for p, c, image in zip(rows.tolist(), cols.tolist(), (columns[rows, cols] - c0).tolist()):
+        out[p::period, image] = source[p::period, c]
+
+
+def apply_modexp_unitary(state: PureState, instance: ShorInstance) -> PureState:
+    """|j>|y> -> |j>|x**j * y mod N> on register-B values below N.
+
+    Multiplication by an invertible x permutes the residues mod N, so the map
+    is unitary; basis values y >= N must carry no amplitude.  Row j of column
+    y < N moves to column x**j * y mod N: the distinct targets are the new
+    labels, filled by one scatter.
+    """
+    source, labels, columns = _modexp_targets(state, instance)
+    out = np.zeros((state.layout.Q, len(labels)), dtype=np.complex128, order="F")
+    _scatter(out, source, columns, 0)
     out.setflags(write=False)
-    return PureState(lay, out, labels)
+    return PureState(state.layout, out, labels)
 
 
-def _inverse_qft_columns(block: np.ndarray) -> np.ndarray:
-    out = np.fft.fft(block, axis=0)  # keeps the column-major layout
-    out /= math.sqrt(block.shape[0])
-    return out
+# `final_state` transforms the image columns in chunks of about this many
+# bytes, so that each chunk stays in cache from its scatter to its scaling,
+# but of at least _CHUNK_COLUMNS columns: each np.fft.fft call has a fixed
+# cost of about a third of one column's transform, and at Q = 2**17 chunks
+# of one or four columns made dense `factor` 20-60% or 15-20% slower than
+# one FFT over the whole block, where eight columns match it.
+_CHUNK_BYTES = 2**21
+_CHUNK_COLUMNS = 8
 
 
-def apply_inverse_qft_A(state: PureState) -> PureState:
-    """Inverse Fourier transform on register A: kernel exp(-2 pi i j k / Q) / sqrt(Q)."""
-    return _register_a_gate(state, _inverse_qft_columns)
+def final_state(state: PureState, instance: ShorInstance) -> PureState:
+    """Inverse Fourier transform on register A of the modexp image of `state`.
+
+    Byte for byte the inverse QFT (kernel exp(-2 pi i j k / Q) / sqrt(Q)) of
+    `apply_modexp_unitary(state, instance)`, but the image is never held:
+    the targets are found once, then each chunk of image columns is
+    scattered into one reused scratch, transformed in one batched FFT into
+    its columns of the output, and divided by sqrt(Q) there; the same
+    scatter then writes zeros back.  The peak is the output block plus the
+    scratch.
+    """
+    source, labels, columns = _modexp_targets(state, instance)
+    q, k = state.layout.Q, len(labels)
+    width = min(k, max(_CHUNK_COLUMNS, _CHUNK_BYTES // (16 * q)))
+    scratch = np.empty((q, width), dtype=np.complex128, order="F")
+    # zeroed by writing, not by np.zeros: its untouched pages, once read by
+    # the FFT, would fault again on the next write
+    scratch.fill(0)
+    blank = np.broadcast_to(np.complex128(0), source.shape)
+    out = np.empty((q, k), dtype=np.complex128, order="F")
+    scale = math.sqrt(q)
+    for c0 in range(0, k, width):
+        chunk = scratch[:, : min(width, k - c0)]
+        _scatter(chunk, source, columns, c0)
+        image = out[:, c0 : c0 + chunk.shape[1]]
+        np.fft.fft(chunk, axis=0, out=image)
+        image /= scale
+        _scatter(chunk, blank, columns, c0)  # zero the scratch again
+    out.setflags(write=False)
+    return PureState(state.layout, out, labels)
 
 
 def run_order_finding_circuit(instance: ShorInstance) -> tuple[PureState, PureState, PureState]:
     """Evolve init -> Hadamard layer -> modular exponentiation -> inverse QFT."""
     psi1 = apply_hadamard_layer(init_state(RegisterLayout.for_instance(instance)))
-    psi2 = apply_modexp_unitary(psi1, instance)
-    psi3 = apply_inverse_qft_A(psi2)
-    return psi1, psi2, psi3
+    return psi1, apply_modexp_unitary(psi1, instance), final_state(psi1, instance)
 
 
 @dataclass(frozen=True)
@@ -303,14 +369,19 @@ def _flat_support(values: np.ndarray, labels: np.ndarray, width: int) -> tuple:
     order) and their lanes in the flat Q * width sum.  For a power-of-two
     width the lane of j * width + label is the lane of j * width plus that of
     the label: j * width mod 8 (mod 128) is a multiple of width below 8 (128)
-    and label < width, so neither pos % 8 nor pos // 128 carries.
+    and label < width, so neither pos % 8 nor pos // 128 carries.  Only the
+    kept entries get a lane: a boolean mask picks both terms out of their
+    broadcast row and label tables.
     """
-    q = values.shape[0]
+    q, k = values.shape
     flat = values.ravel()
-    keep = np.flatnonzero(flat)
-    rows = np.arange(q, dtype=np.intp) * width
-    lanes = _lanes(rows, q * width)[:, None] + _lanes(labels, q * width)
-    return flat[keep], lanes.ravel()[keep]
+    keep = flat != 0
+    grid = keep.reshape(q, k)
+    n = q * width
+    row_lanes = _lanes(np.arange(q, dtype=np.intp) * width, n)
+    lanes = np.broadcast_to(_lanes(labels, n), (q, k))[grid]
+    lanes += np.broadcast_to(row_lanes[:, None], (q, k))[grid]
+    return flat[keep], lanes
 
 
 def _flat_sum(values: np.ndarray, lanes: np.ndarray, n: int) -> float:

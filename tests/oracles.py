@@ -11,9 +11,10 @@ coherences are included because the Tsallis family reduces to them at
 alpha -> 1 and alpha = 1/2.  The circuit and entanglement oracles (dense
 materialization of column-stored states, all-column Hadamard layer, inverse
 transform and modexp on dense vectors, ideal post-transform state,
-dual-path outcome probability, forward transform, loop-summed closed-form
-overlaps, dense all-starts product-family optimizer, brute-force product-state
-search, symmetric overlap, alpha-peak search) and small helpers
+dual-path outcome probability, forward and inverse transform gates on a
+held state, loop-summed closed-form overlaps, dense all-starts
+product-family optimizer, brute-force product-state search, symmetric
+overlap, alpha-peak search) and small helpers
 (`as_state`, `mod_pow`, `register_b_support`, `dump_nonzero_json`) serve
 only the tests, so they are kept out of the library.
 """
@@ -304,6 +305,21 @@ def _qft_columns(cols: np.ndarray) -> np.ndarray:
 def apply_qft_A(state: PureState) -> PureState:
     """Fourier transform on register A: kernel exp(+2 pi i j k / Q) / sqrt(Q)."""
     return _register_a_gate(state, _qft_columns)
+
+
+def _inverse_qft_columns(cols: np.ndarray) -> np.ndarray:
+    out = np.fft.fft(cols, axis=0)  # keeps the column-major layout
+    out /= math.sqrt(cols.shape[0])
+    return out
+
+
+def apply_inverse_qft_A(state: PureState) -> PureState:
+    """Inverse Fourier transform on register A: kernel exp(-2 pi i j k / Q) / sqrt(Q).
+
+    The gate on a held state, one FFT over the whole block; the circuit
+    builds its last stage with `statevec.final_state` instead.
+    """
+    return _register_a_gate(state, _inverse_qft_columns)
 
 
 def ideal_psi3(instance: ShorInstance) -> PureState:

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    apply_inverse_qft_A,
     apply_qft_A,
     dump_nonzero_json,
     from_dense,
@@ -21,9 +22,11 @@ from oracles import (
     register_b_support,
     to_dense,
 )
+from shormeter import statevec
 from shormeter.numtheory import ShorInstance, make_instance
 from shormeter.statevec import (
     NORM_TOL,
+    ZERO_TOL,
     _flat_sum,
     _flat_support,
     _row_sums_of_squares,
@@ -31,8 +34,8 @@ from shormeter.statevec import (
     PureState,
     RegisterLayout,
     apply_hadamard_layer,
-    apply_inverse_qft_A,
     apply_modexp_unitary,
+    final_state,
     init_state,
     measurement_distribution_A,
     outcome_distribution,
@@ -146,6 +149,7 @@ def test_circuit_stages_and_gate_outputs_are_column_major_and_read_only():
         apply_hadamard_layer(wide),
         apply_inverse_qft_A(wide),
         apply_modexp_unitary(wide, inst),
+        final_state(wide, inst),
     ]
     for state in outputs:
         assert state.block.flags.f_contiguous and state.block.flags.owndata
@@ -375,6 +379,55 @@ def test_gates_on_column_stored_states_keep_norm_and_match_dense_oracles(case):
         assert np.all(np.diff(out.labels) > 0) and np.all(out.block.any(axis=0))
 
 
+def assert_same_state(got, expected):
+    assert got.block.tobytes() == expected.block.tobytes()
+    assert got.labels.tobytes() == expected.labels.tobytes()
+
+
+@pytest.mark.parametrize(
+    "n, x, t",
+    [
+        (15, 7, 11),  # r = 4 divides Q
+        (21, 2, 10),  # r = 6 does not
+        (15, 4, 8),  # r = 2: two image columns
+        (49, 3, None),  # r = 42 = 5 * 8 + 2 columns at Q = 2**15
+        (65, 2, None),  # Q = 2**17: r = 12 = 8 + 4 columns
+        (255, 2, 4),  # L = 8
+    ],
+)
+def test_final_state_matches_the_gates_on_the_uniform_stage(n, x, t):
+    inst = make_instance(n, x, t=t)
+    psi1 = apply_hadamard_layer(init_state(RegisterLayout.for_instance(inst)))
+    expected = apply_inverse_qft_A(apply_modexp_unitary(psi1, inst))
+    assert_same_state(final_state(psi1, inst), expected)
+
+
+@st.composite
+def states_with_columns_beyond_the_modulus(draw):
+    """(instance, state) of `column_stored_states`, plus up to three columns
+    above N holding amplitudes below ZERO_TOL, which modexp skips."""
+    inst, state = draw(column_stored_states())
+    lay = state.layout
+    extra = sorted(draw(st.sets(st.integers(inst.N, lay.dim_b - 1), max_size=3)))
+    tiny = np.full((lay.Q, len(extra)), ZERO_TOL / 4, dtype=complex)
+    block = np.concatenate([state.block, tiny], axis=1)
+    return inst, PureState(lay, block, np.concatenate([state.labels, extra]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(states_with_columns_beyond_the_modulus(), st.integers(1, 3))
+def test_final_state_matches_the_gates_on_column_stored_states(case, chunk_columns):
+    # a chunk of 1 to 3 image columns: the scatter reads several input
+    # columns into every chunk, and the last chunk may be narrower
+    inst, state = case
+    expected = apply_inverse_qft_A(apply_modexp_unitary(state, inst))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(statevec, "_CHUNK_BYTES", 16 * state.layout.Q * chunk_columns)
+        patch.setattr(statevec, "_CHUNK_COLUMNS", chunk_columns)
+        got = final_state(state, inst)
+    assert_same_state(got, expected)
+
+
 @settings(max_examples=60, deadline=None)
 @given(column_stored_states())
 def test_outcome_distribution_of_column_stored_state_matches_dense_row_sums(case):
@@ -485,6 +538,24 @@ def test_factor_peak_stays_below_three_column_blocks():
         tracemalloc.stop()
     assert code in (0, 1)
     assert peak < 3 * 16 * inst.Q * inst.r
+
+
+def test_dense_factor_peaks_at_one_and_a_half_column_blocks():
+    # psi3 is built from psi1 in chunks, so psi2 is never held beside it;
+    # holding both peaked at 2.19 * 16 * Q * r bytes on this instance
+    from shormeter.cli import main
+
+    inst = make_instance(49, 3)
+    assert (inst.Q, inst.r) == (2**15, 42)
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["factor", "--n", "49", "--x", "3"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code in (0, 1)
+    assert peak < 1.5 * 16 * inst.Q * inst.r
 
 
 def test_circuit_stays_below_one_dense_state_in_memory():
