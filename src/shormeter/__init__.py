@@ -1,9 +1,10 @@
 """Simulator of the quantum order-finding routine with resource meters.
 
-The package evolves the two-register state through every circuit stage,
-computes coherence and entanglement quantifiers on the simulated states,
-evaluates the matching closed forms independently, cross-validates the two,
-and finishes the classical factoring post-processing.
+The package builds the uniform stage H^t|0>|1> directly, evolves it
+through modular exponentiation and the inverse Fourier transform, computes
+coherence and entanglement quantifiers on the simulated states, evaluates
+the matching closed forms independently, cross-validates the two, and
+finishes the classical factoring post-processing.
 """
 
 from shormeter.numtheory import (

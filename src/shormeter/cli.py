@@ -46,6 +46,9 @@ MEMORY_BUDGET_BYTES = 2**28
 # buffers of `statevec.outcome_distribution` (32.1 bytes at Q = 2**20).
 FAST_BYTES_PER_OUTCOME = 33
 MAX_GRID_POINTS = 100_000  # a tiny --grid STEP exits 2 instead of listing unbounded points
+# Each failing factor attempt costs about 41 us and 0.8 KB of output and
+# RSS, so a larger --max-attempts exits 2 instead of running for hours.
+MAX_ATTEMPTS = 10_000
 # The brute-force order search takes up to N - 1 modular multiplications
 # (about 1 s at N = 2**23), so a larger N exits 2 before searching.
 MAX_ORDER_SEARCH_N = 2**23
@@ -244,13 +247,14 @@ def cmd_sweep(cfg: RunConfig, measure: str, grid_spec: Optional[str]) -> int:
 def cmd_factor(cfg: RunConfig, max_attempts: int, fast: bool) -> int:
     if max_attempts < 1:
         raise ConfigError(f"--max-attempts must be >= 1, got {max_attempts}")
+    if max_attempts > MAX_ATTEMPTS:
+        raise ConfigError(f"--max-attempts must be <= {MAX_ATTEMPTS}, got {max_attempts}")
     instance = cfg.instance()
     rng = np.random.default_rng(cfg.seed)
     if fast:
         dist = statevec.outcome_distribution(instance.r, instance.Q)
     else:  # psi3 straight from psi1: the modexp image is never held
-        layout = statevec.RegisterLayout.for_instance(instance)
-        psi1 = statevec.apply_hadamard_layer(statevec.init_state(layout))
+        psi1 = statevec.uniform_state(statevec.RegisterLayout.for_instance(instance))
         dist = statevec.measurement_distribution_A(statevec.final_state(psi1, instance))
     attempts = []
     factors: Optional[tuple[int, int]] = None

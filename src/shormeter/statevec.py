@@ -10,8 +10,10 @@ exactly nonzero amplitude: a (Q, k) block and the k sorted labels of its
 columns.  In the circuit k is 1 before modexp and r (the residues x**a mod
 N) after it.  The block is column-major, so each column is one contiguous
 run of Q amplitudes; its logical row-major order is the dense joint order.
-The Hadamard layer transforms the block and keeps the labels; modular
-exponentiation relabels it.  The last stage, the inverse Fourier transform
+psi1, the Hadamard layer on |0>|1>, is built directly (`uniform_state`):
+one column of sqrt(1/Q), rounded once, so no general Hadamard gate is
+needed, and the all-column one is a test oracle.  Modular exponentiation
+relabels the block.  The last stage, the inverse Fourier transform
 on register A of the modexp image, comes straight from psi1
 (`final_state`): the image columns are scattered a chunk at a time (2 MiB,
 or 8 columns when those are larger) into one scratch and transformed
@@ -31,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -43,14 +44,13 @@ __all__ = [
     "OutcomeDistribution",
     "PureState",
     "RegisterLayout",
-    "apply_hadamard_layer",
     "apply_modexp_unitary",
     "final_state",
     "outcome_distribution",
-    "init_state",
     "measurement_distribution_A",
     "run_order_finding_circuit",
     "sample_outcome",
+    "uniform_state",
 ]
 
 ZERO_TOL = 1e-12  # amplitudes below this modulus count as exact zeros
@@ -131,45 +131,12 @@ class PureState:
         object.__setattr__(self, "labels", labels)
 
 
-def init_state(layout: RegisterLayout) -> PureState:
-    """|0...0> on register A, |1> on register B."""
-    block = np.zeros((layout.Q, 1), dtype=np.complex128)
-    block[0, 0] = 1.0
+def uniform_state(layout: RegisterLayout) -> PureState:
+    """psi1 = H^t|0>|1>: one column at register-B label 1, every amplitude
+    sqrt(1/Q), rounded once (exact for even t)."""
+    block = np.full((layout.Q, 1), math.sqrt(1.0 / layout.Q), dtype=np.complex128, order="F")
     block.setflags(write=False)
     return PureState(layout, block, np.array([1]))
-
-
-def _register_a_gate(state: PureState, transform: Callable[[np.ndarray], np.ndarray]) -> PureState:
-    """Apply a register-A transform to the occupied register-B columns.
-
-    ``transform`` maps the read-only (Q, k) column-major block to a fresh
-    column-major array of its images; the labels stay.
-    """
-    out = transform(state.block)
-    out.setflags(write=False)
-    return PureState(state.layout, out, state.labels)
-
-
-def apply_hadamard_layer(state: PureState) -> PureState:
-    """Hadamard on every register-A qubit (register B untouched)."""
-    t = state.layout.t
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-
-    def butterflies(block: np.ndarray) -> np.ndarray:
-        cols = block.copy(order="F")
-        # a view through the contiguous (k, Q) transpose: register-A bit b
-        # (most significant first) is axis b + 1
-        arr = cols.T.reshape((cols.shape[1],) + (2,) * t)
-        for axis in range(1, t + 1):
-            view = np.moveaxis(arr, axis, 0)
-            top = view[0].copy()
-            view[0] += view[1]
-            view[0] *= inv_sqrt2
-            np.subtract(top, view[1], out=view[1])
-            view[1] *= inv_sqrt2
-        return cols
-
-    return _register_a_gate(state, butterflies)
 
 
 def _modexp_targets(state: PureState, instance: ShorInstance) -> tuple:
@@ -249,7 +216,7 @@ def final_state(state: PureState, instance: ShorInstance) -> PureState:
     `apply_modexp_unitary(state, instance)`, but the image is never held:
     the targets are found once, then each chunk of image columns is
     scattered into one reused scratch, transformed in one batched FFT into
-    its columns of the output, and divided by sqrt(Q) there; the same
+    its columns of the output, and scaled by 1/sqrt(Q) there; the same
     scatter then writes zeros back.  The peak is the output block plus the
     scratch.
     """
@@ -262,21 +229,23 @@ def final_state(state: PureState, instance: ShorInstance) -> PureState:
     scratch.fill(0)
     blank = np.broadcast_to(np.complex128(0), source.shape)
     out = np.empty((q, k), dtype=np.complex128, order="F")
-    scale = math.sqrt(q)
+    scale = 1.0 / math.sqrt(q)
     for c0 in range(0, k, width):
         chunk = scratch[:, : min(width, k - c0)]
         _scatter(chunk, source, columns, c0)
         image = out[:, c0 : c0 + chunk.shape[1]]
         np.fft.fft(chunk, axis=0, out=image)
-        image /= scale
+        # a float64 view multiplies by fl(1 / sqrt(Q)), as complex division
+        # by a real does; the transpose puts the contiguous axis last
+        image.T.view(np.float64)[...] *= scale
         _scatter(chunk, blank, columns, c0)  # zero the scratch again
     out.setflags(write=False)
     return PureState(state.layout, out, labels)
 
 
 def run_order_finding_circuit(instance: ShorInstance) -> tuple[PureState, PureState, PureState]:
-    """Evolve init -> Hadamard layer -> modular exponentiation -> inverse QFT."""
-    psi1 = apply_hadamard_layer(init_state(RegisterLayout.for_instance(instance)))
+    """psi1 (the uniform stage) -> modular exponentiation -> inverse QFT."""
+    psi1 = uniform_state(RegisterLayout.for_instance(instance))
     return psi1, apply_modexp_unitary(psi1, instance), final_state(psi1, instance)
 
 

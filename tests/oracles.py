@@ -9,12 +9,13 @@ density-matrix measures (eigendecomposition based) are independent routes,
 capped at dim <= 256.  The relative-entropy and skew-information
 coherences are included because the Tsallis family reduces to them at
 alpha -> 1 and alpha = 1/2.  The circuit and entanglement oracles (dense
-materialization of column-stored states, all-column Hadamard layer, inverse
-transform and modexp on dense vectors, ideal post-transform state,
-dual-path outcome probability, forward and inverse transform gates on a
-held state, loop-summed closed-form overlaps, dense all-starts
-product-family optimizer, brute-force product-state search, symmetric
-overlap, alpha-peak search) and small helpers
+materialization of column-stored states; the all-column Hadamard layer,
+the only general Hadamard gate, since the library builds psi1 directly as
+`statevec.uniform_state`; inverse transform and modexp on dense vectors,
+ideal post-transform state, dual-path outcome probability, forward and
+inverse transform gates on a held state, loop-summed closed-form overlaps,
+dense all-starts product-family optimizer, brute-force product-state
+search, symmetric overlap, alpha-peak search) and small helpers
 (`as_state`, `mod_pow`, `register_b_support`, `dump_nonzero_json`) serve
 only the tests, so they are kept out of the library.
 """
@@ -24,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -42,7 +43,7 @@ from shormeter.measures import (
     validate_alpha,
 )
 from shormeter.numtheory import ShorInstance
-from shormeter.statevec import ZERO_TOL, PureState, RegisterLayout, _register_a_gate
+from shormeter.statevec import ZERO_TOL, PureState, RegisterLayout
 
 _DENSITY_DIM_CAP = 256
 _EIG_CLAMP = 1e-12  # eigenvalues below this are zeroed before fractional powers
@@ -256,21 +257,29 @@ def closed_form_overlaps_loop(instance: ShorInstance) -> Optional[ClosedFormOver
 
 
 def hadamard_all_columns(vec: np.ndarray, layout: RegisterLayout) -> np.ndarray:
-    """The Hadamard layer run over every register-B column of a dense vector."""
+    """The Hadamard layer run over every register-B column of a dense vector.
+
+    Plain sums and differences per qubit, then one multiply by sqrt(1/Q),
+    rounded once.  Every butterfly of a basis state is exact, so on |0>|1>
+    this gives the bytes of `statevec.uniform_state`.
+    """
     arr = np.array(vec, dtype=np.complex128).reshape((2,) * layout.t + (layout.dim_b,))
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
     for axis in range(layout.t):
         view = np.moveaxis(arr, axis, 0)
         top = view[0].copy()
-        view[0] = (top + view[1]) * inv_sqrt2
-        view[1] = (top - view[1]) * inv_sqrt2
-    return arr.reshape(-1)
+        view[0] += view[1]
+        np.subtract(top, view[1], out=view[1])
+    flat = arr.reshape(-1)
+    flat.view(np.float64)[...] *= math.sqrt(1.0 / layout.Q)
+    return flat
 
 
 def inverse_qft_all_columns(vec: np.ndarray, layout: RegisterLayout) -> np.ndarray:
     """The inverse register-A transform run over every register-B column of a dense vector."""
     grid = np.asarray(vec, dtype=np.complex128).reshape(layout.Q, layout.dim_b)
-    return (np.fft.fft(grid, axis=0) / math.sqrt(layout.Q)).reshape(-1)
+    flat = np.fft.fft(grid, axis=0).reshape(-1)
+    flat.view(np.float64)[...] *= 1.0 / math.sqrt(layout.Q)  # as `statevec.final_state` scales
+    return flat
 
 
 def modexp_all_columns(vec: np.ndarray, instance: ShorInstance) -> np.ndarray:
@@ -296,6 +305,17 @@ def modexp_all_columns(vec: np.ndarray, instance: ShorInstance) -> np.ndarray:
     return out
 
 
+def _register_a_gate(state: PureState, transform: Callable[[np.ndarray], np.ndarray]) -> PureState:
+    """Apply a register-A transform to the occupied register-B columns.
+
+    ``transform`` maps the read-only (Q, k) column-major block to a fresh
+    column-major array of its images; the labels stay.
+    """
+    out = transform(state.block)
+    out.setflags(write=False)
+    return PureState(state.layout, out, state.labels)
+
+
 def _qft_columns(cols: np.ndarray) -> np.ndarray:
     out = np.fft.ifft(cols, axis=0)
     out *= math.sqrt(cols.shape[0])
@@ -309,7 +329,7 @@ def apply_qft_A(state: PureState) -> PureState:
 
 def _inverse_qft_columns(cols: np.ndarray) -> np.ndarray:
     out = np.fft.fft(cols, axis=0)  # keeps the column-major layout
-    out /= math.sqrt(cols.shape[0])
+    out.T.view(np.float64)[...] *= 1.0 / math.sqrt(cols.shape[0])  # as `final_state` scales
     return out
 
 

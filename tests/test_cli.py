@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 from shormeter import entanglement as ent
 from shormeter.cli import (
     FAST_BYTES_PER_OUTCOME,
+    MAX_ATTEMPTS,
     ConfigError,
+    RunConfig,
     build_parser,
     main,
     resolve_config,
@@ -195,6 +197,26 @@ def test_factor_rejects_max_attempts_below_one(capsys):
         code = main(["factor", "--n", "15", "--x", "7", "--max-attempts", bad, "--fast"])
         assert code == 2
         assert f"--max-attempts must be >= 1, got {bad}" in capsys.readouterr().err
+
+
+def test_factor_rejects_max_attempts_above_the_bound_before_the_order_search(
+    capsys, monkeypatch
+):
+    def no_search(self):
+        raise AssertionError("the order search ran")
+
+    monkeypatch.setattr(RunConfig, "instance", no_search)
+    bad = MAX_ATTEMPTS + 1
+    for fast in ([], ["--fast"]):
+        code = main(["factor", "--n", "15", "--x", "7", "--max-attempts", str(bad)] + fast)
+        assert code == 2
+        assert f"--max-attempts must be <= {MAX_ATTEMPTS}, got {bad}" in capsys.readouterr().err
+
+
+def test_factor_admits_max_attempts_at_the_bound(capsys):
+    argv = ["factor", "--n", "15", "--x", "7", "--t", "8", "--fast"]
+    assert main(argv + ["--max-attempts", str(MAX_ATTEMPTS)]) == 0
+    assert json.loads(capsys.readouterr().out)["max_attempts"] == MAX_ATTEMPTS
 
 
 @pytest.mark.parametrize("command", ["simulate", "verify"])
@@ -446,7 +468,7 @@ GRID_STEPS = ("0.05", "0.5", "1", "0", "-0.1", "1e-300", "nan", "inf")
     t=st.integers(-1, 10),
     x=st.one_of(st.none(), st.integers(-1, 65)),
     seed=st.integers(-2, 3),
-    max_attempts=st.integers(-1, 3),
+    max_attempts=st.one_of(st.integers(-1, 3), st.integers(MAX_ATTEMPTS + 1, 10**12)),
     grid=st.one_of(
         st.none(),
         st.sampled_from(["nonsense", "1:2", "1:2:3:4", ""]),
@@ -515,3 +537,17 @@ def test_memory_budget_admits_24_qubit_dense_states():
     assert cfg.t + cfg.L == 24
     with pytest.raises(ConfigError, match="25 qubits needs 536870912 bytes"):
         resolve(21)
+
+
+def test_verify_passes_at_t_19():
+    # psi1 rounds sqrt(1/Q) once; rounding 1/sqrt(2) once per qubit made
+    # C_1p at p = 1 miss its closed form by 1.75e-9 here
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["verify", "--n", "15", "--x", "7", "--t", "19"]) == 0
+
+
+def test_budget_stops_below_the_t_where_the_l1_gate_cannot_hold(capsys):
+    # ulp(Q - 1) = 2**(t - 53), so from t = 23 a 2-ulp gap in C_1p at p = 1
+    # exceeds the 1e-9 gate; N=3 (L = 2) reaches t = 22 and no further
+    assert main(["verify", "--n", "3", "--x", "2", "--t", "23"]) == 2
+    assert "25 qubits needs 536870912 bytes" in capsys.readouterr().err

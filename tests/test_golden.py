@@ -7,8 +7,9 @@ N=21, where it does not; ``simulate`` on N=51 and N=17, whose orders 8 and
 16 give irrational phases in the post-transform closed-form sum; dense
 ``factor`` on N=49 at the default t, whose 42 image columns are transformed
 in several chunks).  They pin the output of numpy 2.4.6; another numpy may
-round FFTs and reductions differently, and regenerating them (run each
-command with ``--out``) is then a deliberate step.  The closed-form sums
+round FFTs and reductions differently, and regenerating them is then a
+deliberate step: ``PYTHONPATH=src python tests/test_golden.py`` rewrites
+every file from the argv its test runs.  The closed-form sums
 accumulate left to right with numpy, so they no longer depend on the
 interpreter's builtin ``sum()``, which compensates from Python 3.12 on.
 """
@@ -51,3 +52,15 @@ def test_output_matches_golden_bytes(tmp_path, name):
     out = tmp_path / name
     assert main(CASES[name].split() + ["--out", str(out)]) == EXIT_CODES.get(name, 0)
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def regenerate() -> None:
+    """Rewrite every golden file from the argv of its case."""
+    for name in sorted(CASES):
+        code = main(CASES[name].split() + ["--out", str(GOLDEN / name)])
+        if code != EXIT_CODES.get(name, 0):
+            raise SystemExit(f"{name}: exit code {code}, expected {EXIT_CODES.get(name, 0)}")
+
+
+if __name__ == "__main__":
+    regenerate()

@@ -33,14 +33,13 @@ from shormeter.statevec import (
     OutcomeDistribution,
     PureState,
     RegisterLayout,
-    apply_hadamard_layer,
     apply_modexp_unitary,
     final_state,
-    init_state,
     measurement_distribution_A,
     outcome_distribution,
     run_order_finding_circuit,
     sample_outcome,
+    uniform_state,
 )
 
 
@@ -63,17 +62,37 @@ def few_column_state(layout, columns, rng):
     return PureState(layout, block, columns)
 
 
-def test_init_state_small():
-    state = init_state(RegisterLayout(t=1, L=1))
-    assert np.allclose(to_dense(state), [0, 1, 0, 0])
+def initial_vector(layout):
+    """|0...0>|1> as a dense vector: joint index 1."""
+    vec = np.zeros(layout.dim, dtype=complex)
+    vec[1] = 1.0
+    return vec
 
 
-def test_init_state_reference_layout():
-    state = init_state(RegisterLayout(t=11, L=4))
+def test_uniform_state_small():
+    state = uniform_state(RegisterLayout(t=1, L=1))
+    s = math.sqrt(0.5)
+    assert to_dense(state).tolist() == [0, s, 0, s]
+
+
+def test_uniform_state_reference_layout():
+    state = uniform_state(RegisterLayout(t=11, L=4))
     assert state.labels.tolist() == [1]
     assert state.block.shape == (2048, 1)
-    assert np.flatnonzero(state.block).tolist() == [0]
+    assert np.all(state.block == math.sqrt(1.0 / 2048))
     assert abs(np.vdot(state.block, state.block) - 1) < 1e-12
+
+
+@pytest.mark.parametrize("t", range(1, 13))
+def test_uniform_state_is_the_once_rounding_hadamard_oracle(t):
+    # sqrt(1/Q) is rounded once, and exact for even t; every butterfly of
+    # the oracle on |0>|1> is exact, so both give the same bytes
+    lay = RegisterLayout(t=t, L=2)
+    state = uniform_state(lay)
+    assert state.block.tobytes() == np.full((lay.Q, 1), math.sqrt(1.0 / lay.Q), complex).tobytes()
+    if t % 2 == 0:
+        assert state.block[0, 0] == 2.0 ** (-t // 2)
+    assert_same_bytes(state, hadamard_all_columns(initial_vector(lay), lay))
 
 
 def test_norm_validation():
@@ -89,7 +108,7 @@ def test_norm_validation_rejects_a_non_finite_block(value):
 
 
 def test_states_are_immutable():
-    state = init_state(RegisterLayout(t=2, L=1))
+    state = uniform_state(RegisterLayout(t=2, L=1))
     with pytest.raises(ValueError):
         state.block[0, 0] = 0.5
     with pytest.raises(ValueError):
@@ -146,7 +165,6 @@ def test_circuit_stages_and_gate_outputs_are_column_major_and_read_only():
     rng = np.random.default_rng(13)
     wide = few_column_state(lay, [1, 4, 16], rng)
     outputs = list(run_order_finding_circuit(inst)) + [
-        apply_hadamard_layer(wide),
         apply_inverse_qft_A(wide),
         apply_modexp_unitary(wide, inst),
         final_state(wide, inst),
@@ -160,21 +178,26 @@ def test_circuit_stages_and_gate_outputs_are_column_major_and_read_only():
 def test_hadamard_layer_uniform(pipeline15):
     psi1 = pipeline15[0]
     assert psi1.labels.tolist() == [1]
-    assert np.allclose(psi1.block[:, 0], 1.0 / math.sqrt(2048))
+    assert np.all(psi1.block[:, 0] == math.sqrt(1.0 / 2048))
     grid = to_dense(psi1).reshape(2048, 16)
     assert np.abs(grid[:, [0] + list(range(2, 16))]).max() == 0.0
 
 
 def test_hadamard_layer_involution():
     rng = np.random.default_rng(3)
-    state = random_state(RegisterLayout(t=3, L=2), rng)
-    back = apply_hadamard_layer(apply_hadamard_layer(state))
-    assert np.abs(to_dense(back) - to_dense(state)).max() < 1e-12
+    lay = RegisterLayout(t=3, L=2)
+    vec = random_vector(lay.dim, rng)
+    back = hadamard_all_columns(hadamard_all_columns(vec, lay), lay)
+    assert np.abs(back - vec).max() < 1e-12
 
 
 def test_hadamard_single_qubit():
-    state = apply_hadamard_layer(init_state(RegisterLayout(t=1, L=1)))
-    assert np.allclose(to_dense(state), [0, 1 / math.sqrt(2), 0, 1 / math.sqrt(2)])
+    lay = RegisterLayout(t=1, L=1)
+    s = math.sqrt(0.5)
+    for j, expected in ((0, [s, 0, s, 0]), (1, [s, 0, -s, 0])):
+        vec = np.zeros(lay.dim, dtype=complex)
+        vec[j * lay.dim_b] = 1.0  # |j>|0>
+        assert hadamard_all_columns(vec, lay).tolist() == expected
 
 
 def test_modexp_orbit_support(pipeline15):
@@ -186,7 +209,7 @@ def test_modexp_orbit_support(pipeline15):
 
 def test_modexp_identity_for_x_equal_one():
     inst = ShorInstance(N=15, x=1, t=3, L=4, r=1)
-    state = apply_hadamard_layer(init_state(RegisterLayout(t=3, L=4)))
+    state = uniform_state(RegisterLayout(t=3, L=4))
     moved = apply_modexp_unitary(state, inst)
     assert np.abs(to_dense(moved) - to_dense(state)).max() == 0.0
 
@@ -266,7 +289,11 @@ def test_gates_preserve_norm():
     vec[:, :15] = rng.standard_normal((lay.Q, 15)) + 1j * rng.standard_normal((lay.Q, 15))
     vec = vec.reshape(-1)
     state = from_dense(lay, vec / np.linalg.norm(vec))
-    for op in (apply_hadamard_layer, lambda s: apply_modexp_unitary(s, inst), apply_inverse_qft_A):
+    for op in (
+        lambda s: from_dense(lay, hadamard_all_columns(to_dense(s), lay)),
+        lambda s: apply_modexp_unitary(s, inst),
+        apply_inverse_qft_A,
+    ):
         state = op(state)
         norm = float(np.vdot(state.block, state.block).real)
         assert abs(norm - 1.0) < 1e-10
@@ -279,7 +306,6 @@ def test_gates_match_all_column_oracles_on_dense_states(t, L):
     for _ in range(3):
         vec = random_vector(lay.dim, rng)
         state = from_dense(lay, vec)
-        assert_same_bytes(apply_hadamard_layer(state), hadamard_all_columns(vec, lay))
         assert_same_bytes(apply_inverse_qft_A(state), inverse_qft_all_columns(vec, lay))
 
 
@@ -288,14 +314,10 @@ def test_gates_match_all_column_oracles_on_few_columns():
     lay = RegisterLayout(t=6, L=4)
     for columns in ([1], [0, 5, 11], [2, 3, 15]):
         state = few_column_state(lay, columns, rng)
-        for gate, oracle in (
-            (apply_hadamard_layer, hadamard_all_columns),
-            (apply_inverse_qft_A, inverse_qft_all_columns),
-        ):
-            out = gate(state)
-            assert_same_bytes(out, oracle(to_dense(state), lay))
-            assert register_b_support(out) == columns
-            assert out.labels.tolist() == columns
+        out = apply_inverse_qft_A(state)
+        assert_same_bytes(out, inverse_qft_all_columns(to_dense(state), lay))
+        assert register_b_support(out) == columns
+        assert out.labels.tolist() == columns
 
 
 @pytest.mark.parametrize("n, x, t", [(15, 7, 11), (21, 2, 10), (33, 2, None)])
@@ -303,7 +325,7 @@ def test_circuit_stages_match_all_column_oracles(n, x, t):
     inst = make_instance(n, x, t=t)
     lay = RegisterLayout.for_instance(inst)
     psi1, psi2, psi3 = run_order_finding_circuit(inst)
-    expected1 = hadamard_all_columns(to_dense(init_state(lay)), lay)
+    expected1 = hadamard_all_columns(initial_vector(lay), lay)
     assert_same_bytes(psi1, expected1)
     expected2 = modexp_all_columns(expected1, inst)
     assert_same_bytes(psi2, expected2)
@@ -313,7 +335,7 @@ def test_circuit_stages_match_all_column_oracles(n, x, t):
 @pytest.mark.parametrize("n, x", [(15, 7), (21, 2), (33, 2), (51, 2), (63, 2)])
 def test_modexp_matches_all_column_oracle_on_uniform_stage(n, x):
     inst = make_instance(n, x)
-    psi1 = apply_hadamard_layer(init_state(RegisterLayout.for_instance(inst)))
+    psi1 = uniform_state(RegisterLayout.for_instance(inst))
     assert_same_bytes(apply_modexp_unitary(psi1, inst), modexp_all_columns(to_dense(psi1), inst))
 
 
@@ -369,7 +391,6 @@ def test_gates_on_column_stored_states_keep_norm_and_match_dense_oracles(case):
     lay = state.layout
     vec = to_dense(state)
     for gate, expected in (
-        (apply_hadamard_layer, hadamard_all_columns(vec, lay)),
         (apply_inverse_qft_A, inverse_qft_all_columns(vec, lay)),
         (lambda s: apply_modexp_unitary(s, inst), modexp_all_columns(vec, inst)),
     ):
@@ -397,7 +418,7 @@ def assert_same_state(got, expected):
 )
 def test_final_state_matches_the_gates_on_the_uniform_stage(n, x, t):
     inst = make_instance(n, x, t=t)
-    psi1 = apply_hadamard_layer(init_state(RegisterLayout.for_instance(inst)))
+    psi1 = uniform_state(RegisterLayout.for_instance(inst))
     expected = apply_inverse_qft_A(apply_modexp_unitary(psi1, inst))
     assert_same_state(final_state(psi1, inst), expected)
 
@@ -684,7 +705,7 @@ def test_sample_outcome_seed_replay(pipeline15):
 
 def test_dump_nonzero_json_sorted():
     lay = RegisterLayout(t=1, L=1)
-    state = apply_hadamard_layer(init_state(lay))
+    state = uniform_state(lay)
     triples = json.loads(dump_nonzero_json(state))
     assert [row[0] for row in triples] == [1, 3]
     assert triples[0][1] == pytest.approx(1 / math.sqrt(2))
