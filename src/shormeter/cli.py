@@ -38,12 +38,15 @@ EXIT_CONFIG = 2
 # bounds the stored columns), FAST_BYTES_PER_OUTCOME per --fast outcome, and,
 # without --x, the list of candidate bases.  2**28 bytes is a 24-qubit dense
 # state; larger configs exit 2 before allocating anything.  Dense `factor`
-# peaks at one (Q, r) block of psi3 plus a scratch of 2 MiB or 8 columns;
+# holds no (Q, r) block: it peaks at a scratch of 2 MiB or 8 columns plus
+# the row-sum lanes of its distribution (0.41 blocks traced at N=49 x=3);
 # simulate, verify and sweep hold psi1, psi2 and psi3 together and can
 # exceed it when r is close to 2**L.
 MEMORY_BUDGET_BYTES = 2**28
-# Traced peak of `factor --fast` per outcome, rounded up: the four Q-long
-# buffers of `statevec.outcome_distribution` (32.1 bytes at Q = 2**20).
+# Charge of `factor --fast` per outcome.  It was the traced peak of four
+# Q-long buffers (32.1 bytes at Q = 2**20); the passes now run in
+# cache-sized windows and the peak is the probabilities and their CDF (16.06
+# bytes), but the charge stays, so that no input changes its exit code.
 FAST_BYTES_PER_OUTCOME = 33
 MAX_GRID_POINTS = 100_000  # a tiny --grid STEP exits 2 instead of listing unbounded points
 # Each failing factor attempt costs about 41 us and 0.8 KB of output and
@@ -253,9 +256,9 @@ def cmd_factor(cfg: RunConfig, max_attempts: int, fast: bool) -> int:
     rng = np.random.default_rng(cfg.seed)
     if fast:
         dist = statevec.outcome_distribution(instance.r, instance.Q)
-    else:  # psi3 straight from psi1: the modexp image is never held
+    else:  # summed from psi1 a chunk at a time: neither psi2 nor psi3 is held
         psi1 = statevec.uniform_state(statevec.RegisterLayout.for_instance(instance))
-        dist = statevec.measurement_distribution_A(statevec.final_state(psi1, instance))
+        dist = statevec.final_distribution(psi1, instance)
     attempts = []
     factors: Optional[tuple[int, int]] = None
     orders_seen = 0

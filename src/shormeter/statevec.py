@@ -14,16 +14,18 @@ psi1, the Hadamard layer on |0>|1>, is built directly (`uniform_state`):
 one column of sqrt(1/Q), rounded once, so no general Hadamard gate is
 needed, and the all-column one is a test oracle.  Modular exponentiation
 relabels the block.  The last stage, the inverse Fourier transform
-on register A of the modexp image, comes straight from psi1
-(`final_state`): the image columns are scattered a chunk at a time (2 MiB,
-or 8 columns when those are larger) into one scratch and transformed
-there, so psi2 is never held and the dense `factor` job peaks at one
-(Q, r) block plus the scratch.  `apply_modexp_unitary` still builds psi2
-for the reports, with the same targets and scatter.  No array has one
-element per basis state: the row sums of
-`measurement_distribution_A` and the flat sums of the measures
-(`_flat_sum`) give the floats of numpy's sum over the dense array from the
-stored entries, through one shared fold of numpy's lanes.
+on register A of the modexp image, comes straight from the modexp targets
+of psi1 (`_transformed_chunks`): the image columns are scattered a chunk at
+a time (2 MiB, or 8 columns when those are larger) into one scratch and
+transformed there, so psi2 is never held on the way.  `final_state`
+gathers the chunks into the psi3 block for the reports, and
+`run_order_finding_circuit` builds psi2 and psi3 from one set of targets.
+`final_distribution` gives the dense `factor` job its outcome distribution
+from the same chunks, read in place, so that job holds no (Q, r) block:
+its peak is the scratch and the row-sum lanes.  No array has one element
+per basis state: the row sums of `final_distribution` and the flat sums of
+the measures (`_flat_sum`) give the floats of numpy's sum over the dense
+array from the stored entries, through one shared fold of numpy's lanes.
 
 States are immutable after construction; every operation returns a fresh
 state.
@@ -45,9 +47,9 @@ __all__ = [
     "PureState",
     "RegisterLayout",
     "apply_modexp_unitary",
+    "final_distribution",
     "final_state",
     "outcome_distribution",
-    "measurement_distribution_A",
     "run_order_finding_circuit",
     "sample_outcome",
     "uniform_state",
@@ -184,6 +186,15 @@ def _scatter(out: np.ndarray, source: np.ndarray, columns: np.ndarray, c0: int) 
         out[p::period, image] = source[p::period, c]
 
 
+def _modexp_image(layout: RegisterLayout, targets: tuple) -> PureState:
+    """The modexp image of the `_modexp_targets` `targets`, by one scatter."""
+    source, labels, columns = targets
+    out = np.zeros((layout.Q, len(labels)), dtype=np.complex128, order="F")
+    _scatter(out, source, columns, 0)
+    out.setflags(write=False)
+    return PureState(layout, out, labels)
+
+
 def apply_modexp_unitary(state: PureState, instance: ShorInstance) -> PureState:
     """|j>|y> -> |j>|x**j * y mod N> on register-B values below N.
 
@@ -192,61 +203,109 @@ def apply_modexp_unitary(state: PureState, instance: ShorInstance) -> PureState:
     y < N moves to column x**j * y mod N: the distinct targets are the new
     labels, filled by one scatter.
     """
-    source, labels, columns = _modexp_targets(state, instance)
-    out = np.zeros((state.layout.Q, len(labels)), dtype=np.complex128, order="F")
-    _scatter(out, source, columns, 0)
-    out.setflags(write=False)
-    return PureState(state.layout, out, labels)
+    return _modexp_image(state.layout, _modexp_targets(state, instance))
 
 
-# `final_state` transforms the image columns in chunks of about this many
-# bytes, so that each chunk stays in cache from its scatter to its scaling,
-# but of at least _CHUNK_COLUMNS columns: each np.fft.fft call has a fixed
-# cost of about a third of one column's transform, and at Q = 2**17 chunks
-# of one or four columns made dense `factor` 20-60% or 15-20% slower than
-# one FFT over the whole block, where eight columns match it.
+# The inverse transform runs on chunks of image columns of about this many
+# bytes, so that each chunk stays in cache from its scatter to its last
+# read, but of at least _CHUNK_COLUMNS columns: each np.fft.fft call has a
+# fixed cost of about a third of one column's transform, and at Q = 2**17
+# chunks of one or four columns made dense `factor` 20-60% or 15-20% slower
+# than one FFT over the whole block, where eight columns match it.
 _CHUNK_BYTES = 2**21
 _CHUNK_COLUMNS = 8
 
 
-def final_state(state: PureState, instance: ShorInstance) -> PureState:
-    """Inverse Fourier transform on register A of the modexp image of `state`.
+def _transformed_chunks(q: int, targets: tuple, out: np.ndarray | None = None):
+    """Yield (c0, image): the inverse transform of the image columns c0,
+    c0 + 1, ... of the `_modexp_targets` `targets`, a chunk at a time.
 
-    Byte for byte the inverse QFT (kernel exp(-2 pi i j k / Q) / sqrt(Q)) of
-    `apply_modexp_unitary(state, instance)`, but the image is never held:
-    the targets are found once, then each chunk of image columns is
-    scattered into one reused scratch, transformed in one batched FFT into
-    its columns of the output, and scaled by 1/sqrt(Q) there; the same
-    scatter then writes zeros back.  The peak is the output block plus the
-    scratch.
+    Each chunk is scattered into one reused scratch and transformed by one
+    batched FFT, into its columns of `out` or, without `out`, in place in
+    the scratch, then scaled by 1/sqrt(Q).  Once the caller has read the
+    image, the scatter writes zeros back into the scratch, or the in-place
+    image is overwritten with zeros.  The modexp image is never held.
     """
-    source, labels, columns = _modexp_targets(state, instance)
-    q, k = state.layout.Q, len(labels)
+    source, labels, columns = targets
+    k = len(labels)
     width = min(k, max(_CHUNK_COLUMNS, _CHUNK_BYTES // (16 * q)))
     scratch = np.empty((q, width), dtype=np.complex128, order="F")
     # zeroed by writing, not by np.zeros: its untouched pages, once read by
     # the FFT, would fault again on the next write
     scratch.fill(0)
     blank = np.broadcast_to(np.complex128(0), source.shape)
-    out = np.empty((q, k), dtype=np.complex128, order="F")
     scale = 1.0 / math.sqrt(q)
     for c0 in range(0, k, width):
         chunk = scratch[:, : min(width, k - c0)]
         _scatter(chunk, source, columns, c0)
-        image = out[:, c0 : c0 + chunk.shape[1]]
+        image = chunk if out is None else out[:, c0 : c0 + chunk.shape[1]]
         np.fft.fft(chunk, axis=0, out=image)
         # a float64 view multiplies by fl(1 / sqrt(Q)), as complex division
         # by a real does; the transpose puts the contiguous axis last
         image.T.view(np.float64)[...] *= scale
-        _scatter(chunk, blank, columns, c0)  # zero the scratch again
+        yield c0, image
+        if out is None:
+            chunk.fill(0)
+        else:
+            _scatter(chunk, blank, columns, c0)
+
+
+def _final_block(layout: RegisterLayout, targets: tuple) -> PureState:
+    """The inverse transform of the modexp image of `targets`, as a state."""
+    out = np.empty((layout.Q, len(targets[1])), dtype=np.complex128, order="F")
+    for _ in _transformed_chunks(layout.Q, targets, out):
+        pass
     out.setflags(write=False)
-    return PureState(state.layout, out, labels)
+    return PureState(layout, out, targets[1])
+
+
+def final_state(state: PureState, instance: ShorInstance) -> PureState:
+    """Inverse Fourier transform on register A of the modexp image of `state`.
+
+    Byte for byte the inverse QFT (kernel exp(-2 pi i j k / Q) / sqrt(Q)) of
+    `apply_modexp_unitary(state, instance)`, but the image is never held
+    (`_transformed_chunks`): the peak is the output block plus the scratch.
+    """
+    return _final_block(state.layout, _modexp_targets(state, instance))
+
+
+def final_distribution(state: PureState, instance: ShorInstance) -> OutcomeDistribution:
+    """The register-A outcome distribution of `final_state(state, instance)`,
+    without holding that state.
+
+    Each transformed chunk is read in place in the scratch: |column|**2 is
+    added into numpy's row-sum lanes in column order, so the floats are
+    those of numpy's row sum over the dense (Q, 2**L) array (and the sampled
+    outcomes are those of the whole block), and the chunk's norm**2 is added
+    to a total that must be 1 within NORM_TOL, the gate of `PureState`.  The
+    peak is the scratch, the lanes and the probabilities.
+    """
+    targets = _modexp_targets(state, instance)
+    lay = state.layout
+    lanes = np.zeros((_lane_count(lay.dim_b), lay.Q))
+    lane_of = _lanes(targets[1], lay.dim_b).tolist()
+    col = np.empty(lay.Q)
+    norm = 0.0
+    for c0, image in _transformed_chunks(lay.Q, targets):
+        # vdot ravels in C order: the transpose is the contiguous view
+        norm += float(np.vdot(image.T, image.T).real)
+        for c in range(image.shape[1]):
+            np.abs(image[:, c], out=col)
+            np.square(col, out=col)
+            lanes[lane_of[c0 + c]] += col
+    if not abs(norm - 1.0) <= NORM_TOL:  # written so that a NaN norm fails
+        raise ValueError(f"final state norm**2 = {norm!r} is not 1 within {NORM_TOL}")
+    return OutcomeDistribution(_pairwise_fold(lanes))
 
 
 def run_order_finding_circuit(instance: ShorInstance) -> tuple[PureState, PureState, PureState]:
-    """psi1 (the uniform stage) -> modular exponentiation -> inverse QFT."""
+    """psi1 (the uniform stage) -> modular exponentiation -> inverse QFT.
+
+    The modexp targets of psi1 are found once; psi2 and psi3 both read them.
+    """
     psi1 = uniform_state(RegisterLayout.for_instance(instance))
-    return psi1, apply_modexp_unitary(psi1, instance), final_state(psi1, instance)
+    targets = _modexp_targets(psi1, instance)
+    return psi1, _modexp_image(psi1.layout, targets), _final_block(psi1.layout, targets)
 
 
 @dataclass(frozen=True)
@@ -316,23 +375,6 @@ def _pairwise_fold(lanes: np.ndarray):
     return sums[0]
 
 
-def _row_sums_of_squares(block: np.ndarray, labels: np.ndarray, width: int) -> np.ndarray:
-    """np.sum(dense, axis=1) of the (Q, width) array holding |block|**2 at
-    columns `labels` and +0.0 elsewhere, float for float, without building it.
-
-    Each row is its own pairwise sum of `width` values; one column at a time
-    is added to the lane of its label, for all rows at once.
-    """
-    q = block.shape[0]
-    lanes = np.zeros((_lane_count(width), q))
-    col = np.empty(q)
-    for c, lane in enumerate(_lanes(labels, width).tolist()):
-        np.abs(block[:, c], out=col)
-        np.square(col, out=col)
-        lanes[lane] += col
-    return _pairwise_fold(lanes)
-
-
 def _flat_support(values: np.ndarray, labels: np.ndarray, width: int) -> tuple:
     """The nonzero entries of the (Q, k) `values` row by row (the dense joint
     order) and their lanes in the flat Q * width sum.  For a power-of-two
@@ -359,17 +401,6 @@ def _flat_sum(values: np.ndarray, lanes: np.ndarray, n: int) -> float:
     return float(_pairwise_fold(np.bincount(lanes, values, minlength=_lane_count(n))))
 
 
-def measurement_distribution_A(state: PureState) -> OutcomeDistribution:
-    """p_k = sum_y |amplitude(k, y)|**2, summed over all 2**L values of y.
-
-    The row sums come out float for float as numpy's over the dense (Q, 2**L)
-    array, which keeps the sampled draws, but read only the occupied
-    columns.
-    """
-    lay = state.layout
-    return OutcomeDistribution(_row_sums_of_squares(state.block, state.labels, lay.dim_b))
-
-
 def outcome_distribution(r: int, q: int) -> OutcomeDistribution:
     """Outcome distribution of the circuit for order r and dimension Q, in O(Q).
 
@@ -385,8 +416,9 @@ def outcome_distribution(r: int, q: int) -> OutcomeDistribution:
     Q / gcd(r, Q).  This is exact for every r, including r not dividing Q
     and r > Q (n0 = 0, a uniform distribution).  Q must be a power of two,
     so a phase reduces mod Q with a mask; it is capped at 2**31, so the
-    phase products fit int64.  The passes run in place on four Q-long
-    buffers.
+    phase products fit int64.  The passes run a window of outcomes at a
+    time in four small buffers, so the only Q-long arrays are the
+    probabilities and their CDF.
     """
     if r < 1:
         raise ValueError(f"order must be >= 1, got {r}")
@@ -405,31 +437,49 @@ def _sin_squared(phase: np.ndarray, q: int, out: np.ndarray) -> np.ndarray:
     return np.square(out, out=out)
 
 
+# `_outcome_probabilities` runs its passes over windows of this many
+# outcomes, on four buffers of 64 KiB that stay in cache; a power of two, so
+# that the windows tile Q
+_WINDOW = 2**13
+
+
 def _outcome_probabilities(r: int, q: int) -> np.ndarray:
-    """The p_k of `outcome_distribution`, read-only; its buffers are freed on
-    return, before the distribution accumulates its CDF."""
+    """The p_k of `outcome_distribution`, read-only.
+
+    Each window of outcomes runs the same per-element passes that one
+    Q-long array would, on small reused buffers, so the floats do not depend
+    on the window; only the output is Q long.
+    """
     n0, rho = divmod(q, r)
     mask = q - 1
-    peaks = slice(None, None, q // math.gcd(r, q))  # the k with r k = 0 (mod Q)
-    step = np.arange(q, dtype=np.int64)
-    step *= r & mask
-    step &= mask
-    inv_den = _sin_squared(step, q, np.empty(q))
-    inv_den[peaks] = 1.0  # keeps 1/0 out; the peaks take n**2 below
-    np.divide(1.0, inv_den, out=inv_den)
+    period = q // math.gcd(r, q)  # r k = 0 (mod Q) at the multiples of period
     terms = [(n, count) for n, count in ((n0 + 1, rho), (n0, r - rho)) if n and count]
-    total = None
-    for index, (n, count) in enumerate(terms):
-        # n r k = n (r k mod Q) (mod Q); the last term's phases overwrite `step`
-        phase = step if index == len(terms) - 1 else np.empty(q, dtype=np.int64)
-        np.multiply(step, n & mask, out=phase)
-        phase &= mask
-        ratio = _sin_squared(phase, q, np.empty(q))
-        ratio *= inv_den
-        ratio[peaks] = float(n * n)
-        ratio *= count
-        total = ratio if total is None else np.add(total, ratio, out=total)
-    total /= float(q) * q
+    width = min(q, _WINDOW)
+    offsets = np.arange(width, dtype=np.int64)
+    step, phase = np.empty(width, dtype=np.int64), np.empty(width, dtype=np.int64)
+    inv_den, ratio = np.empty(width), np.empty(width)
+    total = np.empty(q)
+    for c0 in range(0, q, width):
+        window = total[c0 : c0 + width]
+        peaks = slice((-c0) % period, None, period)
+        np.add(offsets, c0, out=step)
+        step *= r & mask
+        step &= mask
+        _sin_squared(step, q, inv_den)
+        inv_den[peaks] = 1.0  # keeps 1/0 out; the peaks take n**2 below
+        np.divide(1.0, inv_den, out=inv_den)
+        for index, (n, count) in enumerate(terms):
+            # n r k = n (r k mod Q) (mod Q); the first term fills the window
+            out = ratio if index else window
+            np.multiply(step, n & mask, out=phase)
+            phase &= mask
+            _sin_squared(phase, q, out)
+            out *= inv_den
+            out[peaks] = float(n * n)
+            out *= count
+            if index:
+                window += ratio
+        window /= float(q) * q
     total.setflags(write=False)
     return total
 

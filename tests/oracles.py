@@ -13,9 +13,11 @@ materialization of column-stored states; the all-column Hadamard layer,
 the only general Hadamard gate, since the library builds psi1 directly as
 `statevec.uniform_state`; inverse transform and modexp on dense vectors,
 ideal post-transform state, dual-path outcome probability, forward and
-inverse transform gates on a held state, loop-summed closed-form overlaps,
-dense all-starts product-family optimizer, brute-force product-state
-search, symmetric overlap, alpha-peak search) and small helpers
+inverse transform gates on a held state, the outcome distribution of a
+held state and the whole-array form of the closed-form one, loop-summed
+closed-form overlaps, dense all-starts product-family optimizer,
+brute-force product-state search, symmetric overlap, alpha-peak search)
+and small helpers
 (`as_state`, `mod_pow`, `register_b_support`, `dump_nonzero_json`) serve
 only the tests, so they are kept out of the library.
 """
@@ -43,7 +45,16 @@ from shormeter.measures import (
     validate_alpha,
 )
 from shormeter.numtheory import ShorInstance
-from shormeter.statevec import ZERO_TOL, PureState, RegisterLayout
+from shormeter.statevec import (
+    ZERO_TOL,
+    OutcomeDistribution,
+    PureState,
+    RegisterLayout,
+    _lane_count,
+    _lanes,
+    _pairwise_fold,
+    _sin_squared,
+)
 
 _DENSITY_DIM_CAP = 256
 _EIG_CLAMP = 1e-12  # eigenvalues below this are zeroed before fractional powers
@@ -340,6 +351,60 @@ def apply_inverse_qft_A(state: PureState) -> PureState:
     builds its last stage with `statevec.final_state` instead.
     """
     return _register_a_gate(state, _inverse_qft_columns)
+
+
+def row_sums_of_squares(block: np.ndarray, labels: np.ndarray, width: int) -> np.ndarray:
+    """np.sum(dense, axis=1) of the (Q, width) array holding |block|**2 at
+    columns `labels` and +0.0 elsewhere, float for float, without building it.
+
+    Each row is its own pairwise sum of `width` values; one column at a time
+    is added to the lane of its label, for all rows at once.
+    """
+    q = block.shape[0]
+    lanes = np.zeros((_lane_count(width), q))
+    col = np.empty(q)
+    for c, lane in enumerate(_lanes(labels, width).tolist()):
+        np.abs(block[:, c], out=col)
+        np.square(col, out=col)
+        lanes[lane] += col
+    return _pairwise_fold(lanes)
+
+
+def measurement_distribution_A(state: PureState) -> OutcomeDistribution:
+    """p_k = sum_y |amplitude(k, y)|**2 of a held state, over all 2**L values of y.
+
+    The row sums of numpy over the dense (Q, 2**L) array, read from the
+    occupied columns only.  `statevec.final_distribution` must give the same
+    bytes on psi3 without holding it.
+    """
+    return OutcomeDistribution(row_sums_of_squares(state.block, state.labels, state.layout.dim_b))
+
+
+def whole_array_outcome_probabilities(r: int, q: int) -> np.ndarray:
+    """The p_k of `statevec.outcome_distribution`, each pass over one Q-long
+    array; the library runs the same passes a window at a time and must give
+    the same bytes."""
+    n0, rho = divmod(q, r)
+    mask = q - 1
+    peaks = slice(None, None, q // math.gcd(r, q))  # the k with r k = 0 (mod Q)
+    step = np.arange(q, dtype=np.int64)
+    step *= r & mask
+    step &= mask
+    inv_den = _sin_squared(step, q, np.empty(q))
+    inv_den[peaks] = 1.0
+    np.divide(1.0, inv_den, out=inv_den)
+    total = None
+    for n, count in ((n0 + 1, rho), (n0, r - rho)):
+        if n and count:
+            phase = step * (n & mask)
+            phase &= mask
+            ratio = _sin_squared(phase, q, np.empty(q))
+            ratio *= inv_den
+            ratio[peaks] = float(n * n)
+            ratio *= count
+            total = ratio if total is None else total + ratio
+    total /= float(q) * q
+    return total
 
 
 def ideal_psi3(instance: ShorInstance) -> PureState:

@@ -17,10 +17,13 @@ from oracles import (
     hadamard_all_columns,
     ideal_psi3,
     inverse_qft_all_columns,
+    measurement_distribution_A,
     modexp_all_columns,
     outcome_probability,
     register_b_support,
+    row_sums_of_squares,
     to_dense,
+    whole_array_outcome_probabilities,
 )
 from shormeter import statevec
 from shormeter.numtheory import ShorInstance, make_instance
@@ -29,13 +32,12 @@ from shormeter.statevec import (
     ZERO_TOL,
     _flat_sum,
     _flat_support,
-    _row_sums_of_squares,
     OutcomeDistribution,
     PureState,
     RegisterLayout,
     apply_modexp_unitary,
     final_state,
-    measurement_distribution_A,
+    final_distribution,
     outcome_distribution,
     run_order_finding_circuit,
     sample_outcome,
@@ -223,6 +225,16 @@ def test_modexp_rejects_amplitude_beyond_modulus():
         apply_modexp_unitary(from_dense(lay, vec), inst)
 
 
+@pytest.mark.parametrize("stage", [final_state, final_distribution])
+def test_final_stage_rejects_amplitude_beyond_modulus(stage):
+    inst = make_instance(15, 7, t=2)
+    lay = RegisterLayout(t=2, L=4)
+    vec = np.zeros(lay.dim, dtype=complex)
+    vec[15] = 1.0  # register-B value 15 == N
+    with pytest.raises(ValueError, match="N=15"):
+        stage(from_dense(lay, vec), inst)
+
+
 def test_inverse_qft_concentrates_uniform_block():
     lay = RegisterLayout(t=4, L=1)
     vec = np.zeros(lay.dim, dtype=complex)
@@ -405,17 +417,17 @@ def assert_same_state(got, expected):
     assert got.labels.tobytes() == expected.labels.tobytes()
 
 
-@pytest.mark.parametrize(
-    "n, x, t",
-    [
-        (15, 7, 11),  # r = 4 divides Q
-        (21, 2, 10),  # r = 6 does not
-        (15, 4, 8),  # r = 2: two image columns
-        (49, 3, None),  # r = 42 = 5 * 8 + 2 columns at Q = 2**15
-        (65, 2, None),  # Q = 2**17: r = 12 = 8 + 4 columns
-        (255, 2, 4),  # L = 8
-    ],
-)
+FINAL_STAGE_CASES = [
+    (15, 7, 11),  # r = 4 divides Q
+    (21, 2, 10),  # r = 6 does not
+    (15, 4, 8),  # r = 2: two image columns
+    (49, 3, None),  # r = 42 = 5 * 8 + 2 columns at Q = 2**15
+    (65, 2, None),  # Q = 2**17: r = 12 = 8 + 4 columns
+    (255, 2, 4),  # L = 8
+]
+
+
+@pytest.mark.parametrize("n, x, t", FINAL_STAGE_CASES)
 def test_final_state_matches_the_gates_on_the_uniform_stage(n, x, t):
     inst = make_instance(n, x, t=t)
     psi1 = uniform_state(RegisterLayout.for_instance(inst))
@@ -447,6 +459,83 @@ def test_final_state_matches_the_gates_on_column_stored_states(case, chunk_colum
         patch.setattr(statevec, "_CHUNK_COLUMNS", chunk_columns)
         got = final_state(state, inst)
     assert_same_state(got, expected)
+
+
+def assert_same_distribution(got, expected):
+    assert got.probabilities.tobytes() == expected.probabilities.tobytes()
+    assert got.cdf.tobytes() == expected.cdf.tobytes()
+
+
+@pytest.mark.parametrize("n, x, t", FINAL_STAGE_CASES)
+def test_final_distribution_matches_the_distribution_of_the_final_state(n, x, t):
+    inst = make_instance(n, x, t=t)
+    psi1 = uniform_state(RegisterLayout.for_instance(inst))
+    expected = measurement_distribution_A(final_state(psi1, inst))
+    assert_same_distribution(final_distribution(psi1, inst), expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(states_with_columns_beyond_the_modulus(), st.integers(1, 3))
+def test_final_distribution_matches_the_oracle_on_column_stored_states(case, chunk_columns):
+    # image columns that the rows of the input leave all zero still pass
+    # through the chunks, where they add +0.0 to their lanes
+    inst, state = case
+    expected = measurement_distribution_A(final_state(state, inst))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(statevec, "_CHUNK_BYTES", 16 * state.layout.Q * chunk_columns)
+        patch.setattr(statevec, "_CHUNK_COLUMNS", chunk_columns)
+        got = final_distribution(state, inst)
+    assert_same_distribution(got, expected)
+
+
+@pytest.mark.parametrize("scale", [1 + 1e-6, 1 + 1e-10, 1 - 1e-10])
+def test_final_distribution_gates_the_norm_of_the_final_state(monkeypatch, scale):
+    # 1 +- 1e-10 moves norm**2 by 2e-10: past NORM_TOL, but within the 1e-9
+    # that the distribution allows its probabilities' sum
+    inst = make_instance(21, 2, t=10)
+    psi1 = uniform_state(RegisterLayout.for_instance(inst))
+    fft = np.fft.fft
+
+    def off_by_scale(a, *args, out=None, **kwargs):
+        out = fft(a, *args, out=out, **kwargs)
+        out *= scale
+        return out
+
+    monkeypatch.setattr(np.fft, "fft", off_by_scale)
+    with pytest.raises(ValueError, match="final state norm"):
+        final_distribution(psi1, inst)
+    with pytest.raises(ValueError, match="norm"):
+        final_state(psi1, inst)
+
+
+def test_circuit_finds_the_modexp_targets_once(monkeypatch):
+    calls = []
+    targets = statevec._modexp_targets
+
+    def counted(*args):
+        calls.append(args)
+        return targets(*args)
+
+    monkeypatch.setattr(statevec, "_modexp_targets", counted)
+    run_order_finding_circuit(make_instance(21, 2, t=10))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "window, qs",
+    [(w, [2**e for e in range(9)]) for w in (1, 2, 8, 32)] + [(2**13, [2**12, 2**13, 2**14])],
+    ids=["w1", "w2", "w8", "w32", "w8192"],
+)
+def test_windowed_outcome_probabilities_match_the_whole_array_form(monkeypatch, window, qs):
+    # Q below, equal to and above the window; r | Q, r not dividing Q and
+    # r > Q; peaks every Q / gcd(r, Q) outcomes, a period below the window
+    # (several peaks in each window), equal to it or above it (a peak only
+    # in the windows that start at a multiple of the period)
+    monkeypatch.setattr(statevec, "_WINDOW", window)
+    for q in qs:
+        for r in list(range(1, 41)) + [64, 100, 257, 513, 1000, 2**14 + 3]:
+            got = statevec._outcome_probabilities(r, q)
+            assert got.tobytes() == whole_array_outcome_probabilities(r, q).tobytes(), (r, q)
 
 
 @settings(max_examples=60, deadline=None)
@@ -491,7 +580,7 @@ def test_row_sums_match_numpy_over_the_dense_row(L, q, fill, zero_rows, zero_col
     if zero_cols:
         block[:, rng.random(len(labels)) < 0.5] = 0.0
     block = np.asfortranarray(block)
-    got = _row_sums_of_squares(block, labels, width)
+    got = row_sums_of_squares(block, labels, width)
     assert got.tobytes() == _dense_row_sums(block, labels, width).tobytes()
 
 
@@ -543,9 +632,10 @@ def test_measurement_distribution_matches_dense_row_sums_on_circuit_states(n, x,
     assert measurement_distribution_A(psi3).probabilities.tobytes() == expected.tobytes()
 
 
-def test_factor_peak_stays_below_three_column_blocks():
-    # the parent scattered psi3 into a (Q, 2**L) buffer and peaked at
-    # 3.26 * 16 * Q * r bytes on this 21-qubit, r = 42 instance
+def test_dense_factor_peaks_below_half_a_column_block():
+    # psi3 is summed into the distribution a chunk at a time, so no (Q, r)
+    # block is held; holding psi3 peaked at 1.27 * 16 * Q * r bytes on this
+    # 21-qubit, r = 42 instance, and holding psi2 beside it at 2.19
     from shormeter.cli import main
 
     inst = make_instance(49, 3)
@@ -558,25 +648,7 @@ def test_factor_peak_stays_below_three_column_blocks():
     finally:
         tracemalloc.stop()
     assert code in (0, 1)
-    assert peak < 3 * 16 * inst.Q * inst.r
-
-
-def test_dense_factor_peaks_at_one_and_a_half_column_blocks():
-    # psi3 is built from psi1 in chunks, so psi2 is never held beside it;
-    # holding both peaked at 2.19 * 16 * Q * r bytes on this instance
-    from shormeter.cli import main
-
-    inst = make_instance(49, 3)
-    assert (inst.Q, inst.r) == (2**15, 42)
-    tracemalloc.start()
-    try:
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = main(["factor", "--n", "49", "--x", "3"])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert code in (0, 1)
-    assert peak < 1.5 * 16 * inst.Q * inst.r
+    assert peak < 0.5 * 16 * inst.Q * inst.r
 
 
 def test_circuit_stays_below_one_dense_state_in_memory():
