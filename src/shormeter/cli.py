@@ -37,11 +37,12 @@ EXIT_CONFIG = 2
 # Byte budget of a run: 16 per basis state (one dense complex state, which
 # bounds the stored columns), FAST_BYTES_PER_OUTCOME per --fast outcome, and,
 # without --x, the list of candidate bases.  2**28 bytes is a 24-qubit dense
-# state; larger configs exit 2 before allocating anything.  Dense `factor`
-# holds no (Q, r) block: it peaks at a scratch of 2 MiB or 8 columns plus
-# the row-sum lanes of its distribution (0.41 blocks traced at N=49 x=3);
-# simulate, verify and sweep hold psi1, psi2 and psi3 together and can
-# exceed it when r is close to 2**L.
+# state; larger configs exit 2 before allocating anything, and a charge is
+# sized from its exponents, so that no 2**t is built on the way.  Dense
+# `factor` holds no state: it peaks at a scratch of 2 MiB or 8 columns plus
+# the row-sum lanes of its distribution (8.02 MiB, 0.38 (Q, r) blocks,
+# traced at N=49 x=3); simulate, verify and sweep hold psi1, psi2 and psi3
+# together and can exceed it when r is close to 2**L.
 MEMORY_BUDGET_BYTES = 2**28
 # Charge of `factor --fast` per outcome.  It was the traced peak of four
 # Q-long buffers (32.1 bytes at Q = 2**20); the passes now run in
@@ -105,16 +106,20 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     t = args.t if args.t is not None else sizes.t
     if t < 1:
         raise ConfigError(f"t must be >= 1, got {t}")
-    q = 2**t
+    # each charge is unit * 2**shift bytes
     if args.command == "factor" and args.fast:
-        budget = [(FAST_BYTES_PER_OUTCOME * q, f"the outcome buffers over Q=2**{t} outcomes")]
+        budget = [(FAST_BYTES_PER_OUTCOME, t, f"the outcome buffers over Q=2**{t} outcomes")]
     else:
-        budget = [(16 * 2 ** (t + sizes.L), f"the dense state on {t + sizes.L} qubits")]
+        budget = [(16, t + sizes.L, f"the dense state on {t + sizes.L} qubits")]
     if args.x is None:  # a list slot and an int object per candidate base
         size = (8 + sys.getsizeof(args.n)) * (args.n - 2)
-        budget.append((size, f"the list of bases below N={args.n}"))
-    for need, what in budget:
-        if need > MEMORY_BUDGET_BYTES:
+        budget.append((size, 0, f"the list of bases below N={args.n}"))
+    for unit, shift, what in budget:
+        # a charge of more than 64 bits is over the budget by its bit length
+        # alone: it is neither built nor printed in full
+        bits = unit.bit_length() + shift
+        need = f"at least 2**{bits - 1}" if bits > 64 else unit << shift
+        if bits > 64 or need > MEMORY_BUDGET_BYTES:
             raise ConfigError(
                 f"{what} needs {need} bytes, above the budget of {MEMORY_BUDGET_BYTES} bytes"
             )
@@ -256,9 +261,8 @@ def cmd_factor(cfg: RunConfig, max_attempts: int, fast: bool) -> int:
     rng = np.random.default_rng(cfg.seed)
     if fast:
         dist = statevec.outcome_distribution(instance.r, instance.Q)
-    else:  # summed from psi1 a chunk at a time: neither psi2 nor psi3 is held
-        psi1 = statevec.uniform_state(statevec.RegisterLayout.for_instance(instance))
-        dist = statevec.final_distribution(psi1, instance)
+    else:  # summed from the modexp columns a chunk at a time: no stage is held
+        dist = statevec.final_distribution(instance)
     attempts = []
     factors: Optional[tuple[int, int]] = None
     orders_seen = 0

@@ -74,8 +74,11 @@ def register_sizes(n: int, epsilon: float = 0.25) -> RegisterSizes:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     if n < 3 or n % 2 == 0:
         raise ValueError(f"modulus must be an odd integer >= 3, got {n}")
+    extra = math.log2(2.0 + 1.0 / (2.0 * epsilon))
+    if extra == math.inf:  # 1 / (2 epsilon) overflows for subnormal epsilon
+        raise ValueError(f"epsilon={epsilon!r} is too small to size register A")
     L = n.bit_length()  # == ceil(log2(n + 1))
-    t = 2 * L + 1 + math.ceil(math.log2(2.0 + 1.0 / (2.0 * epsilon)))
+    t = 2 * L + 1 + math.ceil(extra)
     q = 2**t
     return RegisterSizes(t=t, L=L, Q=q, window_ok=n * n <= q < 2 * n * n)
 

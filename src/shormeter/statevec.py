@@ -10,22 +10,25 @@ exactly nonzero amplitude: a (Q, k) block and the k sorted labels of its
 columns.  In the circuit k is 1 before modexp and r (the residues x**a mod
 N) after it.  The block is column-major, so each column is one contiguous
 run of Q amplitudes; its logical row-major order is the dense joint order.
-psi1, the Hadamard layer on |0>|1>, is built directly (`uniform_state`):
-one column of sqrt(1/Q), rounded once, so no general Hadamard gate is
-needed, and the all-column one is a test oracle.  Modular exponentiation
-relabels the block.  The last stage, the inverse Fourier transform
-on register A of the modexp image, comes straight from the modexp targets
-of psi1 (`_transformed_chunks`): the image columns are scattered a chunk at
-a time (2 MiB, or 8 columns when those are larger) into one scratch and
-transformed there, so psi2 is never held on the way.  `final_state`
-gathers the chunks into the psi3 block for the reports, and
-`run_order_finding_circuit` builds psi2 and psi3 from one set of targets.
-`final_distribution` gives the dense `factor` job its outcome distribution
-from the same chunks, read in place, so that job holds no (Q, r) block:
-its peak is the scratch and the row-sum lanes.  No array has one element
-per basis state: the row sums of `final_distribution` and the flat sums of
-the measures (`_flat_sum`) give the floats of numpy's sum over the dense
-array from the stored entries, through one shared fold of numpy's lanes.
+The circuit is a function of the instance, not of a state: every stage
+follows from x, N and t.  psi1, the Hadamard layer on |0>|1>, is built
+directly (`uniform_state`): one column of sqrt(1/Q), rounded once, so no
+general Hadamard gate is needed, and the all-column one is a test oracle.
+Modular exponentiation sends row j of psi1's column to label x**j mod N,
+so the image has one column per power of x, holding sqrt(1/Q) on every
+P-th row (`_modexp_columns`, with P the period of x**j below Q);
+`run_order_finding_circuit` writes psi2 from these columns.  The last
+stage, the inverse Fourier transform on register A, comes from the same
+columns (`_transformed_chunks`): they are written a chunk at a time (2 MiB,
+or 8 columns when those are larger) into one scratch and transformed
+there, so psi2 is never read on the way; the circuit gathers the chunks
+into the psi3 block.  `final_distribution` gives the dense `factor` job its
+outcome distribution from the same chunks, read in place, so that job
+holds no (Q, r) block: its peak is the scratch and the row-sum lanes.  No
+array has one element per basis state: the row sums of
+`final_distribution` and the flat sums of the measures (`_flat_sum`) give
+the floats of numpy's sum over the dense array from the stored entries,
+through one shared fold of numpy's lanes.
 
 States are immutable after construction; every operation returns a fresh
 state.
@@ -46,9 +49,7 @@ __all__ = [
     "OutcomeDistribution",
     "PureState",
     "RegisterLayout",
-    "apply_modexp_unitary",
     "final_distribution",
-    "final_state",
     "outcome_distribution",
     "run_order_finding_circuit",
     "sample_outcome",
@@ -141,69 +142,34 @@ def uniform_state(layout: RegisterLayout) -> PureState:
     return PureState(layout, block, np.array([1]))
 
 
-def _modexp_targets(state: PureState, instance: ShorInstance) -> tuple:
-    """(source, labels, columns) of modexp on `state`.
+def _modexp_columns(instance: ShorInstance) -> tuple[np.ndarray, np.ndarray]:
+    """(labels, exponents) of the modexp image of psi1.
 
-    `source` is the block of the input columns below N.  x**j mod N repeats
-    with a period P, the order of x (or Q, if x**j does not come back to 1
-    below Q), and `columns` has one row per j < P and one column per source
-    column: row j of source column c moves to the image column
-    columns[j % P, c], whose register-B label is x**j * labels[c] mod N.
-    The labels are the distinct targets, sorted.  Residue products are
-    formed in int64, which holds them for every N below 2**31.
+    x**j mod N repeats with a period P, the order of x (or Q, if x**j does
+    not come back to 1 below Q), and the P powers x**j, j < P, are distinct.
+    So the image has P columns: column c has the register-B label
+    labels[c] = x**exponents[c] mod N, sorted, and holds psi1's amplitude on
+    the rows j = exponents[c] (mod P).  The powers are formed in int64,
+    which holds their products for every N below 2**31.
     """
-    lay = state.layout
-    if (lay.t, lay.L) != (instance.t, instance.L):
-        raise ValueError("state layout does not match the instance registers")
-    n_mod, x = instance.N, instance.x
-    inside = int(np.searchsorted(state.labels, n_mod))
-    if np.any(np.abs(state.block[:, inside:]) > ZERO_TOL):
-        raise ValueError(f"amplitude on register-B value >= N={n_mod}")
-    powers = np.ones(lay.Q, dtype=np.int64)
+    q, n_mod = instance.Q, instance.N
+    powers = np.ones(q, dtype=np.int64)
     k = 1
-    while k < lay.Q:  # x**(k + j) = x**j * x**k, doubling the filled prefix
-        powers[k : 2 * k] = powers[:k] * pow(x, k, n_mod) % n_mod
+    while k < q:  # x**(k + j) = x**j * x**k, doubling the filled prefix
+        powers[k : 2 * k] = powers[:k] * pow(instance.x, k, n_mod) % n_mod
         k *= 2
     again = np.flatnonzero(powers[1:] == 1)
-    period = int(again[0]) + 1 if len(again) else lay.Q
-    targets = (powers[:period, None] * state.labels[None, :inside]) % n_mod
-    labels, columns = np.unique(targets, return_inverse=True)
-    return state.block[:, :inside], labels, columns.reshape(targets.shape)
+    period = int(again[0]) + 1 if len(again) else q
+    return np.unique(powers[:period], return_index=True)
 
 
-def _scatter(out: np.ndarray, source: np.ndarray, columns: np.ndarray, c0: int) -> None:
-    """Write the image columns c0, c0 + 1, ... into the zeroed columns of `out`.
-
-    The rows j = p, p + P, ... of a source column share their image column,
-    so each (p, source column) pair landing in the range is one strided
-    copy: P copies per source column in all.  For a fixed row,
-    multiplication by x**j permutes the residues, so no two copies share a
-    slot.
-    """
-    period = len(columns)
-    rows, cols = np.nonzero((columns >= c0) & (columns < c0 + out.shape[1]))
-    for p, c, image in zip(rows.tolist(), cols.tolist(), (columns[rows, cols] - c0).tolist()):
-        out[p::period, image] = source[p::period, c]
-
-
-def _modexp_image(layout: RegisterLayout, targets: tuple) -> PureState:
-    """The modexp image of the `_modexp_targets` `targets`, by one scatter."""
-    source, labels, columns = targets
-    out = np.zeros((layout.Q, len(labels)), dtype=np.complex128, order="F")
-    _scatter(out, source, columns, 0)
-    out.setflags(write=False)
-    return PureState(layout, out, labels)
-
-
-def apply_modexp_unitary(state: PureState, instance: ShorInstance) -> PureState:
-    """|j>|y> -> |j>|x**j * y mod N> on register-B values below N.
-
-    Multiplication by an invertible x permutes the residues mod N, so the map
-    is unitary; basis values y >= N must carry no amplitude.  Row j of column
-    y < N moves to column x**j * y mod N: the distinct targets are the new
-    labels, filled by one scatter.
-    """
-    return _modexp_image(state.layout, _modexp_targets(state, instance))
+def _scatter(out: np.ndarray, value: complex, exponents: np.ndarray, c0: int) -> None:
+    """Write `value` on the rows of the image columns c0, c0 + 1, ... of
+    `_modexp_columns` into the columns of `out`: one strided write per
+    column, rows a, a + P, ... for its exponent a."""
+    period = len(exponents)
+    for c, a in enumerate(exponents[c0 : c0 + out.shape[1]].tolist()):
+        out[a::period, c] = value
 
 
 # The inverse transform runs on chunks of image columns of about this many
@@ -216,9 +182,9 @@ _CHUNK_BYTES = 2**21
 _CHUNK_COLUMNS = 8
 
 
-def _transformed_chunks(q: int, targets: tuple, out: np.ndarray | None = None):
-    """Yield (c0, image): the inverse transform of the image columns c0,
-    c0 + 1, ... of the `_modexp_targets` `targets`, a chunk at a time.
+def _transformed_chunks(q: int, exponents: np.ndarray, out: np.ndarray | None = None):
+    """Yield (c0, image): the inverse transform of the modexp image columns
+    c0, c0 + 1, ... of psi1 (`_modexp_columns`), a chunk at a time.
 
     Each chunk is scattered into one reused scratch and transformed by one
     batched FFT, into its columns of `out` or, without `out`, in place in
@@ -226,18 +192,17 @@ def _transformed_chunks(q: int, targets: tuple, out: np.ndarray | None = None):
     image, the scatter writes zeros back into the scratch, or the in-place
     image is overwritten with zeros.  The modexp image is never held.
     """
-    source, labels, columns = targets
-    k = len(labels)
+    k = len(exponents)
     width = min(k, max(_CHUNK_COLUMNS, _CHUNK_BYTES // (16 * q)))
     scratch = np.empty((q, width), dtype=np.complex128, order="F")
     # zeroed by writing, not by np.zeros: its untouched pages, once read by
     # the FFT, would fault again on the next write
     scratch.fill(0)
-    blank = np.broadcast_to(np.complex128(0), source.shape)
+    amplitude = math.sqrt(1.0 / q)  # psi1's, as `uniform_state` rounds it
     scale = 1.0 / math.sqrt(q)
     for c0 in range(0, k, width):
         chunk = scratch[:, : min(width, k - c0)]
-        _scatter(chunk, source, columns, c0)
+        _scatter(chunk, amplitude, exponents, c0)
         image = chunk if out is None else out[:, c0 : c0 + chunk.shape[1]]
         np.fft.fft(chunk, axis=0, out=image)
         # a float64 view multiplies by fl(1 / sqrt(Q)), as complex division
@@ -247,31 +212,11 @@ def _transformed_chunks(q: int, targets: tuple, out: np.ndarray | None = None):
         if out is None:
             chunk.fill(0)
         else:
-            _scatter(chunk, blank, columns, c0)
+            _scatter(chunk, 0, exponents, c0)
 
 
-def _final_block(layout: RegisterLayout, targets: tuple) -> PureState:
-    """The inverse transform of the modexp image of `targets`, as a state."""
-    out = np.empty((layout.Q, len(targets[1])), dtype=np.complex128, order="F")
-    for _ in _transformed_chunks(layout.Q, targets, out):
-        pass
-    out.setflags(write=False)
-    return PureState(layout, out, targets[1])
-
-
-def final_state(state: PureState, instance: ShorInstance) -> PureState:
-    """Inverse Fourier transform on register A of the modexp image of `state`.
-
-    Byte for byte the inverse QFT (kernel exp(-2 pi i j k / Q) / sqrt(Q)) of
-    `apply_modexp_unitary(state, instance)`, but the image is never held
-    (`_transformed_chunks`): the peak is the output block plus the scratch.
-    """
-    return _final_block(state.layout, _modexp_targets(state, instance))
-
-
-def final_distribution(state: PureState, instance: ShorInstance) -> OutcomeDistribution:
-    """The register-A outcome distribution of `final_state(state, instance)`,
-    without holding that state.
+def final_distribution(instance: ShorInstance) -> OutcomeDistribution:
+    """The register-A outcome distribution of psi3, without holding psi3.
 
     Each transformed chunk is read in place in the scratch: |column|**2 is
     added into numpy's row-sum lanes in column order, so the floats are
@@ -280,13 +225,13 @@ def final_distribution(state: PureState, instance: ShorInstance) -> OutcomeDistr
     to a total that must be 1 within NORM_TOL, the gate of `PureState`.  The
     peak is the scratch, the lanes and the probabilities.
     """
-    targets = _modexp_targets(state, instance)
-    lay = state.layout
-    lanes = np.zeros((_lane_count(lay.dim_b), lay.Q))
-    lane_of = _lanes(targets[1], lay.dim_b).tolist()
-    col = np.empty(lay.Q)
+    labels, exponents = _modexp_columns(instance)
+    q, width = instance.Q, 2**instance.L
+    lanes = np.zeros((_lane_count(width), q))
+    lane_of = _lanes(labels, width).tolist()
+    col = np.empty(q)
     norm = 0.0
-    for c0, image in _transformed_chunks(lay.Q, targets):
+    for c0, image in _transformed_chunks(q, exponents):
         # vdot ravels in C order: the transpose is the contiguous view
         norm += float(np.vdot(image.T, image.T).real)
         for c in range(image.shape[1]):
@@ -301,11 +246,21 @@ def final_distribution(state: PureState, instance: ShorInstance) -> OutcomeDistr
 def run_order_finding_circuit(instance: ShorInstance) -> tuple[PureState, PureState, PureState]:
     """psi1 (the uniform stage) -> modular exponentiation -> inverse QFT.
 
-    The modexp targets of psi1 are found once; psi2 and psi3 both read them.
+    psi2 and psi3 are both built from the modexp columns of psi1, found
+    once: psi2 by one scatter, psi3 by the chunked transform, whose image is
+    gathered into its block.
     """
     psi1 = uniform_state(RegisterLayout.for_instance(instance))
-    targets = _modexp_targets(psi1, instance)
-    return psi1, _modexp_image(psi1.layout, targets), _final_block(psi1.layout, targets)
+    layout = psi1.layout
+    labels, exponents = _modexp_columns(instance)
+    image = np.zeros((layout.Q, len(labels)), dtype=np.complex128, order="F")
+    _scatter(image, psi1.block[0, 0], exponents, 0)
+    final = np.empty_like(image, order="F")
+    for _ in _transformed_chunks(layout.Q, exponents, final):
+        pass
+    for block in (image, final):
+        block.setflags(write=False)
+    return psi1, PureState(layout, image, labels), PureState(layout, final, labels)
 
 
 @dataclass(frozen=True)

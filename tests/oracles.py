@@ -12,7 +12,8 @@ alpha -> 1 and alpha = 1/2.  The circuit and entanglement oracles (dense
 materialization of column-stored states; the all-column Hadamard layer,
 the only general Hadamard gate, since the library builds psi1 directly as
 `statevec.uniform_state`; inverse transform and modexp on dense vectors,
-ideal post-transform state, dual-path outcome probability, forward and
+the latter the only general modexp gate, since the library builds psi2 and
+psi3 from the instance; ideal post-transform state, dual-path outcome probability, forward and
 inverse transform gates on a held state, the outcome distribution of a
 held state and the whole-array form of the closed-form one, loop-summed
 closed-form overlaps, dense all-starts product-family optimizer,
@@ -289,7 +290,7 @@ def inverse_qft_all_columns(vec: np.ndarray, layout: RegisterLayout) -> np.ndarr
     """The inverse register-A transform run over every register-B column of a dense vector."""
     grid = np.asarray(vec, dtype=np.complex128).reshape(layout.Q, layout.dim_b)
     flat = np.fft.fft(grid, axis=0).reshape(-1)
-    flat.view(np.float64)[...] *= 1.0 / math.sqrt(layout.Q)  # as `statevec.final_state` scales
+    flat.view(np.float64)[...] *= 1.0 / math.sqrt(layout.Q)  # as the circuit's transform scales
     return flat
 
 
@@ -297,7 +298,9 @@ def modexp_all_columns(vec: np.ndarray, instance: ShorInstance) -> np.ndarray:
     """|j>|y> -> |j>|x**j * y mod N> on a dense vector, mapping every column below N.
 
     Multiplication by an invertible x permutes the residues mod N, so the map
-    is unitary; basis values y >= N must carry no amplitude.
+    is unitary; basis values y >= N must carry no amplitude.  The library
+    has no general modexp gate: the circuit writes psi2 straight from the
+    powers of x, and must give the bytes of this gate on psi1.
     """
     lay = RegisterLayout.for_instance(instance)
     n_mod, x = instance.N, instance.x
@@ -340,7 +343,7 @@ def apply_qft_A(state: PureState) -> PureState:
 
 def _inverse_qft_columns(cols: np.ndarray) -> np.ndarray:
     out = np.fft.fft(cols, axis=0)  # keeps the column-major layout
-    out.T.view(np.float64)[...] *= 1.0 / math.sqrt(cols.shape[0])  # as `final_state` scales
+    out.T.view(np.float64)[...] *= 1.0 / math.sqrt(cols.shape[0])  # as the circuit's transform scales
     return out
 
 
@@ -348,7 +351,8 @@ def apply_inverse_qft_A(state: PureState) -> PureState:
     """Inverse Fourier transform on register A: kernel exp(-2 pi i j k / Q) / sqrt(Q).
 
     The gate on a held state, one FFT over the whole block; the circuit
-    builds its last stage with `statevec.final_state` instead.
+    builds its last stage from psi1's modexp columns, a chunk at a time
+    (`statevec._transformed_chunks`), and must give the same bytes on psi2.
     """
     return _register_a_gate(state, _inverse_qft_columns)
 

@@ -374,6 +374,35 @@ def test_oversized_config_exits_two_before_allocating(capsys, argv, need):
     assert peak < 2**20
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--t", "2000"],
+        ["--t", "1000000000"],
+        ["--t", "100000000000"],
+        ["--n", str(10**4000 + 1), "--x", "3"],
+        ["--epsilon", "5e-324"],
+    ],
+    ids=["t2000", "t1e9", "t1e11", "n1e4000", "epsilon5e-324"],
+)
+def test_oversized_register_request_exits_two_with_one_short_line(capsys, argv):
+    # the charge is sized from its exponents before any 2**t is built, so
+    # none of these reaches the int-to-str limit, the allocation or the
+    # float overflow that once ended it in a traceback, nor prints a count
+    # of 600 digits
+    argv = ["verify", "--n", "15", "--x", "7"] + argv
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200
+    assert peak < 2**20
+
+
 def test_fast_factor_peaks_below_its_budgeted_bytes():
     # r = 42 does not divide Q, so both geometric-series terms run
     inst = make_instance(129, 5, t=20)
@@ -467,8 +496,11 @@ GRID_STEPS = ("0.05", "0.5", "1", "0", "-0.1", "1e-300", "nan", "inf")
 @settings(max_examples=30, deadline=None)
 @given(
     command=st.sampled_from(["simulate", "verify", "sweep", "factor", "factor --fast"]),
-    n=st.integers(-2, 31).map(lambda k: 2 * k + 1),
-    t=st.integers(-1, 10),
+    n=st.one_of(
+        st.integers(-2, 31).map(lambda k: 2 * k + 1), st.sampled_from([2**61 + 1, 10**4000 + 1])
+    ),
+    t=st.one_of(st.integers(-1, 10), st.sampled_from([63, 2000, 10**9, 10**11])),
+    epsilon=st.sampled_from(["0.25", "1e-300", "5e-324", "0", "1", "nan"]),
     x=st.one_of(st.none(), st.integers(-1, 65)),
     seed=st.integers(-2, 3),
     max_attempts=st.one_of(st.integers(-1, 3), st.integers(MAX_ATTEMPTS + 1, 10**12)),
@@ -489,18 +521,20 @@ GRID_STEPS = ("0.05", "0.5", "1", "0", "-0.1", "1e-300", "nan", "inf")
     out=st.sampled_from([None, "out.txt", os.path.join("missing", "out.txt")]),
 )
 # one pinned example per input that once escaped main as an exception or a NaN
-@example("simulate", 15, 4, None, -1, 1, None, "l1p", "0", None)
-@example("factor", 15, 4, 7, -2, 1, None, "l1p", "0", None)
-@example("verify", 15, 4, 7, 0, 1, None, "l1p", "nan", None)
-@example("verify", 15, 4, 7, 0, 1, None, "l1p", "1e300", None)
-@example("simulate", 15, 4, 7, 0, 1, None, "l1p", "0", os.path.join("missing", "out.txt"))
+@example("simulate", 15, 4, "0.25", None, -1, 1, None, "l1p", "0", None)
+@example("factor", 15, 4, "0.25", 7, -2, 1, None, "l1p", "0", None)
+@example("verify", 15, 4, "0.25", 7, 0, 1, None, "l1p", "nan", None)
+@example("verify", 15, 4, "0.25", 7, 0, 1, None, "l1p", "1e300", None)
+@example("simulate", 15, 4, "0.25", 7, 0, 1, None, "l1p", "0", os.path.join("missing", "out.txt"))
 def test_cli_fuzz_exits_with_a_known_code(
-    command, n, t, x, seed, max_attempts, grid, measure, debug_perturb, out
+    command, n, t, epsilon, x, seed, max_attempts, grid, measure, debug_perturb, out
 ):
-    # odd N <= 63 and t <= 10 keep every run small; x, the seed, the attempts,
-    # the grid, the perturbation and the output path range over valid and
-    # invalid values
+    # odd N <= 63 and t <= 10 keep the runs that pass the budget small; the
+    # oversized N, t and epsilon draws exit 2, and x, the seed, the
+    # attempts, the grid, the perturbation and the output path range over
+    # valid and invalid values
     argv = command.split() + ["--n", str(n), "--t", str(t), "--seed", str(seed)]
+    argv += [f"--epsilon={epsilon}"]
     if x is not None:
         argv += ["--x", str(x)]
     if command.startswith("factor"):

@@ -4,7 +4,8 @@ The files under ``tests/data/golden/`` hold the exact output of the
 commands below, and a change that keeps the report bytes must reproduce
 them byte for byte (``simulate`` and ``verify`` on N=15, where r | Q, and on
 N=21, where it does not; ``simulate`` on N=51 and N=17, whose orders 8 and
-16 give irrational phases in the post-transform closed-form sum; dense
+16 give irrational phases in the post-transform closed-form sum, and whose
+psi3 at N=17 t=15 is transformed in two chunks of 8 columns; dense
 ``factor`` on N=49 at the default t, whose 42 image columns are transformed
 in several chunks).  They pin the output of numpy 2.4.6; another numpy may
 round FFTs and reductions differently, and regenerating them is then a
@@ -29,6 +30,7 @@ CASES = {
     "simulate_n21_x2_t10.csv": "simulate --n 21 --x 2 --t 10 --format csv",
     "simulate_n51_x2_t12.json": "simulate --n 51 --x 2 --t 12",
     "simulate_n17_x3_t8.json": "simulate --n 17 --x 3 --t 8",
+    "simulate_n17_x3_t15.json": "simulate --n 17 --x 3 --t 15",
     "verify_n15_x7_t8.json": "verify --n 15 --x 7 --t 8",
     "verify_n21_x2_t10.json": "verify --n 21 --x 2 --t 10",
     "sweep_l1p_n15_x7_t8.csv": "sweep --n 15 --x 7 --t 8 --measure l1p",

@@ -29,14 +29,11 @@ from shormeter import statevec
 from shormeter.numtheory import ShorInstance, make_instance
 from shormeter.statevec import (
     NORM_TOL,
-    ZERO_TOL,
     _flat_sum,
     _flat_support,
     OutcomeDistribution,
     PureState,
     RegisterLayout,
-    apply_modexp_unitary,
-    final_state,
     final_distribution,
     outcome_distribution,
     run_order_finding_circuit,
@@ -166,11 +163,7 @@ def test_circuit_stages_and_gate_outputs_are_column_major_and_read_only():
     lay = RegisterLayout.for_instance(inst)
     rng = np.random.default_rng(13)
     wide = few_column_state(lay, [1, 4, 16], rng)
-    outputs = list(run_order_finding_circuit(inst)) + [
-        apply_inverse_qft_A(wide),
-        apply_modexp_unitary(wide, inst),
-        final_state(wide, inst),
-    ]
+    outputs = list(run_order_finding_circuit(inst)) + [apply_inverse_qft_A(wide)]
     for state in outputs:
         assert state.block.flags.f_contiguous and state.block.flags.owndata
         assert not state.block.flags.writeable
@@ -211,28 +204,19 @@ def test_modexp_orbit_support(pipeline15):
 
 def test_modexp_identity_for_x_equal_one():
     inst = ShorInstance(N=15, x=1, t=3, L=4, r=1)
-    state = uniform_state(RegisterLayout(t=3, L=4))
-    moved = apply_modexp_unitary(state, inst)
-    assert np.abs(to_dense(moved) - to_dense(state)).max() == 0.0
+    psi1, psi2, _ = run_order_finding_circuit(inst)
+    assert_same_state(psi2, psi1)
 
 
 def test_modexp_rejects_amplitude_beyond_modulus():
-    inst = make_instance(15, 7, t=2)
-    lay = RegisterLayout(t=2, L=4)
-    vec = np.zeros(lay.dim, dtype=complex)
-    vec[15] = 1.0  # register-B value 15 == N
-    with pytest.raises(ValueError):
-        apply_modexp_unitary(from_dense(lay, vec), inst)
-
-
-@pytest.mark.parametrize("stage", [final_state, final_distribution])
-def test_final_stage_rejects_amplitude_beyond_modulus(stage):
+    # the dense oracle maps the columns below N only, so it refuses a state
+    # that the circuit, which starts from |0>|1>, can never give it
     inst = make_instance(15, 7, t=2)
     lay = RegisterLayout(t=2, L=4)
     vec = np.zeros(lay.dim, dtype=complex)
     vec[15] = 1.0  # register-B value 15 == N
     with pytest.raises(ValueError, match="N=15"):
-        stage(from_dense(lay, vec), inst)
+        modexp_all_columns(vec, inst)
 
 
 def test_inverse_qft_concentrates_uniform_block():
@@ -295,17 +279,12 @@ def test_ideal_matches_evolution(inst15, pipeline15):
 
 def test_gates_preserve_norm():
     rng = np.random.default_rng(21)
-    inst = make_instance(15, 7, t=4)
     lay = RegisterLayout(t=4, L=4)
     vec = np.zeros((lay.Q, lay.dim_b), dtype=complex)
     vec[:, :15] = rng.standard_normal((lay.Q, 15)) + 1j * rng.standard_normal((lay.Q, 15))
     vec = vec.reshape(-1)
     state = from_dense(lay, vec / np.linalg.norm(vec))
-    for op in (
-        lambda s: from_dense(lay, hadamard_all_columns(to_dense(s), lay)),
-        lambda s: apply_modexp_unitary(s, inst),
-        apply_inverse_qft_A,
-    ):
+    for op in (lambda s: from_dense(lay, hadamard_all_columns(to_dense(s), lay)), apply_inverse_qft_A):
         state = op(state)
         norm = float(np.vdot(state.block, state.block).real)
         assert abs(norm - 1.0) < 1e-10
@@ -347,8 +326,8 @@ def test_circuit_stages_match_all_column_oracles(n, x, t):
 @pytest.mark.parametrize("n, x", [(15, 7), (21, 2), (33, 2), (51, 2), (63, 2)])
 def test_modexp_matches_all_column_oracle_on_uniform_stage(n, x):
     inst = make_instance(n, x)
-    psi1 = uniform_state(RegisterLayout.for_instance(inst))
-    assert_same_bytes(apply_modexp_unitary(psi1, inst), modexp_all_columns(to_dense(psi1), inst))
+    psi1, psi2, _ = run_order_finding_circuit(inst)
+    assert_same_bytes(psi2, modexp_all_columns(to_dense(psi1), inst))
 
 
 @pytest.mark.parametrize("n, x, t", [(15, 7, 1), (15, 7, 11), (21, 2, 10), (35, 3, 9), (63, 2, 15)])
@@ -356,21 +335,9 @@ def test_modexp_power_table_matches_pow(n, x, t):
     # register-B value 1 holds every row j, and modexp sends it to x**j mod N
     inst = make_instance(n, x, t=t)
     lay = RegisterLayout.for_instance(inst)
-    block = np.full((lay.Q, 1), 1.0 / math.sqrt(lay.Q), dtype=complex)
-    out = to_dense(apply_modexp_unitary(PureState(lay, block, [1]), inst))
-    out = out.reshape(lay.Q, lay.dim_b)
+    out = to_dense(run_order_finding_circuit(inst)[1]).reshape(lay.Q, lay.dim_b)
     assert np.count_nonzero(out) == lay.Q
     assert np.argmax(out != 0, axis=1).tolist() == [pow(x, j, n) for j in range(lay.Q)]
-
-
-def test_modexp_matches_all_column_oracle_on_few_columns():
-    rng = np.random.default_rng(47)
-    inst = make_instance(15, 7, t=6)
-    lay = RegisterLayout.for_instance(inst)
-    for columns in ([0], [1, 4], [2, 9, 14], list(range(15))):
-        state = few_column_state(lay, columns, rng)
-        expected = modexp_all_columns(to_dense(state), inst)
-        assert_same_bytes(apply_modexp_unitary(state, inst), expected)
 
 
 @st.composite
@@ -402,14 +369,10 @@ def test_gates_on_column_stored_states_keep_norm_and_match_dense_oracles(case):
     inst, state = case
     lay = state.layout
     vec = to_dense(state)
-    for gate, expected in (
-        (apply_inverse_qft_A, inverse_qft_all_columns(vec, lay)),
-        (lambda s: apply_modexp_unitary(s, inst), modexp_all_columns(vec, inst)),
-    ):
-        out = gate(state)
-        assert abs(float(np.vdot(out.block, out.block).real) - 1.0) <= NORM_TOL
-        assert_same_bytes(out, expected)
-        assert np.all(np.diff(out.labels) > 0) and np.all(out.block.any(axis=0))
+    out = apply_inverse_qft_A(state)
+    assert abs(float(np.vdot(out.block, out.block).real) - 1.0) <= NORM_TOL
+    assert_same_bytes(out, inverse_qft_all_columns(vec, lay))
+    assert np.all(np.diff(out.labels) > 0) and np.all(out.block.any(axis=0))
 
 
 def assert_same_state(got, expected):
@@ -429,36 +392,8 @@ FINAL_STAGE_CASES = [
 
 @pytest.mark.parametrize("n, x, t", FINAL_STAGE_CASES)
 def test_final_state_matches_the_gates_on_the_uniform_stage(n, x, t):
-    inst = make_instance(n, x, t=t)
-    psi1 = uniform_state(RegisterLayout.for_instance(inst))
-    expected = apply_inverse_qft_A(apply_modexp_unitary(psi1, inst))
-    assert_same_state(final_state(psi1, inst), expected)
-
-
-@st.composite
-def states_with_columns_beyond_the_modulus(draw):
-    """(instance, state) of `column_stored_states`, plus up to three columns
-    above N holding amplitudes below ZERO_TOL, which modexp skips."""
-    inst, state = draw(column_stored_states())
-    lay = state.layout
-    extra = sorted(draw(st.sets(st.integers(inst.N, lay.dim_b - 1), max_size=3)))
-    tiny = np.full((lay.Q, len(extra)), ZERO_TOL / 4, dtype=complex)
-    block = np.concatenate([state.block, tiny], axis=1)
-    return inst, PureState(lay, block, np.concatenate([state.labels, extra]))
-
-
-@settings(max_examples=60, deadline=None)
-@given(states_with_columns_beyond_the_modulus(), st.integers(1, 3))
-def test_final_state_matches_the_gates_on_column_stored_states(case, chunk_columns):
-    # a chunk of 1 to 3 image columns: the scatter reads several input
-    # columns into every chunk, and the last chunk may be narrower
-    inst, state = case
-    expected = apply_inverse_qft_A(apply_modexp_unitary(state, inst))
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(statevec, "_CHUNK_BYTES", 16 * state.layout.Q * chunk_columns)
-        patch.setattr(statevec, "_CHUNK_COLUMNS", chunk_columns)
-        got = final_state(state, inst)
-    assert_same_state(got, expected)
+    _, psi2, psi3 = run_order_finding_circuit(make_instance(n, x, t=t))
+    assert_same_state(psi3, apply_inverse_qft_A(psi2))
 
 
 def assert_same_distribution(got, expected):
@@ -466,26 +401,38 @@ def assert_same_distribution(got, expected):
     assert got.cdf.tobytes() == expected.cdf.tobytes()
 
 
+@st.composite
+def order_finding_instances(draw):
+    """Odd N <= 63 (N = 3 included), any unit x (x = 1 included), t = 1 to
+    8: x**j comes back to 1 below Q or not (r > Q, so the period is Q)."""
+    n = draw(st.integers(1, 31).map(lambda k: 2 * k + 1))
+    x = draw(st.sampled_from([c for c in range(1, n) if math.gcd(c, n) == 1]))
+    return ShorInstance(N=n, x=x, t=draw(st.integers(1, 8)), L=n.bit_length())
+
+
+@settings(max_examples=80, deadline=None)
+@given(order_finding_instances(), st.integers(1, 3))
+@example(ShorInstance(N=3, x=2, t=1, L=2), 1)  # r = 2 = Q
+@example(ShorInstance(N=63, x=2, t=2, L=6), 1)  # r = 6 > Q = 4
+@example(ShorInstance(N=15, x=1, t=3, L=4), 2)  # one image column
+def test_circuit_matches_the_dense_oracles_on_drawn_instances(inst, chunk_columns):
+    # chunks of 1 to 3 image columns: the last chunk may be narrower, and
+    # each chunk's scatter and zeroing must leave the next one clean
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(statevec, "_CHUNK_BYTES", 16 * inst.Q * chunk_columns)
+        patch.setattr(statevec, "_CHUNK_COLUMNS", chunk_columns)
+        psi1, psi2, psi3 = run_order_finding_circuit(inst)
+        dist = final_distribution(inst)
+    assert_same_bytes(psi2, modexp_all_columns(to_dense(psi1), inst))
+    assert_same_state(psi3, apply_inverse_qft_A(psi2))
+    assert_same_distribution(dist, measurement_distribution_A(psi3))
+
+
 @pytest.mark.parametrize("n, x, t", FINAL_STAGE_CASES)
 def test_final_distribution_matches_the_distribution_of_the_final_state(n, x, t):
     inst = make_instance(n, x, t=t)
-    psi1 = uniform_state(RegisterLayout.for_instance(inst))
-    expected = measurement_distribution_A(final_state(psi1, inst))
-    assert_same_distribution(final_distribution(psi1, inst), expected)
-
-
-@settings(max_examples=60, deadline=None)
-@given(states_with_columns_beyond_the_modulus(), st.integers(1, 3))
-def test_final_distribution_matches_the_oracle_on_column_stored_states(case, chunk_columns):
-    # image columns that the rows of the input leave all zero still pass
-    # through the chunks, where they add +0.0 to their lanes
-    inst, state = case
-    expected = measurement_distribution_A(final_state(state, inst))
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(statevec, "_CHUNK_BYTES", 16 * state.layout.Q * chunk_columns)
-        patch.setattr(statevec, "_CHUNK_COLUMNS", chunk_columns)
-        got = final_distribution(state, inst)
-    assert_same_distribution(got, expected)
+    expected = measurement_distribution_A(run_order_finding_circuit(inst)[2])
+    assert_same_distribution(final_distribution(inst), expected)
 
 
 @pytest.mark.parametrize("scale", [1 + 1e-6, 1 + 1e-10, 1 - 1e-10])
@@ -493,7 +440,6 @@ def test_final_distribution_gates_the_norm_of_the_final_state(monkeypatch, scale
     # 1 +- 1e-10 moves norm**2 by 2e-10: past NORM_TOL, but within the 1e-9
     # that the distribution allows its probabilities' sum
     inst = make_instance(21, 2, t=10)
-    psi1 = uniform_state(RegisterLayout.for_instance(inst))
     fft = np.fft.fft
 
     def off_by_scale(a, *args, out=None, **kwargs):
@@ -503,20 +449,20 @@ def test_final_distribution_gates_the_norm_of_the_final_state(monkeypatch, scale
 
     monkeypatch.setattr(np.fft, "fft", off_by_scale)
     with pytest.raises(ValueError, match="final state norm"):
-        final_distribution(psi1, inst)
+        final_distribution(inst)
     with pytest.raises(ValueError, match="norm"):
-        final_state(psi1, inst)
+        run_order_finding_circuit(inst)
 
 
 def test_circuit_finds_the_modexp_targets_once(monkeypatch):
     calls = []
-    targets = statevec._modexp_targets
+    columns = statevec._modexp_columns
 
     def counted(*args):
         calls.append(args)
-        return targets(*args)
+        return columns(*args)
 
-    monkeypatch.setattr(statevec, "_modexp_targets", counted)
+    monkeypatch.setattr(statevec, "_modexp_columns", counted)
     run_order_finding_circuit(make_instance(21, 2, t=10))
     assert len(calls) == 1
 
