@@ -284,7 +284,10 @@ def test_gates_preserve_norm():
     vec[:, :15] = rng.standard_normal((lay.Q, 15)) + 1j * rng.standard_normal((lay.Q, 15))
     vec = vec.reshape(-1)
     state = from_dense(lay, vec / np.linalg.norm(vec))
-    for op in (lambda s: from_dense(lay, hadamard_all_columns(to_dense(s), lay)), apply_inverse_qft_A):
+    for op in (
+        lambda s: from_dense(lay, hadamard_all_columns(to_dense(s), lay)),
+        apply_inverse_qft_A,
+    ):
         state = op(state)
         norm = float(np.vdot(state.block, state.block).real)
         assert abs(norm - 1.0) < 1e-10
@@ -366,7 +369,7 @@ def column_stored_states(draw):
 @settings(max_examples=60, deadline=None)
 @given(column_stored_states())
 def test_gates_on_column_stored_states_keep_norm_and_match_dense_oracles(case):
-    inst, state = case
+    _, state = case
     lay = state.layout
     vec = to_dense(state)
     out = apply_inverse_qft_A(state)
