@@ -23,6 +23,7 @@ import numpy as np
 from shormeter import measures, statevec, theorems
 from shormeter.numtheory import (
     ShorInstance,
+    brief,
     extract_factors,
     recover_order,
     register_sizes,
@@ -102,30 +103,30 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if args.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+        raise ConfigError(f"--seed must be >= 0, got {brief(args.seed)}")
     t = args.t if args.t is not None else sizes.t
     if t < 1:
-        raise ConfigError(f"t must be >= 1, got {t}")
+        raise ConfigError(f"t must be >= 1, got {brief(t)}")
     # each charge is unit * 2**shift bytes
     if args.command == "factor" and args.fast:
-        budget = [(FAST_BYTES_PER_OUTCOME, t, f"the outcome buffers over Q=2**{t} outcomes")]
+        budget = [(FAST_BYTES_PER_OUTCOME, t, f"the outcome buffers over Q=2**{brief(t)} outcomes")]
     else:
-        budget = [(16, t + sizes.L, f"the dense state on {t + sizes.L} qubits")]
+        budget = [(16, t + sizes.L, f"the dense state on {brief(t + sizes.L)} qubits")]
     if args.x is None:  # a list slot and an int object per candidate base
         size = (8 + sys.getsizeof(args.n)) * (args.n - 2)
-        budget.append((size, 0, f"the list of bases below N={args.n}"))
+        budget.append((size, 0, f"the list of bases below N={brief(args.n)}"))
     for unit, shift, what in budget:
         # a charge of more than 64 bits is over the budget by its bit length
         # alone: it is neither built nor printed in full
         bits = unit.bit_length() + shift
-        need = f"at least 2**{bits - 1}" if bits > 64 else unit << shift
+        need = f"at least 2**{brief(bits - 1)}" if bits > 64 else unit << shift
         if bits > 64 or need > MEMORY_BUDGET_BYTES:
             raise ConfigError(
                 f"{what} needs {need} bytes, above the budget of {MEMORY_BUDGET_BYTES} bytes"
             )
     if args.n > MAX_ORDER_SEARCH_N:
         raise ConfigError(
-            f"N={args.n} is above the order-search bound of {MAX_ORDER_SEARCH_N}"
+            f"N={brief(args.n)} is above the order-search bound of {MAX_ORDER_SEARCH_N}"
         )
     x = args.x
     if x is None:
@@ -133,7 +134,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         coprimes = [c for c in range(2, args.n) if gcd(c, args.n) == 1]
         x = int(coprimes[rng.integers(len(coprimes))])
     if not 1 < x < args.n:
-        raise ConfigError(f"x must satisfy 1 < x < N, got x={x}")
+        raise ConfigError(f"x must satisfy 1 < x < N, got x={brief(x)}")
     if gcd(x, args.n) != 1:
         raise ConfigError(
             f"x={x} shares the factor {gcd(x, args.n)} with N={args.n}; "
@@ -242,7 +243,7 @@ def cmd_sweep(cfg: RunConfig, measure: str, grid_spec: Optional[str]) -> int:
     if not params:
         raise ConfigError(f"grid {grid_spec!r} has no point with {domain}")
     states = statevec.run_order_finding_circuit(cfg.instance())
-    curves = [grid(s, params) for s in states]
+    curves = [grid(statevec.nonzero_support(s), params) for s in states]
     lines = ["param,C_psi1,C_psi2,C_psi3,delta,limit_flag"]
     for param, limit, c1, c2, c3 in zip(params, limits, *curves):
         lines.append(
@@ -254,9 +255,9 @@ def cmd_sweep(cfg: RunConfig, measure: str, grid_spec: Optional[str]) -> int:
 
 def cmd_factor(cfg: RunConfig, max_attempts: int, fast: bool) -> int:
     if max_attempts < 1:
-        raise ConfigError(f"--max-attempts must be >= 1, got {max_attempts}")
+        raise ConfigError(f"--max-attempts must be >= 1, got {brief(max_attempts)}")
     if max_attempts > MAX_ATTEMPTS:
-        raise ConfigError(f"--max-attempts must be <= {MAX_ATTEMPTS}, got {max_attempts}")
+        raise ConfigError(f"--max-attempts must be <= {MAX_ATTEMPTS}, got {brief(max_attempts)}")
     instance = cfg.instance()
     rng = np.random.default_rng(cfg.seed)
     if fast:

@@ -17,6 +17,7 @@ __all__ = [
     "Convergent",
     "RegisterSizes",
     "ShorInstance",
+    "brief",
     "continued_fraction_convergents",
     "extract_factors",
     "find_order_bruteforce",
@@ -29,6 +30,14 @@ __all__ = [
 # Convergents are exact reduced rationals; Fraction already guarantees
 # lowest terms and exposes .numerator / .denominator.
 Convergent = Fraction
+
+
+def brief(n: int) -> str:
+    """n in full up to 96 bits, else its digit count: no long string is built."""
+    if abs(n).bit_length() <= 96:
+        return str(n)
+    digits = math.floor((abs(n).bit_length() - 1) * math.log10(2)) + 1  # 10**(digits - 1) <= |n|
+    return f"{'-' if n < 0 else ''}<{digits + (abs(n) >= 10**digits)} digits>"
 
 
 def find_order_bruteforce(x: int, n: int) -> int:
@@ -73,7 +82,7 @@ def register_sizes(n: int, epsilon: float = 0.25) -> RegisterSizes:
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     if n < 3 or n % 2 == 0:
-        raise ValueError(f"modulus must be an odd integer >= 3, got {n}")
+        raise ValueError(f"modulus must be an odd integer >= 3, got {brief(n)}")
     extra = math.log2(2.0 + 1.0 / (2.0 * epsilon))
     if extra == math.inf:  # 1 / (2 epsilon) overflows for subnormal epsilon
         raise ValueError(f"epsilon={epsilon!r} is too small to size register A")

@@ -16,19 +16,16 @@ directly (`uniform_state`): one column of sqrt(1/Q), rounded once, so no
 general Hadamard gate is needed, and the all-column one is a test oracle.
 Modular exponentiation sends row j of psi1's column to label x**j mod N,
 so the image has one column per power of x, holding sqrt(1/Q) on every
-P-th row (`_modexp_columns`, with P the period of x**j below Q);
-`run_order_finding_circuit` writes psi2 from these columns.  The last
-stage, the inverse Fourier transform on register A, comes from the same
-columns (`_transformed_chunks`): they are written a chunk at a time (2 MiB,
-or 8 columns when those are larger) into one scratch and transformed
-there, so psi2 is never read on the way; the circuit gathers the chunks
-into the psi3 block.  `final_distribution` gives the dense `factor` job its
-outcome distribution from the same chunks, read in place, so that job
-holds no (Q, r) block: its peak is the scratch and the row-sum lanes.  No
-array has one element per basis state: the row sums of
-`final_distribution` and the flat sums of the measures (`_flat_sum`) give
-the floats of numpy's sum over the dense array from the stored entries,
-through one shared fold of numpy's lanes.
+P-th row (`_modexp_columns`, with P the period of x**j below Q).
+`run_order_finding_circuit` writes psi2 from these columns and psi3, the
+inverse Fourier transform on register A, by one FFT of psi2's block.  The
+dense `factor` job holds no (Q, r) block: `final_distribution` transforms
+the same columns a chunk at a time in one scratch (`_transformed_chunks`).
+No array has one element per basis state: the row sums of
+`final_distribution` and the flat sums of a state's `Support`, built once
+per state for every coherence measure, give the floats of numpy's sum over
+the dense array from the stored entries, through one shared fold of
+numpy's lanes.
 
 States are immutable after construction; every operation returns a fresh
 state.
@@ -49,7 +46,9 @@ __all__ = [
     "OutcomeDistribution",
     "PureState",
     "RegisterLayout",
+    "Support",
     "final_distribution",
+    "nonzero_support",
     "outcome_distribution",
     "run_order_finding_circuit",
     "sample_outcome",
@@ -100,7 +99,7 @@ class PureState:
     strictly increasing register-B labels.  Construction drops every column
     without an exactly nonzero amplitude and copies the block into a
     read-only column-major array, except an owned, already read-only
-    column-major array: the gates hand over their fresh outputs this way
+    column-major array: the circuit hands over its fresh blocks this way
     instead of paying for a copy.
     """
 
@@ -182,16 +181,10 @@ _CHUNK_BYTES = 2**21
 _CHUNK_COLUMNS = 8
 
 
-def _transformed_chunks(q: int, exponents: np.ndarray, out: np.ndarray | None = None):
+def _transformed_chunks(q: int, exponents: np.ndarray):
     """Yield (c0, image): the inverse transform of the modexp image columns
-    c0, c0 + 1, ... of psi1 (`_modexp_columns`), a chunk at a time.
-
-    Each chunk is scattered into one reused scratch and transformed by one
-    batched FFT, into its columns of `out` or, without `out`, in place in
-    the scratch, then scaled by 1/sqrt(Q).  Once the caller has read the
-    image, the scatter writes zeros back into the scratch, or the in-place
-    image is overwritten with zeros.  The modexp image is never held.
-    """
+    c0, c0 + 1, ... of psi1 (`_modexp_columns`), a chunk at a time, made in
+    one reused scratch and zeroed once the caller has read it."""
     k = len(exponents)
     width = min(k, max(_CHUNK_COLUMNS, _CHUNK_BYTES // (16 * q)))
     scratch = np.empty((q, width), dtype=np.complex128, order="F")
@@ -199,20 +192,19 @@ def _transformed_chunks(q: int, exponents: np.ndarray, out: np.ndarray | None = 
     # the FFT, would fault again on the next write
     scratch.fill(0)
     amplitude = math.sqrt(1.0 / q)  # psi1's, as `uniform_state` rounds it
-    scale = 1.0 / math.sqrt(q)
     for c0 in range(0, k, width):
         chunk = scratch[:, : min(width, k - c0)]
         _scatter(chunk, amplitude, exponents, c0)
-        image = chunk if out is None else out[:, c0 : c0 + chunk.shape[1]]
-        np.fft.fft(chunk, axis=0, out=image)
-        # a float64 view multiplies by fl(1 / sqrt(Q)), as complex division
-        # by a real does; the transpose puts the contiguous axis last
-        image.T.view(np.float64)[...] *= scale
-        yield c0, image
-        if out is None:
-            chunk.fill(0)
-        else:
-            _scatter(chunk, 0, exponents, c0)
+        _inverse_transform(chunk, chunk)
+        yield c0, chunk
+        chunk.fill(0)
+
+
+def _inverse_transform(columns: np.ndarray, out: np.ndarray) -> None:
+    """One batched FFT of the columns into `out`, scaled by fl(1 / sqrt(Q))
+    through the float64 view of `out`.T: the floats of complex division."""
+    np.fft.fft(columns, axis=0, out=out)
+    out.T.view(np.float64)[...] *= 1.0 / math.sqrt(len(out))
 
 
 def final_distribution(instance: ShorInstance) -> OutcomeDistribution:
@@ -240,15 +232,16 @@ def final_distribution(instance: ShorInstance) -> OutcomeDistribution:
             lanes[lane_of[c0 + c]] += col
     if not abs(norm - 1.0) <= NORM_TOL:  # written so that a NaN norm fails
         raise ValueError(f"final state norm**2 = {norm!r} is not 1 within {NORM_TOL}")
-    return OutcomeDistribution(_pairwise_fold(lanes))
+    probabilities = _pairwise_fold(lanes)  # fresh past one lane: not copied again
+    probabilities.setflags(write=False)
+    return OutcomeDistribution(probabilities)
 
 
 def run_order_finding_circuit(instance: ShorInstance) -> tuple[PureState, PureState, PureState]:
     """psi1 (the uniform stage) -> modular exponentiation -> inverse QFT.
 
     psi2 and psi3 are both built from the modexp columns of psi1, found
-    once: psi2 by one scatter, psi3 by the chunked transform, whose image is
-    gathered into its block.
+    once: psi2 by one scatter, psi3 by one FFT of psi2's block.
     """
     psi1 = uniform_state(RegisterLayout.for_instance(instance))
     layout = psi1.layout
@@ -256,8 +249,7 @@ def run_order_finding_circuit(instance: ShorInstance) -> tuple[PureState, PureSt
     image = np.zeros((layout.Q, len(labels)), dtype=np.complex128, order="F")
     _scatter(image, psi1.block[0, 0], exponents, 0)
     final = np.empty_like(image, order="F")
-    for _ in _transformed_chunks(layout.Q, exponents, final):
-        pass
+    _inverse_transform(image, final)
     for block in (image, final):
         block.setflags(write=False)
     return psi1, PureState(layout, image, labels), PureState(layout, final, labels)
@@ -279,7 +271,7 @@ class OutcomeDistribution:
         arr = np.asarray(self.probabilities, dtype=np.float64)
         if arr.ndim != 1:
             raise ValueError("probabilities must be a one-dimensional vector")
-        if np.any(arr < -1e-12):
+        if arr.min(initial=0.0) < -1e-12:  # a NaN passes here and fails the total
             raise ValueError(f"negative probability {arr.min()!r}")
         total = float(arr.sum())
         if not abs(total - 1.0) <= 1e-9:  # a NaN anywhere makes the total NaN
@@ -291,10 +283,6 @@ class OutcomeDistribution:
         cdf.setflags(write=False)
         object.__setattr__(self, "probabilities", arr)
         object.__setattr__(self, "cdf", cdf)
-
-    @property
-    def Q(self) -> int:
-        return len(self.probabilities)
 
 
 def _lanes(positions: np.ndarray, n: int) -> np.ndarray:
@@ -319,41 +307,58 @@ def _pairwise_fold(lanes: np.ndarray):
     """numpy's pairwise sum from its lanes (axis 0), each filled in order.
 
     Adding +0.0 leaves a sum of nonnegative values unchanged, so lanes that
-    skip the zeros hold numpy's accumulators.
+    skip the zeros hold numpy's accumulators.  Past one lane, the last add
+    writes a fresh array, so that the caller can own the result.
     """
     if len(lanes) == 1:
         return lanes[0]
-    acc = lanes.reshape((8, -1) + lanes.shape[1:])
+    blocks = len(lanes) // 8
+    acc = lanes.reshape((8, blocks) + lanes.shape[1:]) if blocks > 1 else lanes
     sums = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-    while len(sums) > 1:
+    while blocks > 2:  # a power of two
         sums = sums[0::2] + sums[1::2]
-    return sums[0]
+        blocks //= 2
+    return sums[0] + sums[1] if blocks == 2 else sums
 
 
-def _flat_support(values: np.ndarray, labels: np.ndarray, width: int) -> tuple:
-    """The nonzero entries of the (Q, k) `values` row by row (the dense joint
-    order) and their lanes in the flat Q * width sum.  For a power-of-two
-    width the lane of j * width + label is the lane of j * width plus that of
-    the label: j * width mod 8 (mod 128) is a multiple of width below 8 (128)
-    and label < width, so neither pos % 8 nor pos // 128 carries.  Only the
-    kept entries get a lane: a boolean mask picks both terms out of their
-    broadcast row and label tables.
+@dataclass(frozen=True)
+class Support:
+    """A state's exactly nonzero amplitudes in the dense joint order, as |c|**2
+    and |c|.  Where |c| < 1.5e-154, |c|**2 underflows to +0.0, which adds
+    nothing to a flat sum, while the dense l_{1,p} sums still count that |c|."""
+
+    probabilities: np.ndarray
+    moduli: np.ndarray
+    lanes: np.ndarray = field(repr=False)
+    dim: int  # 2**(t+L), the length of the dense array
+
+    def flat_sum(self, values: np.ndarray) -> float:
+        """np.sum, float for float, of the dense array holding the nonnegative
+        `values`, one per entry, and +0.0 elsewhere (bincount adds in order)."""
+        lanes = np.bincount(self.lanes, values, minlength=_lane_count(self.dim))
+        return float(_pairwise_fold(lanes))
+
+
+def nonzero_support(state: PureState) -> Support:
+    """The `Support` of `state`, each entry with its lane in the flat sum.
+
+    The lane of j * 2**L + label is that of j * 2**L plus that of the label:
+    j * 2**L mod 8 (mod 128) is a multiple of 2**L below 8 (128), so neither
+    pos % 8 nor pos // 128 carries.  A boolean mask reads the amplitudes and
+    both lane terms row by row; the complex copy is freed before the lanes
+    are built, which keeps it out of the peak.
     """
-    q, k = values.shape
-    flat = values.ravel()
-    keep = flat != 0
-    grid = keep.reshape(q, k)
-    n = q * width
-    row_lanes = _lanes(np.arange(q, dtype=np.intp) * width, n)
-    lanes = np.broadcast_to(_lanes(labels, n), (q, k))[grid]
-    lanes += np.broadcast_to(row_lanes[:, None], (q, k))[grid]
-    return flat[keep], lanes
-
-
-def _flat_sum(values: np.ndarray, lanes: np.ndarray, n: int) -> float:
-    """np.sum, float for float, of the length-n array holding the entries of
-    `_flat_support` and +0.0 elsewhere; np.bincount adds in input order."""
-    return float(_pairwise_fold(np.bincount(lanes, values, minlength=_lane_count(n))))
+    block, labels, layout = state.block, state.labels, state.layout
+    shape, n = block.shape, layout.dim
+    keep = block != 0
+    amplitudes = block[keep]
+    probabilities = amplitudes.real**2 + amplitudes.imag**2
+    moduli = np.abs(amplitudes)
+    del amplitudes
+    row_lanes = _lanes(np.arange(shape[0], dtype=np.intp) * layout.dim_b, n)
+    lanes = np.broadcast_to(_lanes(labels, n), shape)[keep]
+    lanes += np.broadcast_to(row_lanes[:, None], shape)[keep]
+    return Support(probabilities, moduli, lanes, n)
 
 
 def outcome_distribution(r: int, q: int) -> OutcomeDistribution:

@@ -169,8 +169,8 @@ def verify_stage(
     the E_g row also holds "details".  "pass" is True when every gated row
     passes.
 
-    `state` is the simulated state after `stage`; the C_1p and C_alpha rows
-    come from one grid evaluation each over its nonzero support.  Coherence
+    `state` is the simulated state after `stage`; its support is built once,
+    and the C_1p and C_alpha rows come from one grid evaluation each.  Coherence
     rows are gated at COHERENCE_GAP_TOL.  When r does not divide Q the final
     stage has no closed forms; its rows are reported as not applicable and
     do not gate.  Entanglement rows are never gated: the ansatz optimum and
@@ -192,16 +192,18 @@ def verify_stage(
     def closed(index: int, p: float = 1.0, alpha: float = 1.0) -> Optional[float]:
         return None if d is None else coherence_closed_forms(d, p, alpha)[index]
 
-    p_values = measures.l1p_coherence_grid(state, P_GRID_DEFAULT)
-    alpha_values = measures.tsallis_coherence_grid(state, ALPHA_GRID_DEFAULT)
+    e_g = _entanglement_row(stage, state, overlaps)  # its peak comes before the support's
+    support = statevec.nonzero_support(state)
+    p_values = measures.l1p_coherence_grid(support, P_GRID_DEFAULT)
+    alpha_values = measures.tsallis_coherence_grid(support, ALPHA_GRID_DEFAULT)
     groups = {
         "C_1p": [_gated_row(p, v, closed(0, p=p)) for p, v in zip(P_GRID_DEFAULT, p_values)],
         "C_alpha": [
             _gated_row(alpha, v, closed(1, alpha=alpha))
             for alpha, v in zip(ALPHA_GRID_DEFAULT, alpha_values)
         ],
-        "C_g": [_gated_row(None, measures.geometric_coherence_pure(state), closed(2))],
-        "E_g": [_entanglement_row(stage, state, overlaps)],
+        "C_g": [_gated_row(None, measures.geometric_coherence_pure(support), closed(2))],
+        "E_g": [e_g],
     }
     passed = all(row["pass"] for rows in groups.values() for row in rows if row["gated"])
     return {"stage": stage, "pass": passed, "measures": groups}

@@ -3,10 +3,10 @@
 Three kinds live here.  The dense expressions evaluate a pure-state measure
 over every amplitude of the state, zeros included; `shormeter.measures`
 must reproduce them bit for bit from the nonzero support, and the
-single-point wrappers evaluate a one-element grid on `as_state(vector)`, the
-vector zero-padded to a power of two and held as a `PureState`.  The
-density-matrix measures (eigendecomposition based) are independent routes,
-capped at dim <= 256.  The relative-entropy and skew-information
+single-point wrappers evaluate a one-element grid on `support_of(vector)`,
+the support of the vector zero-padded to a power of two and held as a
+`PureState` (`as_state`).  The density-matrix measures (eigendecomposition
+based) are independent routes, capped at dim <= 256.  The relative-entropy and skew-information
 coherences are included because the Tsallis family reduces to them at
 alpha -> 1 and alpha = 1/2.  The circuit and entanglement oracles (dense
 materialization of column-stored states; the all-column Hadamard layer,
@@ -18,9 +18,9 @@ inverse transform gates on a held state, the outcome distribution of a
 held state and the whole-array form of the closed-form one, loop-summed
 closed-form overlaps, dense all-starts product-family optimizer,
 brute-force product-state search, symmetric overlap, alpha-peak search)
-and small helpers
-(`as_state`, `mod_pow`, `register_b_support`, `dump_nonzero_json`) serve
-only the tests, so they are kept out of the library.
+and small helpers (`as_state`, `support_of`, `mod_pow`, `register_b_support`,
+`dump_nonzero_json`) serve only the tests, so they are kept out of the
+library.
 """
 
 from __future__ import annotations
@@ -51,10 +51,12 @@ from shormeter.statevec import (
     OutcomeDistribution,
     PureState,
     RegisterLayout,
+    Support,
     _lane_count,
     _lanes,
     _pairwise_fold,
     _sin_squared,
+    nonzero_support,
 )
 
 _DENSITY_DIM_CAP = 256
@@ -111,14 +113,19 @@ def as_state(vec: np.ndarray) -> PureState:
     return from_dense(RegisterLayout(t=size.bit_length() - 2, L=1), padded)
 
 
+def support_of(vec: np.ndarray) -> Support:
+    """The nonzero support that the measures read, of `as_state(vec)`."""
+    return nonzero_support(as_state(vec))
+
+
 def tsallis_coherence_pure(state: np.ndarray, alpha: float) -> float:
     """Tsallis relative alpha-entropy of coherence of a vector at one alpha."""
-    return tsallis_coherence_grid(as_state(state), (alpha,))[0]
+    return tsallis_coherence_grid(support_of(state), (alpha,))[0]
 
 
 def l1p_coherence_pure(state: np.ndarray, p: float) -> float:
     """l_{1,p} coherence of a vector at one p."""
-    return l1p_coherence_grid(as_state(state), (p,))[0]
+    return l1p_coherence_grid(support_of(state), (p,))[0]
 
 
 def pure_density(state: np.ndarray) -> np.ndarray:

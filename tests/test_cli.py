@@ -75,10 +75,10 @@ def test_simulate_csv_round_trip(tmp_path):
     header = lines[0].split(",")
     assert header[:4] == ["stage", "measure", "param", "numeric"]
     import shormeter.measures as measures
-    from shormeter import make_instance, run_order_finding_circuit
+    from shormeter import make_instance, run_order_finding_circuit, statevec
 
     psi1 = run_order_finding_circuit(make_instance(15, 7))[0]
-    expected = measures.l1p_coherence_grid(psi1, (1.0,))[0]
+    expected = measures.l1p_coherence_grid(statevec.nonzero_support(psi1), (1.0,))[0]
     row = next(l for l in lines[1:] if l.startswith("psi1,C_1p,1,"))
     numeric = float(row.split(",")[3])
     assert numeric == expected  # 17 significant digits round-trip exactly
@@ -401,6 +401,28 @@ def test_oversized_register_request_exits_two_with_one_short_line(capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200
     assert peak < 2**20
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["factor", "--fast", "--t", "1", "--n", str(10**4000 + 1)],
+        ["factor", "--fast", "--t", "1", "--n", str(10**4000 + 1), "--x", "3"],
+        ["verify", "--n", str(10**4000)],
+        ["verify", "--n", "15", "--x", str(10**4000)],
+        ["verify", "--n", "15", "--seed", str(-(10**4000))],
+        ["factor", "--n", "15", "--max-attempts", str(10**4000)],
+        ["verify", "--n", "15", "--t", str(10**4000)],
+        ["factor", "--fast", "--n", "15", "--t", str(10**4000)],
+    ],
+    ids=["base-list", "order-search", "even-n", "x", "seed", "max-attempts", "t", "fast-t"],
+)
+def test_long_integer_input_exits_two_with_one_short_line(capsys, argv):
+    # each message gives such an integer by its digit count, not in full
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200
+    assert "digits>" in err
 
 
 def test_fast_factor_peaks_below_its_budgeted_bytes():

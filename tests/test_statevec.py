@@ -3,6 +3,7 @@ import io
 import json
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,16 +26,16 @@ from oracles import (
     to_dense,
     whole_array_outcome_probabilities,
 )
-from shormeter import statevec
+from shormeter import statevec, theorems
+from shormeter.cli import main
 from shormeter.numtheory import ShorInstance, make_instance
 from shormeter.statevec import (
     NORM_TOL,
-    _flat_sum,
-    _flat_support,
     OutcomeDistribution,
     PureState,
     RegisterLayout,
     final_distribution,
+    nonzero_support,
     outcome_distribution,
     run_order_finding_circuit,
     sample_outcome,
@@ -457,17 +458,45 @@ def test_final_distribution_gates_the_norm_of_the_final_state(monkeypatch, scale
         run_order_finding_circuit(inst)
 
 
-def test_circuit_finds_the_modexp_targets_once(monkeypatch):
+def counted_calls(monkeypatch, name):
+    """Patch statevec.`name` to record each call and return that record."""
     calls = []
-    columns = statevec._modexp_columns
+    function = getattr(statevec, name)
 
     def counted(*args):
         calls.append(args)
-        return columns(*args)
+        return function(*args)
 
-    monkeypatch.setattr(statevec, "_modexp_columns", counted)
+    monkeypatch.setattr(statevec, name, counted)
+    return calls
+
+
+def test_circuit_finds_the_modexp_targets_once(monkeypatch):
+    calls = counted_calls(monkeypatch, "_modexp_columns")
     run_order_finding_circuit(make_instance(21, 2, t=10))
     assert len(calls) == 1
+
+
+def test_circuit_transforms_psi3_without_the_chunks(monkeypatch):
+    calls = counted_calls(monkeypatch, "_transformed_chunks")
+    inst = make_instance(49, 3, t=10)
+    run_order_finding_circuit(inst)
+    assert calls == []
+    final_distribution(inst)  # the dense factor job still reads the chunks
+    assert len(calls) == 1
+
+
+def test_each_stage_builds_its_support_once(monkeypatch, tmp_path):
+    calls = counted_calls(monkeypatch, "nonzero_support")
+    inst = make_instance(21, 2, t=10)
+    for stage, state in zip(theorems.STAGES, run_order_finding_circuit(inst)):
+        theorems.verify_stage(stage, inst, state=state, overlaps=None)
+        assert len(calls) == 1 and calls.pop()[0] is state
+    argv = ["sweep", "--n", "21", "--x", "2", "--t", "10", "--out", str(tmp_path / "s.csv")]
+    for measure in ("tsallis", "l1p"):
+        assert main(argv + ["--measure", measure]) == 0
+        assert [len(state.labels) for (state,) in calls] == [1, inst.r, inst.r]
+        calls.clear()
 
 
 @pytest.mark.parametrize(
@@ -566,11 +595,21 @@ def test_flat_sum_matches_numpy_over_the_dense_vector(
     if zero_cols:
         block[:, rng.random(len(labels)) < 0.5] = 0.0
     block = np.asfortranarray(block)
-    for values in (np.abs(block), block.real**2 + block.imag**2):
+    # the builder reads only the block, its labels and the layout, so an
+    # unnormalised block, whose |c|**2 may all underflow, stands in for a state
+    layout = RegisterLayout(t=t, L=L)
+    support = nonzero_support(SimpleNamespace(layout=layout, block=block, labels=labels))
+    amps = np.zeros((q, width), dtype=complex)
+    amps[:, labels] = block
+    amps = amps[amps != 0]  # the nonzero amplitudes in the dense joint order
+    for got, of in (
+        (support.moduli, np.abs),
+        (support.probabilities, lambda c: c.real**2 + c.imag**2),
+    ):
+        assert got.tobytes() == of(amps).tobytes()
         dense = np.zeros(q * width)
-        dense.reshape(q, width)[:, labels] = values
-        got = _flat_sum(*_flat_support(values, labels, width), q * width)
-        assert np.float64(got).tobytes() == np.sum(dense).tobytes()
+        dense.reshape(q, width)[:, labels] = of(block)
+        assert np.float64(support.flat_sum(got)).tobytes() == np.sum(dense).tobytes()
 
 
 @pytest.mark.parametrize("n, x, t", [(15, 7, 11), (49, 3, 8), (255, 2, 4)])
@@ -628,6 +667,28 @@ def test_measurement_distribution_basics():
 def test_distribution_rejects_non_finite_probabilities(probs):
     with pytest.raises(ValueError, match="sum"):
         OutcomeDistribution(np.array(probs))
+
+
+@pytest.mark.parametrize("probs", [[1.5, -0.5], [-1e-11, 1.0], [-np.inf, 1.0]])
+def test_distribution_rejects_negative_probabilities(probs):
+    with pytest.raises(ValueError, match="negative probability"):
+        OutcomeDistribution(np.array(probs))
+
+
+@pytest.mark.parametrize("n, x, t", [(49, 3, 10), (255, 2, 4)])
+def test_final_distribution_hands_over_its_probabilities(monkeypatch, n, x, t):
+    # owned and read-only, so the distribution keeps the array it is given;
+    # 8 lanes fold as one block at N=49, 16 as two at N=255
+    kept = []
+    init = OutcomeDistribution.__post_init__
+
+    def recorded(self):
+        kept.append(self.probabilities)
+        init(self)
+
+    monkeypatch.setattr(OutcomeDistribution, "__post_init__", recorded)
+    dist = final_distribution(make_instance(n, x, t=t))
+    assert dist.probabilities is kept[0]
 
 
 def test_outcome_peak_and_offpeak_values():
