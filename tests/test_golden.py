@@ -5,14 +5,18 @@ commands below, and a change that keeps the report bytes must reproduce
 them byte for byte (``simulate`` and ``verify`` on N=15, where r | Q, and on
 N=21, where it does not; ``simulate`` on N=51 and N=17, whose orders 8 and
 16 give irrational phases in the post-transform closed-form sum, and whose
-psi3 at N=17 t=15 is transformed in two chunks of 8 columns; dense
-``factor`` on N=49 at the default t, whose 42 image columns are transformed
-in several chunks).  They pin the output of numpy 2.4.6; another numpy may
-round FFTs and reductions differently, and regenerating them is then a
-deliberate step: ``PYTHONPATH=src python tests/test_golden.py`` rewrites
-every file from the argv its test runs.  The closed-form sums
-accumulate left to right with numpy, so they no longer depend on the
-interpreter's builtin ``sum()``, which compensates from Python 3.12 on.
+psi3 at N=17 t=15 is transformed in two chunks of 8 columns; ``simulate``
+on N=129, whose L = 8 puts a 128-entry lane block inside one row and 8 label
+bits into the Hamming weights, and whose r = 42 does not divide Q; ``verify
+--debug-perturb`` on N=21, which runs E_g and the product-family optimizer
+on a psi1 that is not a product state; dense ``factor`` on N=49 at the
+default t, whose 42 image columns are transformed in several chunks).
+They pin the output of numpy 2.4.6; another numpy may round FFTs and
+reductions differently, and regenerating them is then a deliberate step:
+``PYTHONPATH=src python tests/test_golden.py`` rewrites every file from the
+argv its test runs.  The closed-form sums accumulate left to right with
+numpy, so they no longer depend on the interpreter's builtin ``sum()``,
+which compensates from Python 3.12 on.
 """
 
 from pathlib import Path
@@ -31,8 +35,10 @@ CASES = {
     "simulate_n51_x2_t12.json": "simulate --n 51 --x 2 --t 12",
     "simulate_n17_x3_t8.json": "simulate --n 17 --x 3 --t 8",
     "simulate_n17_x3_t15.json": "simulate --n 17 --x 3 --t 15",
+    "simulate_n129_x5_t9.json": "simulate --n 129 --x 5 --t 9",
     "verify_n15_x7_t8.json": "verify --n 15 --x 7 --t 8",
     "verify_n21_x2_t10.json": "verify --n 21 --x 2 --t 10",
+    "verify_perturb_n21_x2_t10.json": "verify --n 21 --x 2 --t 10 --debug-perturb 1e-3",
     "sweep_l1p_n15_x7_t8.csv": "sweep --n 15 --x 7 --t 8 --measure l1p",
     "sweep_tsallis_n15_x7_t8.csv": "sweep --n 15 --x 7 --t 8 --measure tsallis",
     "factor_n15_x7_t8_s3.json": "factor --n 15 --x 7 --t 8 --seed 3",
@@ -42,7 +48,9 @@ CASES = {
 # Commands that end with a nonzero exit code; every other case exits 0.
 # r = 42 does not divide Q = 2**15, and x**21 = -1 (mod 49) gives no factor,
 # so all ten attempts find the order and the run gives up.
-EXIT_CODES = {"factor_n49_x3_s3.json": 1}
+# The perturbed psi1 and psi2 miss their coherence closed forms, so the
+# verify run with --debug-perturb fails its gates.
+EXIT_CODES = {"factor_n49_x3_s3.json": 1, "verify_perturb_n21_x2_t10.json": 1}
 
 
 def test_every_golden_file_has_a_case():
