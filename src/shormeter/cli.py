@@ -63,6 +63,20 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
+def _quoted(text: str) -> str:
+    """repr(text), or once that is long, its start and the length of text."""
+    shown = repr(text)
+    return shown if len(shown) <= 40 else f"{shown[:24]}... <{len(text)} characters>"
+
+
+def _integer(text: str) -> int:
+    """int(text) for argparse, which would echo a text that is no int in full."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_quoted(text)}") from None
+
+
 @dataclass(frozen=True)
 class RunConfig:
     N: int
@@ -217,12 +231,12 @@ def _parse_grid(spec: str) -> list[float]:
     try:
         lo, hi, step = (float(part) for part in spec.split(":"))
     except ValueError as exc:
-        raise ConfigError(f"grid must look like LO:HI:STEP, got {spec!r}") from exc
+        raise ConfigError(f"grid must look like LO:HI:STEP, got {_quoted(spec)}") from exc
     if not all(math.isfinite(v) for v in (lo, hi, step)) or step <= 0 or hi < lo:
-        raise ConfigError(f"bad grid bounds {spec!r}")
+        raise ConfigError(f"bad grid bounds {_quoted(spec)}")
     span = (hi - lo) / step  # inf when hi - lo overflows
     if span >= MAX_GRID_POINTS:
-        raise ConfigError(f"grid {spec!r} has more than {MAX_GRID_POINTS} points")
+        raise ConfigError(f"grid {_quoted(spec)} has more than {MAX_GRID_POINTS} points")
     # index-based grid: accumulating float steps would drift past hi
     count = int(math.floor(span + 1e-9)) + 1
     return [round(lo + i * step, 12) for i in range(count)]
@@ -241,7 +255,7 @@ def cmd_sweep(cfg: RunConfig, measure: str, grid_spec: Optional[str]) -> int:
         params = [param for param in params if 0.0 < param <= 2.0]
         limits = [int(abs(param - 1.0) <= measures.ALPHA_ONE_TOL) for param in params]
     if not params:
-        raise ConfigError(f"grid {grid_spec!r} has no point with {domain}")
+        raise ConfigError(f"grid {_quoted(grid_spec)} has no point with {domain}")
     states = statevec.run_order_finding_circuit(cfg.instance())
     curves = [grid(statevec.nonzero_support(s), params) for s in states]
     lines = ["param,C_psi1,C_psi2,C_psi3,delta,limit_flag"]
@@ -345,11 +359,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--n", type=int, required=True, help="odd composite modulus")
-        p.add_argument("--x", type=int, default=None, help="base (random coprime if absent)")
-        p.add_argument("--t", type=int, default=None, help="control-register qubits")
+        p.add_argument("--n", type=_integer, required=True, help="odd composite modulus")
+        p.add_argument("--x", type=_integer, default=None, help="base (random coprime if absent)")
+        p.add_argument("--t", type=_integer, default=None, help="control-register qubits")
         p.add_argument("--epsilon", type=float, default=0.25, help="error budget in (0,1)")
-        p.add_argument("--seed", type=int, default=0, help="PRNG seed")
+        p.add_argument("--seed", type=_integer, default=0, help="PRNG seed")
         p.add_argument("--out", type=str, default=None, help="output path (stdout if absent)")
 
     sim = sub.add_parser("simulate", help="run the pipeline and report every stage")
@@ -363,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     factor = sub.add_parser("factor", help="end-to-end factoring loop")
     add_common(factor)
-    factor.add_argument("--max-attempts", type=int, default=10)
+    factor.add_argument("--max-attempts", type=_integer, default=10)
     factor.add_argument(
         "--fast",
         action="store_true",
@@ -392,9 +406,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             return cmd_sweep(cfg, args.measure, args.grid)
         if args.command == "factor":
             return cmd_factor(cfg, args.max_attempts, args.fast)
-        if args.command == "verify":
-            return cmd_verify(cfg, args.debug_perturb)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return cmd_verify(cfg, args.debug_perturb)  # argparse admits no other command
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

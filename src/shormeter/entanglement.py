@@ -3,16 +3,18 @@
 The production path restricts the product-state optimization to the
 one-parameter symmetric family eta(alpha)^(tensor n) with
 eta = cos(alpha/2)|0> + sin(alpha/2)|1>, which is what the closed forms are
-derived from.  Each closed form is 1 - overlap, and `closed_form_overlaps`
-is their one entry point: it evaluates the n + 1 per-weight maxima and the
-r phases once each, and sums them over the popcounts of the joint labels
-into the squared overlaps S_ab**2 / Q (post-modexp) and S_as**2 / r**2
-(post-transform).  An alternating optimizer over the *full* product-state
-family is the cross-check on the uniform stage, a product state.  That
-stage occupies one register-B column, so the optimizer runs on the Q
-register-A amplitudes of that column, from the per-qubit marginal seed, and
-stops at the update where the overlap reaches 1 (E_g = 0.0).  The dense
-all-starts optimizer for entangled states is a test oracle.
+derived from.  Its optimizer reads a state only through the n + 1 weight
+sums of the stage's `statevec.Support`.  Each closed form is 1 - overlap,
+and `closed_form_overlaps` is their one entry point: it evaluates the
+n + 1 per-weight maxima and the r phases once each, and sums them over the
+popcounts of the joint labels into the squared overlaps S_ab**2 / Q
+(post-modexp) and S_as**2 / r**2 (post-transform).  An alternating
+optimizer over the *full* product-state family is the cross-check on the
+uniform stage, a product state.  That stage occupies one register-B column,
+so the optimizer runs on the Q register-A amplitudes of that column, from
+the per-qubit marginal seed, and stops at the update where the overlap
+reaches 1 (E_g = 0.0).  The dense all-starts optimizer for entangled
+states is a test oracle.
 
 The post-transform overlap squares a complex sum; since plain squaring and
 squared modulus differ once the sum leaves the real axis, both readings are
@@ -31,7 +33,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from shormeter.numtheory import ShorInstance
-from shormeter.statevec import ZERO_TOL, PureState
+from shormeter.statevec import PureState
 
 __all__ = [
     "ClosedFormOverlaps",
@@ -60,21 +62,6 @@ def hamming_weight_term(w: int, n: int) -> float:
     lo = ((n - w) / n) ** ((n - w) / 2.0) if w < n else 1.0
     hi = (w / n) ** (w / 2.0) if w > 0 else 1.0
     return lo * hi
-
-
-def _weight_coefficients(state: PureState) -> np.ndarray:
-    """Conjugated amplitude sums grouped by the Hamming weight of the label.
-
-    Joint index j * 2**L + y has weight popcount(j) + popcount(y).  The
-    boolean mask reads the (Q, k) block row by row, so np.add.at
-    accumulates each weight in the dense order.
-    """
-    amplitudes, lay = state.block, state.layout
-    keep = np.abs(amplitudes) > ZERO_TOL
-    weights = np.bitwise_count(np.arange(lay.Q))[:, None] + np.bitwise_count(state.labels)
-    coeff = np.zeros(lay.n + 1, dtype=np.complex128)
-    np.add.at(coeff, weights[keep], amplitudes[keep].conj())
-    return coeff
 
 
 def _overlap_from_coefficients(coeff: np.ndarray, alpha_angle: float) -> complex:
@@ -112,14 +99,14 @@ class SymmetricOptimum:
     overlap_sq: float
 
 
-def geometric_entanglement_symmetric(state: PureState) -> SymmetricOptimum:
+def geometric_entanglement_symmetric(coeff: np.ndarray) -> SymmetricOptimum:
     """1 - max_alpha |<state|eta(alpha)^n>|**2 over the symmetric family.
 
-    A dense grid over [0, pi] seeds a golden-section refinement, which is
-    enough because the overlap is a low-oscillation trigonometric polynomial
-    in alpha.
+    The state enters only through its n + 1 weight sums `coeff`
+    (`statevec.Support.weight_sums`).  A dense grid over [0, pi] seeds a
+    golden-section refinement, which is enough because the overlap is a
+    low-oscillation trigonometric polynomial in alpha.
     """
-    coeff = _weight_coefficients(state)
     n = len(coeff) - 1
     grid = np.linspace(0.0, math.pi, GRID_POINTS)
     c = np.cos(grid / 2.0)

@@ -14,7 +14,6 @@ from math import gcd
 from typing import Optional
 
 __all__ = [
-    "Convergent",
     "RegisterSizes",
     "ShorInstance",
     "brief",
@@ -26,10 +25,6 @@ __all__ = [
     "recover_order",
     "register_sizes",
 ]
-
-# Convergents are exact reduced rationals; Fraction already guarantees
-# lowest terms and exposes .numerator / .denominator.
-Convergent = Fraction
 
 
 def brief(n: int) -> str:
@@ -154,7 +149,7 @@ def make_instance(
     return inst.with_order() if with_order else inst
 
 
-def continued_fraction_convergents(k: int, q: int) -> list[Convergent]:
+def continued_fraction_convergents(k: int, q: int) -> list[Fraction]:
     """Convergents of k/q in lowest terms, ending at k/q itself.
 
     Denominators are strictly increasing; when the leading 0/1 and the next
@@ -229,10 +224,7 @@ def recover_order(k: int, instance: ShorInstance) -> Optional[int]:
             candidates.add(d * mult)
     for cand in sorted(candidates):
         if pow(x, cand, n) == 1:
-            order = _order_from_multiple(x, n, cand)
-            if pow(x, order, n) != 1:
-                raise ArithmeticError(f"recovered order {order} fails {x}**{order} == 1 (mod {n})")
-            return order
+            return _order_from_multiple(x, n, cand)
     return None
 
 

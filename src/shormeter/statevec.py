@@ -22,10 +22,10 @@ inverse Fourier transform on register A, by one FFT of psi2's block.  The
 dense `factor` job holds no (Q, r) block: `final_distribution` transforms
 the same columns a chunk at a time in one scratch (`_transformed_chunks`).
 No array has one element per basis state: the row sums of
-`final_distribution` and the flat sums of a state's `Support`, built once
-per state for every coherence measure, give the floats of numpy's sum over
-the dense array from the stored entries, through one shared fold of
-numpy's lanes.
+`final_distribution` and the flat sums of a state's `Support`, the one scan
+of its exactly nonzero entries that every quantifier reads, give the floats
+of numpy's sum over the dense array from the stored entries, through one
+shared fold of numpy's lanes.
 
 States are immutable after construction; every operation returns a fresh
 state.
@@ -42,7 +42,6 @@ from shormeter.numtheory import ShorInstance
 
 __all__ = [
     "NORM_TOL",
-    "ZERO_TOL",
     "OutcomeDistribution",
     "PureState",
     "RegisterLayout",
@@ -55,7 +54,6 @@ __all__ = [
     "uniform_state",
 ]
 
-ZERO_TOL = 1e-12  # amplitudes below this modulus count as exact zeros
 NORM_TOL = 1e-10
 
 
@@ -324,11 +322,13 @@ def _pairwise_fold(lanes: np.ndarray):
 @dataclass(frozen=True)
 class Support:
     """A state's exactly nonzero amplitudes in the dense joint order, as |c|**2
-    and |c|.  Where |c| < 1.5e-154, |c|**2 underflows to +0.0, which adds
-    nothing to a flat sum, while the dense l_{1,p} sums still count that |c|."""
+    and |c|, and the sums of their conjugates per Hamming weight of the joint
+    index.  Where |c| < 1.5e-154, |c|**2 underflows to +0.0, which adds nothing
+    to a flat sum, while the dense l_{1,p} sums still count that |c|."""
 
     probabilities: np.ndarray
     moduli: np.ndarray
+    weight_sums: np.ndarray
     lanes: np.ndarray = field(repr=False)
     dim: int  # 2**(t+L), the length of the dense array
 
@@ -344,21 +344,26 @@ def nonzero_support(state: PureState) -> Support:
 
     The lane of j * 2**L + label is that of j * 2**L plus that of the label:
     j * 2**L mod 8 (mod 128) is a multiple of 2**L below 8 (128), so neither
-    pos % 8 nor pos // 128 carries.  A boolean mask reads the amplitudes and
-    both lane terms row by row; the complex copy is freed before the lanes
-    are built, which keeps it out of the peak.
+    pos % 8 nor pos // 128 carries.  A boolean mask reads the amplitudes,
+    their weights and both lane terms row by row; the complex copy is freed
+    before the lanes are built, out of their peak.  bincount adds in order,
+    and the conjugate's 0.0 - sum keeps a +0.0 sum from turning into -0.0.
     """
     block, labels, layout = state.block, state.labels, state.layout
     shape, n = block.shape, layout.dim
     keep = block != 0
     amplitudes = block[keep]
+    weights = np.add.outer(np.bitwise_count(np.arange(shape[0])), np.bitwise_count(labels))[keep]
+    weight_sums = np.empty(layout.n + 1, dtype=np.complex128)
+    weight_sums.real = np.bincount(weights, amplitudes.real, minlength=layout.n + 1)
+    weight_sums.imag = 0.0 - np.bincount(weights, amplitudes.imag, minlength=layout.n + 1)
     probabilities = amplitudes.real**2 + amplitudes.imag**2
     moduli = np.abs(amplitudes)
     del amplitudes
     row_lanes = _lanes(np.arange(shape[0], dtype=np.intp) * layout.dim_b, n)
     lanes = np.broadcast_to(_lanes(labels, n), shape)[keep]
     lanes += np.broadcast_to(row_lanes[:, None], shape)[keep]
-    return Support(probabilities, moduli, lanes, n)
+    return Support(probabilities, moduli, weight_sums, lanes, n)
 
 
 def outcome_distribution(r: int, q: int) -> OutcomeDistribution:

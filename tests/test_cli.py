@@ -425,6 +425,28 @@ def test_long_integer_input_exits_two_with_one_short_line(capsys, argv):
     assert "digits>" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--n", "1" * 5001],
+        ["verify", "--n", "15", "--x", "1" * 5001],
+        ["sweep", "--n", "15", "--x", "7", "--t", "8", "--grid", "1" * 5000],
+    ],
+    ids=["n", "x", "grid"],
+)
+def test_over_long_argument_exits_two_with_short_lines(capsys, argv):
+    # int() takes at most 4300 digits, and argparse would echo the rejected
+    # text in full; a bad grid spec was quoted in full too
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse exits on its own
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "characters>" in err
+    assert max(len(line.encode()) for line in err.splitlines()) < 200
+
+
 def test_fast_factor_peaks_below_its_budgeted_bytes():
     # r = 42 does not divide Q, so both geometric-series terms run
     inst = make_instance(129, 5, t=20)

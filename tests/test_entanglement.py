@@ -8,7 +8,7 @@ import oracles
 from shormeter import entanglement as ent
 from shormeter import make_instance, run_order_finding_circuit
 from shormeter.cli import _perturbed
-from shormeter.statevec import PureState, RegisterLayout
+from shormeter.statevec import PureState, RegisterLayout, nonzero_support
 
 
 def product_state(layout, rng):
@@ -95,21 +95,21 @@ def test_symmetric_overlap_matches_weight_table_expression(inst15, pipeline15):
 def test_symmetric_entanglement_product_state_zero():
     lay = RegisterLayout(t=2, L=1)
     zero = oracles.from_dense(lay, np.eye(8, dtype=complex)[0])
-    opt = ent.geometric_entanglement_symmetric(zero)
+    opt = oracles.symmetric_optimum(zero)
     assert opt.entanglement == pytest.approx(0.0, abs=1e-12)
     assert opt.alpha_angle == pytest.approx(0.0, abs=1e-6)
 
 
 def test_symmetric_entanglement_bell():
-    opt = ent.geometric_entanglement_symmetric(bell_state())
+    opt = oracles.symmetric_optimum(bell_state())
     assert opt.entanglement == pytest.approx(0.5, abs=1e-9)
 
 
 def test_symmetric_entanglement_grid_doubling_invariance(monkeypatch, pipeline15):
     assert ent.GRID_POINTS == 2048
-    coarse = [ent.geometric_entanglement_symmetric(state) for state in pipeline15[1:]]
+    coarse = [oracles.symmetric_optimum(state) for state in pipeline15[1:]]
     monkeypatch.setattr(ent, "GRID_POINTS", 4096)
-    fine = [ent.geometric_entanglement_symmetric(state) for state in pipeline15[1:]]
+    fine = [oracles.symmetric_optimum(state) for state in pipeline15[1:]]
     for c, f in zip(coarse, fine):
         assert abs(c.entanglement - f.entanglement) < 1e-9
 
@@ -121,7 +121,7 @@ def test_per_weight_maximum_identity():
     for w in range(n + 1):
         vec = np.zeros(lay.dim, dtype=complex)
         vec[(1 << w) - 1] = 1.0  # label with w low bits set
-        opt = ent.geometric_entanglement_symmetric(oracles.from_dense(lay, vec))
+        opt = oracles.symmetric_optimum(oracles.from_dense(lay, vec))
         target = ent.hamming_weight_term(w, n)
         assert math.sqrt(opt.overlap_sq) == pytest.approx(target, abs=1e-9)
         if 0 < w < n:
@@ -242,7 +242,7 @@ def test_subset_ordering_symmetric_vs_bruteforce():
     for lay in layouts:
         for _ in range(10):
             state = random_state(lay, rng)
-            sym = ent.geometric_entanglement_symmetric(state).entanglement
+            sym = oracles.symmetric_optimum(state).entanglement
             brute = oracles.bruteforce_geometric_entanglement(state)
             assert sym >= brute - 1e-12
 
@@ -267,17 +267,17 @@ def test_product_family_optimizer_on_separable_states():
 def test_product_family_never_exceeds_symmetric(pipeline15, pipeline15_t8):
     psi1 = pipeline15[0]
     for state in (psi1, _perturbed(psi1, 1e-3)):
-        sym = ent.geometric_entanglement_symmetric(state).entanglement
+        sym = oracles.symmetric_optimum(state).entanglement
         assert ent.geometric_entanglement_product(state) <= sym + 1e-12
     # the all-starts cross-check for entangled states includes the symmetric optimum
     for state in pipeline15_t8[1:]:
-        sym = ent.geometric_entanglement_symmetric(state).entanglement
+        sym = oracles.symmetric_optimum(state).entanglement
         assert oracles.all_starts_product_entanglement(state) <= sym + 1e-12
 
 
 def test_entanglement_values_stay_physical(pipeline15):
     for state in pipeline15:
-        value = ent.geometric_entanglement_symmetric(state).entanglement
+        value = oracles.symmetric_optimum(state).entanglement
         assert 0.0 <= value <= 1.0
 
 
@@ -356,14 +356,14 @@ def test_product_family_memory_stays_on_register_a():
     assert peak < 16 * psi1.layout.dim / 4
 
 
-def test_weight_coefficients_match_bit_loop():
+def test_weight_sums_match_bit_loop():
     rng = np.random.default_rng(5)
     state = random_state(RegisterLayout(t=3, L=3), rng)
     dense = oracles.to_dense(state)
     expected = np.zeros(state.layout.n + 1, dtype=np.complex128)
-    for i in np.flatnonzero(np.abs(dense) > 1e-12):
+    for i in np.flatnonzero(dense):
         expected[int(i).bit_count()] += dense[i].conj()
-    assert np.array_equal(ent._weight_coefficients(state), expected)
+    assert np.array_equal(nonzero_support(state).weight_sums, expected)
 
 
 # orders r = 4, 4, 16, 8, 16, 1, 2

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    add_at_weight_sums,
     apply_inverse_qft_A,
     apply_qft_A,
     dump_nonzero_json,
@@ -26,6 +27,7 @@ from oracles import (
     to_dense,
     whole_array_outcome_probabilities,
 )
+from shormeter import entanglement as ent
 from shormeter import statevec, theorems
 from shormeter.cli import main
 from shormeter.numtheory import ShorInstance, make_instance
@@ -487,16 +489,49 @@ def test_circuit_transforms_psi3_without_the_chunks(monkeypatch):
 
 
 def test_each_stage_builds_its_support_once(monkeypatch, tmp_path):
-    calls = counted_calls(monkeypatch, "nonzero_support")
+    # E_g must receive the weight sums of the stage's one support, so that
+    # a second scan of the stage cannot come back unseen
+    built, received = [], []
+    build, optimize = statevec.nonzero_support, ent.geometric_entanglement_symmetric
+
+    def recorded_support(state):
+        built.append((state, build(state)))
+        return built[-1][1]
+
+    def recorded_optimum(weight_sums):
+        received.append(weight_sums)
+        return optimize(weight_sums)
+
+    monkeypatch.setattr(statevec, "nonzero_support", recorded_support)
+    monkeypatch.setattr(ent, "geometric_entanglement_symmetric", recorded_optimum)
     inst = make_instance(21, 2, t=10)
     for stage, state in zip(theorems.STAGES, run_order_finding_circuit(inst)):
         theorems.verify_stage(stage, inst, state=state, overlaps=None)
-        assert len(calls) == 1 and calls.pop()[0] is state
+        [(scanned, support)] = built
+        assert scanned is state
+        assert len(received) == 1 and received.pop() is support.weight_sums
+        built.clear()
     argv = ["sweep", "--n", "21", "--x", "2", "--t", "10", "--out", str(tmp_path / "s.csv")]
     for measure in ("tsallis", "l1p"):
         assert main(argv + ["--measure", measure]) == 0
-        assert [len(state.labels) for (state,) in calls] == [1, inst.r, inst.r]
-        calls.clear()
+        assert [len(state.labels) for state, _ in built] == [1, inst.r, inst.r]
+        built.clear()
+    assert received == []
+
+
+@settings(max_examples=80, deadline=None)
+@given(column_stored_states(), st.booleans())
+def test_weight_sums_match_add_at_over_the_dense_vector(case, real):
+    # exact zeros, whole zero rows and columns; an all-real block leaves
+    # every imaginary sum at +0.0, which a negated sum would turn to -0.0
+    _, state = case
+    if real:
+        block = state.block.real
+        state = PureState(state.layout, block / np.linalg.norm(block), state.labels)
+    got = nonzero_support(state).weight_sums
+    assert got.tobytes() == add_at_weight_sums(state).tobytes()
+    if real:
+        assert not np.signbit(got.imag).any()
 
 
 @pytest.mark.parametrize(
