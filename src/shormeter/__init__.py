@@ -8,6 +8,7 @@ finishes the classical factoring post-processing.
 """
 
 from shormeter.numtheory import (
+    RegisterLayout,
     ShorInstance,
     extract_factors,
     find_order_bruteforce,
@@ -15,11 +16,7 @@ from shormeter.numtheory import (
     recover_order,
     register_sizes,
 )
-from shormeter.statevec import (
-    PureState,
-    RegisterLayout,
-    run_order_finding_circuit,
-)
+from shormeter.statevec import PureState, run_order_finding_circuit
 
 __version__ = "0.1.0"
 

@@ -16,7 +16,7 @@ import math
 import sys
 from dataclasses import dataclass
 from math import gcd
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -69,20 +69,39 @@ def _quoted(text: str) -> str:
     return shown if len(shown) <= 40 else f"{shown[:24]}... <{len(text)} characters>"
 
 
-def _integer(text: str) -> int:
-    """int(text) for argparse, which would echo a text that is no int in full."""
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {_quoted(text)}") from None
+# argparse echoes a rejected text in full; these types quote it by `_quoted`
+# in argparse's own words.
+def _typed(kind: Callable[[str], object]) -> Callable[[str], object]:
+    """kind(text) for argparse, for kind int or float."""
+
+    def parse(text: str) -> object:
+        try:
+            return kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {_quoted(text)}"
+            ) from None
+
+    return parse
+
+
+def _one_of(choices: tuple[str, ...]) -> Callable[[str], str]:
+    """text if it is one of choices; the option keeps `choices=` for its usage."""
+
+    def parse(text: str) -> str:
+        if text not in choices:
+            listed = ", ".join(map(repr, choices))
+            raise argparse.ArgumentTypeError(
+                f"invalid choice: {_quoted(text)} (choose from {listed})"
+            )
+        return text
+
+    return parse
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    N: int
-    x: int
-    t: int
-    L: int
+    instance: ShorInstance
     seed: int
     epsilon: float
     fmt: str = "json"
@@ -91,20 +110,17 @@ class RunConfig:
     @property
     def printed(self) -> dict:
         """The "config" object of every JSON report."""
-        q = 2**self.t
+        inst = self.instance
         return dict(
-            N=self.N,
-            x=self.x,
-            t=self.t,
-            L=self.L,
-            Q=q,
+            N=inst.N,
+            x=inst.x,
+            t=inst.t,
+            L=inst.L,
+            Q=inst.Q,
             epsilon=self.epsilon,
             seed=self.seed,
-            quadratic_window_ok=self.N**2 <= q < 2 * self.N**2,
+            quadratic_window_ok=inst.window_ok,
         )
-
-    def instance(self) -> ShorInstance:
-        return ShorInstance(N=self.N, x=self.x, t=self.t, L=self.L).with_order()
 
 
 class ConfigError(Exception):
@@ -155,10 +171,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             "no quantum run needed"
         )
     return RunConfig(
-        N=args.n,
-        x=x,
-        t=t,
-        L=sizes.L,
+        instance=ShorInstance(N=args.n, x=x, t=t, L=sizes.L),
         seed=args.seed,
         epsilon=args.epsilon,
         fmt=getattr(args, "format", "json"),
@@ -172,7 +185,7 @@ def _emit(text: str, out: Optional[str]) -> None:
             with open(out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise ConfigError(f"cannot write --out {out!r}: {exc.strerror}") from exc
+            raise ConfigError(f"cannot write --out {_quoted(out)}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -203,7 +216,7 @@ def _simulate_csv(reports: dict[str, dict]) -> str:
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
-    instance = cfg.instance()
+    instance = cfg.instance
     states = statevec.run_order_finding_circuit(instance)
     reports, overlaps = theorems.verify_all(instance, states)
     hint = extract_factors(instance.x, instance.r, instance.N)
@@ -256,7 +269,7 @@ def cmd_sweep(cfg: RunConfig, measure: str, grid_spec: Optional[str]) -> int:
         limits = [int(abs(param - 1.0) <= measures.ALPHA_ONE_TOL) for param in params]
     if not params:
         raise ConfigError(f"grid {_quoted(grid_spec)} has no point with {domain}")
-    states = statevec.run_order_finding_circuit(cfg.instance())
+    states = statevec.run_order_finding_circuit(cfg.instance)
     curves = [grid(statevec.nonzero_support(s), params) for s in states]
     lines = ["param,C_psi1,C_psi2,C_psi3,delta,limit_flag"]
     for param, limit, c1, c2, c3 in zip(params, limits, *curves):
@@ -272,7 +285,7 @@ def cmd_factor(cfg: RunConfig, max_attempts: int, fast: bool) -> int:
         raise ConfigError(f"--max-attempts must be >= 1, got {brief(max_attempts)}")
     if max_attempts > MAX_ATTEMPTS:
         raise ConfigError(f"--max-attempts must be <= {MAX_ATTEMPTS}, got {brief(max_attempts)}")
-    instance = cfg.instance()
+    instance = cfg.instance
     rng = np.random.default_rng(cfg.seed)
     if fast:
         dist = statevec.outcome_distribution(instance.r, instance.Q)
@@ -325,7 +338,7 @@ def _perturbed(state: statevec.PureState, eps: float) -> statevec.PureState:
 def cmd_verify(cfg: RunConfig, debug_perturb: float) -> int:
     if not math.isfinite(debug_perturb):
         raise ConfigError(f"--debug-perturb must be finite, got {debug_perturb!r}")
-    instance = cfg.instance()
+    instance = cfg.instance
     states = statevec.run_order_finding_circuit(instance)
     if debug_perturb:
         states = tuple(_perturbed(s, debug_perturb) for s in states)
@@ -357,27 +370,30 @@ def build_parser() -> argparse.ArgumentParser:
         description="Order-finding simulator with coherence/entanglement meters",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    integer, real = _typed(int), _typed(float)
 
     def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--n", type=_integer, required=True, help="odd composite modulus")
-        p.add_argument("--x", type=_integer, default=None, help="base (random coprime if absent)")
-        p.add_argument("--t", type=_integer, default=None, help="control-register qubits")
-        p.add_argument("--epsilon", type=float, default=0.25, help="error budget in (0,1)")
-        p.add_argument("--seed", type=_integer, default=0, help="PRNG seed")
+        p.add_argument("--n", type=integer, required=True, help="odd composite modulus")
+        p.add_argument("--x", type=integer, default=None, help="base (random coprime if absent)")
+        p.add_argument("--t", type=integer, default=None, help="control-register qubits")
+        p.add_argument("--epsilon", type=real, default=0.25, help="error budget in (0,1)")
+        p.add_argument("--seed", type=integer, default=0, help="PRNG seed")
         p.add_argument("--out", type=str, default=None, help="output path (stdout if absent)")
 
     sim = sub.add_parser("simulate", help="run the pipeline and report every stage")
     add_common(sim)
-    sim.add_argument("--format", choices=("json", "csv"), default="json")
+    formats = ("json", "csv")
+    sim.add_argument("--format", choices=formats, type=_one_of(formats), default="json")
 
     sweep = sub.add_parser("sweep", help="parameter sweep of a coherence measure (CSV)")
     add_common(sweep)
-    sweep.add_argument("--measure", choices=("l1p", "tsallis"), default="tsallis")
+    kinds = ("l1p", "tsallis")
+    sweep.add_argument("--measure", choices=kinds, type=_one_of(kinds), default="tsallis")
     sweep.add_argument("--grid", type=str, default=None, help="LO:HI:STEP")
 
     factor = sub.add_parser("factor", help="end-to-end factoring loop")
     add_common(factor)
-    factor.add_argument("--max-attempts", type=_integer, default=10)
+    factor.add_argument("--max-attempts", type=integer, default=10)
     factor.add_argument(
         "--fast",
         action="store_true",
@@ -388,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(verify)
     verify.add_argument(
         "--debug-perturb",
-        type=float,
+        type=real,
         default=0.0,
         help="inject a relative amplitude error to self-test the harness",
     )

@@ -149,17 +149,15 @@ def closed_form_overlaps(instance: ShorInstance) -> Optional[ClosedFormOverlaps]
     (s*Q/r, x**a mod N) with s < r enter S_as with phase exp(-2 pi i a s / r);
     both families tile register A only when r | Q.
     """
-    if instance.r is None:
-        raise ValueError("instance needs its order r (call with_order() first)")
     r, m = instance.r, instance.m
     if m is None:
         return None
-    dim_b = 2**instance.L
+    dim_b = instance.dim_b
     residues = np.array([pow(instance.x, a, instance.N) for a in range(r)], dtype=np.int64)[:, None]
     rows = np.arange(r, dtype=np.int64)[:, None]
     weights_ab = np.bitwise_count((rows + np.arange(m, dtype=np.int64) * r) * dim_b + residues)
     weights_as = np.bitwise_count(np.arange(r, dtype=np.int64) * m * dim_b + residues)
-    return _overlaps_from_weights(weights_ab, weights_as, instance.n_qubits, instance.Q)
+    return _overlaps_from_weights(weights_ab, weights_as, instance.n, instance.Q)
 
 
 def _overlaps_from_weights(

@@ -1,26 +1,27 @@
 """Exact integer arithmetic for the classical envelope of the algorithm.
 
-Order finding (the ground-truth oracle), register sizing, continued
-fractions, and factor extraction. Everything is plain integer math with
-Python's unbounded ints, so N*N never overflows.
+Order finding (the ground-truth oracle), the register layout and the
+instance that lives on it, continued fractions, and factor extraction.
+Everything is plain integer math with Python's unbounded ints, so N*N
+never overflows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Optional
 
 __all__ = [
-    "RegisterSizes",
+    "RegisterLayout",
     "ShorInstance",
     "brief",
     "continued_fraction_convergents",
     "extract_factors",
     "find_order_bruteforce",
-    "gcd",
     "make_instance",
     "recover_order",
     "register_sizes",
@@ -54,22 +55,35 @@ def find_order_bruteforce(x: int, n: int) -> int:
 
 
 @dataclass(frozen=True)
-class RegisterSizes:
-    """Register sizes for a target modulus plus the quadratic-window check.
-
-    ``window_ok`` records whether N**2 <= Q < 2*N**2 holds.  The sizing
-    formula used for t can exceed that window (it already does for N=15);
-    callers get the flag and decide what to do with it.
-    """
+class RegisterLayout:
+    """Qubit split: t control qubits (register A), L work qubits (register B)."""
 
     t: int
     L: int
-    Q: int
-    window_ok: bool
+
+    def __post_init__(self) -> None:
+        if self.t < 1 or self.L < 1:
+            raise ValueError(f"need t >= 1 and L >= 1, got t={self.t}, L={self.L}")
+
+    @property
+    def n(self) -> int:
+        return self.t + self.L
+
+    @property
+    def Q(self) -> int:
+        return 2**self.t
+
+    @property
+    def dim_b(self) -> int:
+        return 2**self.L
+
+    @property
+    def dim(self) -> int:
+        return 2**self.n
 
 
-def register_sizes(n: int, epsilon: float = 0.25) -> RegisterSizes:
-    """Qubit counts for modulus n at failure budget epsilon.
+def register_sizes(n: int, epsilon: float = 0.25) -> RegisterLayout:
+    """Register layout for modulus n at failure budget epsilon.
 
     L = ceil(log2(n+1)) so register B holds 0..n-1 and the initial |1>;
     t = 2L + 1 + ceil(log2(2 + 1/(2 epsilon))).
@@ -82,71 +96,52 @@ def register_sizes(n: int, epsilon: float = 0.25) -> RegisterSizes:
     if extra == math.inf:  # 1 / (2 epsilon) overflows for subnormal epsilon
         raise ValueError(f"epsilon={epsilon!r} is too small to size register A")
     L = n.bit_length()  # == ceil(log2(n + 1))
-    t = 2 * L + 1 + math.ceil(extra)
-    q = 2**t
-    return RegisterSizes(t=t, L=L, Q=q, window_ok=n * n <= q < 2 * n * n)
+    return RegisterLayout(t=2 * L + 1 + math.ceil(extra), L=L)
 
 
-@dataclass(frozen=True)
-class ShorInstance:
-    """One order-finding problem: modulus N, base x, and register sizes.
+@dataclass(frozen=True, kw_only=True)
+class ShorInstance(RegisterLayout):
+    """One order-finding problem: modulus N and base x on a register layout.
 
-    r is the multiplicative order of x mod N once known (oracle or
-    recovery); m = Q // r exists only when r divides Q.
+    r, the multiplicative order of x mod N, is searched for on first read
+    and kept; m = Q // r exists only when r divides Q.
     """
 
     N: int
     x: int
-    t: int
-    L: int
-    r: Optional[int] = None
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.N < 3 or self.N % 2 == 0:
             raise ValueError(f"N must be an odd integer >= 3, got {self.N}")
         if not 1 <= self.x < self.N:
             raise ValueError(f"x must satisfy 1 <= x < N, got x={self.x}")
         if gcd(self.x, self.N) != 1:
             raise ValueError(f"x={self.x} shares a factor with N={self.N}")
-        if self.t < 1:
-            raise ValueError(f"t must be >= 1, got {self.t}")
         if 2**self.L < self.N + 1:
             raise ValueError(f"register B too small: 2**{self.L} < {self.N + 1}")
-        if self.r is not None and not _is_order(self.x, self.N, self.r):
-            raise ValueError(f"r={self.r} is not the order of {self.x} mod {self.N}")
 
-    @property
-    def Q(self) -> int:
-        return 2**self.t
+    @cached_property
+    def r(self) -> int:
+        return find_order_bruteforce(self.x, self.N)
 
     @property
     def m(self) -> Optional[int]:
-        if self.r is None or self.Q % self.r != 0:
-            return None
-        return self.Q // self.r
+        return self.Q // self.r if self.Q % self.r == 0 else None
 
     @property
-    def n_qubits(self) -> int:
-        return self.t + self.L
-
-    def with_order(self) -> "ShorInstance":
-        if self.r is not None:
-            return self
-        return replace(self, r=find_order_bruteforce(self.x, self.N))
+    def window_ok(self) -> bool:
+        """N**2 <= Q < 2 N**2: the quadratic window, which the sizing formula
+        for t can exceed (it does for N=15); reported, never enforced."""
+        return self.N**2 <= self.Q < 2 * self.N**2
 
 
 def make_instance(
-    N: int,
-    x: int,
-    *,
-    t: Optional[int] = None,
-    epsilon: float = 0.25,
-    with_order: bool = True,
+    N: int, x: int, *, t: Optional[int] = None, epsilon: float = 0.25
 ) -> ShorInstance:
     """Build a ShorInstance, sizing registers from epsilon unless t is given."""
     sizes = register_sizes(N, epsilon)
-    inst = ShorInstance(N=N, x=x, t=sizes.t if t is None else t, L=sizes.L)
-    return inst.with_order() if with_order else inst
+    return ShorInstance(N=N, x=x, t=sizes.t if t is None else t, L=sizes.L)
 
 
 def continued_fraction_convergents(k: int, q: int) -> list[Fraction]:
@@ -187,11 +182,6 @@ def _divisors(n: int) -> list[int]:
                 large.append(n // i)
         i += 1
     return small + large[::-1]
-
-
-def _is_order(x: int, n: int, r: int) -> bool:
-    """True iff r is the order of x mod n: x**r == 1 and no smaller divisor of r maps x to 1."""
-    return r >= 1 and pow(x, r, n) == 1 and _order_from_multiple(x, n, r) == r
 
 
 def _order_from_multiple(x: int, n: int, multiple: int) -> int:

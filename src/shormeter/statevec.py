@@ -3,7 +3,9 @@
 Joint basis convention: index = j * 2**L + y, register A (t qubits, value j)
 major, register B (L qubits, value y) minor.  The Hamming weight of a joint
 index is the popcount of the full (t+L)-bit string, which is what the
-entanglement closed forms consume.
+entanglement closed forms consume.  The split (t, L) is a
+`numtheory.RegisterLayout`; the circuit's states carry their
+`ShorInstance`, which is one.
 
 A state stores only its occupied register-B columns, those holding any
 exactly nonzero amplitude: a (Q, k) block and the k sorted labels of its
@@ -38,13 +40,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from shormeter.numtheory import ShorInstance
+from shormeter.numtheory import RegisterLayout, ShorInstance
 
 __all__ = [
     "NORM_TOL",
     "OutcomeDistribution",
     "PureState",
-    "RegisterLayout",
     "Support",
     "final_distribution",
     "nonzero_support",
@@ -55,38 +56,6 @@ __all__ = [
 ]
 
 NORM_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class RegisterLayout:
-    """Qubit split: t control qubits (register A), L work qubits (register B)."""
-
-    t: int
-    L: int
-
-    def __post_init__(self) -> None:
-        if self.t < 1 or self.L < 1:
-            raise ValueError(f"need t >= 1 and L >= 1, got t={self.t}, L={self.L}")
-
-    @property
-    def n(self) -> int:
-        return self.t + self.L
-
-    @property
-    def Q(self) -> int:
-        return 2**self.t
-
-    @property
-    def dim_b(self) -> int:
-        return 2**self.L
-
-    @property
-    def dim(self) -> int:
-        return 2**self.n
-
-    @staticmethod
-    def for_instance(instance: ShorInstance) -> "RegisterLayout":
-        return RegisterLayout(t=instance.t, L=instance.L)
 
 
 @dataclass(frozen=True)
@@ -216,7 +185,7 @@ def final_distribution(instance: ShorInstance) -> OutcomeDistribution:
     peak is the scratch, the lanes and the probabilities.
     """
     labels, exponents = _modexp_columns(instance)
-    q, width = instance.Q, 2**instance.L
+    q, width = instance.Q, instance.dim_b
     lanes = np.zeros((_lane_count(width), q))
     lane_of = _lanes(labels, width).tolist()
     col = np.empty(q)
@@ -241,16 +210,15 @@ def run_order_finding_circuit(instance: ShorInstance) -> tuple[PureState, PureSt
     psi2 and psi3 are both built from the modexp columns of psi1, found
     once: psi2 by one scatter, psi3 by one FFT of psi2's block.
     """
-    psi1 = uniform_state(RegisterLayout.for_instance(instance))
-    layout = psi1.layout
+    psi1 = uniform_state(instance)
     labels, exponents = _modexp_columns(instance)
-    image = np.zeros((layout.Q, len(labels)), dtype=np.complex128, order="F")
+    image = np.zeros((instance.Q, len(labels)), dtype=np.complex128, order="F")
     _scatter(image, psi1.block[0, 0], exponents, 0)
     final = np.empty_like(image, order="F")
     _inverse_transform(image, final)
     for block in (image, final):
         block.setflags(write=False)
-    return psi1, PureState(layout, image, labels), PureState(layout, final, labels)
+    return psi1, PureState(instance, image, labels), PureState(instance, final, labels)
 
 
 @dataclass(frozen=True)

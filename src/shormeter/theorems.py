@@ -180,8 +180,6 @@ def verify_stage(
     """
     if stage not in STAGES:
         raise ValueError(f"stage must be one of {STAGES}, got {stage!r}")
-    if instance.r is None:
-        raise ValueError("instance needs its order r (call with_order() first)")
     if stage != "psi1" and instance.m is not None and overlaps is None:
         raise ValueError(f"the {stage} rows need the closed-form overlaps when r | Q")
     d: Optional[int] = None  # count of equal-weight basis states

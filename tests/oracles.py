@@ -46,11 +46,10 @@ from shormeter.measures import (
     tsallis_coherence_grid,
     validate_alpha,
 )
-from shormeter.numtheory import ShorInstance
+from shormeter.numtheory import RegisterLayout, ShorInstance
 from shormeter.statevec import (
     OutcomeDistribution,
     PureState,
-    RegisterLayout,
     Support,
     _lane_count,
     _lanes,
@@ -246,7 +245,7 @@ def dump_nonzero_json(state: PureState) -> str:
 def weight_sums_loop(instance: ShorInstance) -> tuple[float, complex]:
     """S_ab and S_as label by label: int.bit_count popcounts, += left to right, a-major."""
     r, m = instance.r, instance.m
-    n, dim_b = instance.n_qubits, 2**instance.L
+    n, dim_b = instance.n, instance.dim_b
     s_ab, s_as = 0.0, 0.0 + 0.0j
     for a in range(r):
         y = pow(instance.x, a, instance.N)
@@ -310,20 +309,19 @@ def modexp_all_columns(vec: np.ndarray, instance: ShorInstance) -> np.ndarray:
     has no general modexp gate: the circuit writes psi2 straight from the
     powers of x, and must give the bytes of this gate on psi1.
     """
-    lay = RegisterLayout.for_instance(instance)
-    n_mod, x = instance.N, instance.x
-    grid = np.asarray(vec, dtype=np.complex128).reshape(lay.Q, lay.dim_b)
-    if n_mod < lay.dim_b and np.any(np.abs(grid[:, n_mod:]) > ZERO_TOL):
+    q, dim_b, n_mod, x = instance.Q, instance.dim_b, instance.N, instance.x
+    grid = np.asarray(vec, dtype=np.complex128).reshape(q, dim_b)
+    if n_mod < dim_b and np.any(np.abs(grid[:, n_mod:]) > ZERO_TOL):
         raise ValueError(f"amplitude on register-B value >= N={n_mod}")
-    powers = np.empty(lay.Q, dtype=np.int64)
+    powers = np.empty(q, dtype=np.int64)
     acc = 1
-    for j in range(lay.Q):
+    for j in range(q):
         powers[j] = acc
         acc = (acc * x) % n_mod
     ys = np.arange(n_mod, dtype=np.int64)
     targets = (powers[:, None] * ys[None, :]) % n_mod
-    out = np.zeros(lay.dim, dtype=np.complex128)
-    out.reshape(lay.Q, lay.dim_b)[np.arange(lay.Q)[:, None], targets] = grid[:, :n_mod]
+    out = np.zeros(instance.dim, dtype=np.complex128)
+    out.reshape(q, dim_b)[np.arange(q)[:, None], targets] = grid[:, :n_mod]
     return out
 
 
@@ -425,21 +423,18 @@ def ideal_psi3(instance: ShorInstance) -> PureState:
     Amplitude exp(-2 pi i a s / r) / r at joint index (s*m, x**a mod N); the
     support has at most r*r basis states, each of modulus 1/r.
     """
-    if instance.r is None:
-        raise ValueError("instance needs its order r (call with_order() first)")
     r, m = instance.r, instance.m
     if m is None:
         raise ValueError(
             f"ideal post-transform state needs r | Q, but r={r} does not divide Q={instance.Q}"
         )
-    lay = RegisterLayout.for_instance(instance)
-    vec = np.zeros(lay.dim, dtype=np.complex128)
+    vec = np.zeros(instance.dim, dtype=np.complex128)
     for a in range(r):
         y = pow(instance.x, a, instance.N)
         for s in range(r):
             phase = -2.0j * math.pi * ((a * s) % r) / r
-            vec[(s * m) * lay.dim_b + y] += np.exp(phase) / r
-    return from_dense(lay, vec)
+            vec[(s * m) * instance.dim_b + y] += np.exp(phase) / r
+    return from_dense(instance, vec)
 
 
 def _peak_term(num: int, r: int, q: int) -> float:

@@ -12,7 +12,8 @@ from oracles import ideal_psi3, measurement_distribution_A, outcome_probability
 from shormeter import entanglement as ent
 from shormeter import make_instance, measures, run_order_finding_circuit, statevec, theorems
 from shormeter.cli import main
-from shormeter.statevec import RegisterLayout, outcome_distribution
+from shormeter.numtheory import RegisterLayout
+from shormeter.statevec import outcome_distribution
 
 P_GRID = (1.0, 1.25, 1.5, 1.75, 2.0)
 ALPHA_GRID = (0.3, 0.5, 0.9, 1.1, 1.5, 2.0)

@@ -16,7 +16,7 @@ from shormeter.cli import (
     FAST_BYTES_PER_OUTCOME,
     MAX_ATTEMPTS,
     ConfigError,
-    RunConfig,
+    _quoted,
     build_parser,
     main,
     resolve_config,
@@ -202,15 +202,33 @@ def test_factor_rejects_max_attempts_below_one(capsys):
 def test_factor_rejects_max_attempts_above_the_bound_before_the_order_search(
     capsys, monkeypatch
 ):
-    def no_search(self):
+    import shormeter.numtheory
+
+    def no_search(*args):
         raise AssertionError("the order search ran")
 
-    monkeypatch.setattr(RunConfig, "instance", no_search)
+    monkeypatch.setattr(shormeter.numtheory, "find_order_bruteforce", no_search)
     bad = MAX_ATTEMPTS + 1
     for fast in ([], ["--fast"]):
         code = main(["factor", "--n", "15", "--x", "7", "--max-attempts", str(bad)] + fast)
         assert code == 2
         assert f"--max-attempts must be <= {MAX_ATTEMPTS}, got {bad}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, code", [("sweep", 0), ("factor", 1)])
+def test_commands_that_never_read_the_order_run_no_search(tmp_path, monkeypatch, command, code):
+    # sweep and dense factor never read the order, so the instance never searches for it
+    import shormeter.numtheory
+
+    argv = [command, "--n", "49", "--x", "3", "--t", "10"]
+    expected = run_to_file(tmp_path, "free.out", argv)
+    assert expected[0] == code
+
+    def no_search(*args):
+        raise AssertionError("the order search ran")
+
+    monkeypatch.setattr(shormeter.numtheory, "find_order_bruteforce", no_search)
+    assert run_to_file(tmp_path, "patched.out", argv) == expected
 
 
 def test_factor_admits_max_attempts_at_the_bound(capsys):
@@ -303,8 +321,42 @@ def test_unwritable_out_is_config_error(tmp_path, capsys):
     argv = ["simulate", "--n", "15", "--x", "7", "--t", "8", "--out", str(out)]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and str(out) in err
+    assert err == f"error: cannot write --out {_quoted(str(out))}: No such file or directory\n"
     assert not out.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (
+            ["verify", "--n", "15", "--epsilon", "zz"],
+            "usage: shormeter verify [-h] --n N [--x X] [--t T] [--epsilon EPSILON]\n"
+            "                        [--seed SEED] [--out OUT]\n"
+            "                        [--debug-perturb DEBUG_PERTURB]\n"
+            "shormeter verify: error: argument --epsilon: invalid float value: 'zz'\n",
+        ),
+        (
+            ["simulate", "--n", "15", "--format", "zz"],
+            "usage: shormeter simulate [-h] --n N [--x X] [--t T] [--epsilon EPSILON]\n"
+            "                          [--seed SEED] [--out OUT] [--format {json,csv}]\n"
+            "shormeter simulate: error: argument --format: invalid choice: 'zz' "
+            "(choose from 'json', 'csv')\n",
+        ),
+        (
+            ["simulate", "--n", "15", "--x", "7", "--t", "8", "--out", "/nonexistent/x"],
+            "error: cannot write --out '/nonexistent/x': No such file or directory\n",
+        ),
+    ],
+    ids=["epsilon", "format", "out"],
+)
+def test_short_bad_values_are_quoted_in_full(capsys, monkeypatch, argv, err):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage to the terminal
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert capsys.readouterr().err == err
 
 
 @pytest.mark.parametrize(
@@ -431,12 +483,18 @@ def test_long_integer_input_exits_two_with_one_short_line(capsys, argv):
         ["verify", "--n", "1" * 5001],
         ["verify", "--n", "15", "--x", "1" * 5001],
         ["sweep", "--n", "15", "--x", "7", "--t", "8", "--grid", "1" * 5000],
+        ["verify", "--n", "15", "--epsilon", "z" * 5000],
+        ["verify", "--n", "15", "--debug-perturb", "z" * 5000],
+        ["simulate", "--n", "15", "--format", "z" * 5000],
+        ["sweep", "--n", "15", "--measure", "z" * 5000],
+        ["simulate", "--n", "15", "--x", "7", "--t", "8", "--out", "/nonexistent/" + "z" * 5000],
     ],
-    ids=["n", "x", "grid"],
+    ids=["n", "x", "grid", "epsilon", "debug-perturb", "format", "measure", "out"],
 )
 def test_over_long_argument_exits_two_with_short_lines(capsys, argv):
     # int() takes at most 4300 digits, and argparse would echo the rejected
-    # text in full; a bad grid spec was quoted in full too
+    # text in full; a bad grid spec and an unwritable --out were quoted in
+    # full too
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse exits on its own
@@ -470,7 +528,7 @@ def test_memory_budget_admits_fast_factor_up_to_t_22():
         args = build_parser().parse_args(["factor", "--fast", "--n", "15", "--x", "7", "--t", str(t)])
         return resolve_config(args)
 
-    assert resolve(22).t == 22
+    assert resolve(22).instance.t == 22
     with pytest.raises(ConfigError, match=f"needs {FAST_BYTES_PER_OUTCOME * 2**23} bytes"):
         resolve(23)
 
@@ -522,7 +580,7 @@ def test_in_budget_random_base_draws_are_pinned(n, seed, x):
     args = build_parser().parse_args(
         ["factor", "--fast", "--t", "1", "--n", str(n), "--seed", str(seed)]
     )
-    assert resolve_config(args).x == x
+    assert resolve_config(args).instance.x == x
 
 
 @pytest.mark.parametrize(
@@ -615,7 +673,7 @@ def test_memory_budget_admits_24_qubit_dense_states():
         return resolve_config(args)
 
     cfg = resolve(20)
-    assert cfg.t + cfg.L == 24
+    assert cfg.instance.n == 24
     with pytest.raises(ConfigError, match="25 qubits needs 536870912 bytes"):
         resolve(21)
 

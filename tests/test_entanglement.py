@@ -8,7 +8,8 @@ import oracles
 from shormeter import entanglement as ent
 from shormeter import make_instance, run_order_finding_circuit
 from shormeter.cli import _perturbed
-from shormeter.statevec import PureState, RegisterLayout, nonzero_support
+from shormeter.numtheory import RegisterLayout
+from shormeter.statevec import PureState, nonzero_support
 
 
 def product_state(layout, rng):
@@ -66,8 +67,6 @@ def test_hamming_table_requires_divisible_order():
     assert inst.m is None
     assert ent.closed_form_overlaps(inst) is None
     assert oracles.closed_form_overlaps_loop(inst) is None
-    with pytest.raises(ValueError, match="with_order"):
-        ent.closed_form_overlaps(make_instance(21, 2, with_order=False))
 
 
 def test_symmetric_overlap_trivial_angles():
@@ -185,7 +184,7 @@ def test_closed_form_psi3_hand_sum():
 def test_closed_form_psi3_trivial_order():
     from shormeter.numtheory import ShorInstance
 
-    inst = ShorInstance(N=15, x=1, t=3, L=4, r=1)
+    inst = ShorInstance(N=15, x=1, t=3, L=4)
     overlaps = ent.closed_form_overlaps(inst)
     assert overlaps.psi3_literal == pytest.approx(overlaps.psi3, abs=1e-12)
 

@@ -30,7 +30,7 @@ from shormeter.measures import (
     l1p_coherence_grid,
     tsallis_coherence_grid,
 )
-from shormeter.statevec import RegisterLayout, nonzero_support, uniform_state
+from shormeter.statevec import nonzero_support, uniform_state
 
 PLUS = np.array([1.0, 1.0]) / math.sqrt(2.0)
 
@@ -371,7 +371,7 @@ def test_grids_equal_dense_expressions_on_circuit_states(tmp_path, n, x, t):
 
 
 def uniform_stage(n, x, t):
-    return uniform_state(RegisterLayout.for_instance(make_instance(n, x, t=t)))
+    return uniform_state(make_instance(n, x, t=t))
 
 
 def test_grids_peak_below_four_bytes_per_basis_state():

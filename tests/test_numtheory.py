@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -11,17 +12,10 @@ from shormeter.numtheory import (
     continued_fraction_convergents,
     extract_factors,
     find_order_bruteforce,
-    gcd,
     make_instance,
     recover_order,
     register_sizes,
 )
-
-
-def test_gcd_examples():
-    assert gcd(48, 18) == 6
-    assert gcd(7, 15) == 1
-    assert gcd(7**2 - 1, 15) == 3
 
 
 def test_mod_pow_examples():
@@ -63,7 +57,7 @@ def test_register_sizes_reference_instance():
     sizes = register_sizes(15, 0.25)
     assert (sizes.t, sizes.L, sizes.Q) == (11, 4, 2048)
     # the sizing formula overshoots the quadratic window for N=15: flagged only
-    assert sizes.window_ok is False
+    assert make_instance(15, 7).window_ok is False
     assert sizes.Q > 2 * 15**2
 
 
@@ -124,7 +118,7 @@ def test_recover_order_never_wrong():
             if gcd(x, n) != 1:
                 continue
             r = find_order_bruteforce(x, n)
-            inst = ShorInstance(N=n, x=x, t=sizes.t, L=sizes.L, r=r)
+            inst = ShorInstance(N=n, x=x, t=sizes.t, L=sizes.L)
             probs = outcome_distribution(r, sizes.Q).probabilities
             for k in np.nonzero(probs > 1e-6)[0]:
                 got = recover_order(int(k), inst)
@@ -136,7 +130,7 @@ def test_recover_order_never_wrong():
 def test_recover_order_is_exact_or_none_for_every_outcome(n, t, data):
     x = data.draw(st.sampled_from([c for c in range(1, n) if gcd(c, n) == 1]), label="x")
     r = find_order_bruteforce(x, n)
-    inst = ShorInstance(N=n, x=x, t=t, L=n.bit_length(), r=r)
+    inst = ShorInstance(N=n, x=x, t=t, L=n.bit_length())
     for k in range(inst.Q):
         got = recover_order(k, inst)
         assert got is None or got == r, (k, got)
@@ -163,11 +157,9 @@ def test_instance_invariants():
         ShorInstance(N=16, x=3, t=11, L=4)  # even modulus
     with pytest.raises(ValueError):
         ShorInstance(N=15, x=7, t=11, L=3)  # register B cannot hold 0..15
-    with pytest.raises(ValueError):
-        ShorInstance(N=15, x=7, t=11, L=4, r=3)  # not the order
 
 
-def test_with_order_searches_once(monkeypatch):
+def test_order_is_searched_once_on_first_read(monkeypatch):
     import shormeter.numtheory as nt
 
     calls = []
@@ -177,24 +169,9 @@ def test_with_order_searches_once(monkeypatch):
         return find_order_bruteforce(x, n)
 
     monkeypatch.setattr(nt, "find_order_bruteforce", counted)
-    inst = ShorInstance(N=91, x=2, t=4, L=7).with_order()
-    assert inst.r == 12 and calls == [(2, 91)]
-
-
-@given(n=st.integers(3, 200).filter(lambda v: v % 2 == 1), x=st.integers(1, 199))
-@settings(max_examples=60, deadline=None)
-def test_instance_accepts_exactly_the_order(n, x):
-    # x**r == 1 with x**d != 1 for every proper divisor d of r holds for the order alone
-    x = x % n or 1
-    if gcd(x, n) != 1:
-        return
-    order = find_order_bruteforce(x, n)
-    for r in range(-2, 2 * n):
-        if r == order:
-            assert ShorInstance(N=n, x=x, t=4, L=n.bit_length(), r=r).r == order
-        else:
-            with pytest.raises(ValueError, match="not the order"):
-                ShorInstance(N=n, x=x, t=4, L=n.bit_length(), r=r)
+    inst = ShorInstance(N=91, x=2, t=4, L=7)
+    assert calls == []
+    assert (inst.r, inst.r, inst.m) == (12, 12, None) and calls == [(2, 91)]
 
 
 def test_instance_without_divisible_order():

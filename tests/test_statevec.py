@@ -30,12 +30,11 @@ from oracles import (
 from shormeter import entanglement as ent
 from shormeter import statevec, theorems
 from shormeter.cli import main
-from shormeter.numtheory import ShorInstance, make_instance
+from shormeter.numtheory import RegisterLayout, ShorInstance, make_instance
 from shormeter.statevec import (
     NORM_TOL,
     OutcomeDistribution,
     PureState,
-    RegisterLayout,
     final_distribution,
     nonzero_support,
     outcome_distribution,
@@ -163,9 +162,8 @@ def test_construction_rejects_a_block_that_does_not_fit(shape):
 
 def test_circuit_stages_and_gate_outputs_are_column_major_and_read_only():
     inst = make_instance(21, 2, t=7)
-    lay = RegisterLayout.for_instance(inst)
     rng = np.random.default_rng(13)
-    wide = few_column_state(lay, [1, 4, 16], rng)
+    wide = few_column_state(inst, [1, 4, 16], rng)
     outputs = list(run_order_finding_circuit(inst)) + [apply_inverse_qft_A(wide)]
     for state in outputs:
         assert state.block.flags.f_contiguous and state.block.flags.owndata
@@ -206,7 +204,7 @@ def test_modexp_orbit_support(pipeline15):
 
 
 def test_modexp_identity_for_x_equal_one():
-    inst = ShorInstance(N=15, x=1, t=3, L=4, r=1)
+    inst = ShorInstance(N=15, x=1, t=3, L=4)
     psi1, psi2, _ = run_order_finding_circuit(inst)
     assert_same_state(psi2, psi1)
 
@@ -263,7 +261,7 @@ def test_ideal_psi3_structure(inst15):
 
 
 def test_ideal_psi3_trivial_order():
-    inst = ShorInstance(N=15, x=1, t=3, L=4, r=1)
+    inst = ShorInstance(N=15, x=1, t=3, L=4)
     vec = to_dense(ideal_psi3(inst))
     assert np.flatnonzero(np.abs(vec) > 1e-12).tolist() == [1]
 
@@ -320,13 +318,12 @@ def test_gates_match_all_column_oracles_on_few_columns():
 @pytest.mark.parametrize("n, x, t", [(15, 7, 11), (21, 2, 10), (33, 2, None)])
 def test_circuit_stages_match_all_column_oracles(n, x, t):
     inst = make_instance(n, x, t=t)
-    lay = RegisterLayout.for_instance(inst)
     psi1, psi2, psi3 = run_order_finding_circuit(inst)
-    expected1 = hadamard_all_columns(initial_vector(lay), lay)
+    expected1 = hadamard_all_columns(initial_vector(inst), inst)
     assert_same_bytes(psi1, expected1)
     expected2 = modexp_all_columns(expected1, inst)
     assert_same_bytes(psi2, expected2)
-    assert_same_bytes(psi3, inverse_qft_all_columns(expected2, lay))
+    assert_same_bytes(psi3, inverse_qft_all_columns(expected2, inst))
 
 
 @pytest.mark.parametrize("n, x", [(15, 7), (21, 2), (33, 2), (51, 2), (63, 2)])
@@ -340,10 +337,9 @@ def test_modexp_matches_all_column_oracle_on_uniform_stage(n, x):
 def test_modexp_power_table_matches_pow(n, x, t):
     # register-B value 1 holds every row j, and modexp sends it to x**j mod N
     inst = make_instance(n, x, t=t)
-    lay = RegisterLayout.for_instance(inst)
-    out = to_dense(run_order_finding_circuit(inst)[1]).reshape(lay.Q, lay.dim_b)
-    assert np.count_nonzero(out) == lay.Q
-    assert np.argmax(out != 0, axis=1).tolist() == [pow(x, j, n) for j in range(lay.Q)]
+    out = to_dense(run_order_finding_circuit(inst)[1]).reshape(inst.Q, inst.dim_b)
+    assert np.count_nonzero(out) == inst.Q
+    assert np.argmax(out != 0, axis=1).tolist() == [pow(x, j, n) for j in range(inst.Q)]
 
 
 @st.composite
@@ -356,17 +352,16 @@ def column_stored_states(draw):
     n = draw(st.integers(1, 31).map(lambda k: 2 * k + 1))
     x = draw(st.sampled_from([c for c in range(1, n) if math.gcd(c, n) == 1]))
     inst = ShorInstance(N=n, x=x, t=draw(st.integers(1, 6)), L=n.bit_length())
-    lay = RegisterLayout.for_instance(inst)
     labels = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    block = random_vector(lay.Q * len(labels), rng).reshape(lay.Q, len(labels))
+    block = random_vector(inst.Q * len(labels), rng).reshape(inst.Q, len(labels))
     block[rng.random(block.shape) < draw(st.sampled_from((0.0, 0.3, 0.9)))] = 0.0
     if draw(st.booleans()):
-        block[rng.random(lay.Q) < 0.5, :] = 0.0
+        block[rng.random(inst.Q) < 0.5, :] = 0.0
     if draw(st.booleans()):
         block[:, rng.random(len(labels)) < 0.5] = 0.0
     block[0, 0] = 1.0  # never all zero
-    return inst, PureState(lay, block / np.linalg.norm(block), labels)
+    return inst, PureState(inst, block / np.linalg.norm(block), labels)
 
 
 @settings(max_examples=60, deadline=None)
@@ -676,8 +671,7 @@ def test_dense_factor_peaks_below_half_a_column_block():
 
 def test_circuit_stays_below_one_dense_state_in_memory():
     inst = make_instance(33, 2)
-    lay = RegisterLayout.for_instance(inst)
-    assert lay.n == 21
+    assert inst.n == 21
     tracemalloc.start()
     try:
         states = run_order_finding_circuit(inst)
@@ -685,7 +679,7 @@ def test_circuit_stays_below_one_dense_state_in_memory():
     finally:
         tracemalloc.stop()
     assert [len(s.labels) for s in states] == [1, inst.r, inst.r]
-    assert peak < 16 * lay.dim
+    assert peak < 16 * inst.dim
 
 
 def test_measurement_distribution_basics():

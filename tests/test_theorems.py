@@ -193,11 +193,14 @@ def test_variation_checks_raise_arithmetic_error(monkeypatch):
         theorems.algorithm_variations(2048, 4, 1.0, 2.0)
 
 
-def test_variation_checks_survive_python_optimize():
-    # python -O strips assert statements; the ledger checks must still raise
+def test_variation_checks_survive_python_optimize(tmp_path):
+    # python -O strips assert statements; the ledger checks must still raise,
+    # and a perturbed verify must still fail its gates with the golden bytes
     script = textwrap.dedent(
         """
-        from shormeter import theorems
+        import sys
+
+        from shormeter import cli, theorems
 
         if __debug__:
             raise SystemExit("not running under python -O")
@@ -209,14 +212,24 @@ def test_variation_checks_survive_python_optimize():
             theorems.algorithm_variations(2048, 4, 1.0, 2.0)
         except ArithmeticError as exc:
             print(f"ArithmeticError: {exc}")
+        print(f"verify exit {cli.main(sys.argv[1:])}")
         """
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
+    out = tmp_path / "verify.json"
+    argv = ["verify", "--n", "21", "--x", "2", "--t", "10", "--debug-perturb", "1e-3"]
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-O", "-c", script, *argv, "--out", str(out)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("ArithmeticError: transform-step coherence deltas")
     assert "not all negative" in proc.stdout
+    assert proc.stdout.endswith("\nverify exit 1\n")
+    golden = Path(__file__).resolve().parent / "data" / "golden" / "verify_perturb_n21_x2_t10.json"
+    assert out.read_bytes() == golden.read_bytes()
