@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -411,9 +412,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The grammar is fixed and parse_args keeps no state in the parser, so every
+# `main` call in a process parses with the one parser built on first use.
+_parser = functools.lru_cache(maxsize=None)(build_parser)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
         if args.command == "simulate":

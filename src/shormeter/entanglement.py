@@ -4,7 +4,9 @@ The production path restricts the product-state optimization to the
 one-parameter symmetric family eta(alpha)^(tensor n) with
 eta = cos(alpha/2)|0> + sin(alpha/2)|1>, which is what the closed forms are
 derived from.  Its optimizer reads a state only through the n + 1 weight
-sums of the stage's `statevec.Support`.  Each closed form is 1 - overlap,
+sums of the stage's `statevec.Support`; its seed grid, the grid's basis and
+the weight vectors depend only on n and the grid size, so `_seed_basis`
+builds them once per process, read-only.  Each closed form is 1 - overlap,
 and `closed_form_overlaps` is their one entry point: it evaluates the
 n + 1 per-weight maxima and the r phases once each, and sums them over the
 popcounts of the joint labels into the squared overlaps S_ab**2 / Q
@@ -25,6 +27,7 @@ power-of-two order checked the two agree anyway.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -64,12 +67,38 @@ def hamming_weight_term(w: int, n: int) -> float:
     return lo * hi
 
 
+class _SeedBasis(NamedTuple):
+    """Read-only arrays of the symmetric optimizer that depend only on n and
+    the grid size: the grid, its (points, n + 1) basis
+    cos(alpha/2)**(n-w) * sin(alpha/2)**w, the weights w and n - w."""
+
+    grid: np.ndarray
+    basis: np.ndarray
+    weights: np.ndarray
+    complements: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def _seed_basis(n: int, points: int) -> _SeedBasis:
+    """The `_SeedBasis` of n qubits on `points` grid angles, built once per
+    process: one entry per (n, points), 8 * points * (n + 1) bytes of basis
+    each."""
+    grid = np.linspace(0.0, math.pi, points)
+    c = np.cos(grid / 2.0)
+    s = np.sin(grid / 2.0)
+    w = np.arange(n + 1)
+    basis = (c[:, None] ** (n - w[None, :])) * (s[:, None] ** w[None, :])
+    seed = _SeedBasis(grid, basis, w, n - w)
+    for arr in seed:
+        arr.setflags(write=False)
+    return seed
+
+
 def _overlap_from_coefficients(coeff: np.ndarray, alpha_angle: float) -> complex:
-    n = len(coeff) - 1
+    seed = _seed_basis(len(coeff) - 1, GRID_POINTS)
     c = math.cos(alpha_angle / 2.0)
     s = math.sin(alpha_angle / 2.0)
-    w = np.arange(n + 1)
-    return complex(np.sum(coeff * (c ** (n - w)) * (s**w)))
+    return complex((coeff * (c**seed.complements) * (s**seed.weights)).sum())
 
 
 def _golden_max(f: Callable[[float], float], a: float, b: float, tol: float) -> tuple[float, float]:
@@ -107,13 +136,8 @@ def geometric_entanglement_symmetric(coeff: np.ndarray) -> SymmetricOptimum:
     golden-section refinement, which is enough because the overlap is a
     low-oscillation trigonometric polynomial in alpha.
     """
-    n = len(coeff) - 1
-    grid = np.linspace(0.0, math.pi, GRID_POINTS)
-    c = np.cos(grid / 2.0)
-    s = np.sin(grid / 2.0)
-    w = np.arange(n + 1)
-    overlaps = ((c[:, None] ** (n - w[None, :])) * (s[:, None] ** w[None, :])) @ coeff
-    values = np.abs(overlaps) ** 2
+    grid, basis, _, _ = _seed_basis(len(coeff) - 1, GRID_POINTS)
+    values = np.abs(basis @ coeff) ** 2
     best = int(np.argmax(values))
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, GRID_POINTS - 1)]

@@ -116,16 +116,23 @@ def _modexp_columns(instance: ShorInstance) -> tuple[np.ndarray, np.ndarray]:
     So the image has P columns: column c has the register-B label
     labels[c] = x**exponents[c] mod N, sorted, and holds psi1's amplitude on
     the rows j = exponents[c] (mod P).  The powers are formed in int64,
-    which holds their products for every N below 2**31.
+    which holds their products for every N below 2**31.  The table doubles
+    until its new half holds a 1, so it fills at most 2P entries, and P
+    comes from the powers, not from the order search.
     """
     q, n_mod = instance.Q, instance.N
-    powers = np.ones(q, dtype=np.int64)
+    powers = np.empty(q, dtype=np.int64)
+    powers[0] = 1
     k = 1
     while k < q:  # x**(k + j) = x**j * x**k, doubling the filled prefix
         powers[k : 2 * k] = powers[:k] * pow(instance.x, k, n_mod) % n_mod
+        again = np.flatnonzero(powers[k : 2 * k] == 1)
+        if len(again):
+            period = k + int(again[0])
+            break
         k *= 2
-    again = np.flatnonzero(powers[1:] == 1)
-    period = int(again[0]) + 1 if len(again) else q
+    else:
+        period = q
     return np.unique(powers[:period], return_index=True)
 
 

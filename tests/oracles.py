@@ -325,6 +325,16 @@ def modexp_all_columns(vec: np.ndarray, instance: ShorInstance) -> np.ndarray:
     return out
 
 
+def full_table_modexp_columns(instance: ShorInstance) -> tuple[np.ndarray, np.ndarray]:
+    """(labels, exponents) of the modexp image from the whole Q-long table of
+    powers x**j mod N: P is the first j >= 1 with x**j == 1, or Q if none."""
+    q, n_mod = instance.Q, instance.N
+    powers = np.array([pow(instance.x, j, n_mod) for j in range(q)], dtype=np.int64)
+    again = np.flatnonzero(powers[1:] == 1)
+    period = int(again[0]) + 1 if len(again) else q
+    return np.unique(powers[:period], return_index=True)
+
+
 def _register_a_gate(state: PureState, transform: Callable[[np.ndarray], np.ndarray]) -> PureState:
     """Apply a register-A transform to the occupied register-B columns.
 

@@ -107,10 +107,50 @@ def test_symmetric_entanglement_bell():
 def test_symmetric_entanglement_grid_doubling_invariance(monkeypatch, pipeline15):
     assert ent.GRID_POINTS == 2048
     coarse = [oracles.symmetric_optimum(state) for state in pipeline15[1:]]
+    # the cache keys on GRID_POINTS as read at call time
+    rows, seed_basis = [], ent._seed_basis
+
+    def recorded(n, points):
+        rows.append(seed_basis(n, points).basis.shape[0])
+        return seed_basis(n, points)
+
+    monkeypatch.setattr(ent, "_seed_basis", recorded)
     monkeypatch.setattr(ent, "GRID_POINTS", 4096)
     fine = [oracles.symmetric_optimum(state) for state in pipeline15[1:]]
+    assert rows and set(rows) == {4096}
     for c, f in zip(coarse, fine):
         assert abs(c.entanglement - f.entanglement) < 1e-9
+
+
+def test_seed_basis_arrays_are_read_only():
+    seed = ent._seed_basis(15, ent.GRID_POINTS)
+    assert seed.basis.shape == (ent.GRID_POINTS, 16)
+    for arr in seed:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+def test_symmetric_optimum_is_the_same_from_a_cold_cache():
+    sums = [
+        nonzero_support(state).weight_sums
+        for state in run_order_finding_circuit(make_instance(21, 2, t=10))
+    ]
+    ent.geometric_entanglement_symmetric(sums[0])
+    warm = [ent.geometric_entanglement_symmetric(c) for c in sums]
+    ent._seed_basis.cache_clear()
+    cold = [ent.geometric_entanglement_symmetric(c) for c in sums]
+    assert cold == warm
+
+
+def test_overlap_matches_the_uncached_sum_float_for_float(pipeline15):
+    coeff = nonzero_support(pipeline15[2]).weight_sums
+    n = len(coeff) - 1
+    w = np.arange(n + 1)
+    for angle in np.linspace(0.0, math.pi, 50).tolist():
+        c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
+        expected = complex(np.sum(coeff * (c ** (n - w)) * (s**w)))
+        assert ent._overlap_from_coefficients(coeff, angle) == expected
 
 
 def test_per_weight_maximum_identity():

@@ -64,6 +64,26 @@ def test_output_matches_golden_bytes(tmp_path, name):
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
+def test_repeated_calls_in_one_process_share_no_state(tmp_path, capsys):
+    # every case, one argv that argparse rejects, one that resolve_config
+    # rejects, then every case again in reverse order: one parser serves all
+    names = sorted(CASES)
+    for name in names:
+        out = tmp_path / name
+        assert main(CASES[name].split() + ["--out", str(out)]) == EXIT_CODES.get(name, 0)
+        assert out.read_bytes() == (GOLDEN / name).read_bytes()
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as rejected:
+        main(["simulate", "--n", "zz"])
+    assert rejected.value.code == 2
+    assert "invalid int value: 'zz'" in capsys.readouterr().err
+    assert main(["verify", "--n", "15", "--x", "7", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+    for name in reversed(names):
+        assert main(CASES[name].split()) == EXIT_CODES.get(name, 0)
+        assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
+
+
 def regenerate() -> None:
     """Rewrite every golden file from the argv of its case."""
     for name in sorted(CASES):

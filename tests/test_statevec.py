@@ -16,6 +16,7 @@ from oracles import (
     apply_qft_A,
     dump_nonzero_json,
     from_dense,
+    full_table_modexp_columns,
     hadamard_all_columns,
     ideal_psi3,
     inverse_qft_all_columns,
@@ -472,6 +473,45 @@ def test_circuit_finds_the_modexp_targets_once(monkeypatch):
     calls = counted_calls(monkeypatch, "_modexp_columns")
     run_order_finding_circuit(make_instance(21, 2, t=10))
     assert len(calls) == 1
+
+
+def check_modexp_columns_on_the_full_table(inst):
+    # the table stops at the first power that comes back to 1 and finds P
+    # without the order search, so sweep still never reads r
+    import shormeter.numtheory
+
+    def no_search(*args):
+        raise AssertionError("the order search ran")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(shormeter.numtheory, "find_order_bruteforce", no_search)
+        got = statevec._modexp_columns(inst)
+    for arr, want in zip(got, full_table_modexp_columns(inst)):
+        assert arr.dtype == want.dtype
+        np.testing.assert_array_equal(arr, want)
+
+
+@pytest.mark.parametrize(
+    "N, x, t",
+    [
+        (17, 3, 3),  # r = 16 > Q = 8, so P = Q
+        (17, 3, 4),  # r = Q = 16: x**j meets no 1 below Q, so P = Q
+        (15, 7, 8),  # r = 4 divides Q
+        (21, 2, 10),  # r = 6 does not divide Q
+        (15, 1, 5),  # x = 1: P = 1
+        (129, 5, 12),  # r = 42
+    ],
+)
+def test_modexp_columns_match_the_full_table_on_pinned_instances(N, x, t):
+    check_modexp_columns_on_the_full_table(ShorInstance(N=N, x=x, t=t, L=N.bit_length()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 150), st.integers(1, 12), st.data())
+def test_modexp_columns_match_the_full_table(half, t, data):
+    N = 2 * half + 1
+    x = data.draw(st.integers(1, N - 1).filter(lambda c: math.gcd(c, N) == 1))
+    check_modexp_columns_on_the_full_table(ShorInstance(N=N, x=x, t=t, L=N.bit_length()))
 
 
 def test_circuit_transforms_psi3_without_the_chunks(monkeypatch):

@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import subprocess
@@ -233,3 +234,17 @@ def test_variation_checks_survive_python_optimize(tmp_path):
     assert proc.stdout.endswith("\nverify exit 1\n")
     golden = Path(__file__).resolve().parent / "data" / "golden" / "verify_perturb_n21_x2_t10.json"
     assert out.read_bytes() == golden.read_bytes()
+
+
+def test_library_has_no_bare_assert():
+    # python -O strips assert statements, so no check in the library may be one
+    src = Path(__file__).resolve().parents[1] / "src" / "shormeter"
+    files = sorted(src.glob("*.py"))
+    assert files
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in files
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
