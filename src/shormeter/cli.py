@@ -1,5 +1,10 @@
 """Command-line front end: simulate, sweep, factor, verify.
 
+A run takes one path from argv to report: `main` parses argv, where each
+subcommand's parser binds its command; `resolve_config` checks the options
+and returns the `ShorInstance` they describe; and the command runs on
+(args, instance), which is all it reads.
+
 Exit codes: 0 success, 1 gated verification failure (or factoring gave up),
 2 configuration error (bad input, or an --out that cannot be written).  With
 a fixed seed every command writes byte-identical output, and reals in CSV
@@ -15,7 +20,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 from math import gcd
 from typing import Callable, Optional
 
@@ -52,8 +56,11 @@ MEMORY_BUDGET_BYTES = 2**28
 # bytes), but the charge stays, so that no input changes its exit code.
 FAST_BYTES_PER_OUTCOME = 33
 MAX_GRID_POINTS = 100_000  # a tiny --grid STEP exits 2 instead of listing unbounded points
-# Each failing factor attempt costs about 41 us and 0.8 KB of output and
-# RSS, so a larger --max-attempts exits 2 instead of running for hours.
+# Each failing factor attempt costs about 40 us at N = 49 and 0.8 KB of
+# output and RSS.  Its order recovery steps through at most N // d powers
+# of x**d per convergent denominator d, holding one: up to 22 ms (median
+# 6 ms) over 200 sampled outcomes at N = 2**23 - 1, the order-search bound.
+# A larger --max-attempts exits 2 instead of running for hours.
 MAX_ATTEMPTS = 10_000
 # The brute-force order search takes up to N - 1 modular multiplications
 # (about 1 s at N = 2**23), so a larger N exits 2 before searching.
@@ -100,35 +107,12 @@ def _one_of(choices: tuple[str, ...]) -> Callable[[str], str]:
     return parse
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    instance: ShorInstance
-    seed: int
-    epsilon: float
-    fmt: str = "json"
-    out: Optional[str] = None
-
-    @property
-    def printed(self) -> dict:
-        """The "config" object of every JSON report."""
-        inst = self.instance
-        return dict(
-            N=inst.N,
-            x=inst.x,
-            t=inst.t,
-            L=inst.L,
-            Q=inst.Q,
-            epsilon=self.epsilon,
-            seed=self.seed,
-            quadratic_window_ok=inst.window_ok,
-        )
-
-
 class ConfigError(Exception):
     pass
 
 
-def resolve_config(args: argparse.Namespace) -> RunConfig:
+def resolve_config(args: argparse.Namespace) -> ShorInstance:
+    """The instance `args` describe, or ConfigError for bad or oversized input."""
     try:
         sizes = register_sizes(args.n, args.epsilon)
     except ValueError as exc:
@@ -171,12 +155,20 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             f"x={x} shares the factor {gcd(x, args.n)} with N={args.n}; "
             "no quantum run needed"
         )
-    return RunConfig(
-        instance=ShorInstance(N=args.n, x=x, t=t, L=sizes.L),
-        seed=args.seed,
+    return ShorInstance(N=args.n, x=x, t=t, L=sizes.L)
+
+
+def _config(args: argparse.Namespace, instance: ShorInstance) -> dict:
+    """The "config" object of every JSON report."""
+    return dict(
+        N=instance.N,
+        x=instance.x,
+        t=instance.t,
+        L=instance.L,
+        Q=instance.Q,
         epsilon=args.epsilon,
-        fmt=getattr(args, "format", "json"),
-        out=args.out,
+        seed=args.seed,
+        quadratic_window_ok=instance.window_ok,
     )
 
 
@@ -216,13 +208,12 @@ def _simulate_csv(reports: dict[str, dict]) -> str:
     return buf.getvalue()
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
-    instance = cfg.instance
+def cmd_simulate(args: argparse.Namespace, instance: ShorInstance) -> int:
     states = statevec.run_order_finding_circuit(instance)
     reports, overlaps = theorems.verify_all(instance, states)
     hint = extract_factors(instance.x, instance.r, instance.N)
     payload = {
-        "config": cfg.printed,
+        "config": _config(args, instance),
         "order": instance.r,
         "stages": reports,
         "variations": theorems.algorithm_variations(instance.Q, instance.r, 1.0, 2.0, overlaps),
@@ -234,10 +225,10 @@ def cmd_simulate(cfg: RunConfig) -> int:
             f"order r={instance.r} does not divide Q={instance.Q}; "
             "closed-form columns marked not applicable"
         )
-    if cfg.fmt == "csv":
-        _emit(_simulate_csv(reports), cfg.out)
+    if args.format == "csv":
+        _emit(_simulate_csv(reports), args.out)
     else:
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", cfg.out)
+        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     return EXIT_OK if payload["pass"] else EXIT_VERIFY_FAIL
 
 
@@ -256,7 +247,8 @@ def _parse_grid(spec: str) -> list[float]:
     return [round(lo + i * step, 12) for i in range(count)]
 
 
-def cmd_sweep(cfg: RunConfig, measure: str, grid_spec: Optional[str]) -> int:
+def cmd_sweep(args: argparse.Namespace, instance: ShorInstance) -> int:
+    measure, grid_spec = args.measure, args.grid
     if grid_spec is None:
         grid_spec = "1.0:2.0:0.05" if measure == "l1p" else "0.05:2.0:0.05"
     params = _parse_grid(grid_spec)
@@ -270,24 +262,24 @@ def cmd_sweep(cfg: RunConfig, measure: str, grid_spec: Optional[str]) -> int:
         limits = [int(abs(param - 1.0) <= measures.ALPHA_ONE_TOL) for param in params]
     if not params:
         raise ConfigError(f"grid {_quoted(grid_spec)} has no point with {domain}")
-    states = statevec.run_order_finding_circuit(cfg.instance)
+    states = statevec.run_order_finding_circuit(instance)
     curves = [grid(statevec.nonzero_support(s), params) for s in states]
     lines = ["param,C_psi1,C_psi2,C_psi3,delta,limit_flag"]
     for param, limit, c1, c2, c3 in zip(params, limits, *curves):
         lines.append(
             ",".join([_fmt(param), _fmt(c1), _fmt(c2), _fmt(c3), _fmt(c3 - c1), str(limit)])
         )
-    _emit("\n".join(lines) + "\n", cfg.out)
+    _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
-def cmd_factor(cfg: RunConfig, max_attempts: int, fast: bool) -> int:
+def cmd_factor(args: argparse.Namespace, instance: ShorInstance) -> int:
+    max_attempts, fast = args.max_attempts, args.fast
     if max_attempts < 1:
         raise ConfigError(f"--max-attempts must be >= 1, got {brief(max_attempts)}")
     if max_attempts > MAX_ATTEMPTS:
         raise ConfigError(f"--max-attempts must be <= {MAX_ATTEMPTS}, got {brief(max_attempts)}")
-    instance = cfg.instance
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(args.seed)
     if fast:
         dist = statevec.outcome_distribution(instance.r, instance.Q)
     else:  # summed from the modexp columns a chunk at a time: no stage is held
@@ -309,7 +301,7 @@ def cmd_factor(cfg: RunConfig, max_attempts: int, fast: bool) -> int:
             factors = pair
             break
     payload = {
-        "config": cfg.printed,
+        "config": _config(args, instance),
         "fast": fast,
         "max_attempts": max_attempts,
         "attempts": attempts,
@@ -321,7 +313,7 @@ def cmd_factor(cfg: RunConfig, max_attempts: int, fast: bool) -> int:
             "the order was recovered but yielded no factors; "
             f"the even-order method does not apply to x={instance.x}"
         )
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", cfg.out)
+    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     return EXIT_OK if factors is not None else EXIT_VERIFY_FAIL
 
 
@@ -336,13 +328,12 @@ def _perturbed(state: statevec.PureState, eps: float) -> statevec.PureState:
         raise ConfigError(f"--debug-perturb {eps!r} leaves no valid state: {exc}") from exc
 
 
-def cmd_verify(cfg: RunConfig, debug_perturb: float) -> int:
-    if not math.isfinite(debug_perturb):
-        raise ConfigError(f"--debug-perturb must be finite, got {debug_perturb!r}")
-    instance = cfg.instance
+def cmd_verify(args: argparse.Namespace, instance: ShorInstance) -> int:
+    if not math.isfinite(args.debug_perturb):
+        raise ConfigError(f"--debug-perturb must be finite, got {args.debug_perturb!r}")
     states = statevec.run_order_finding_circuit(instance)
-    if debug_perturb:
-        states = tuple(_perturbed(s, debug_perturb) for s in states)
+    if args.debug_perturb:
+        states = tuple(_perturbed(s, args.debug_perturb) for s in states)
     reports, _ = theorems.verify_all(instance, states)
     lines = []
     for stage, report in reports.items():
@@ -353,13 +344,13 @@ def cmd_verify(cfg: RunConfig, debug_perturb: float) -> int:
         )
     ok = all(report["pass"] for report in reports.values())
     payload = {
-        "config": cfg.printed,
+        "config": _config(args, instance),
         "order": instance.r,
-        "debug_perturb": debug_perturb,
+        "debug_perturb": args.debug_perturb,
         "stages": reports,
         "pass": ok,
     }
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", cfg.out)
+    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     for line in lines:
         print(line, file=sys.stderr)
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
@@ -385,12 +376,14 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sim)
     formats = ("json", "csv")
     sim.add_argument("--format", choices=formats, type=_one_of(formats), default="json")
+    sim.set_defaults(run=cmd_simulate)
 
     sweep = sub.add_parser("sweep", help="parameter sweep of a coherence measure (CSV)")
     add_common(sweep)
     kinds = ("l1p", "tsallis")
     sweep.add_argument("--measure", choices=kinds, type=_one_of(kinds), default="tsallis")
     sweep.add_argument("--grid", type=str, default=None, help="LO:HI:STEP")
+    sweep.set_defaults(run=cmd_sweep)
 
     factor = sub.add_parser("factor", help="end-to-end factoring loop")
     add_common(factor)
@@ -400,6 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="sample outcomes from the closed-form distribution, skipping state evolution",
     )
+    factor.set_defaults(run=cmd_factor)
 
     verify = sub.add_parser("verify", help="run the verification harness")
     add_common(verify)
@@ -409,6 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.0,
         help="inject a relative amplitude error to self-test the harness",
     )
+    verify.set_defaults(run=cmd_verify)
     return parser
 
 
@@ -420,14 +415,7 @@ _parser = functools.lru_cache(maxsize=None)(build_parser)
 def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        cfg = resolve_config(args)
-        if args.command == "simulate":
-            return cmd_simulate(cfg)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, args.measure, args.grid)
-        if args.command == "factor":
-            return cmd_factor(cfg, args.max_attempts, args.fast)
-        return cmd_verify(cfg, args.debug_perturb)  # argparse admits no other command
+        return args.run(args, resolve_config(args))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -173,48 +173,39 @@ def continued_fraction_convergents(k: int, q: int) -> list[Fraction]:
 
 
 def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            small.append(i)
-            if i != n // i:
-                large.append(n // i)
-        i += 1
-    return small + large[::-1]
+    small = [i for i in range(1, math.isqrt(n) + 1) if n % i == 0]
+    return small + [n // i for i in reversed(small) if i * i != n]
 
 
 def _order_from_multiple(x: int, n: int, multiple: int) -> int:
     # The order divides any verified exponent, so the smallest divisor of
-    # `multiple` that maps to 1 is the order itself.
-    for d in _divisors(multiple):
-        if pow(x, d, n) == 1:
-            return d
-    raise AssertionError("verified multiple must contain the order")
+    # `multiple` that maps to 1 is the order itself; the last is `multiple`.
+    return next((d for d in _divisors(multiple)[:-1] if pow(x, d, n) == 1), multiple)
 
 
 def recover_order(k: int, instance: ShorInstance) -> Optional[int]:
     """Order of instance.x recovered from measured outcome k, or None.
 
-    Scans convergents of k/Q with denominator in [2, N); since the measured
-    phase s/r may have gcd(s, r) > 1, integer multiples of each denominator
-    up to N are tested too.  A verified exponent is reduced to the exact
-    order through its divisors, so the result is never a proper multiple.
+    Scans convergents of k/Q with denominator d in [2, N); since the
+    measured phase s/r may have gcd(s, r) > 1, the multiples d*j up to N are
+    tested too, by stepping y = x**d one multiplication at a time up to j =
+    N // d and stopping at the first 1.  A verified exponent is reduced to
+    the exact order through its divisors, so the result is never a proper
+    multiple.  Nothing is held but the current power.
     """
     q = instance.Q
     if not 0 <= k < q:
         raise ValueError(f"need 0 <= k < Q, got k={k}, Q={q}")
     n, x = instance.N, instance.x
-    candidates = set()
     for conv in continued_fraction_convergents(k, q):
         d = conv.denominator
         if d < 2 or d >= n:
             continue
+        step = acc = pow(x, d, n)
         for mult in range(1, n // d + 1):
-            candidates.add(d * mult)
-    for cand in sorted(candidates):
-        if pow(x, cand, n) == 1:
-            return _order_from_multiple(x, n, cand)
+            if acc == 1:
+                return _order_from_multiple(x, n, d * mult)
+            acc = acc * step % n
     return None
 
 

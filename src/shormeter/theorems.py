@@ -4,8 +4,11 @@ Stages are named after the circuit: "psi1" after the Hadamard layer, "psi2"
 after the modular-exponentiation unitary, "psi3" after the inverse Fourier
 transform.  Each coherence closed form depends on one number, the count D of
 equal-weight basis states: D = Q before the transform and D = r**2 after it
-(r | Q).  The entanglement closed forms are 1 - overlap, with the squared
-overlaps computed once per run.  Coherence closed forms are hard-gated
+(r | Q).  The entanglement closed forms are 0 on psi1 and 1 - overlap after
+it, with the squared overlaps computed once per run (r | Q).  `verify_all`
+alone decides which closed form applies to which stage: it builds one table
+of (D, E_g, literal E_g) per stage, None where none applies, and
+`verify_stage` reads its stage's row.  Coherence closed forms are hard-gated
 against the simulator at 1e-9; entanglement rows are reported with their
 gaps but never gated, because the closed forms take each overlap term at
 its own optimal angle rather than a shared one, so they need not coincide
@@ -155,10 +158,8 @@ def _gated_row(param: Optional[float], numeric: float, closed: Optional[float]) 
 
 def verify_stage(
     stage: str,
-    instance: ShorInstance,
-    *,
     state: statevec.PureState,
-    overlaps: Optional[ent.ClosedFormOverlaps],
+    forms: tuple[Optional[int], Optional[float], Optional[float]],
 ) -> dict:
     """Numeric-vs-closed-form comparison for one stage, as the dict a report prints.
 
@@ -169,24 +170,18 @@ def verify_stage(
     the E_g row also holds "details".  "pass" is True when every gated row
     passes.
 
-    `state` is the simulated state after `stage`; its support is built once
-    and every row reads it: the C_1p and C_alpha rows come from one grid
-    evaluation each, the E_g row from its weight sums.  Coherence rows are
-    gated at COHERENCE_GAP_TOL.  When r does not divide Q the final stage
-    has no closed forms; its rows are reported as not applicable and do not
-    gate.  Entanglement rows are never gated: the ansatz optimum and both
-    closed-form readings are reported side by side.  `overlaps` holds the
-    closed-form overlaps, needed by the psi2/psi3 rows when r | Q.
+    `state` is the simulated state after `stage`, and `forms` is the
+    stage's row (d, E_g, literal E_g) of the closed-form table `verify_all`
+    builds: d is the count of equal-weight basis states, which fixes the
+    coherence closed forms, and the literal reading exists on psi3 only;
+    each is None where no closed form applies.  The state's support is
+    built once and every row reads it: the C_1p and C_alpha rows come from
+    one grid evaluation each, the E_g row from its weight sums.  Coherence
+    rows are gated at COHERENCE_GAP_TOL, or reported as not applicable when
+    d is None.  Entanglement rows are never gated: the ansatz optimum and
+    the closed-form readings are reported side by side.
     """
-    if stage not in STAGES:
-        raise ValueError(f"stage must be one of {STAGES}, got {stage!r}")
-    if stage != "psi1" and instance.m is not None and overlaps is None:
-        raise ValueError(f"the {stage} rows need the closed-form overlaps when r | Q")
-    d: Optional[int] = None  # count of equal-weight basis states
-    if stage != "psi3":
-        d = instance.Q
-    elif instance.m is not None:
-        d = instance.r * instance.r
+    d, eg_closed, eg_literal = forms
 
     def closed(index: int, p: float = 1.0, alpha: float = 1.0) -> Optional[float]:
         return None if d is None else coherence_closed_forms(d, p, alpha)[index]
@@ -194,43 +189,30 @@ def verify_stage(
     support = statevec.nonzero_support(state)
     p_values = measures.l1p_coherence_grid(support, P_GRID_DEFAULT)
     alpha_values = measures.tsallis_coherence_grid(support, ALPHA_GRID_DEFAULT)
+    cg = measures.geometric_coherence_pure(support)
+    opt = ent.geometric_entanglement_symmetric(support.weight_sums)
+    details: dict = {"ansatz_alpha": opt.alpha_angle, "ansatz_overlap_sq": opt.overlap_sq}
+    if stage == "psi1":
+        # The single-angle symmetric family misses this product state by a
+        # wide margin; the full product-family optimum is reported alongside.
+        details["product_family_numeric"] = ent.geometric_entanglement_product(state)
+    if eg_literal is not None:
+        details["closed_form_literal"] = eg_literal
+    note = "reported, not gated"
+    if eg_closed is None:
+        note = "closed form not applicable (r does not divide Q); " + note
+    eg_row = _gated_row(None, opt.entanglement, eg_closed)  # same gap, but reported, not gated
     groups = {
         "C_1p": [_gated_row(p, v, closed(0, p=p)) for p, v in zip(P_GRID_DEFAULT, p_values)],
         "C_alpha": [
             _gated_row(alpha, v, closed(1, alpha=alpha))
             for alpha, v in zip(ALPHA_GRID_DEFAULT, alpha_values)
         ],
-        "C_g": [_gated_row(None, measures.geometric_coherence_pure(support), closed(2))],
-        "E_g": [_entanglement_row(stage, state, support, overlaps)],
+        "C_g": [_gated_row(None, cg, closed(2))],
+        "E_g": [{**eg_row, "gated": False, "pass": None, "note": note, "details": details}],
     }
     passed = all(row["pass"] for rows in groups.values() for row in rows if row["gated"])
     return {"stage": stage, "pass": passed, "measures": groups}
-
-
-def _entanglement_row(
-    stage: str,
-    state: statevec.PureState,
-    support: statevec.Support,
-    overlaps: Optional[ent.ClosedFormOverlaps],
-) -> dict:
-    opt = ent.geometric_entanglement_symmetric(support.weight_sums)
-    details: dict = {"ansatz_alpha": opt.alpha_angle, "ansatz_overlap_sq": opt.overlap_sq}
-    closed: Optional[float] = None
-    note = "reported, not gated"
-    if stage == "psi1":
-        closed = 0.0
-        # The single-angle symmetric family misses this product state by a
-        # wide margin; the full product-family optimum is reported alongside.
-        details["product_family_numeric"] = ent.geometric_entanglement_product(state)
-    elif overlaps is None:
-        note = "closed form not applicable (r does not divide Q); reported, not gated"
-    elif stage == "psi2":
-        closed = 1.0 - overlaps.psi2
-    else:
-        closed = 1.0 - overlaps.psi3
-        details["closed_form_literal"] = 1.0 - overlaps.psi3_literal
-    row = _gated_row(None, opt.entanglement, closed)  # same gap, but reported, not gated
-    return {**row, "gated": False, "pass": None, "note": note, "details": details}
 
 
 def verify_all(
@@ -241,13 +223,23 @@ def verify_all(
     Returns ({"psi1": report, "psi2": report, "psi3": report}, overlaps),
     each report the stage dict of `verify_stage`, in stage order.
 
-    This is where a run computes its closed-form overlaps, once; they are
-    returned beside the reports so the ledger can reuse them (None when r
-    does not divide Q).
+    This is where a run computes its closed-form overlaps, once, and decides
+    which closed form applies to which stage: D is Q, Q and r**2, and E_g is
+    0 on the product state psi1 and 1 - overlap after it.  When r does not
+    divide Q, psi3 has no closed form and neither stage after psi1 has an
+    E_g closed form.  The overlaps are returned beside the reports so the
+    ledger can reuse them (None when r does not divide Q).
     """
     overlaps = ent.closed_form_overlaps(instance)
+    Q = instance.Q
+    table = [(Q, 0.0, None), (Q, None, None), (None, None, None)]
+    if overlaps is not None:
+        table[1:] = [
+            (Q, 1.0 - overlaps.psi2, None),
+            (instance.r**2, 1.0 - overlaps.psi3, 1.0 - overlaps.psi3_literal),
+        ]
     reports = {
-        stage: verify_stage(stage, instance, state=state, overlaps=overlaps)
-        for stage, state in zip(STAGES, states)
+        stage: verify_stage(stage, state, forms)
+        for stage, state, forms in zip(STAGES, states, table)
     }
     return reports, overlaps

@@ -19,7 +19,7 @@ held state and the whole-array form of the closed-form one, loop-summed
 closed-form overlaps, dense all-starts product-family optimizer,
 brute-force product-state search, symmetric optimum and overlap through a
 state's support, weight sums by np.add.at, alpha-peak search)
-and small helpers (`as_state`, `support_of`, `mod_pow`, `register_b_support`,
+the candidate-set order recovery, and small helpers (`as_state`, `support_of`, `mod_pow`, `register_b_support`,
 `dump_nonzero_json`) serve only the tests, so they are kept out of the
 library.
 """
@@ -46,7 +46,7 @@ from shormeter.measures import (
     tsallis_coherence_grid,
     validate_alpha,
 )
-from shormeter.numtheory import RegisterLayout, ShorInstance
+from shormeter.numtheory import RegisterLayout, ShorInstance, continued_fraction_convergents
 from shormeter.statevec import (
     OutcomeDistribution,
     PureState,
@@ -213,6 +213,23 @@ def mod_pow(x: int, e: int, n: int) -> int:
     if e < 0:
         raise ValueError(f"exponent must be >= 0, got {e}")
     return pow(x, e, n)
+
+
+def candidate_set_recover_order(k: int, instance: ShorInstance) -> Optional[int]:
+    """`numtheory.recover_order` as a candidate set: every multiple below N of
+    every convergent denominator of k/Q in [2, N), sorted, then the first
+    that maps x to 1 reduced to its smallest divisor that does.  It holds
+    up to N candidates at once, so it is for small N only."""
+    n, x = instance.N, instance.x
+    candidates = set()
+    for conv in continued_fraction_convergents(k, instance.Q):
+        d = conv.denominator
+        if 2 <= d < n:
+            candidates.update(d * mult for mult in range(1, n // d + 1))
+    for cand in sorted(candidates):
+        if pow(x, cand, n) == 1:
+            return min(e for e in range(1, cand + 1) if cand % e == 0 and pow(x, e, n) == 1)
+    return None
 
 
 def from_dense(layout: RegisterLayout, vec: np.ndarray) -> PureState:

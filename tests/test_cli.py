@@ -6,11 +6,13 @@ import math
 import os
 import tempfile
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cli_digest
 from shormeter import entanglement as ent
 from shormeter.cli import (
     FAST_BYTES_PER_OUTCOME,
@@ -528,7 +530,7 @@ def test_memory_budget_admits_fast_factor_up_to_t_22():
         args = build_parser().parse_args(["factor", "--fast", "--n", "15", "--x", "7", "--t", str(t)])
         return resolve_config(args)
 
-    assert resolve(22).instance.t == 22
+    assert resolve(22).t == 22
     with pytest.raises(ConfigError, match=f"needs {FAST_BYTES_PER_OUTCOME * 2**23} bytes"):
         resolve(23)
 
@@ -580,7 +582,7 @@ def test_in_budget_random_base_draws_are_pinned(n, seed, x):
     args = build_parser().parse_args(
         ["factor", "--fast", "--t", "1", "--n", str(n), "--seed", str(seed)]
     )
-    assert resolve_config(args).instance.x == x
+    assert resolve_config(args).x == x
 
 
 @pytest.mark.parametrize(
@@ -672,8 +674,7 @@ def test_memory_budget_admits_24_qubit_dense_states():
         args = build_parser().parse_args(["verify", "--n", "15", "--x", "7", "--t", str(t)])
         return resolve_config(args)
 
-    cfg = resolve(20)
-    assert cfg.instance.n == 24
+    assert resolve(20).n == 24
     with pytest.raises(ConfigError, match="25 qubits needs 536870912 bytes"):
         resolve(21)
 
@@ -690,3 +691,31 @@ def test_budget_stops_below_the_t_where_the_l1_gate_cannot_hold(capsys):
     # exceeds the 1e-9 gate; N=3 (L = 2) reaches t = 22 and no further
     assert main(["verify", "--n", "3", "--x", "2", "--t", "23"]) == 2
     assert "25 qubits needs 536870912 bytes" in capsys.readouterr().err
+
+
+HELP = Path(__file__).resolve().parent / "data" / "help"
+
+
+@pytest.mark.parametrize("command", ["shormeter", "simulate", "sweep", "factor", "verify"])
+def test_help_text_is_pinned(command, monkeypatch, capsys):
+    # the CLI surface: every option, its order, default and help string, as
+    # argparse of Python 3.11 wraps it at 80 columns
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as done:
+        main(([] if command == "shormeter" else [command]) + ["--help"])
+    assert done.value.code == 0
+    assert capsys.readouterr().out == (HELP / f"{command}.txt").read_text(encoding="utf-8")
+
+
+def test_cli_digest_is_repeatable():
+    # a verify run, a gated failure and a config error give equal digests
+    # twice over; stdout, a written --out and an unwritable --out differ
+    matrix = [
+        ["verify", "--n", "15", "--x", "7", "--t", "4"],
+        ["verify", "--n", "21", "--x", "2", "--t", "6", "--debug-perturb", "1e-3"],
+        ["simulate", "--n", "15", "--x", "5"],
+    ]
+    first = cli_digest.digests(matrix)
+    assert cli_digest.digests(matrix) == first
+    assert len(first) == 3 * len(matrix)
+    assert len({line.split()[0] for line in first[:3]}) == 3

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import mod_pow
+import tracemalloc
+
+from oracles import candidate_set_recover_order, mod_pow
 from shormeter.numtheory import (
     ShorInstance,
     continued_fraction_convergents,
@@ -134,6 +136,32 @@ def test_recover_order_is_exact_or_none_for_every_outcome(n, t, data):
     for k in range(inst.Q):
         got = recover_order(k, inst)
         assert got is None or got == r, (k, got)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 199).map(lambda k: 2 * k + 1), t=st.integers(1, 12), data=st.data())
+def test_recover_order_matches_the_candidate_set_oracle(n, t, data):
+    # t reaches below log2(r), so r > Q is drawn, and k ranges over both ends
+    x = data.draw(st.sampled_from([c for c in range(1, n) if gcd(c, n) == 1]), label="x")
+    inst = ShorInstance(N=n, x=x, t=t, L=n.bit_length())
+    ks = st.one_of(st.sampled_from([0, inst.Q - 1]), st.integers(0, inst.Q - 1))
+    for k in data.draw(st.lists(ks, min_size=1, max_size=8), label="k"):
+        assert recover_order(k, inst) == candidate_set_recover_order(k, inst), k
+
+
+def test_recover_order_holds_no_candidate_set():
+    # k/Q = 1/2: the one denominator 2 has N // 2 multiples, which a candidate
+    # set would hold at once (4.1 MB of ints here)
+    inst = make_instance(100_001, 2, t=20)
+    k = inst.Q // 2
+    tracemalloc.start()
+    try:
+        got = recover_order(k, inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == inst.r
+    assert peak < 2**20
 
 
 def test_extract_factors_examples():

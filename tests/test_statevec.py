@@ -540,12 +540,13 @@ def test_each_stage_builds_its_support_once(monkeypatch, tmp_path):
     monkeypatch.setattr(statevec, "nonzero_support", recorded_support)
     monkeypatch.setattr(ent, "geometric_entanglement_symmetric", recorded_optimum)
     inst = make_instance(21, 2, t=10)
-    for stage, state in zip(theorems.STAGES, run_order_finding_circuit(inst)):
-        theorems.verify_stage(stage, inst, state=state, overlaps=None)
-        [(scanned, support)] = built
-        assert scanned is state
-        assert len(received) == 1 and received.pop() is support.weight_sums
-        built.clear()
+    states = run_order_finding_circuit(inst)
+    theorems.verify_all(inst, states)
+    assert len(built) == len(received) == 3
+    assert all(scanned is state for (scanned, _), state in zip(built, states))
+    assert all(sums is support.weight_sums for sums, (_, support) in zip(received, built))
+    built.clear()
+    received.clear()
     argv = ["sweep", "--n", "21", "--x", "2", "--t", "10", "--out", str(tmp_path / "s.csv")]
     for measure in ("tsallis", "l1p"):
         assert main(argv + ["--measure", measure]) == 0

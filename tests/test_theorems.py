@@ -93,17 +93,16 @@ def test_sign_ledger_across_instance_matrix():
 
 
 def test_verify_stage_psi1_and_psi2(inst15, pipeline15):
-    for stage, state in zip(("psi1", "psi2"), pipeline15[:2]):
-        report = theorems.verify_stage(stage, inst15, state=state, overlaps=overlaps_for(inst15))
+    reports, _ = theorems.verify_all(inst15, pipeline15)
+    for stage in ("psi1", "psi2"):
+        report = reports[stage]
         assert report["pass"] is True
         gated = [row for rows in report["measures"].values() for row in rows if row["gated"]]
         assert gated and all(row["gap"] <= 1e-9 for row in gated)
 
 
 def test_verify_stage_psi3(inst15, pipeline15):
-    report = theorems.verify_stage(
-        "psi3", inst15, state=pipeline15[2], overlaps=overlaps_for(inst15)
-    )
+    report = theorems.verify_all(inst15, pipeline15)[0]["psi3"]
     assert report["pass"] is True
     (cg_row,) = report["measures"]["C_g"]
     assert cg_row["numeric"] == pytest.approx(0.9375, abs=1e-12)
@@ -114,12 +113,17 @@ def test_verify_stage_psi3(inst15, pipeline15):
 
 
 def test_verify_psi1_reports_product_family_value(inst15, pipeline15):
-    report = theorems.verify_stage("psi1", inst15, state=pipeline15[0], overlaps=None)
-    (eg_row,) = report["measures"]["E_g"]
+    reports, _ = theorems.verify_all(inst15, pipeline15)
+    (eg_row,) = reports["psi1"]["measures"]["E_g"]
     assert eg_row["closed_form"] == 0.0
     assert eg_row["details"]["product_family_numeric"] <= 1e-9
     # the single-angle restricted value is far from zero and stays visible
     assert eg_row["numeric"] > 0.9
+    # the product family and the literal reading each belong to one stage
+    assert all("product_family_numeric" not in reports[s]["measures"]["E_g"][0]["details"]
+               for s in ("psi2", "psi3"))
+    assert all("closed_form_literal" not in reports[s]["measures"]["E_g"][0]["details"]
+               for s in ("psi1", "psi2"))
 
 
 def test_verify_all_consistency(inst15, pipeline15):
@@ -139,6 +143,25 @@ def test_verify_handles_non_divisible_order():
     psi3 = [row for rows in reports["psi3"]["measures"].values() for row in rows]
     assert reports["psi3"]["pass"] is True  # nothing gated at this stage
     assert all(not row["gated"] for row in psi3)
+    assert all("not applicable" in row["note"] for row in psi3)
+
+
+def test_stage_table_when_the_order_exceeds_q():
+    # N=15 x=7 t=1: r = 4 > Q = 2, so psi3 has no closed form at all
+    inst = make_instance(15, 7, t=1)
+    assert inst.r > inst.Q
+    reports, overlaps = theorems.verify_all(inst, run_order_finding_circuit(inst))
+    assert overlaps is None
+    for stage in ("psi1", "psi2"):
+        assert reports[stage]["pass"] is True
+        coherence = [row for name, rows in reports[stage]["measures"].items()
+                     if name != "E_g" for row in rows]
+        assert all(row["gated"] and row["pass"] for row in coherence)
+    (eg_row,) = reports["psi2"]["measures"]["E_g"]
+    assert eg_row["closed_form"] is None and "not applicable" in eg_row["note"]
+    psi3 = [row for rows in reports["psi3"]["measures"].values() for row in rows]
+    assert reports["psi3"]["pass"] is True
+    assert all(not row["gated"] and row["closed_form"] is None for row in psi3)
     assert all("not applicable" in row["note"] for row in psi3)
 
 
@@ -163,16 +186,6 @@ def test_tsallis_monotone_below_one():
 def test_stage1_dominates_stage3_pointwise():
     for alpha in (0.3, 0.5, 0.9, 1.1, 1.5, 2.0):
         assert theorems.tsallis_closed(2048.0, alpha) > theorems.tsallis_closed(16.0, alpha)
-
-
-def test_verify_stage_rejects_unknown_stage(inst15, pipeline15):
-    with pytest.raises(ValueError):
-        theorems.verify_stage("psi4", inst15, state=pipeline15[0], overlaps=None)
-
-
-def test_verify_stage_requires_overlaps_when_order_divides(inst15, pipeline15):
-    with pytest.raises(ValueError, match="overlaps"):
-        theorems.verify_stage("psi2", inst15, state=pipeline15[1], overlaps=None)
 
 
 def test_variations_at_q_equal_r_squared_have_zero_coherence_steps():
