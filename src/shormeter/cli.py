@@ -46,9 +46,9 @@ EXIT_CONFIG = 2
 # state; larger configs exit 2 before allocating anything, and a charge is
 # sized from its exponents, so that no 2**t is built on the way.  Dense
 # `factor` holds no state: it peaks at a scratch of 2 MiB or 8 columns plus
-# the row-sum lanes of its distribution (8.02 MiB, 0.38 (Q, r) blocks,
-# traced at N=49 x=3); simulate, verify and sweep hold psi1, psi2 and psi3
-# together and can exceed it when r is close to 2**L.
+# the row sums of its distribution (5.77 MiB, 0.27 (Q, r) blocks, traced at
+# N=49 x=3 on a cold process); simulate, verify and sweep hold psi1, psi2
+# and psi3 together and can exceed it when r is close to 2**L.
 MEMORY_BUDGET_BYTES = 2**28
 # Charge of `factor --fast` per outcome.  It was the traced peak of four
 # Q-long buffers (32.1 bytes at Q = 2**20); the passes now run in

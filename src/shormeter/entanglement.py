@@ -3,8 +3,8 @@
 The production path restricts the product-state optimization to the
 one-parameter symmetric family eta(alpha)^(tensor n) with
 eta = cos(alpha/2)|0> + sin(alpha/2)|1>, which is what the closed forms are
-derived from.  Its optimizer reads a state only through the n + 1 weight
-sums of the stage's `statevec.Support`; its seed grid, the grid's basis and
+derived from.  Its optimizer reads a state only through its n + 1 weight
+sums (`statevec.weight_sums`); its seed grid, the grid's basis and
 the weight vectors depend only on n and the grid size, so `_seed_basis`
 builds them once per process, read-only.  Each closed form is 1 - overlap,
 and `closed_form_overlaps` is their one entry point: it evaluates the
@@ -132,7 +132,7 @@ def geometric_entanglement_symmetric(coeff: np.ndarray) -> SymmetricOptimum:
     """1 - max_alpha |<state|eta(alpha)^n>|**2 over the symmetric family.
 
     The state enters only through its n + 1 weight sums `coeff`
-    (`statevec.Support.weight_sums`).  A dense grid over [0, pi] seeds a
+    (`statevec.weight_sums`).  A dense grid over [0, pi] seeds a
     golden-section refinement, which is enough because the overlap is a
     low-oscillation trigonometric polynomial in alpha.
     """

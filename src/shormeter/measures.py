@@ -3,14 +3,13 @@
 Three measures: the Tsallis relative alpha-entropy of coherence, the
 column-wise l_{1,p} norm of coherence, and geometric coherence.  Zero
 amplitudes add nothing to any measure, so each reads the state's
-`statevec.Support`, its nonzero amplitudes in the dense joint order as
-|c|**2 and |c|, built once per state by the caller.  A grid function
-evaluates a whole parameter grid from it.  Each grid point raises only the
-support values and sums them with `Support.flat_sum`, which gives the float
-of numpy's sum over all 2**(t+L) values, so every value is the same float
-as the dense expression over all amplitudes (0.0**e is +0.0 for e > 0).
-The density-matrix oracles, the dense expressions and the single-point
-wrappers live with the tests.
+`statevec.Support`, its nonzero amplitudes column by column as |c|**2 and
+|c|, built once per state by the caller.  A grid function evaluates a whole
+parameter grid from it.  Each grid point, alpha = 1 included, raises only
+the support values and adds them with `Support.flat_sum`, the one
+definition of a sum over a state: per register-B column, then the column
+sums by `math.fsum`.  The density-matrix oracles, the column-by-column
+reference sums and the single-point wrappers live with the tests.
 """
 
 from __future__ import annotations
@@ -53,9 +52,10 @@ def tsallis_coherence_grid(support: Support, alphas: Iterable[float]) -> list[fl
     values = []
     for alpha in alphas:
         if abs(alpha - 1.0) <= ALPHA_ONE_TOL:
-            nonzero = probs if probs.all() else probs[probs != 0]  # no log of 0
-            shannon = np.log(nonzero, out=powered[: len(nonzero)])
-            values.append(float(-np.sum(np.multiply(shannon, nonzero, out=shannon))))
+            # p log p is taken as +0.0 where |c|**2 underflowed to 0: no log of 0
+            powered.fill(0.0)
+            np.log(probs, out=powered, where=probs != 0)
+            values.append(-support.flat_sum(np.multiply(powered, probs, out=powered)))
             continue
         np.power(probs, 1.0 / alpha, out=powered)
         values.append((support.flat_sum(powered) - 1.0) / (alpha - 1.0))

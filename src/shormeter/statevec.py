@@ -23,11 +23,13 @@ P-th row (`_modexp_columns`, with P the period of x**j below Q).
 inverse Fourier transform on register A, by one FFT of psi2's block.  The
 dense `factor` job holds no (Q, r) block: `final_distribution` transforms
 the same columns a chunk at a time in one scratch (`_transformed_chunks`).
-No array has one element per basis state: the row sums of
-`final_distribution` and the flat sums of a state's `Support`, the one scan
-of its exactly nonzero entries that every quantifier reads, give the floats
-of numpy's sum over the dense array from the stored entries, through one
-shared fold of numpy's lanes.
+No array has one element per basis state.  Every sum over a stage is
+defined column by column, so that it does not depend on which chunk of
+columns holds a column: `final_distribution` adds each column's |c|**2 into
+the row sums in label order, and a flat sum over a state's `Support`, the
+one scan of its exactly nonzero entries that every coherence quantifier
+reads, sums each column and adds the column sums by `math.fsum`.
+`weight_sums`, E_g's input, reads the block in the same column-major order.
 
 States are immutable after construction; every operation returns a fresh
 state.
@@ -53,6 +55,7 @@ __all__ = [
     "run_order_finding_circuit",
     "sample_outcome",
     "uniform_state",
+    "weight_sums",
 ]
 
 NORM_TOL = 1e-10
@@ -156,9 +159,9 @@ _CHUNK_COLUMNS = 8
 
 
 def _transformed_chunks(q: int, exponents: np.ndarray):
-    """Yield (c0, image): the inverse transform of the modexp image columns
-    c0, c0 + 1, ... of psi1 (`_modexp_columns`), a chunk at a time, made in
-    one reused scratch and zeroed once the caller has read it."""
+    """Yield the inverse transform of the modexp image columns of psi1
+    (`_modexp_columns`) in column order, a chunk at a time, made in one
+    reused scratch and zeroed once the caller has read it."""
     k = len(exponents)
     width = min(k, max(_CHUNK_COLUMNS, _CHUNK_BYTES // (16 * q)))
     scratch = np.empty((q, width), dtype=np.complex128, order="F")
@@ -170,7 +173,7 @@ def _transformed_chunks(q: int, exponents: np.ndarray):
         chunk = scratch[:, : min(width, k - c0)]
         _scatter(chunk, amplitude, exponents, c0)
         _inverse_transform(chunk, chunk)
-        yield c0, chunk
+        yield chunk
         chunk.fill(0)
 
 
@@ -185,28 +188,25 @@ def final_distribution(instance: ShorInstance) -> OutcomeDistribution:
     """The register-A outcome distribution of psi3, without holding psi3.
 
     Each transformed chunk is read in place in the scratch: |column|**2 is
-    added into numpy's row-sum lanes in column order, so the floats are
-    those of numpy's row sum over the dense (Q, 2**L) array (and the sampled
-    outcomes are those of the whole block), and the chunk's norm**2 is added
-    to a total that must be 1 within NORM_TOL, the gate of `PureState`.  The
-    peak is the scratch, the lanes and the probabilities.
+    added into the row sums column by column, in label order, so the floats
+    do not depend on the chunking, and the chunk's norm**2 is added to a
+    total that must be 1 within NORM_TOL, the gate of `PureState`.  The peak
+    is the scratch and the probabilities.
     """
-    labels, exponents = _modexp_columns(instance)
-    q, width = instance.Q, instance.dim_b
-    lanes = np.zeros((_lane_count(width), q))
-    lane_of = _lanes(labels, width).tolist()
+    _, exponents = _modexp_columns(instance)
+    q = instance.Q
+    probabilities = np.zeros(q)
     col = np.empty(q)
     norm = 0.0
-    for c0, image in _transformed_chunks(q, exponents):
+    for image in _transformed_chunks(q, exponents):
         # vdot ravels in C order: the transpose is the contiguous view
         norm += float(np.vdot(image.T, image.T).real)
-        for c in range(image.shape[1]):
-            np.abs(image[:, c], out=col)
+        for column in image.T:
+            np.abs(column, out=col)
             np.square(col, out=col)
-            lanes[lane_of[c0 + c]] += col
+            probabilities += col
     if not abs(norm - 1.0) <= NORM_TOL:  # written so that a NaN norm fails
         raise ValueError(f"final state norm**2 = {norm!r} is not 1 within {NORM_TOL}")
-    probabilities = _pairwise_fold(lanes)  # fresh past one lane: not copied again
     probabilities.setflags(write=False)
     return OutcomeDistribution(probabilities)
 
@@ -258,87 +258,65 @@ class OutcomeDistribution:
         object.__setattr__(self, "cdf", cdf)
 
 
-def _lanes(positions: np.ndarray, n: int) -> np.ndarray:
-    """Accumulator lane of each position in numpy's sum of n float64 values.
-
-    numpy sums pairwise (`pairwise_sum` in its `loops_utils.h.src`): below 8
-    values in order, in one lane; otherwise each block of 128 values (or of
-    all n) runs 8 interleaved lanes, accumulator pos % 8 of block pos // 128,
-    and a power-of-two n splits in halves down to its blocks.  The lanes are
-    numbered accumulator-major, so each accumulator's blocks are contiguous.
-    """
-    if n < 8:
-        return np.zeros_like(positions)
-    return (positions & 7) * max(1, n >> 7) + (positions >> 7)
-
-
-def _lane_count(n: int) -> int:
-    return 1 if n < 8 else max(8, n // 16)
-
-
-def _pairwise_fold(lanes: np.ndarray):
-    """numpy's pairwise sum from its lanes (axis 0), each filled in order.
-
-    Adding +0.0 leaves a sum of nonnegative values unchanged, so lanes that
-    skip the zeros hold numpy's accumulators.  Past one lane, the last add
-    writes a fresh array, so that the caller can own the result.
-    """
-    if len(lanes) == 1:
-        return lanes[0]
-    blocks = len(lanes) // 8
-    acc = lanes.reshape((8, blocks) + lanes.shape[1:]) if blocks > 1 else lanes
-    sums = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-    while blocks > 2:  # a power of two
-        sums = sums[0::2] + sums[1::2]
-        blocks //= 2
-    return sums[0] + sums[1] if blocks == 2 else sums
-
-
 @dataclass(frozen=True)
 class Support:
-    """A state's exactly nonzero amplitudes in the dense joint order, as |c|**2
-    and |c|, and the sums of their conjugates per Hamming weight of the joint
-    index.  Where |c| < 1.5e-154, |c|**2 underflows to +0.0, which adds nothing
-    to a flat sum, while the dense l_{1,p} sums still count that |c|."""
+    """A state's exactly nonzero amplitudes, as |c|**2 and |c|, column by
+    column: register-B columns in label order, each in row order.
+
+    `starts` holds the offset of the first entry of each column that has
+    one.  A column without an entry has no offset: `np.add.reduceat` would
+    give the next column's first value, not 0, for an empty segment.  Where
+    |c| < 1.5e-154, |c|**2 underflows to +0.0, which adds nothing to a flat
+    sum, while the l_{1,p} sums still count that |c|.
+    """
 
     probabilities: np.ndarray
     moduli: np.ndarray
-    weight_sums: np.ndarray
-    lanes: np.ndarray = field(repr=False)
-    dim: int  # 2**(t+L), the length of the dense array
+    starts: np.ndarray
 
     def flat_sum(self, values: np.ndarray) -> float:
-        """np.sum, float for float, of the dense array holding the nonnegative
-        `values`, one per entry, and +0.0 elsewhere (bincount adds in order)."""
-        lanes = np.bincount(self.lanes, values, minlength=_lane_count(self.dim))
-        return float(_pairwise_fold(lanes))
+        """The sum of `values`, one per entry: numpy's sum of each column's
+        values (`np.add.reduceat`), then the column sums by `math.fsum`, which
+        rounds their exact total once.  A column's sum depends on that column
+        alone and fsum on no order, so the float is the same however the
+        columns are split into chunks."""
+        return math.fsum(np.add.reduceat(values, self.starts).tolist())
 
 
 def nonzero_support(state: PureState) -> Support:
-    """The `Support` of `state`, each entry with its lane in the flat sum.
+    """The `Support` of `state`.
 
-    The lane of j * 2**L + label is that of j * 2**L plus that of the label:
-    j * 2**L mod 8 (mod 128) is a multiple of 2**L below 8 (128), so neither
-    pos % 8 nor pos // 128 carries.  A boolean mask reads the amplitudes,
-    their weights and both lane terms row by row; the complex copy is freed
-    before the lanes are built, out of their peak.  bincount adds in order,
-    and the conjugate's 0.0 - sum keeps a +0.0 sum from turning into -0.0.
+    The transpose of the column-major block is C-contiguous, so one boolean
+    mask over it reads the entries column by column, in memory order.
     """
-    block, labels, layout = state.block, state.labels, state.layout
-    shape, n = block.shape, layout.dim
-    keep = block != 0
-    amplitudes = block[keep]
-    weights = np.add.outer(np.bitwise_count(np.arange(shape[0])), np.bitwise_count(labels))[keep]
-    weight_sums = np.empty(layout.n + 1, dtype=np.complex128)
-    weight_sums.real = np.bincount(weights, amplitudes.real, minlength=layout.n + 1)
-    weight_sums.imag = 0.0 - np.bincount(weights, amplitudes.imag, minlength=layout.n + 1)
-    probabilities = amplitudes.real**2 + amplitudes.imag**2
-    moduli = np.abs(amplitudes)
-    del amplitudes
-    row_lanes = _lanes(np.arange(shape[0], dtype=np.intp) * layout.dim_b, n)
-    lanes = np.broadcast_to(_lanes(labels, n), shape)[keep]
-    lanes += np.broadcast_to(row_lanes[:, None], shape)[keep]
-    return Support(probabilities, moduli, weight_sums, lanes, n)
+    columns = state.block.T
+    keep = columns != 0
+    amplitudes = columns[keep]
+    counts = np.count_nonzero(keep, axis=1)
+    starts = (np.cumsum(counts) - counts)[counts > 0]
+    return Support(amplitudes.real**2 + amplitudes.imag**2, np.abs(amplitudes), starts)
+
+
+def weight_sums(state: PureState) -> np.ndarray:
+    """The n + 1 sums of conj(c) over the amplitudes c of `state`, per Hamming
+    weight of the joint index: all that the symmetric E_g optimizer reads.
+
+    One bincount each for the real and imaginary parts adds the entries in
+    column-major order, label by label and down each column, zeros
+    included: bincount adds in order from +0.0, and a zero of either sign
+    leaves a sum as it is, so the sums are those of the nonzero entries
+    alone.  A stream of column chunks keeps these floats if it adds each
+    chunk, in order, into the same sums (np.add.at).  The conjugate's
+    0.0 - sum keeps a +0.0 sum from turning into -0.0.
+    """
+    lay = state.layout
+    columns = state.block.T  # C-contiguous: one row per column
+    bins = np.add.outer(np.bitwise_count(state.labels), np.bitwise_count(np.arange(lay.Q)))
+    bins = bins.ravel()
+    sums = np.empty(lay.n + 1, dtype=np.complex128)
+    sums.real = np.bincount(bins, columns.real.ravel(), minlength=lay.n + 1)
+    sums.imag = 0.0 - np.bincount(bins, columns.imag.ravel(), minlength=lay.n + 1)
+    return sums
 
 
 def outcome_distribution(r: int, q: int) -> OutcomeDistribution:

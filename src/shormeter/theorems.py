@@ -176,7 +176,8 @@ def verify_stage(
     coherence closed forms, and the literal reading exists on psi3 only;
     each is None where no closed form applies.  The state's support is
     built once and every row reads it: the C_1p and C_alpha rows come from
-    one grid evaluation each, the E_g row from its weight sums.  Coherence
+    one grid evaluation each.  The E_g row reads the state's weight sums
+    (`statevec.weight_sums`), which only this report builds.  Coherence
     rows are gated at COHERENCE_GAP_TOL, or reported as not applicable when
     d is None.  Entanglement rows are never gated: the ansatz optimum and
     the closed-form readings are reported side by side.
@@ -190,7 +191,7 @@ def verify_stage(
     p_values = measures.l1p_coherence_grid(support, P_GRID_DEFAULT)
     alpha_values = measures.tsallis_coherence_grid(support, ALPHA_GRID_DEFAULT)
     cg = measures.geometric_coherence_pure(support)
-    opt = ent.geometric_entanglement_symmetric(support.weight_sums)
+    opt = ent.geometric_entanglement_symmetric(statevec.weight_sums(state))
     details: dict = {"ansatz_alpha": opt.alpha_angle, "ansatz_overlap_sq": opt.overlap_sq}
     if stage == "psi1":
         # The single-angle symmetric family misses this product state by a

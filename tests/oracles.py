@@ -1,11 +1,12 @@
 """Reference implementations and test-only helpers the tests compare against.
 
 Three kinds live here.  The dense expressions evaluate a pure-state measure
-over every amplitude of the state, zeros included; `shormeter.measures`
-must reproduce them bit for bit from the nonzero support, and the
-single-point wrappers evaluate a one-element grid on `support_of(vector)`,
-the support of the vector zero-padded to a power of two and held as a
-`PureState` (`as_state`).  The density-matrix measures (eigendecomposition
+over the dense (Q, 2**L) array of a state, one register-B column at a time:
+every sum over a state is defined that way (`column_flat_sum`), and
+`shormeter.measures` must reproduce them bit for bit from the nonzero
+support.  The single-point wrappers evaluate a one-element grid on
+`support_of(vector)`, the support of the vector zero-padded to a power of
+two and held as a `PureState` (`as_state`).  The density-matrix measures (eigendecomposition
 based) are independent routes, capped at dim <= 256.  The relative-entropy and skew-information
 coherences are included because the Tsallis family reduces to them at
 alpha -> 1 and alpha = 1/2.  The circuit and entanglement oracles (dense
@@ -18,9 +19,9 @@ inverse transform gates on a held state, the outcome distribution of a
 held state and the whole-array form of the closed-form one, loop-summed
 closed-form overlaps, dense all-starts product-family optimizer,
 brute-force product-state search, symmetric optimum and overlap through a
-state's support, weight sums by np.add.at, alpha-peak search)
-the candidate-set order recovery, and small helpers (`as_state`, `support_of`, `mod_pow`, `register_b_support`,
-`dump_nonzero_json`) serve only the tests, so they are kept out of the
+state's weight sums, weight sums by np.add.at, alpha-peak search)
+the candidate-set order recovery, and small helpers (`as_state`, `support_of`,
+`dense_grid`, `mod_pow`, `register_b_support`, `dump_nonzero_json`) serve only the tests, so they are kept out of the
 library.
 """
 
@@ -51,11 +52,9 @@ from shormeter.statevec import (
     OutcomeDistribution,
     PureState,
     Support,
-    _lane_count,
-    _lanes,
-    _pairwise_fold,
     _sin_squared,
     nonzero_support,
+    weight_sums,
 )
 
 ZERO_TOL = 1e-12  # the test helpers count amplitudes below this modulus as zeros
@@ -75,32 +74,56 @@ def _shannon_nats(p: np.ndarray) -> float:
     return float(-np.sum(nz * np.log(nz)))
 
 
-def dense_tsallis_pure(state: np.ndarray, alpha: float) -> float:
-    """(sum_i |c_i|**(2/alpha) - 1) / (alpha - 1) over all amplitudes."""
+def column_flat_sum(grid: np.ndarray, values: np.ndarray) -> float:
+    """The flat sum of `values` over the exactly nonzero entries of the dense
+    (Q, 2**L) amplitude array `grid`, by its definition: each register-B
+    column's values in row order, summed as np.add.reduceat sums a segment
+    (its first value plus numpy's sum of the rest), then the column sums by
+    math.fsum.  A column without a nonzero entry adds nothing."""
+    sums = []
+    for amplitudes, column in zip(grid.T, values.T):
+        v = column[amplitudes != 0]
+        if v.size:
+            sums.append(v[0] + np.sum(v[1:]))
+    return math.fsum(sums)
+
+
+def dense_grid(state: PureState) -> np.ndarray:
+    """The (Q, 2**L) array of all amplitudes of a column-stored state."""
+    return to_dense(state).reshape(state.layout.Q, state.layout.dim_b)
+
+
+def dense_tsallis_pure(state: PureState, alpha: float) -> float:
+    """(sum_i |c_i|**(2/alpha) - 1) / (alpha - 1), each sum a `column_flat_sum`
+    over the dense array; at alpha -> 1, -sum_i p_i log p_i, with 0 log 0 = 0."""
     validate_alpha(alpha)
-    p = _pure_probs(state)
+    grid = dense_grid(state)
+    p = grid.real**2 + grid.imag**2
     if abs(alpha - 1.0) <= ALPHA_ONE_TOL:
-        return _shannon_nats(p)
-    total = float(np.sum(p ** (1.0 / alpha)))
-    return (total - 1.0) / (alpha - 1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(p > 0.0, p * np.log(p), 0.0)
+        return -column_flat_sum(grid, terms)
+    return (column_flat_sum(grid, p ** (1.0 / alpha)) - 1.0) / (alpha - 1.0)
 
 
-def dense_l1p_pure(state: np.ndarray, p: float) -> float:
-    """sum_j |c_j| * (sum_{i != j} |c_i|**p)**(1/p) over all amplitudes."""
+def dense_l1p_pure(state: PureState, p: float) -> float:
+    """sum_j |c_j| * (sum_{i != j} |c_i|**p)**(1/p), each sum a
+    `column_flat_sum` over the dense array."""
     if not 1.0 <= p <= 2.0:
         raise ValueError(f"p must lie in [1, 2], got {p}")
-    a = np.abs(np.asarray(state, dtype=np.complex128).reshape(-1))
+    grid = dense_grid(state)
+    a = np.abs(grid)
     rest = a**p
-    np.subtract(np.sum(rest), rest, out=rest)
+    np.subtract(column_flat_sum(grid, rest), rest, out=rest)
     np.clip(rest, 0.0, None, out=rest)
     rest **= 1.0 / p
     rest *= a
-    return float(np.sum(rest))
+    return column_flat_sum(grid, rest)
 
 
-def dense_geometric_pure(state: np.ndarray) -> float:
+def dense_geometric_pure(state: PureState) -> float:
     """1 - max_i |c_i|**2 over all amplitudes."""
-    return float(max(0.0, 1.0 - _pure_probs(state).max()))
+    return float(max(0.0, 1.0 - _pure_probs(to_dense(state)).max()))
 
 
 def as_state(vec: np.ndarray) -> PureState:
@@ -390,31 +413,21 @@ def apply_inverse_qft_A(state: PureState) -> PureState:
     return _register_a_gate(state, _inverse_qft_columns)
 
 
-def row_sums_of_squares(block: np.ndarray, labels: np.ndarray, width: int) -> np.ndarray:
-    """np.sum(dense, axis=1) of the (Q, width) array holding |block|**2 at
-    columns `labels` and +0.0 elsewhere, float for float, without building it.
-
-    Each row is its own pairwise sum of `width` values; one column at a time
-    is added to the lane of its label, for all rows at once.
-    """
-    q = block.shape[0]
-    lanes = np.zeros((_lane_count(width), q))
-    col = np.empty(q)
-    for c, lane in enumerate(_lanes(labels, width).tolist()):
-        np.abs(block[:, c], out=col)
-        np.square(col, out=col)
-        lanes[lane] += col
-    return _pairwise_fold(lanes)
+def row_sums_of_squares(block: np.ndarray) -> np.ndarray:
+    """The row sums of |block|**2, each a running sum (np.add.accumulate)
+    over the stored columns in label order.  The columns that are not stored
+    would add +0.0, which changes no sum of nonnegative values."""
+    return np.add.accumulate(np.square(np.abs(block)), axis=1)[:, -1]
 
 
 def measurement_distribution_A(state: PureState) -> OutcomeDistribution:
     """p_k = sum_y |amplitude(k, y)|**2 of a held state, over all 2**L values of y.
 
-    The row sums of numpy over the dense (Q, 2**L) array, read from the
-    occupied columns only.  `statevec.final_distribution` must give the same
-    bytes on psi3 without holding it.
+    The row sums over the occupied columns, added in label order.
+    `statevec.final_distribution` must give the same bytes on psi3 without
+    holding it.
     """
-    return OutcomeDistribution(row_sums_of_squares(state.block, state.labels, state.layout.dim_b))
+    return OutcomeDistribution(row_sums_of_squares(state.block))
 
 
 def whole_array_outcome_probabilities(r: int, q: int) -> np.ndarray:
@@ -577,8 +590,8 @@ def dense_marginal_seed(state: PureState) -> list[np.ndarray]:
 
 
 def symmetric_optimum(state: PureState) -> SymmetricOptimum:
-    """The symmetric-ansatz optimum of a state, from the weight sums of its support."""
-    return geometric_entanglement_symmetric(nonzero_support(state).weight_sums)
+    """The symmetric-ansatz optimum of a state, from its weight sums."""
+    return geometric_entanglement_symmetric(weight_sums(state))
 
 
 def _symmetric_seed(state: PureState) -> list[np.ndarray]:
@@ -623,17 +636,19 @@ def all_starts_product_entanglement(
 
 
 def symmetric_overlap(state: PureState, alpha_angle: float) -> complex:
-    """<state | eta(alpha)^(tensor n)> from the weight sums of its support."""
-    return _overlap_from_coefficients(nonzero_support(state).weight_sums, alpha_angle)
+    """<state | eta(alpha)^(tensor n)> from its weight sums."""
+    return _overlap_from_coefficients(weight_sums(state), alpha_angle)
 
 
 def add_at_weight_sums(state: PureState) -> np.ndarray:
     """Conjugated amplitude sums per Hamming weight of the joint index: np.add.at
-    over the exactly nonzero entries of the dense vector, in index order."""
-    dense = to_dense(state)
-    index = np.flatnonzero(dense)
-    sums = np.zeros(state.layout.n + 1, dtype=np.complex128)
-    np.add.at(sums, np.bitwise_count(index), dense[index].conj())
+    over the exactly nonzero entries of the dense (Q, 2**L) array in
+    column-major order, down each register-B column in label order."""
+    lay = state.layout
+    columns = dense_grid(state).T
+    labels, rows = np.nonzero(columns)  # row-major over the transpose
+    sums = np.zeros(lay.n + 1, dtype=np.complex128)
+    np.add.at(sums, np.bitwise_count(rows * lay.dim_b + labels), columns[labels, rows].conj())
     return sums
 
 

@@ -9,7 +9,7 @@ from shormeter import entanglement as ent
 from shormeter import make_instance, run_order_finding_circuit
 from shormeter.cli import _perturbed
 from shormeter.numtheory import RegisterLayout
-from shormeter.statevec import PureState, nonzero_support
+from shormeter.statevec import PureState, weight_sums
 
 
 def product_state(layout, rng):
@@ -133,7 +133,7 @@ def test_seed_basis_arrays_are_read_only():
 
 def test_symmetric_optimum_is_the_same_from_a_cold_cache():
     sums = [
-        nonzero_support(state).weight_sums
+        weight_sums(state)
         for state in run_order_finding_circuit(make_instance(21, 2, t=10))
     ]
     ent.geometric_entanglement_symmetric(sums[0])
@@ -144,7 +144,7 @@ def test_symmetric_optimum_is_the_same_from_a_cold_cache():
 
 
 def test_overlap_matches_the_uncached_sum_float_for_float(pipeline15):
-    coeff = nonzero_support(pipeline15[2]).weight_sums
+    coeff = weight_sums(pipeline15[2])
     n = len(coeff) - 1
     w = np.arange(n + 1)
     for angle in np.linspace(0.0, math.pi, 50).tolist():
@@ -396,13 +396,18 @@ def test_product_family_memory_stays_on_register_a():
 
 
 def test_weight_sums_match_bit_loop():
+    # in column-major order: down each register-B column, label by label
     rng = np.random.default_rng(5)
     state = random_state(RegisterLayout(t=3, L=3), rng)
+    lay = state.layout
     dense = oracles.to_dense(state)
-    expected = np.zeros(state.layout.n + 1, dtype=np.complex128)
-    for i in np.flatnonzero(dense):
-        expected[int(i).bit_count()] += dense[i].conj()
-    assert np.array_equal(nonzero_support(state).weight_sums, expected)
+    expected = np.zeros(lay.n + 1, dtype=np.complex128)
+    for y in range(lay.dim_b):
+        for j in range(lay.Q):
+            i = j * lay.dim_b + y
+            if dense[i] != 0:
+                expected[i.bit_count()] += dense[i].conj()
+    assert np.array_equal(weight_sums(state), expected)
 
 
 # orders r = 4, 4, 16, 8, 16, 1, 2

@@ -6,15 +6,16 @@ them byte for byte (``simulate`` and ``verify`` on N=15, where r | Q, and on
 N=21, where it does not; ``simulate`` on N=51 and N=17, whose orders 8 and
 16 give irrational phases in the post-transform closed-form sum, and whose
 psi3 at N=17 t=15 is transformed in two chunks of 8 columns; ``simulate``
-on N=129, whose L = 8 puts a 128-entry lane block inside one row and 8 label
-bits into the Hamming weights, and whose r = 42 does not divide Q; ``verify
+on N=129, whose L = 8 puts 8 label bits into the Hamming weights, and
+whose r = 42 does not divide Q; ``verify
 --debug-perturb`` on N=21, which runs E_g and the product-family optimizer
 on a psi1 that is not a product state; dense ``factor`` on N=49 at the
 default t, whose 42 image columns are transformed in several chunks).
 They pin the output of numpy 2.4.6; another numpy may round FFTs and
 reductions differently, and regenerating them is then a deliberate step:
-``PYTHONPATH=src python tests/test_golden.py`` rewrites every file from the
-argv its test runs.  The closed-form sums accumulate left to right with
+``PYTHONPATH=src python tests/golden_delta.py`` prints, per file, what a
+change moved, and ``PYTHONPATH=src python tests/test_golden.py`` then
+rewrites every file from the argv its test runs.  The closed-form sums accumulate left to right with
 numpy, so they no longer depend on the interpreter's builtin ``sum()``,
 which compensates from Python 3.12 on.
 """

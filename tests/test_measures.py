@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from oracles import (
     as_state,
+    column_flat_sum,
     dense_geometric_pure,
+    dense_grid,
     dense_l1p_pure,
     dense_tsallis_pure,
     l1p_coherence_density,
@@ -128,13 +130,16 @@ def test_l1p_pure_basics():
 
 
 def test_l1p_pure_matches_out_of_place_formula_bitwise():
+    # each sum runs column by column over the dense (Q, 2) array of the
+    # padded vector, as the single-point wrapper holds it
     rng = np.random.default_rng(47)
     for psi in (random_pure(4096, rng), uniform(256), PLUS):
-        a = np.abs(psi)
+        grid = dense_grid(as_state(psi))
+        a = np.abs(grid)
         for p in (1.0, 1.05, 1.5, 2.0):
             ap = a**p
-            expected = float(np.sum(a * np.clip(np.sum(ap) - ap, 0.0, None) ** (1.0 / p)))
-            assert l1p_coherence_pure(psi, p) == expected
+            rest = np.clip(column_flat_sum(grid, ap) - ap, 0.0, None) ** (1.0 / p)
+            assert l1p_coherence_pure(psi, p) == column_flat_sum(grid, a * rest)
 
 
 def test_l1p_density_matches_pure_and_l1_reduction():
@@ -266,14 +271,14 @@ def test_grids_equal_dense_expressions(psi, alphas, ps):
     # the state drops its all-zero columns; the dense expressions run over
     # the same zero-padded vector
     state = as_state(psi)
-    padded, support = to_dense(state), nonzero_support(state)
+    support = nonzero_support(state)
     assert tsallis_coherence_grid(support, alphas) == [
-        dense_tsallis_pure(padded, a) for a in alphas
+        dense_tsallis_pure(state, a) for a in alphas
     ]
-    assert l1p_coherence_grid(support, ps) == [dense_l1p_pure(padded, p) for p in ps]
-    assert geometric_coherence_pure(support) == dense_geometric_pure(padded)
-    assert tsallis_coherence_pure(psi, alphas[0]) == dense_tsallis_pure(padded, alphas[0])
-    assert l1p_coherence_pure(psi, ps[0]) == dense_l1p_pure(padded, ps[0])
+    assert l1p_coherence_grid(support, ps) == [dense_l1p_pure(state, p) for p in ps]
+    assert geometric_coherence_pure(support) == dense_geometric_pure(state)
+    assert tsallis_coherence_pure(psi, alphas[0]) == dense_tsallis_pure(state, alphas[0])
+    assert l1p_coherence_pure(psi, ps[0]) == dense_l1p_pure(state, ps[0])
 
 
 def tsallis_rounding(alpha):
@@ -356,18 +361,17 @@ def test_grids_equal_dense_expressions_on_circuit_states(tmp_path, n, x, t):
         with open(out, newline="") as fh:
             sweeps[measure] = [[float(v) for v in row[:4]] for row in list(csv.reader(fh))[1:]]
     for column, state in enumerate(states, start=1):
-        amps = to_dense(state)
         for row in sweeps["tsallis"]:
-            assert row[column] == dense_tsallis_pure(amps, row[0])
+            assert row[column] == dense_tsallis_pure(state, row[0])
         for row in sweeps["l1p"]:
-            assert row[column] == dense_l1p_pure(amps, row[0])
+            assert row[column] == dense_l1p_pure(state, row[0])
         alphas, ps = theorems.ALPHA_GRID_DEFAULT, theorems.P_GRID_DEFAULT
         support = nonzero_support(state)
         assert tsallis_coherence_grid(support, alphas) == [
-            dense_tsallis_pure(amps, a) for a in alphas
+            dense_tsallis_pure(state, a) for a in alphas
         ]
-        assert l1p_coherence_grid(support, ps) == [dense_l1p_pure(amps, p) for p in ps]
-        assert geometric_coherence_pure(support) == dense_geometric_pure(amps)
+        assert l1p_coherence_grid(support, ps) == [dense_l1p_pure(state, p) for p in ps]
+        assert geometric_coherence_pure(support) == dense_geometric_pure(state)
 
 
 def uniform_stage(n, x, t):
