@@ -646,10 +646,10 @@ def test_row_sums_match_numpy_over_the_dense_row(L, q, fill, zero_rows, zero_col
 
 def unnormalised_state(L, t, fill, zero_rows, zero_cols, scale, seed):
     """A random block on the columns of a random label set, with exact zeros
-    in whole rows or columns, held without normalising: the support's
-    builder reads only the block, its labels and the layout, so a block
-    whose |c|**2 may all underflow, or that has an all-zero column, stands
-    in for a state."""
+    in whole rows or columns, held without normalising: `nonzero_support`
+    reads only the block, its labels and the layout, so a block whose
+    |c|**2 may all underflow, or that has an all-zero column, stands in for
+    a state."""
     width, q = 2**L, 2**t
     rng = np.random.default_rng(seed)
     labels = np.flatnonzero(rng.random(width) < fill)
