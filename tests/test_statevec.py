@@ -683,14 +683,6 @@ unnormalised_states = st.builds(
 )
 
 
-def modulus(c):
-    return np.abs(c)
-
-
-def probability(c):
-    return c.real**2 + c.imag**2
-
-
 @settings(max_examples=120, deadline=None)
 @given(unnormalised_states)
 @example(unnormalised_state(L=1, t=1, fill=1.0, zero_rows=False, zero_cols=False, scale=1.0, seed=0))
@@ -705,7 +697,10 @@ def test_flat_sum_matches_numpy_over_the_dense_vector(state):
     support = nonzero_support(state)
     grid = unnormalised_grid(state)
     amps = grid.T[grid.T != 0]  # the nonzero amplitudes column by column
-    for got, of in ((support.moduli, modulus), (support.probabilities, probability)):
+    for got, of in (
+        (support.moduli, np.abs),
+        (support.probabilities, lambda c: c.real**2 + c.imag**2),
+    ):
         assert got.tobytes() == of(amps).tobytes()
         assert np.float64(support.flat_sum(got)).tobytes() == (
             np.float64(column_flat_sum(grid, of(grid))).tobytes()
