@@ -56,6 +56,8 @@ OTHERS = (
     "simulate --n 21 --t 8 --seed 5",
     "factor --n 91 --t 10 --seed 2 --max-attempts 3",
     "factor --n 33 --t 9 --seed 1 --fast",
+    "factor --n 129 --x 5 --seed 3 --fast",
+    "factor --n 249 --x 4 --seed 3 --fast",
     # argparse rejects these
     "simulate",
     "simulate --n zz",

@@ -10,7 +10,10 @@ on N=129, whose L = 8 puts 8 label bits into the Hamming weights, and
 whose r = 42 does not divide Q; ``verify
 --debug-perturb`` on N=21, which runs E_g and the product-family optimizer
 on a psi1 that is not a product state; dense ``factor`` on N=49 at the
-default t, whose 42 image columns are transformed in several chunks).
+default t, whose 42 image columns are transformed in several chunks;
+``factor --fast`` on N=129 (r = 42, gcd(r, Q) = 2) and N=249 (odd r = 41)
+at the default t = 19, which pin the sampled outcomes of the closed-form
+distribution at Q = 2**19).
 They pin the output of numpy 2.4.6; another numpy may round FFTs and
 reductions differently, and regenerating them is then a deliberate step:
 ``PYTHONPATH=src python tests/golden_delta.py`` prints, per file, what a
@@ -45,13 +48,22 @@ CASES = {
     "factor_n15_x7_t8_s3.json": "factor --n 15 --x 7 --t 8 --seed 3",
     "factor_fast_n15_x7_t8_s3.json": "factor --n 15 --x 7 --t 8 --seed 3 --fast",
     "factor_n49_x3_s3.json": "factor --n 49 --x 3 --seed 3",
+    "factor_fast_n129_x5_s3.json": "factor --n 129 --x 5 --seed 3 --fast",
+    "factor_fast_n249_x4_s3.json": "factor --n 249 --x 4 --seed 3 --fast",
 }
 # Commands that end with a nonzero exit code; every other case exits 0.
 # r = 42 does not divide Q = 2**15, and x**21 = -1 (mod 49) gives no factor,
 # so all ten attempts find the order and the run gives up.
 # The perturbed psi1 and psi2 miss their coherence closed forms, so the
 # verify run with --debug-perturb fails its gates.
-EXIT_CODES = {"factor_n49_x3_s3.json": 1, "verify_perturb_n21_x2_t10.json": 1}
+# The two --fast runs at the default t = 19 find the order every time, but
+# it gives no factor: r = 42 with 5**21 = -1 (mod 129), and the odd r = 41.
+EXIT_CODES = {
+    "factor_n49_x3_s3.json": 1,
+    "verify_perturb_n21_x2_t10.json": 1,
+    "factor_fast_n129_x5_s3.json": 1,
+    "factor_fast_n249_x4_s3.json": 1,
+}
 
 
 def test_every_golden_file_has_a_case():
