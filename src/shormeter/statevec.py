@@ -331,12 +331,16 @@ def outcome_distribution(r: int, q: int) -> OutcomeDistribution:
         F(n, k) = sin(pi (n r k mod Q) / Q)**2 / sin(pi (r k mod Q) / Q)**2,
 
     with F(n, k) = n**2 where r k = 0 (mod Q), that is at the multiples of
-    Q / gcd(r, Q).  This is exact for every r, including r not dividing Q
-    and r > Q (n0 = 0, a uniform distribution).  Q must be a power of two,
-    so a phase reduces mod Q with a mask; it is capped at 2**31, so the
-    phase products fit int64.  The passes run a window of outcomes at a
-    time in four small buffers, so the only Q-long arrays are the
-    probabilities and their CDF.
+    P = Q / gcd(r, Q).  This is exact for every r, including r not dividing
+    Q and r > Q (n0 = 0, a uniform distribution).  Each sine is evaluated at
+    its phase m reflected to min(m, Q - m), the same value in exact
+    arithmetic and a float argument of at most pi / 2, so every p_k is
+    accurate to a few ulps for every Q; then p_k repeats with period P and
+    p_(P - k) = p_k, bit for bit, and only k in [0, P/2] is evaluated.  Q
+    must be a power of two, so a phase reduces mod Q with a mask; it is
+    capped at 2**31, so the phase products fit int64.  The passes run a
+    window of outcomes at a time in four small buffers, so the only Q-long
+    arrays are the probabilities and their CDF.
     """
     if r < 1:
         raise ValueError(f"order must be >= 1, got {r}")
@@ -348,43 +352,58 @@ def outcome_distribution(r: int, q: int) -> OutcomeDistribution:
 
 
 def _sin_squared(phase: np.ndarray, q: int, out: np.ndarray) -> np.ndarray:
-    """np.sin(np.pi * phase / q) ** 2 into `out`, float for float."""
-    np.multiply(phase, np.pi, out=out)
+    """sin(pi m / Q)**2 for each phase m in [0, Q) into `out`, with m first
+    reflected to min(m, Q - m): the float argument pi m / Q is then at most
+    pi / 2, where sin loses nothing, not near pi, where the rounding of the
+    argument costs about u * Q of the result, and m and Q - m give the same
+    float."""
+    np.subtract(q, phase, out=out)
+    np.minimum(phase, out, out=out)
+    out *= np.pi
     out /= q
     np.sin(out, out=out)
     return np.square(out, out=out)
 
 
 # `_outcome_probabilities` runs its passes over windows of this many
-# outcomes, on four buffers of 64 KiB that stay in cache; a power of two, so
-# that the windows tile Q
+# outcomes, on four buffers of 64 KiB that stay in cache
 _WINDOW = 2**13
 
 
 def _outcome_probabilities(r: int, q: int) -> np.ndarray:
     """The p_k of `outcome_distribution`, read-only.
 
-    Each window of outcomes runs the same per-element passes that one
-    Q-long array would, on small reused buffers, so the floats do not depend
-    on the window; only the output is Q long.
+    p_k reads k only through the phases r k mod Q and n r k mod Q, so it
+    repeats with the period P = Q / gcd(r, Q), float for float; and with
+    every phase reflected (`_sin_squared`), k and P - k give the same
+    phases, so p_{P - k} = p_k bit for bit.  The passes therefore run on
+    k in [0, P/2] only, whose one peak is k = 0; one reversed copy fills
+    (P/2, P), and copies of [0, P), doubling, fill the rest.  Each window of
+    outcomes runs the same per-element passes that one Q-long array would,
+    on small reused buffers, so the floats do not depend on the window; only
+    the output is Q long.
     """
     n0, rho = divmod(q, r)
     mask = q - 1
     period = q // math.gcd(r, q)  # r k = 0 (mod Q) at the multiples of period
+    head = min(period, period // 2 + 1)  # k in [0, P/2]
     terms = [(n, count) for n, count in ((n0 + 1, rho), (n0, r - rho)) if n and count]
-    width = min(q, _WINDOW)
+    width = min(head, _WINDOW)
     offsets = np.arange(width, dtype=np.int64)
-    step, phase = np.empty(width, dtype=np.int64), np.empty(width, dtype=np.int64)
-    inv_den, ratio = np.empty(width), np.empty(width)
+    steps, phases = np.empty(width, dtype=np.int64), np.empty(width, dtype=np.int64)
+    inv_dens, ratios = np.empty(width), np.empty(width)
     total = np.empty(q)
-    for c0 in range(0, q, width):
-        window = total[c0 : c0 + width]
-        peaks = slice((-c0) % period, None, period)
-        np.add(offsets, c0, out=step)
+    for c0 in range(0, head, width):
+        size = min(width, head - c0)
+        window = total[c0 : c0 + size]
+        step, phase = steps[:size], phases[:size]
+        inv_den, ratio = inv_dens[:size], ratios[:size]
+        np.add(offsets[:size], c0, out=step)
         step *= r & mask
         step &= mask
         _sin_squared(step, q, inv_den)
-        inv_den[peaks] = 1.0  # keeps 1/0 out; the peaks take n**2 below
+        if c0 == 0:
+            inv_den[0] = 1.0  # keeps 1/0 out; the peak takes n**2 below
         np.divide(1.0, inv_den, out=inv_den)
         for index, (n, count) in enumerate(terms):
             # n r k = n (r k mod Q) (mod Q); the first term fills the window
@@ -393,11 +412,16 @@ def _outcome_probabilities(r: int, q: int) -> np.ndarray:
             phase &= mask
             _sin_squared(phase, q, out)
             out *= inv_den
-            out[peaks] = float(n * n)
+            if c0 == 0:
+                out[0] = float(n * n)
             out *= count
             if index:
                 window += ratio
         window /= float(q) * q
+    total[head:period] = total[period - head : 0 : -1]
+    while period < q:
+        total[period : 2 * period] = total[:period]
+        period *= 2
     total.setflags(write=False)
     return total
 

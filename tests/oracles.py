@@ -30,6 +30,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from decimal import Decimal
+from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -47,12 +49,11 @@ from shormeter.measures import (
     tsallis_coherence_grid,
     validate_alpha,
 )
-from shormeter.numtheory import RegisterLayout, ShorInstance, continued_fraction_convergents
+from shormeter.numtheory import RegisterLayout, ShorInstance
 from shormeter.statevec import (
     OutcomeDistribution,
     PureState,
     Support,
-    _sin_squared,
     nonzero_support,
     weight_sums,
 )
@@ -236,6 +237,35 @@ def mod_pow(x: int, e: int, n: int) -> int:
     if e < 0:
         raise ValueError(f"exponent must be >= 0, got {e}")
     return pow(x, e, n)
+
+
+def continued_fraction_convergents(k: int, q: int) -> list[Fraction]:
+    """Convergents of k/q in lowest terms, ending at k/q itself.
+
+    Denominators are strictly increasing; when the leading 0/1 and the next
+    convergent tie at denominator 1 only the later one is kept.  k=0 yields
+    the single convergent 0/1.  `numtheory.recover_order` steps only the
+    denominators' recurrence and must read the same denominators.
+    """
+    if q <= 0:
+        raise ValueError(f"denominator must be positive, got {q}")
+    if not 0 <= k < q:
+        raise ValueError(f"need 0 <= k < q, got k={k}, q={q}")
+    digits = []
+    a, b = k, q
+    while b:
+        digits.append(a // b)
+        a, b = b, a % b
+    convs = [Fraction(digits[0], 1)]
+    p_prev, p_cur = 1, digits[0]
+    q_prev, q_cur = 0, 1
+    for d in digits[1:]:
+        p_prev, p_cur = p_cur, d * p_cur + p_prev
+        q_prev, q_cur = q_cur, d * q_cur + q_prev
+        convs.append(Fraction(p_cur, q_cur))
+    if len(convs) > 1 and convs[1].denominator == 1:
+        convs.pop(0)
+    return convs
 
 
 def candidate_set_recover_order(k: int, instance: ShorInstance) -> Optional[int]:
@@ -430,17 +460,24 @@ def measurement_distribution_A(state: PureState) -> OutcomeDistribution:
     return OutcomeDistribution(row_sums_of_squares(state.block))
 
 
+def _reflected_sin_squared(phase: np.ndarray, q: int) -> np.ndarray:
+    """sin(pi m / Q)**2 with each phase m reflected to min(m, Q - m)."""
+    return np.square(np.sin(np.pi * np.minimum(phase, q - phase) / q))
+
+
 def whole_array_outcome_probabilities(r: int, q: int) -> np.ndarray:
-    """The p_k of `statevec.outcome_distribution`, each pass over one Q-long
-    array; the library runs the same passes a window at a time and must give
-    the same bytes."""
+    """The p_k of `statevec.outcome_distribution` by its definition: every k
+    of [0, Q), each pass over one Q-long array, every phase reflected before
+    its sine.  The library evaluates only k in [0, P/2], a window at a time,
+    fills the rest by the mirror p_{P - k} = p_k and the period P, and must
+    give the same bytes."""
     n0, rho = divmod(q, r)
     mask = q - 1
     peaks = slice(None, None, q // math.gcd(r, q))  # the k with r k = 0 (mod Q)
     step = np.arange(q, dtype=np.int64)
     step *= r & mask
     step &= mask
-    inv_den = _sin_squared(step, q, np.empty(q))
+    inv_den = _reflected_sin_squared(step, q)
     inv_den[peaks] = 1.0
     np.divide(1.0, inv_den, out=inv_den)
     total = None
@@ -448,13 +485,51 @@ def whole_array_outcome_probabilities(r: int, q: int) -> np.ndarray:
         if n and count:
             phase = step * (n & mask)
             phase &= mask
-            ratio = _sin_squared(phase, q, np.empty(q))
+            ratio = _reflected_sin_squared(phase, q)
             ratio *= inv_den
             ratio[peaks] = float(n * n)
             ratio *= count
             total = ratio if total is None else total + ratio
     total /= float(q) * q
     return total
+
+
+# pi as a 32-bit head and a long-double tail: the head times any phase below
+# 2**31 is exact in a 64-bit significand
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
+_PI_HEAD_UNITS = int(_PI * 2**30)
+
+
+def _long_double_sin_squared(phase: np.ndarray, q: int) -> np.ndarray:
+    """sin(pi m / Q)**2 in long double at the unreflected phase m: the
+    argument is head + tail, with head = pi_head * m / Q exact and tail =
+    pi_tail * m / Q below 1e-9, and sin(head + tail) is expanded by the sum
+    formula, so no rounding of an argument near pi enters."""
+    m = phase.astype(np.longdouble)
+    head = np.ldexp(np.longdouble(_PI_HEAD_UNITS), -30) * m / q
+    tail = np.longdouble(str(_PI - Decimal(_PI_HEAD_UNITS) / 2**30)) * m / q
+    sin = np.sin(head) * np.cos(tail) + np.cos(head) * np.sin(tail)
+    return sin * sin
+
+
+def long_double_outcome_probabilities(r: int, q: int) -> np.ndarray:
+    """The p_k of `statevec.outcome_distribution` by the unreflected closed
+    form, evaluated in long double.  Where long double has a 64-bit
+    significand it is accurate to about 1e-18 relative at Q = 2**19: an
+    argument pi m / Q rounded to long double near pi alone would cost
+    u * Q, 2.4e-14 there."""
+    n0, rho = divmod(q, r)
+    step = np.arange(q, dtype=np.int64) * r % q
+    peaks = step == 0
+    den = _long_double_sin_squared(step, q)
+    den[peaks] = 1
+    total = np.zeros(q, dtype=np.longdouble)
+    for n, count in ((n0 + 1, rho), (n0, r - rho)):
+        if n and count:
+            ratio = _long_double_sin_squared(step * n % q, q) / den
+            ratio[peaks] = n * n
+            total += count * ratio
+    return total / (np.longdouble(q) * q)
 
 
 def ideal_psi3(instance: ShorInstance) -> PureState:

@@ -27,6 +27,7 @@ from oracles import (
     register_b_support,
     row_sums_of_squares,
     to_dense,
+    long_double_outcome_probabilities,
     whole_array_outcome_probabilities,
 )
 from shormeter import entanglement as ent
@@ -595,6 +596,32 @@ def test_windowed_outcome_probabilities_match_the_whole_array_form(monkeypatch, 
         for r in list(range(1, 41)) + [64, 100, 257, 513, 1000, 2**14 + 3]:
             got = statevec._outcome_probabilities(r, q)
             assert got.tobytes() == whole_array_outcome_probabilities(r, q).tobytes(), (r, q)
+
+
+@pytest.mark.parametrize("r", [1, 40, 41, 42, 2**14 + 3])
+def test_outcome_probabilities_mirror_and_repeat_bit_for_bit(r):
+    # p_{Q - k} = p_k for k >= 1, and p_{k + P} = p_k with P = Q / gcd(r, Q)
+    for q in (2**e for e in range(20)):
+        p = statevec._outcome_probabilities(r, q)
+        period = q // math.gcd(r, q)
+        assert p[1:].tobytes() == p[1:][::-1].tobytes(), (r, q)
+        assert p[period:].tobytes() == p[: q - period].tobytes(), (r, q)
+
+
+@pytest.mark.skipif(
+    not np.finfo(np.longdouble).eps < 1e-18, reason="long double is not wider than float64"
+)
+@pytest.mark.parametrize("r", [41, 42])
+def test_outcome_probabilities_are_accurate_at_every_outcome(r):
+    # the unreflected sin(pi m / Q) with m near Q loses about u * Q: 1.1e-10
+    # relative at r = 41 here
+    q = 2**19
+    exact = long_double_outcome_probabilities(r, q)
+    got = statevec._outcome_probabilities(r, q)
+    kept = exact >= 1e-12
+    assert kept.sum() > q // 2
+    error = np.abs(got[kept] - exact[kept]) / exact[kept]
+    assert float(error.max()) <= 1e-14
 
 
 @settings(max_examples=60, deadline=None)
