@@ -10,16 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from typing import Optional
+from typing import Iterator, Optional
 
 __all__ = [
     "RegisterLayout",
     "ShorInstance",
     "brief",
-    "continued_fraction_convergents",
     "extract_factors",
     "find_order_bruteforce",
     "make_instance",
@@ -144,32 +142,24 @@ def make_instance(
     return ShorInstance(N=N, x=x, t=sizes.t if t is None else t, L=sizes.L)
 
 
-def continued_fraction_convergents(k: int, q: int) -> list[Fraction]:
-    """Convergents of k/q in lowest terms, ending at k/q itself.
+def _convergent_denominators(k: int, q: int) -> Iterator[int]:
+    """Denominators of the convergents of k/q, 0 <= k < q, strictly
+    increasing, ending at q / gcd(k, q).
 
-    Denominators are strictly increasing; when the leading 0/1 and the next
-    convergent tie at denominator 1 only the later one is kept.  k=0 yields
-    the single convergent 0/1.
+    The integer recurrence D_i = a_i D_(i-1) + D_(i-2) on the partial
+    quotients a_i of k/q, with no numerators: k/q = [0; a_1, a_2, ...], so
+    D_0 = 1 for the leading 0/1, which is dropped when the next convergent
+    also has denominator 1 (a_1 = 1, that is k/q > 1/2).
     """
-    if q <= 0:
-        raise ValueError(f"denominator must be positive, got {q}")
-    if not 0 <= k < q:
-        raise ValueError(f"need 0 <= k < q, got k={k}, q={q}")
-    digits = []
-    a, b = k, q
+    if 2 * k <= q:
+        yield 1
+    prev, cur = 0, 1
+    a, b = q, k
     while b:
-        digits.append(a // b)
-        a, b = b, a % b
-    convs = [Fraction(digits[0], 1)]
-    p_prev, p_cur = 1, digits[0]
-    q_prev, q_cur = 0, 1
-    for d in digits[1:]:
-        p_prev, p_cur = p_cur, d * p_cur + p_prev
-        q_prev, q_cur = q_cur, d * q_cur + q_prev
-        convs.append(Fraction(p_cur, q_cur))
-    if len(convs) > 1 and convs[1].denominator == 1:
-        convs.pop(0)
-    return convs
+        digit, rem = divmod(a, b)
+        a, b = b, rem
+        prev, cur = cur, digit * cur + prev
+        yield cur
 
 
 def _divisors(n: int) -> list[int]:
@@ -186,7 +176,7 @@ def _order_from_multiple(x: int, n: int, multiple: int) -> int:
 def recover_order(k: int, instance: ShorInstance) -> Optional[int]:
     """Order of instance.x recovered from measured outcome k, or None.
 
-    Scans convergents of k/Q with denominator d in [2, N); since the
+    Scans the convergent denominators d of k/Q in [2, N); since the
     measured phase s/r may have gcd(s, r) > 1, the multiples d*j up to N are
     tested too, by stepping y = x**d one multiplication at a time up to j =
     N // d and stopping at the first 1.  A verified exponent is reduced to
@@ -197,9 +187,10 @@ def recover_order(k: int, instance: ShorInstance) -> Optional[int]:
     if not 0 <= k < q:
         raise ValueError(f"need 0 <= k < Q, got k={k}, Q={q}")
     n, x = instance.N, instance.x
-    for conv in continued_fraction_convergents(k, q):
-        d = conv.denominator
-        if d < 2 or d >= n:
+    for d in _convergent_denominators(k, q):
+        if d >= n:
+            break  # the denominators only grow
+        if d < 2:
             continue
         step = acc = pow(x, d, n)
         for mult in range(1, n // d + 1):

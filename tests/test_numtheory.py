@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 import tracemalloc
 
-from oracles import candidate_set_recover_order, mod_pow
+from oracles import candidate_set_recover_order, continued_fraction_convergents, mod_pow
 from shormeter.numtheory import (
     ShorInstance,
-    continued_fraction_convergents,
+    _convergent_denominators,
     extract_factors,
     find_order_bruteforce,
     make_instance,
@@ -93,6 +93,24 @@ def test_convergents_reduced_and_increasing_denominators():
         assert all(a < b for a, b in zip(denoms, denoms[1:]))
         for c in convs:
             assert gcd(c.numerator, c.denominator) == 1
+
+
+def test_convergent_denominators_match_the_fraction_convergents():
+    rng = np.random.default_rng(11)
+    cases = [(k, q) for q in (1, 2, 3, 4, 2048) for k in range(q)]
+    for q in rng.integers(2, 1 << 20, size=300).tolist():
+        cases.append((int(rng.integers(0, q)), q))
+    for k, q in cases:
+        expected = [c.denominator for c in continued_fraction_convergents(k, q)]
+        assert list(_convergent_denominators(k, q)) == expected, (k, q)
+
+
+@pytest.mark.parametrize("n, x, t", [(15, 7, 8), (21, 2, 10)])
+def test_recover_order_matches_the_fraction_route_for_every_outcome(n, x, t):
+    # r = 4 divides Q = 2**8; r = 6 does not divide Q = 2**10
+    inst = make_instance(n, x, t=t)
+    for k in range(inst.Q):
+        assert recover_order(k, inst) == candidate_set_recover_order(k, inst), k
 
 
 def test_convergents_domain_error():
