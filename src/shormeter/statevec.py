@@ -352,11 +352,10 @@ def outcome_distribution(r: int, q: int) -> OutcomeDistribution:
 
 
 def _sin_squared(phase: np.ndarray, q: int, out: np.ndarray) -> np.ndarray:
-    """sin(pi m / Q)**2 for each phase m in [0, Q) into `out`, with m first
-    reflected to min(m, Q - m): the float argument pi m / Q is then at most
-    pi / 2, where sin loses nothing, not near pi, where the rounding of the
-    argument costs about u * Q of the result, and m and Q - m give the same
-    float."""
+    """sin(pi m / Q)**2 into `out` for each phase m in [0, Q), taken at
+    min(m, Q - m), the same value in exact arithmetic: m and Q - m give the
+    same float, and the argument stays at most pi / 2, where its rounding
+    costs a few ulps, not the u * Q it costs near pi."""
     np.subtract(q, phase, out=out)
     np.minimum(phase, out, out=out)
     out *= np.pi

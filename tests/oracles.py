@@ -16,11 +16,12 @@ the only general Hadamard gate, since the library builds psi1 directly as
 the latter the only general modexp gate, since the library builds psi2 and
 psi3 from the instance; ideal post-transform state, dual-path outcome probability, forward and
 inverse transform gates on a held state, the outcome distribution of a
-held state and the whole-array form of the closed-form one, loop-summed
+held state, the whole-array form of the closed-form one and its
+unreflected long-double evaluation, loop-summed
 closed-form overlaps, dense all-starts product-family optimizer,
 brute-force product-state search, symmetric optimum and overlap through a
 state's weight sums, weight sums by np.add.at, alpha-peak search)
-the candidate-set order recovery, and small helpers (`as_state`, `support_of`,
+the Fraction convergents and the candidate-set order recovery, and small helpers (`as_state`, `support_of`,
 `dense_grid`, `mod_pow`, `register_b_support`, `dump_nonzero_json`) serve only the tests, so they are kept out of the
 library.
 """
