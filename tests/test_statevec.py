@@ -588,9 +588,9 @@ def test_weight_sums_match_add_at_over_the_dense_vector(case, real):
 )
 def test_windowed_outcome_probabilities_match_the_whole_array_form(monkeypatch, window, qs):
     # Q below, equal to and above the window; r | Q, r not dividing Q and
-    # r > Q; peaks every Q / gcd(r, Q) outcomes, a period below the window
-    # (several peaks in each window), equal to it or above it (a peak only
-    # in the windows that start at a multiple of the period)
+    # r > Q; a period P = Q / gcd(r, Q) of 1 or 2 (no mirror), below the
+    # window (one partial window, then the tiling) or above it (several
+    # windows over [0, P/2], the last one partial, then the mirror)
     monkeypatch.setattr(statevec, "_WINDOW", window)
     for q in qs:
         for r in list(range(1, 41)) + [64, 100, 257, 513, 1000, 2**14 + 3]:
