@@ -45,8 +45,8 @@ EXIT_CONFIG = 2
 # without --x, the list of candidate bases.  2**28 bytes is a 24-qubit dense
 # state; larger configs exit 2 before allocating anything, and a charge is
 # sized from its exponents, so that no 2**t is built on the way.  Dense
-# `factor` holds no state: it peaks at a scratch of 2 MiB or 8 columns plus
-# the row sums of its distribution (5.77 MiB, 0.27 (Q, r) blocks, traced at
+# `factor` holds no state: it peaks at a scratch of 2 MiB or 4 columns plus
+# the row sums of its distribution (3.45 MiB, 0.16 (Q, r) blocks, traced at
 # N=49 x=3 on a cold process); simulate, verify and sweep hold psi1, psi2
 # and psi3 together and can exceed it when r is close to 2**L.
 MEMORY_BUDGET_BYTES = 2**28

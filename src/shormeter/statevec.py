@@ -20,10 +20,13 @@ Modular exponentiation sends row j of psi1's column to label x**j mod N,
 so the image has one column per power of x, holding sqrt(1/Q) on every
 P-th row (`_modexp_columns`, with P the period of x**j below Q).
 `run_order_finding_circuit` writes psi2 from these columns and psi3, the
-inverse Fourier transform on register A, by one FFT of psi2's block.  The
-dense `factor` job holds no (Q, r) block: `final_distribution` transforms
-the same columns a chunk at a time in one scratch (`_transformed_chunks`).
-No array has one element per basis state.  Every sum over a stage is
+inverse Fourier transform on register A, from psi2's block.  Every image
+amplitude is real, so each psi3 column is Hermitian, psi3[Q - k] =
+conj(psi3[k]): a real-input FFT gives rows [0, Q/2], and the other rows are
+their exact conjugates (`_inverse_transform`).  The dense `factor` job holds
+no (Q, r) block: `final_distribution` transforms the same columns a chunk
+at a time in one real scratch (`_transformed_chunks`) and mirrors the row
+sums.  No array has one element per basis state.  Every sum over a stage is
 defined column by column, so that it does not depend on which chunk of
 columns holds a column: `final_distribution` adds each column's |c|**2 into
 the row sums in label order, and a flat sum over a state's `Support`, the
@@ -139,7 +142,7 @@ def _modexp_columns(instance: ShorInstance) -> tuple[np.ndarray, np.ndarray]:
     return np.unique(powers[:period], return_index=True)
 
 
-def _scatter(out: np.ndarray, value: complex, exponents: np.ndarray, c0: int) -> None:
+def _scatter(out: np.ndarray, value: float, exponents: np.ndarray, c0: int) -> None:
     """Write `value` on the rows of the image columns c0, c0 + 1, ... of
     `_modexp_columns` into the columns of `out`: one strided write per
     column, rows a, a + P, ... for its exponent a."""
@@ -149,62 +152,79 @@ def _scatter(out: np.ndarray, value: complex, exponents: np.ndarray, c0: int) ->
 
 
 # The inverse transform runs on chunks of image columns of about this many
-# bytes, so that each chunk stays in cache from its scatter to its last
-# read, but of at least _CHUNK_COLUMNS columns: each np.fft.fft call has a
-# fixed cost of about a third of one column's transform, and at Q = 2**17
-# chunks of one or four columns made dense `factor` 20-60% or 15-20% slower
-# than one FFT over the whole block, where eight columns match it.
+# bytes, counted as 16 per row for the real (Q, width) scratch and the
+# complex (Q/2 + 1, width) transform read from it, so that each chunk stays
+# in cache from its scatter to its last read, but of at least
+# _CHUNK_COLUMNS columns, since each np.fft.rfft call has a fixed cost.
+# `final_distribution` with chunks of 1, 2, 4, 8 and 16 columns (medians of
+# 15 interleaved runs on a 2-vCPU x86 host) took 23.7, 18.5, 17.5, 19.3 and
+# 22.1 ms at Q = 2**15 (N=49, r = 42), and 255, 254, 244, 245 and 246 ms at
+# Q = 2**17 (N=125, r = 100); over 30 runs, 4 columns matched or beat 8 at
+# Q = 2**15 and 2**16 for r = 42 and 100.
 _CHUNK_BYTES = 2**21
-_CHUNK_COLUMNS = 8
+_CHUNK_COLUMNS = 4
 
 
 def _transformed_chunks(q: int, exponents: np.ndarray):
-    """Yield the inverse transform of the modexp image columns of psi1
-    (`_modexp_columns`) in column order, a chunk at a time, made in one
-    reused scratch and zeroed once the caller has read it."""
+    """Yield rows [0, Q/2] of the inverse transform of the modexp image
+    columns of psi1 (`_modexp_columns`) in column order, a chunk at a time:
+    each chunk is scattered into one reused real scratch, transformed into
+    one reused complex array (`_inverse_transform`) and, once the caller
+    has read it, zeroed by scattering 0.0 onto the same rows."""
     k = len(exponents)
     width = min(k, max(_CHUNK_COLUMNS, _CHUNK_BYTES // (16 * q)))
-    scratch = np.empty((q, width), dtype=np.complex128, order="F")
+    scratch = np.empty((q, width), order="F")
     # zeroed by writing, not by np.zeros: its untouched pages, once read by
     # the FFT, would fault again on the next write
     scratch.fill(0)
+    top = np.empty((q // 2 + 1, width), dtype=np.complex128, order="F")
     amplitude = math.sqrt(1.0 / q)  # psi1's, as `uniform_state` rounds it
     for c0 in range(0, k, width):
-        chunk = scratch[:, : min(width, k - c0)]
+        size = min(width, k - c0)
+        chunk = scratch[:, :size]
         _scatter(chunk, amplitude, exponents, c0)
-        _inverse_transform(chunk, chunk)
-        yield chunk
-        chunk.fill(0)
+        _inverse_transform(chunk, top[:, :size])
+        yield top[:, :size]
+        _scatter(chunk, 0.0, exponents, c0)
 
 
-def _inverse_transform(columns: np.ndarray, out: np.ndarray) -> None:
-    """One batched FFT of the columns into `out`, scaled by fl(1 / sqrt(Q))
-    through the float64 view of `out`.T: the floats of complex division."""
-    np.fft.fft(columns, axis=0, out=out)
-    out.T.view(np.float64)[...] *= 1.0 / math.sqrt(len(out))
+def _inverse_transform(columns: np.ndarray, top: np.ndarray) -> None:
+    """Rows [0, Q/2] of the inverse transform of the real (Q, k) `columns`
+    into `top`: one batched real-input FFT, scaled by fl(1 / sqrt(Q))
+    through the float64 view of `top`.T, the floats of complex division.
+
+    A real column's transform is Hermitian, row Q - k the conjugate of row
+    k, so these rows hold it all; `run_order_finding_circuit`, which needs
+    full columns, writes the other rows as their exact conjugates.
+    """
+    np.fft.rfft(columns, axis=0, out=top)
+    top.T.view(np.float64)[...] *= 1.0 / math.sqrt(len(columns))
 
 
 def final_distribution(instance: ShorInstance) -> OutcomeDistribution:
     """The register-A outcome distribution of psi3, without holding psi3.
 
-    Each transformed chunk is read in place in the scratch: |column|**2 is
-    added into the row sums column by column, in label order, so the floats
-    do not depend on the chunking, and the chunk's norm**2 is added to a
-    total that must be 1 within NORM_TOL, the gate of `PureState`.  The peak
-    is the scratch and the probabilities.
+    Each transformed chunk, rows [0, Q/2] of its columns, is read in place:
+    |column|**2 is added into those row sums column by column, in label
+    order, so the floats do not depend on the chunking.  |conj(c)|**2 is
+    |c|**2, so p_(Q - k) = p_k, and a reversed copy fills rows (Q/2, Q): the
+    floats of the row sums of the held, mirrored psi3.  The sum of the p_k,
+    the norm**2 of psi3, must be 1 within NORM_TOL, the gate of `PureState`.
+    The peak is the scratch, its transform and the probabilities.
     """
     _, exponents = _modexp_columns(instance)
     q = instance.Q
+    half = q // 2
     probabilities = np.zeros(q)
-    col = np.empty(q)
-    norm = 0.0
+    head = probabilities[: half + 1]
+    col = np.empty(half + 1)
     for image in _transformed_chunks(q, exponents):
-        # vdot ravels in C order: the transpose is the contiguous view
-        norm += float(np.vdot(image.T, image.T).real)
         for column in image.T:
             np.abs(column, out=col)
             np.square(col, out=col)
-            probabilities += col
+            head += col
+    probabilities[half + 1 :] = probabilities[half - 1 : 0 : -1]
+    norm = float(probabilities.sum())
     if not abs(norm - 1.0) <= NORM_TOL:  # written so that a NaN norm fails
         raise ValueError(f"final state norm**2 = {norm!r} is not 1 within {NORM_TOL}")
     probabilities.setflags(write=False)
@@ -215,14 +235,20 @@ def run_order_finding_circuit(instance: ShorInstance) -> tuple[PureState, PureSt
     """psi1 (the uniform stage) -> modular exponentiation -> inverse QFT.
 
     psi2 and psi3 are both built from the modexp columns of psi1, found
-    once: psi2 by one scatter, psi3 by one FFT of psi2's block.
+    once: psi2 by one scatter, psi3 by one real-input FFT of the real part
+    of psi2's block, a view, into rows [0, Q/2] of the psi3 block.  Rows
+    (Q/2, Q) are then the conjugates of rows Q/2 - 1, ..., 1, in place;
+    conjugation is exact, so psi3 is Hermitian bit for bit.  The peak is
+    the two (Q, k) blocks.
     """
     psi1 = uniform_state(instance)
     labels, exponents = _modexp_columns(instance)
     image = np.zeros((instance.Q, len(labels)), dtype=np.complex128, order="F")
-    _scatter(image, psi1.block[0, 0], exponents, 0)
+    _scatter(image, psi1.block[0, 0].real, exponents, 0)
     final = np.empty_like(image, order="F")
-    _inverse_transform(image, final)
+    half = instance.Q // 2
+    _inverse_transform(image.real, final[: half + 1])
+    np.conjugate(final[half - 1 : 0 : -1], out=final[half + 1 :])
     for block in (image, final):
         block.setflags(write=False)
     return psi1, PureState(instance, image, labels), PureState(instance, final, labels)

@@ -12,9 +12,10 @@ coherences are included because the Tsallis family reduces to them at
 alpha -> 1 and alpha = 1/2.  The circuit and entanglement oracles (dense
 materialization of column-stored states; the all-column Hadamard layer,
 the only general Hadamard gate, since the library builds psi1 directly as
-`statevec.uniform_state`; inverse transform and modexp on dense vectors,
-the latter the only general modexp gate, since the library builds psi2 and
-psi3 from the instance; ideal post-transform state, dual-path outcome probability, forward and
+`statevec.uniform_state`; inverse transform on dense vectors by a complex
+FFT and, on real amplitudes, by a real-input FFT and a conjugate mirror;
+modexp on dense vectors, the only general modexp gate, since the library
+builds psi2 and psi3 from the instance; ideal post-transform state, dual-path outcome probability, forward and
 inverse transform gates on a held state, the outcome distribution of a
 held state, the whole-array form of the closed-form one and its
 unreflected long-double evaluation, loop-summed
@@ -372,6 +373,29 @@ def inverse_qft_all_columns(vec: np.ndarray, layout: RegisterLayout) -> np.ndarr
     return flat
 
 
+def real_inverse_qft_all_columns(vec: np.ndarray, layout: RegisterLayout) -> np.ndarray:
+    """The inverse register-A transform of a dense vector with real
+    amplitudes, run over every register-B column by a real-input FFT.
+
+    One np.fft.rfft over the whole (Q, 2**L) grid gives rows [0, Q/2],
+    scaled as the circuit's transform scales; row Q - k is then the
+    conjugate of row k for 0 < k < Q/2, written by explicit index.  A
+    column without a nonzero amplitude stays +0.0, as a column-stored state
+    leaves it: its conjugated rows would read -0.0j.
+    """
+    q, half = layout.Q, layout.Q // 2
+    grid = np.asarray(vec, dtype=np.complex128).reshape(q, layout.dim_b)
+    if np.any(grid.imag != 0):
+        raise ValueError("the real-input transform needs real amplitudes")
+    out = np.empty_like(grid)
+    out[: half + 1] = np.fft.rfft(grid.real, axis=0)
+    out[: half + 1].view(np.float64)[...] *= 1.0 / math.sqrt(q)
+    rows = np.arange(1, half)
+    out[q - rows] = np.conjugate(out[rows])
+    out[:, ~grid.any(axis=0)] = 0.0
+    return out.reshape(-1)
+
+
 def modexp_all_columns(vec: np.ndarray, instance: ShorInstance) -> np.ndarray:
     """|j>|y> -> |j>|x**j * y mod N> on a dense vector, mapping every column below N.
 
@@ -437,9 +461,11 @@ def _inverse_qft_columns(cols: np.ndarray) -> np.ndarray:
 def apply_inverse_qft_A(state: PureState) -> PureState:
     """Inverse Fourier transform on register A: kernel exp(-2 pi i j k / Q) / sqrt(Q).
 
-    The gate on a held state, one FFT over the whole block; the circuit
-    builds its last stage from psi1's modexp columns, a chunk at a time
-    (`statevec._transformed_chunks`), and must give the same bytes on psi2.
+    The gate on a held state, one complex FFT over the whole block.  The
+    circuit builds its last stage from the real modexp columns by a
+    real-input FFT and a conjugate mirror instead, whose bytes
+    `real_inverse_qft_all_columns` states; on psi2 it must lie within an
+    FFT rounding bound of this gate.
     """
     return _register_a_gate(state, _inverse_qft_columns)
 

@@ -24,6 +24,7 @@ from oracles import (
     measurement_distribution_A,
     modexp_all_columns,
     outcome_probability,
+    real_inverse_qft_all_columns,
     register_b_support,
     row_sums_of_squares,
     to_dense,
@@ -326,7 +327,7 @@ def test_circuit_stages_match_all_column_oracles(n, x, t):
     assert_same_bytes(psi1, expected1)
     expected2 = modexp_all_columns(expected1, inst)
     assert_same_bytes(psi2, expected2)
-    assert_same_bytes(psi3, inverse_qft_all_columns(expected2, inst))
+    assert_same_bytes(psi3, real_inverse_qft_all_columns(expected2, inst))
 
 
 @pytest.mark.parametrize("n, x", [(15, 7), (21, 2), (33, 2), (51, 2), (63, 2)])
@@ -396,8 +397,69 @@ FINAL_STAGE_CASES = [
 
 @pytest.mark.parametrize("n, x, t", FINAL_STAGE_CASES)
 def test_final_state_matches_the_gates_on_the_uniform_stage(n, x, t):
-    _, psi2, psi3 = run_order_finding_circuit(make_instance(n, x, t=t))
-    assert_same_state(psi3, apply_inverse_qft_A(psi2))
+    inst = make_instance(n, x, t=t)
+    _, psi2, psi3 = run_order_finding_circuit(inst)
+    assert_same_bytes(psi3, real_inverse_qft_all_columns(to_dense(psi2), inst))
+    assert psi3.labels.tobytes() == psi2.labels.tobytes()
+
+
+# Rounding of a radix-2 FFT of length 2**t (Higham, Accuracy and Stability
+# of Numerical Algorithms, 2nd ed., Thm 24.2): with twiddle factors within
+# mu of the exact ones, the computed y of the exact transform y0 of x has
+# |y - y0|_2 <= beta |y0|_2, beta = t eta / (1 - t eta), where eta = mu +
+# gamma_4 (sqrt(2) + mu) and gamma_4 = 4u / (1 - 4u).  A radix-4 pass does
+# the work of two radix-2 levels with one twiddle product instead of two,
+# and its multiplications by +-i are exact, so the bound holds for the
+# passes of numpy's FFTs at powers of two, with mu = u.  The complex route
+# meets it on the whole column; the real-input route meets it on rows
+# [0, Q/2], and its mirror at most doubles the squared error, so it meets
+# sqrt(2) beta on the whole column.  Both routes then multiply by the same
+# s = fl(1 / sqrt(Q)), within 2u of 1 / sqrt(Q), each product rounded to
+# within u of its value, and |y0|_2 = sqrt(Q) |x|_2 for the input column x.
+# So the two psi3 columns differ by at most
+#   ((1 + sqrt(2)) beta + 2u (1 + beta)(1 + u)) (1 + 2u) |x|_2.
+UNIT_ROUNDOFF = 2.0**-53
+
+
+def fft_route_bound(t: int) -> float:
+    u = UNIT_ROUNDOFF
+    eta = u + 4 * u / (1 - 4 * u) * (math.sqrt(2) + u)
+    beta = t * eta / (1 - t * eta)
+    return ((1 + math.sqrt(2)) * beta + 2 * u * (1 + beta) * (1 + u)) * (1 + 2 * u)
+
+
+@pytest.mark.parametrize("n, x, t", FINAL_STAGE_CASES)
+def test_final_state_lies_within_the_fft_bound_of_the_complex_transform(n, x, t):
+    inst = make_instance(n, x, t=t)
+    _, psi2, psi3 = run_order_finding_circuit(inst)
+    expected = apply_inverse_qft_A(psi2)
+    assert expected.labels.tobytes() == psi3.labels.tobytes()
+    gaps = np.linalg.norm(psi3.block - expected.block, axis=0)
+    bounds = fft_route_bound(inst.t) * np.linalg.norm(psi2.block, axis=0)
+    assert np.all(gaps <= bounds), (gaps / bounds).max()
+
+
+HERMITIAN_CASES = FINAL_STAGE_CASES + [
+    (21, 2, 1),  # Q = 2: the only row besides 0 is Q/2
+    (15, 7, 2),  # Q = 4 = r
+    (21, 2, 2),  # Q = 4 < r = 6
+]
+
+
+@pytest.mark.parametrize("n, x, t", HERMITIAN_CASES)
+def test_final_state_and_distribution_are_mirrored_bit_for_bit(n, x, t):
+    # every image amplitude is real, so psi3[Q - k] = conj(psi3[k]) for
+    # 0 < k < Q, exactly; row Q/2 is its own mirror and must be real, which
+    # is compared by value, since conj(+0.0j) is -0.0j
+    inst = make_instance(n, x, t=t)
+    q, half = inst.Q, inst.Q // 2
+    block = run_order_finding_circuit(inst)[2].block
+    rows = np.array([k for k in range(1, q) if k != half], dtype=np.intp)
+    assert block[q - rows].tobytes() == np.conjugate(block[rows]).tobytes()
+    assert np.all(block[half].imag == 0)
+    probabilities = final_distribution(inst).probabilities
+    rows = np.arange(1, q)
+    assert probabilities[q - rows].tobytes() == probabilities[rows].tobytes()
 
 
 def assert_same_distribution(got, expected):
@@ -428,7 +490,7 @@ def test_circuit_matches_the_dense_oracles_on_drawn_instances(inst, chunk_column
         psi1, psi2, psi3 = run_order_finding_circuit(inst)
         dist = final_distribution(inst)
     assert_same_bytes(psi2, modexp_all_columns(to_dense(psi1), inst))
-    assert_same_state(psi3, apply_inverse_qft_A(psi2))
+    assert_same_bytes(psi3, real_inverse_qft_all_columns(to_dense(psi2), inst))
     assert_same_distribution(dist, measurement_distribution_A(psi3))
 
 
@@ -444,14 +506,14 @@ def test_final_distribution_gates_the_norm_of_the_final_state(monkeypatch, scale
     # 1 +- 1e-10 moves norm**2 by 2e-10: past NORM_TOL, but within the 1e-9
     # that the distribution allows its probabilities' sum
     inst = make_instance(21, 2, t=10)
-    fft = np.fft.fft
+    rfft = np.fft.rfft
 
     def off_by_scale(a, *args, out=None, **kwargs):
-        out = fft(a, *args, out=out, **kwargs)
+        out = rfft(a, *args, out=out, **kwargs)
         out *= scale
         return out
 
-    monkeypatch.setattr(np.fft, "fft", off_by_scale)
+    monkeypatch.setattr(np.fft, "rfft", off_by_scale)
     with pytest.raises(ValueError, match="final state norm"):
         final_distribution(inst)
     with pytest.raises(ValueError, match="norm"):
@@ -822,6 +884,28 @@ def test_dense_factor_peaks_below_half_a_column_block():
         tracemalloc.stop()
     assert code in (0, 1)
     assert peak < 0.5 * 16 * inst.Q * inst.r
+
+
+def test_real_transform_holds_no_more_than_the_stage_blocks():
+    # the real-input FFT reads psi2's real part as a view and writes into
+    # the psi3 block, and the mirror fills it in place: no copy of either
+    # block and no half-column buffer; final_distribution peaked at 4.75 MiB
+    # with the complex scratch of the full transform
+    inst = make_instance(49, 3)
+    assert (inst.t, inst.r) == (15, 42)
+    block_bytes = 16 * inst.Q * inst.r
+    peaks = []
+    for run in (run_order_finding_circuit, final_distribution):
+        tracemalloc.start()
+        try:
+            result = run(inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        del result
+        peaks.append(peak)
+    assert peaks[0] <= 2 * block_bytes + 2**20
+    assert peaks[1] <= 4.75 * 2**20
 
 
 def test_circuit_stays_below_one_dense_state_in_memory():
