@@ -15,8 +15,9 @@ the only general Hadamard gate, since the library builds psi1 directly as
 `statevec.uniform_state`; inverse transform on dense vectors by a complex
 FFT and, on real amplitudes, by a real-input FFT and a conjugate mirror;
 modexp on dense vectors, the only general modexp gate, since the library
-builds psi2 and psi3 from the instance; ideal post-transform state, dual-path outcome probability, forward and
-inverse transform gates on a held state, the outcome distribution of a
+builds psi2 and psi3 from the instance; ideal post-transform state,
+dual-path outcome probability, forward and inverse transform gates on a
+held state, the outcome distribution of a
 held state, the whole-array form of the closed-form one and its
 unreflected long-double evaluation, loop-summed
 closed-form overlaps, dense all-starts product-family optimizer,
