@@ -46,14 +46,16 @@ EXIT_CONFIG = 2
 # state; larger configs exit 2 before allocating anything, and a charge is
 # sized from its exponents, so that no 2**t is built on the way.  Dense
 # `factor` holds no state: it peaks at a scratch of 2 MiB or 4 columns plus
-# the row sums of its distribution (3.45 MiB, 0.16 (Q, r) blocks, traced at
-# N=49 x=3 on a cold process); simulate, verify and sweep hold psi1, psi2
-# and psi3 together and can exceed it when r is close to 2**L.
+# the row sums that then become its CDF in place (3.45 MiB, 0.16 (Q, r)
+# blocks, traced at N=49 x=3 on a cold process); simulate, verify and sweep
+# hold psi1, psi2 and psi3 together and can exceed it when r is close to
+# 2**L.
 MEMORY_BUDGET_BYTES = 2**28
 # Charge of `factor --fast` per outcome.  It was the traced peak of four
 # Q-long buffers (32.1 bytes at Q = 2**20); the passes now run in
-# cache-sized windows and the peak is the probabilities and their CDF (16.06
-# bytes), but the charge stays, so that no input changes its exit code.
+# cache-sized windows and the probabilities become their CDF in place, so
+# the peak is one Q-long array and the windows (8.38 bytes traced at
+# Q = 2**20), but the charge stays, so that no input changes its exit code.
 FAST_BYTES_PER_OUTCOME = 33
 MAX_GRID_POINTS = 100_000  # a tiny --grid STEP exits 2 instead of listing unbounded points
 # Each failing factor attempt costs about 40 us at N = 49 and 0.8 KB of

@@ -24,11 +24,11 @@ inverse Fourier transform on register A, from psi2's block.  Every image
 amplitude is real, so each psi3 column is Hermitian, psi3[Q - k] =
 conj(psi3[k]): a real-input FFT gives rows [0, Q/2], and the other rows are
 their exact conjugates (`_inverse_transform`).  The dense `factor` job holds
-no (Q, r) block: `final_distribution` transforms the same columns a chunk
+no (Q, r) block: `final_probabilities` transforms the same columns a chunk
 at a time in one real scratch (`_transformed_chunks`) and mirrors the row
 sums.  No array has one element per basis state.  Every sum over a stage is
 defined column by column, so that it does not depend on which chunk of
-columns holds a column: `final_distribution` adds each column's |c|**2 into
+columns holds a column: `final_probabilities` adds each column's |c|**2 into
 the row sums in label order, and a flat sum over a state's `Support`, the
 one scan of its exactly nonzero entries that every coherence quantifier
 reads, sums each column and adds the column sums by `math.fsum`.
@@ -41,7 +41,7 @@ state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,6 +53,7 @@ __all__ = [
     "PureState",
     "Support",
     "final_distribution",
+    "final_probabilities",
     "nonzero_support",
     "outcome_distribution",
     "run_order_finding_circuit",
@@ -201,8 +202,9 @@ def _inverse_transform(columns: np.ndarray, top: np.ndarray) -> None:
     top.T.view(np.float64)[...] *= 1.0 / math.sqrt(len(columns))
 
 
-def final_distribution(instance: ShorInstance) -> OutcomeDistribution:
-    """The register-A outcome distribution of psi3, without holding psi3.
+def final_probabilities(instance: ShorInstance) -> np.ndarray:
+    """The register-A outcome probabilities of psi3, without holding psi3,
+    in a fresh array that the caller owns.
 
     Each transformed chunk, rows [0, Q/2] of its columns, is read in place:
     |column|**2 is added into those row sums column by column, in label
@@ -227,8 +229,13 @@ def final_distribution(instance: ShorInstance) -> OutcomeDistribution:
     norm = float(probabilities.sum())
     if not abs(norm - 1.0) <= NORM_TOL:  # written so that a NaN norm fails
         raise ValueError(f"final state norm**2 = {norm!r} is not 1 within {NORM_TOL}")
-    probabilities.setflags(write=False)
-    return OutcomeDistribution(probabilities)
+    return probabilities
+
+
+def final_distribution(instance: ShorInstance) -> OutcomeDistribution:
+    """The register-A outcome distribution of psi3: `final_probabilities`,
+    turned into their CDF in place."""
+    return OutcomeDistribution._handed_over(final_probabilities(instance))
 
 
 def run_order_finding_circuit(instance: ShorInstance) -> tuple[PureState, PureState, PureState]:
@@ -254,34 +261,46 @@ def run_order_finding_circuit(instance: ShorInstance) -> tuple[PureState, PureSt
     return psi1, PureState(instance, image, labels), PureState(instance, final, labels)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class OutcomeDistribution:
-    """Probabilities of the register-A measurement outcomes, with their CDF.
+    """The running sums of the register-A outcome probabilities, read-only:
+    all that a `sample_outcome` draw reads.
 
-    Construction copies the probabilities into a read-only array, except an
-    owned, already read-only one, and accumulates the CDF that every
-    `sample_outcome` draw reads.
+    Construction checks the caller's probabilities and accumulates a copy
+    of them, so the caller's array is never written.  `outcome_distribution`
+    and `final_distribution` hand over the vector they have just built
+    instead (`_handed_over`), which becomes its own CDF: a job holds one
+    Q-long array from the kernel to its last draw.
     """
 
-    probabilities: np.ndarray
-    cdf: np.ndarray = field(init=False, repr=False, compare=False)
+    cdf: np.ndarray
 
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.probabilities, dtype=np.float64)
-        if arr.ndim != 1:
-            raise ValueError("probabilities must be a one-dimensional vector")
-        if arr.min(initial=0.0) < -1e-12:  # a NaN passes here and fails the total
-            raise ValueError(f"negative probability {arr.min()!r}")
-        total = float(arr.sum())
-        if not abs(total - 1.0) <= 1e-9:  # a NaN anywhere makes the total NaN
-            raise ValueError(f"probabilities sum to {total!r}, not 1")
-        if arr.flags.writeable or not arr.flags.owndata:
-            arr = arr.copy()
-            arr.setflags(write=False)
-        cdf = np.cumsum(arr)
-        cdf.setflags(write=False)
-        object.__setattr__(self, "probabilities", arr)
-        object.__setattr__(self, "cdf", cdf)
+    def __init__(self, probabilities: np.ndarray) -> None:
+        object.__setattr__(self, "cdf", _running_sums(np.array(probabilities, dtype=np.float64)))
+
+    @classmethod
+    def _handed_over(cls, probabilities: np.ndarray) -> OutcomeDistribution:
+        """The distribution of `probabilities`, a fresh float64 vector that
+        no one else holds, accumulated in place."""
+        distribution = object.__new__(cls)
+        object.__setattr__(distribution, "cdf", _running_sums(probabilities))
+        return distribution
+
+
+def _running_sums(probabilities: np.ndarray) -> np.ndarray:
+    """Check `probabilities`, then turn them into their running sums in
+    place (np.cumsum with out=, the floats of a fresh cumsum) and return
+    them read-only."""
+    if probabilities.ndim != 1:
+        raise ValueError("probabilities must be a one-dimensional vector")
+    if probabilities.min(initial=0.0) < -1e-12:  # a NaN passes here and fails the total
+        raise ValueError(f"negative probability {probabilities.min()!r}")
+    total = float(probabilities.sum())
+    if not abs(total - 1.0) <= 1e-9:  # a NaN anywhere makes the total NaN
+        raise ValueError(f"probabilities sum to {total!r}, not 1")
+    np.cumsum(probabilities, out=probabilities)
+    probabilities.setflags(write=False)
+    return probabilities
 
 
 @dataclass(frozen=True)
@@ -365,8 +384,9 @@ def outcome_distribution(r: int, q: int) -> OutcomeDistribution:
     p_(P - k) = p_k, bit for bit, and only k in [0, P/2] is evaluated.  Q
     must be a power of two, so a phase reduces mod Q with a mask; it is
     capped at 2**31, so the phase products fit int64.  The passes run a
-    window of outcomes at a time in four small buffers, so the only Q-long
-    arrays are the probabilities and their CDF.
+    window of outcomes at a time in four small buffers, and the distribution
+    accumulates the probabilities in place, so the one Q-long array is the
+    probabilities, then their CDF.
     """
     if r < 1:
         raise ValueError(f"order must be >= 1, got {r}")
@@ -374,7 +394,7 @@ def outcome_distribution(r: int, q: int) -> OutcomeDistribution:
         raise ValueError(f"dimension must lie in [1, 2**31], got {q}")
     if q & (q - 1):
         raise ValueError(f"dimension must be a power of two, got {q}")
-    return OutcomeDistribution(_outcome_probabilities(r, q))
+    return OutcomeDistribution._handed_over(_outcome_probabilities(r, q))
 
 
 def _sin_squared(phase: np.ndarray, q: int, out: np.ndarray) -> np.ndarray:
@@ -396,7 +416,8 @@ _WINDOW = 2**13
 
 
 def _outcome_probabilities(r: int, q: int) -> np.ndarray:
-    """The p_k of `outcome_distribution`, read-only.
+    """The p_k of `outcome_distribution`, in a fresh array that the caller
+    owns.
 
     p_k reads k only through the phases r k mod Q and n r k mod Q, so it
     repeats with the period P = Q / gcd(r, Q), float for float; and with
@@ -447,12 +468,12 @@ def _outcome_probabilities(r: int, q: int) -> np.ndarray:
     while period < q:
         total[period : 2 * period] = total[:period]
         period *= 2
-    total.setflags(write=False)
     return total
 
 
 def sample_outcome(distribution: OutcomeDistribution, rng: np.random.Generator) -> int:
-    """Inverse-CDF draw of one outcome."""
+    """Inverse-CDF draw of one outcome: one search of the distribution's
+    read-only CDF, which no draw copies."""
     cdf = distribution.cdf
     u = rng.random() * cdf[-1]
     k = int(np.searchsorted(cdf, u, side="right"))

@@ -54,7 +54,6 @@ from shormeter.measures import (
 )
 from shormeter.numtheory import RegisterLayout, ShorInstance
 from shormeter.statevec import (
-    OutcomeDistribution,
     PureState,
     Support,
     nonzero_support,
@@ -478,14 +477,14 @@ def row_sums_of_squares(block: np.ndarray) -> np.ndarray:
     return np.add.accumulate(np.square(np.abs(block)), axis=1)[:, -1]
 
 
-def measurement_distribution_A(state: PureState) -> OutcomeDistribution:
+def measurement_probabilities_A(state: PureState) -> np.ndarray:
     """p_k = sum_y |amplitude(k, y)|**2 of a held state, over all 2**L values of y.
 
     The row sums over the occupied columns, added in label order.
-    `statevec.final_distribution` must give the same bytes on psi3 without
+    `statevec.final_probabilities` must give the same bytes on psi3 without
     holding it.
     """
-    return OutcomeDistribution(row_sums_of_squares(state.block))
+    return row_sums_of_squares(state.block)
 
 
 def _reflected_sin_squared(phase: np.ndarray, q: int) -> np.ndarray:

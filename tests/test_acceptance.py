@@ -8,12 +8,11 @@ import math
 import numpy as np
 
 import oracles
-from oracles import ideal_psi3, measurement_distribution_A, outcome_probability
+from oracles import ideal_psi3, measurement_probabilities_A, outcome_probability
 from shormeter import entanglement as ent
 from shormeter import make_instance, measures, run_order_finding_circuit, statevec, theorems
 from shormeter.cli import main
 from shormeter.numtheory import RegisterLayout
-from shormeter.statevec import outcome_distribution
 
 P_GRID = (1.0, 1.25, 1.5, 1.75, 2.0)
 ALPHA_GRID = (0.3, 0.5, 0.9, 1.1, 1.5, 2.0)
@@ -133,8 +132,8 @@ def test_criterion_10_outcome_distribution_identities(pipeline15):
     worst_dist = 0.0
     inst21 = make_instance(21, 2, t=10)
     for psi3, r, q in ((pipeline15[2], 4, 2048), (run_order_finding_circuit(inst21)[2], 6, 1024)):
-        simulated = measurement_distribution_A(psi3).probabilities
-        closed = outcome_distribution(r, q).probabilities
+        simulated = measurement_probabilities_A(psi3)
+        closed = statevec._outcome_probabilities(r, q)
         worst_dist = max(worst_dist, float(np.abs(simulated - closed).max()))
     ok = inst21.m is None and worst_sum <= 1e-9 and worst_dist <= 1e-9
     check(

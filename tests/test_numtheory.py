@@ -130,7 +130,7 @@ def test_recover_order_examples(inst15):
 
 def test_recover_order_never_wrong():
     # every outcome with non-negligible weight recovers the true order or nothing
-    from shormeter.statevec import outcome_distribution
+    from shormeter.statevec import _outcome_probabilities
 
     for n in (15, 21, 33, 35):
         sizes = register_sizes(n)
@@ -139,7 +139,7 @@ def test_recover_order_never_wrong():
                 continue
             r = find_order_bruteforce(x, n)
             inst = ShorInstance(N=n, x=x, t=sizes.t, L=sizes.L)
-            probs = outcome_distribution(r, sizes.Q).probabilities
+            probs = _outcome_probabilities(r, sizes.Q)
             for k in np.nonzero(probs > 1e-6)[0]:
                 got = recover_order(int(k), inst)
                 assert got is None or got == r

@@ -21,7 +21,7 @@ from oracles import (
     hadamard_all_columns,
     ideal_psi3,
     inverse_qft_all_columns,
-    measurement_distribution_A,
+    measurement_probabilities_A,
     modexp_all_columns,
     outcome_probability,
     real_inverse_qft_all_columns,
@@ -40,6 +40,7 @@ from shormeter.statevec import (
     OutcomeDistribution,
     PureState,
     final_distribution,
+    final_probabilities,
     nonzero_support,
     outcome_distribution,
     run_order_finding_circuit,
@@ -229,7 +230,7 @@ def test_inverse_qft_concentrates_uniform_block():
     vec = np.zeros(lay.dim, dtype=complex)
     vec[::2] = 1.0 / math.sqrt(lay.Q)  # uniform over register A at y=0
     out = apply_inverse_qft_A(from_dense(lay, vec))
-    probs = measurement_distribution_A(out).probabilities
+    probs = measurement_probabilities_A(out)
     assert probs[0] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -251,7 +252,7 @@ def test_qft_roundtrip_matches_dense_kernel():
 
 def test_final_stage_measurement_support(pipeline15):
     psi3 = pipeline15[2]
-    probs = measurement_distribution_A(psi3).probabilities
+    probs = measurement_probabilities_A(psi3)
     peaks = np.nonzero(probs > 1e-9)[0].tolist()
     assert peaks == [0, 512, 1024, 1536]
     assert np.allclose(probs[peaks], 0.25, atol=1e-12)
@@ -457,14 +458,16 @@ def test_final_state_and_distribution_are_mirrored_bit_for_bit(n, x, t):
     rows = np.array([k for k in range(1, q) if k != half], dtype=np.intp)
     assert block[q - rows].tobytes() == np.conjugate(block[rows]).tobytes()
     assert np.all(block[half].imag == 0)
-    probabilities = final_distribution(inst).probabilities
+    probabilities = final_probabilities(inst)
     rows = np.arange(1, q)
     assert probabilities[q - rows].tobytes() == probabilities[rows].tobytes()
 
 
-def assert_same_distribution(got, expected):
-    assert got.probabilities.tobytes() == expected.probabilities.tobytes()
-    assert got.cdf.tobytes() == expected.cdf.tobytes()
+def assert_same_distribution(inst, expected):
+    """The final probabilities of `inst` are the bytes of `expected`, and the
+    CDF of its final distribution their running sums."""
+    assert final_probabilities(inst).tobytes() == expected.tobytes()
+    assert final_distribution(inst).cdf.tobytes() == np.cumsum(expected).tobytes()
 
 
 @st.composite
@@ -488,17 +491,16 @@ def test_circuit_matches_the_dense_oracles_on_drawn_instances(inst, chunk_column
         patch.setattr(statevec, "_CHUNK_BYTES", 16 * inst.Q * chunk_columns)
         patch.setattr(statevec, "_CHUNK_COLUMNS", chunk_columns)
         psi1, psi2, psi3 = run_order_finding_circuit(inst)
-        dist = final_distribution(inst)
+        assert_same_distribution(inst, measurement_probabilities_A(psi3))
     assert_same_bytes(psi2, modexp_all_columns(to_dense(psi1), inst))
     assert_same_bytes(psi3, real_inverse_qft_all_columns(to_dense(psi2), inst))
-    assert_same_distribution(dist, measurement_distribution_A(psi3))
 
 
 @pytest.mark.parametrize("n, x, t", FINAL_STAGE_CASES)
 def test_final_distribution_matches_the_distribution_of_the_final_state(n, x, t):
     inst = make_instance(n, x, t=t)
-    expected = measurement_distribution_A(run_order_finding_circuit(inst)[2])
-    assert_same_distribution(final_distribution(inst), expected)
+    expected = measurement_probabilities_A(run_order_finding_circuit(inst)[2])
+    assert_same_distribution(inst, expected)
 
 
 @pytest.mark.parametrize("scale", [1 + 1e-6, 1 + 1e-10, 1 - 1e-10])
@@ -692,7 +694,7 @@ def test_outcome_distribution_of_column_stored_state_matches_dense_row_sums(case
     _, state = case
     dense = to_dense(state).reshape(state.layout.Q, state.layout.dim_b)
     expected = np.cumsum(np.abs(dense) ** 2, axis=1)[:, -1]
-    got = measurement_distribution_A(state).probabilities
+    got = measurement_probabilities_A(state)
     assert got.tobytes() == expected.tobytes()
 
 
@@ -864,7 +866,7 @@ def test_measurement_distribution_matches_dense_row_sums_on_circuit_states(n, x,
     # N=255 puts register B at width 256: two 128-blocks
     psi3 = run_order_finding_circuit(make_instance(n, x, t=t))[2]
     expected = _dense_row_sums(psi3.block, psi3.labels, psi3.layout.dim_b)
-    assert measurement_distribution_A(psi3).probabilities.tobytes() == expected.tobytes()
+    assert measurement_probabilities_A(psi3).tobytes() == expected.tobytes()
 
 
 def test_dense_factor_peaks_below_half_a_column_block():
@@ -925,7 +927,7 @@ def test_measurement_distribution_basics():
     lay = RegisterLayout(t=2, L=1)
     vec = np.zeros(lay.dim, dtype=complex)
     vec[4] = 1.0  # register-A value 2, register-B value 0
-    probs = measurement_distribution_A(from_dense(lay, vec)).probabilities
+    probs = measurement_probabilities_A(from_dense(lay, vec))
     assert probs.tolist() == [0.0, 0.0, 1.0, 0.0]
 
 
@@ -945,17 +947,20 @@ def test_distribution_rejects_negative_probabilities(probs):
 
 @pytest.mark.parametrize("n, x, t", [(49, 3, 10), (255, 2, 4)])
 def test_final_distribution_hands_over_its_probabilities(monkeypatch, n, x, t):
-    # owned and read-only, so the distribution keeps the array it is given
+    # the probabilities are fresh and no one else holds them, so the
+    # distribution accumulates them in place: the CDF is the same array
     kept = []
-    init = OutcomeDistribution.__post_init__
+    probabilities_of = statevec.final_probabilities
 
-    def recorded(self):
-        kept.append(self.probabilities)
-        init(self)
+    def recorded(instance):
+        kept.append(probabilities_of(instance))
+        return kept[-1]
 
-    monkeypatch.setattr(OutcomeDistribution, "__post_init__", recorded)
-    dist = final_distribution(make_instance(n, x, t=t))
-    assert dist.probabilities is kept[0]
+    monkeypatch.setattr(statevec, "final_probabilities", recorded)
+    inst = make_instance(n, x, t=t)
+    dist = final_distribution(inst)
+    assert dist.cdf is kept[0]
+    assert dist.cdf.tobytes() == np.cumsum(probabilities_of(inst)).tobytes()
 
 
 def test_outcome_peak_and_offpeak_values():
@@ -974,14 +979,14 @@ def test_outcome_dual_path_full_grids():
 
 def test_outcome_distribution_matches_pointwise():
     for r, q in ((3, 64), (5, 128)):
-        dist = outcome_distribution(r, q).probabilities
+        probs = statevec._outcome_probabilities(r, q)
         for k in range(q):
-            assert dist[k] == pytest.approx(outcome_probability(k, r, q), abs=1e-12)
+            assert probs[k] == pytest.approx(outcome_probability(k, r, q), abs=1e-12)
 
 
 def test_simulated_distribution_matches_closed_form(pipeline15):
-    probs = measurement_distribution_A(pipeline15[2]).probabilities
-    closed = outcome_distribution(4, 2048).probabilities
+    probs = measurement_probabilities_A(pipeline15[2])
+    closed = statevec._outcome_probabilities(4, 2048)
     assert np.abs(probs - closed).max() < 1e-9
 
 
@@ -989,16 +994,16 @@ def test_simulated_distribution_matches_closed_form(pipeline15):
 def test_closed_form_distribution_matches_simulation_when_order_does_not_divide(n, x, t):
     inst = make_instance(n, x, t=t)
     assert inst.Q % inst.r != 0
-    simulated = measurement_distribution_A(run_order_finding_circuit(inst)[2]).probabilities
-    closed = outcome_distribution(inst.r, inst.Q).probabilities
+    simulated = measurement_probabilities_A(run_order_finding_circuit(inst)[2])
+    closed = statevec._outcome_probabilities(inst.r, inst.Q)
     assert np.abs(simulated - closed).max() < 1e-12
 
 
 @pytest.mark.parametrize("r, q", [(1, 16), (16, 16), (24, 16), (40, 8)])
 def test_outcome_distribution_edge_orders(r, q):
-    dist = outcome_distribution(r, q).probabilities
+    probs = statevec._outcome_probabilities(r, q)
     expected = [outcome_probability(k, r, q) for k in range(q)]
-    assert np.abs(dist - expected).max() < 1e-12
+    assert np.abs(probs - expected).max() < 1e-12
 
 
 def test_outcome_distribution_rejects_dimension_beyond_int64_phases():
@@ -1015,8 +1020,8 @@ def test_outcome_distribution_rejects_dimension_that_is_not_a_power_of_two(q):
 def test_distribution_holds_one_read_only_cdf_that_draws_reuse():
     q = 2**16
     dist = outcome_distribution(6, q)
-    assert dist.cdf.tobytes() == np.cumsum(dist.probabilities).tobytes()
-    assert not dist.cdf.flags.writeable and not dist.probabilities.flags.writeable
+    assert dist.cdf.tobytes() == np.cumsum(statevec._outcome_probabilities(6, q)).tobytes()
+    assert not dist.cdf.flags.writeable
     rng = np.random.default_rng(3)
     tracemalloc.start()
     try:
@@ -1028,6 +1033,67 @@ def test_distribution_holds_one_read_only_cdf_that_draws_reuse():
     assert peak < 8 * q  # no draw accumulates a Q-long CDF of its own
 
 
+@pytest.mark.parametrize("r", [1, 40, 41, 42, 2**14 + 3])
+def test_outcome_distribution_accumulates_the_floats_of_a_fresh_cumsum(r):
+    for t in range(20):
+        q = 2**t
+        expected = np.cumsum(statevec._outcome_probabilities(r, q))
+        assert outcome_distribution(r, q).cdf.tobytes() == expected.tobytes(), (r, q)
+
+
+@pytest.mark.parametrize("n, x, t", HERMITIAN_CASES)
+def test_final_distribution_accumulates_the_floats_of_a_fresh_cumsum(n, x, t):
+    inst = make_instance(n, x, t=t)
+    expected = np.cumsum(final_probabilities(inst))
+    assert final_distribution(inst).cdf.tobytes() == expected.tobytes()
+
+
+def test_fast_distribution_holds_one_outcome_long_array():
+    # the probabilities become their own CDF: 16.0 bytes per outcome were
+    # traced while a fresh CDF was accumulated beside them
+    q = 2**19
+    tracemalloc.start()
+    try:
+        dist = outcome_distribution(41, q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(dist.cdf) == q
+    assert peak < 10 * q
+
+
+@pytest.mark.parametrize("writeable", [False, True])
+def test_distribution_leaves_the_callers_array_as_it_is(writeable):
+    probs = np.array([0.125, 0.0, 0.375, 0.5])
+    probs.setflags(write=writeable)
+    kept = probs.tobytes()
+    dist = OutcomeDistribution(probs)
+    assert dist.cdf.tolist() == [0.125, 0.125, 0.5, 1.0]
+    assert probs.tobytes() == kept and probs.flags.writeable == writeable
+    assert not dist.cdf.flags.writeable and not np.shares_memory(dist.cdf, probs)
+
+
+@pytest.mark.parametrize(
+    "index, value, message",
+    [(0, np.nan, "sum"), (1, -1e-9, "negative probability"), (2, 0.125 + 2e-9, "sum")],
+    ids=["nan", "negative", "total"],
+)
+def test_outcome_distribution_checks_its_probabilities_before_it_accumulates(
+    monkeypatch, index, value, message
+):
+    # each vector is handed over writable, as the kernel's is; a check that
+    # ran after the in-place cumsum would leave it accumulated
+    probs = np.full(8, 0.125)
+    probs[index] = value
+    if value < 0:
+        probs[0] += 0.125 + 1e-9  # the total stays 1
+    kept = probs.tobytes()
+    monkeypatch.setattr(statevec, "_outcome_probabilities", lambda r, q: probs)
+    with pytest.raises(ValueError, match=message):
+        outcome_distribution(3, 8)
+    assert probs.tobytes() == kept
+
+
 def test_sample_outcome_delta_distribution():
     dist = OutcomeDistribution(np.array([0.0, 0.0, 1.0, 0.0]))
     for seed in (0, 1, 12345):
@@ -1035,7 +1101,7 @@ def test_sample_outcome_delta_distribution():
 
 
 def test_sample_outcome_frequencies(inst15, pipeline15):
-    dist = measurement_distribution_A(pipeline15[2])
+    dist = OutcomeDistribution(measurement_probabilities_A(pipeline15[2]))
     rng = np.random.default_rng(42)
     draws = np.array([sample_outcome(dist, rng) for _ in range(4096)])
     for peak in (0, 512, 1024, 1536):
@@ -1044,7 +1110,7 @@ def test_sample_outcome_frequencies(inst15, pipeline15):
 
 
 def test_sample_outcome_seed_replay(pipeline15):
-    dist = measurement_distribution_A(pipeline15[2])
+    dist = OutcomeDistribution(measurement_probabilities_A(pipeline15[2]))
     rng_a = np.random.default_rng(7)
     rng_b = np.random.default_rng(7)
     seq_a = [sample_outcome(dist, rng_a) for _ in range(20)]
