@@ -10,13 +10,9 @@ builds them once per process, read-only.  Each closed form is 1 - overlap,
 and `closed_form_overlaps` is their one entry point: it evaluates the
 n + 1 per-weight maxima and the r phases once each, and sums them over the
 popcounts of the joint labels into the squared overlaps S_ab**2 / Q
-(post-modexp) and S_as**2 / r**2 (post-transform).  An alternating
-optimizer over the *full* product-state family is the cross-check on the
-uniform stage, a product state.  That stage occupies one register-B column,
-so the optimizer runs on the Q register-A amplitudes of that column, from
-the per-qubit marginal seed, and stops at the update where the overlap
-reaches 1 (E_g = 0.0).  The dense all-starts optimizer for entangled
-states is a test oracle.
+(post-modexp) and S_as**2 / r**2 (post-transform).  The uniform stage is
+a product state, so its E_g is 0 by construction; the dense all-starts
+optimizer over the full product-state family is a test oracle.
 
 The post-transform overlap squares a complex sum; since plain squaring and
 squared modulus differ once the sum leaves the real axis, both readings are
@@ -31,26 +27,22 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from shormeter.numtheory import ShorInstance
-from shormeter.statevec import PureState
 
 __all__ = [
     "ClosedFormOverlaps",
     "SymmetricOptimum",
     "closed_form_overlaps",
-    "geometric_entanglement_product",
     "geometric_entanglement_symmetric",
     "hamming_weight_term",
 ]
 
 GRID_POINTS = 2048
 REFINE_TOL = 1e-10
-_ALS_MAX_SWEEPS = 200
-_ALS_TOL = 1e-14  # a sweep that gains less than this ends the run
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -212,106 +204,3 @@ def _overlaps_from_weights(
                 stacklevel=3,
             )
     return overlaps
-
-
-# ---------------------------------------------------------------------------
-# Full product-family optimizer on one register-B column (cross-check on psi1)
-# ---------------------------------------------------------------------------
-
-
-def _register_a_environment(
-    right: np.ndarray, qubit_states: Sequence[np.ndarray], i: int
-) -> np.ndarray:
-    """Environment of register-A qubit i, before the register-B scalars.
-
-    `right` is conj(phi_A) contracted with the qubits after i, so it holds
-    qubits 0..i with i last; qubit i moves to the front and qubits
-    i-1, ..., 0 are contracted, the order of a dense contraction.
-    """
-    v = right.reshape(-1, 2).T.reshape(-1)
-    for j in range(i - 1, -1, -1):
-        v = v.reshape(-1, 2) @ qubit_states[j]
-    return v
-
-
-def _marginal_seed(phi_a: np.ndarray, t: int) -> list[np.ndarray]:
-    """Per-qubit amplitude-magnitude seed of register A; exact for product states."""
-    probs = np.abs(phi_a) ** 2
-    seeds = []
-    for i in range(t):
-        p = probs.reshape(2**i, 2, -1).sum(axis=(0, 2))
-        seeds.append(np.sqrt(p / p.sum()).astype(np.complex128))
-    return seeds
-
-
-def _register_a_overlap(phi_a: np.ndarray, y_bits: Sequence[int]) -> float:
-    """Alternating per-qubit maximization of |<phi_A (x) |y>|prod>| from the marginal seed.
-
-    Qubits are swept in the dense order: register A, then register B (bits
-    y_bits of y).  A register-B qubit enters every contraction as the scalar
-    q_j[y_j], taken in the order j = n-1, ..., t, and its environment is the
-    register-A contraction placed at basis vector y_j.  Each update is the
-    exact conditional optimum, so the overlap never decreases; the run
-    returns once it reaches 1, where the clamped entanglement is 0.0.
-    """
-    t = len(phi_a).bit_length() - 1
-    n = t + len(y_bits)
-    conj_a = phi_a.conj()
-    basis = np.eye(2, dtype=np.complex128)
-    states = _marginal_seed(phi_a, t) + [basis[bit] for bit in y_bits]
-
-    def contracted(stop: int) -> list[np.ndarray]:
-        # conj(phi_A), then contracted with qubits t-1, ..., stop in turn
-        chain = [conj_a]
-        for j in range(t - 1, stop - 1, -1):
-            chain.append(chain[-1].reshape(-1, 2) @ states[j])
-        return chain
-
-    value = 0.0
-    for _ in range(_ALS_MAX_SWEEPS):
-        previous = value
-        right = contracted(1)  # this sweep's register-A qubits, none updated yet
-        for i in range(n):
-            if i < t:
-                env = _register_a_environment(right[t - 1 - i], states, i)
-            else:
-                if i == t:
-                    full = contracted(0)[-1]
-                env = basis[y_bits[i - t]] * full
-            for j in range(n - 1, t - 1, -1):
-                if j != i:
-                    env = env * states[j][y_bits[j - t]]
-            norm = float(np.linalg.norm(env))
-            if norm < 1e-300:
-                states[i] = basis[0]
-                continue
-            states[i] = env.conj() / norm
-            value = norm
-            if 1.0 - value * value <= 0.0:
-                return value
-        if value - previous <= _ALS_TOL:
-            break
-    return value
-
-
-def geometric_entanglement_product(state: PureState) -> float:
-    """1 - max |<state|product>|**2 over the full product-state family.
-
-    The state must occupy one register-B column y, so it is phi_A (x) |y>
-    and the maximal product overlap factorizes: one alternating-optimization
-    run from the per-qubit marginal seed works on the Q amplitudes of phi_A,
-    and register B enters through its basis state.  The marginal seed makes
-    product states such as the uniform stage land on 0.0.  It converges to a
-    local optimum in general; the all-starts dense optimizer is a test
-    oracle.  Raises ValueError when more than one column is occupied.
-    """
-    L = state.layout.L
-    if len(state.labels) != 1:
-        raise ValueError(
-            "product-family optimizer needs one occupied register-B column, "
-            f"got {len(state.labels)}"
-        )
-    y = int(state.labels[0])
-    y_bits = [(y >> (L - 1 - k)) & 1 for k in range(L)]
-    best = _register_a_overlap(state.block[:, 0], y_bits)
-    return max(0.0, 1.0 - best * best)

@@ -193,10 +193,6 @@ def verify_stage(
     cg = measures.geometric_coherence_pure(support)
     opt = ent.geometric_entanglement_symmetric(statevec.weight_sums(state))
     details: dict = {"ansatz_alpha": opt.alpha_angle, "ansatz_overlap_sq": opt.overlap_sq}
-    if stage == "psi1":
-        # The single-angle symmetric family misses this product state by a
-        # wide margin; the full product-family optimum is reported alongside.
-        details["product_family_numeric"] = ent.geometric_entanglement_product(state)
     if eg_literal is not None:
         details["closed_form_literal"] = eg_literal
     note = "reported, not gated"

@@ -31,7 +31,7 @@ def test_criterion_1_geometric_coherence_uniform_stage(pipeline15):
 
 
 def test_criterion_2_uniform_stage_entanglement_vanishes(pipeline15):
-    product_family = ent.geometric_entanglement_product(pipeline15[0])
+    product_family = oracles.all_starts_product_entanglement(pipeline15[0])
     restricted = oracles.symmetric_optimum(pipeline15[0]).entanglement
     ok = product_family <= 1e-9
     check(

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -297,19 +296,10 @@ def single_column_state(make_state, t, L, y, rng):
     return PureState(RegisterLayout(t=t, L=L), phi[:, None], [y])
 
 
-def test_product_family_optimizer_on_separable_states():
-    rng = np.random.default_rng(101)
-    state = single_column_state(product_state, 3, 2, 2, rng)
-    assert ent.geometric_entanglement_product(state) <= 1e-9
-
-
 def test_product_family_never_exceeds_symmetric(pipeline15, pipeline15_t8):
+    # the all-starts oracle includes the symmetric optimum among its starts
     psi1 = pipeline15[0]
-    for state in (psi1, _perturbed(psi1, 1e-3)):
-        sym = oracles.symmetric_optimum(state).entanglement
-        assert ent.geometric_entanglement_product(state) <= sym + 1e-12
-    # the all-starts cross-check for entangled states includes the symmetric optimum
-    for state in pipeline15_t8[1:]:
+    for state in (psi1, _perturbed(psi1, 1e-3), *pipeline15_t8[1:]):
         sym = oracles.symmetric_optimum(state).entanglement
         assert oracles.all_starts_product_entanglement(state) <= sym + 1e-12
 
@@ -320,79 +310,19 @@ def test_entanglement_values_stay_physical(pipeline15):
         assert 0.0 <= value <= 1.0
 
 
-@pytest.mark.parametrize("make_state, seed", [(product_state, 404), (random_state, 77)])
-def test_product_family_matches_all_starts_on_random_states(make_state, seed):
-    # register A holds make_state's state, register B one basis state
-    rng = np.random.default_rng(seed)
+def test_all_starts_product_entanglement_vanishes_on_random_product_states():
+    # register A holds a random product state, register B one basis state
+    rng = np.random.default_rng(404)
     for t, L in ((2, 1), (3, 2), (4, 3)):
         for _ in range(6):
-            state = single_column_state(make_state, t, L, int(rng.integers(2**L)), rng)
-            got = ent.geometric_entanglement_product(state)
-            if make_state is product_state:
-                assert got == oracles.all_starts_product_entanglement(state) == 0.0
-                continue
-            # one run from the marginal seed: the dense run from that start, and
-            # never better than the best of all starts
-            dense = oracles.dense_product_entanglement(
-                state, [oracles.dense_marginal_seed(state)]
-            )
-            assert got == pytest.approx(dense, abs=1e-12)
-            assert got >= oracles.all_starts_product_entanglement(state) - 1e-12
-
-
-def test_product_family_early_exit_matches_all_starts_on_pipeline(pipeline15_t8):
-    psi1, psi2, psi3 = pipeline15_t8
-    assert ent.geometric_entanglement_product(psi1) == 0.0
-    assert oracles.all_starts_product_entanglement(psi1) == 0.0
-    perturbed = _perturbed(psi1, 1e-3)
-    assert ent.geometric_entanglement_product(perturbed) == pytest.approx(
-        oracles.all_starts_product_entanglement(perturbed), abs=1e-12
-    )
-    rng = np.random.default_rng(8)
-    for state in (psi2, psi3, random_state(RegisterLayout(t=2, L=2), rng)):
-        with pytest.raises(ValueError, match="one occupied register-B column"):
-            ent.geometric_entanglement_product(state)
+            state = single_column_state(product_state, t, L, int(rng.integers(2**L)), rng)
+            assert oracles.all_starts_product_entanglement(state) == 0.0
 
 
 @pytest.mark.parametrize("n, x, t", [(15, 7, 11), (21, 2, 10), (25, 7, 10)])
 def test_product_family_exact_zero_on_psi1_ladder(n, x, t):
     psi1 = run_order_finding_circuit(make_instance(n, x, t=t))[0]
-    assert ent.geometric_entanglement_product(psi1) == 0.0
     assert oracles.all_starts_product_entanglement(psi1) == 0.0
-
-
-def test_product_family_stops_after_marginal_seed_on_psi1(pipeline15, monkeypatch):
-    runs = []
-    updates = []
-    overlap = ent._register_a_overlap
-    environment = ent._register_a_environment
-
-    def counted(*args, **kwargs):
-        runs.append(1)
-        return overlap(*args, **kwargs)
-
-    def counted_environment(*args, **kwargs):
-        updates.append(1)
-        return environment(*args, **kwargs)
-
-    monkeypatch.setattr(ent, "_register_a_overlap", counted)
-    monkeypatch.setattr(ent, "_register_a_environment", counted_environment)
-    assert ent.geometric_entanglement_product(pipeline15[0]) == 0.0
-    assert len(runs) == 1
-    # the run returns once the overlap reaches 1, within its first sweep
-    assert 0 < len(updates) <= pipeline15[0].layout.n
-
-
-def test_product_family_memory_stays_on_register_a():
-    psi1 = run_order_finding_circuit(make_instance(21, 2, t=10))[0]
-    tracemalloc.start()
-    try:
-        assert ent.geometric_entanglement_product(psi1) == 0.0
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # a dense (2,)*n copy of the 15-qubit state alone is 16 * 2**15 bytes
-    assert peak < 16 * psi1.layout.dim / 4
 
 
 def test_weight_sums_match_bit_loop():

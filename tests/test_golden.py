@@ -8,8 +8,8 @@ N=21, where it does not; ``simulate`` on N=51 and N=17, whose orders 8 and
 psi3 at N=17 t=15 is transformed in two chunks of 8 columns; ``simulate``
 on N=129, whose L = 8 puts 8 label bits into the Hamming weights, and
 whose r = 42 does not divide Q; ``verify
---debug-perturb`` on N=21, which runs E_g and the product-family optimizer
-on a psi1 that is not a product state; dense ``factor`` on N=49 at the
+--debug-perturb`` on N=21, whose perturbed psi1 and psi2 fail their
+coherence gates, so it exits 1; dense ``factor`` on N=49 at the
 default t, whose 42 image columns are transformed in several chunks;
 ``factor --fast`` on N=129 (r = 42, gcd(r, Q) = 2) and N=249 (odd r = 41)
 at the default t = 19, which pin the sampled outcomes of the closed-form

@@ -112,18 +112,18 @@ def test_verify_stage_psi3(inst15, pipeline15):
     assert "closed_form_literal" in eg_row["details"]
 
 
-def test_verify_psi1_reports_product_family_value(inst15, pipeline15):
+def test_verify_reports_eg_details_per_stage(inst15, pipeline15):
     reports, _ = theorems.verify_all(inst15, pipeline15)
-    (eg_row,) = reports["psi1"]["measures"]["E_g"]
-    assert eg_row["closed_form"] == 0.0
-    assert eg_row["details"]["product_family_numeric"] <= 1e-9
+    rows = {stage: reports[stage]["measures"]["E_g"][0] for stage in theorems.STAGES}
+    assert rows["psi1"]["closed_form"] == 0.0
     # the single-angle restricted value is far from zero and stays visible
-    assert eg_row["numeric"] > 0.9
-    # the product family and the literal reading each belong to one stage
-    assert all("product_family_numeric" not in reports[s]["measures"]["E_g"][0]["details"]
-               for s in ("psi2", "psi3"))
-    assert all("closed_form_literal" not in reports[s]["measures"]["E_g"][0]["details"]
-               for s in ("psi1", "psi2"))
+    assert rows["psi1"]["numeric"] > 0.9
+    ansatz = {"ansatz_alpha", "ansatz_overlap_sq"}
+    # r | Q here, so the literal reading is reported on psi3, and only there
+    assert inst15.Q % inst15.r == 0
+    assert set(rows["psi1"]["details"]) == ansatz
+    assert set(rows["psi2"]["details"]) == ansatz
+    assert set(rows["psi3"]["details"]) == ansatz | {"closed_form_literal"}
 
 
 def test_verify_all_consistency(inst15, pipeline15):
