@@ -12,7 +12,6 @@ from shormeter.numtheory import (
     ShorInstance,
     extract_factors,
     find_order_bruteforce,
-    make_instance,
     recover_order,
     register_sizes,
 )
@@ -26,7 +25,6 @@ __all__ = [
     "ShorInstance",
     "extract_factors",
     "find_order_bruteforce",
-    "make_instance",
     "recover_order",
     "register_sizes",
     "run_order_finding_circuit",

@@ -4,9 +4,12 @@ The production path restricts the product-state optimization to the
 one-parameter symmetric family eta(alpha)^(tensor n) with
 eta = cos(alpha/2)|0> + sin(alpha/2)|1>, which is what the closed forms are
 derived from.  Its optimizer reads a state only through its n + 1 weight
-sums (`statevec.weight_sums`); its seed grid, the grid's basis and
-the weight vectors depend only on n and the grid size, so `_seed_basis`
-builds them once per process, read-only.  Each closed form is 1 - overlap,
+sums (`statevec.weight_sums`), and finds the global maximum of the squared
+overlap without a search: the stationary points are the real roots of one
+polynomial of degree at most 2n in u = tan(alpha/2), and every candidate,
+the two endpoints included, is scored on the overlap itself.  Its tests
+hold the optimum at or above a dense-grid oracle's maximum within 1e-15.
+The module builds nothing per process.  Each closed form is 1 - overlap,
 and `closed_form_overlaps` is their one entry point: it evaluates the
 n + 1 per-weight maxima and the r phases once each, and sums them over the
 popcounts of the joint labels into the squared overlaps S_ab**2 / Q
@@ -14,22 +17,24 @@ popcounts of the joint labels into the squared overlaps S_ab**2 / Q
 a product state, so its E_g is 0 by construction; the dense all-starts
 optimizer over the full product-state family is a test oracle.
 
-The post-transform overlap squares a complex sum; since plain squaring and
-squared modulus differ once the sum leaves the real axis, both readings are
-always computed side by side.  The squared-modulus reading is treated as
-canonical (an overlap maximum is a squared modulus), and for every
-power-of-two order checked the two agree anyway.
+The post-transform overlap squares a complex sum S_as, and the two
+readings of that square differ once S_as leaves the real axis.  The
+squared modulus |S_as|**2 / r**2 is canonical: an overlap maximum is a
+squared modulus.  The literal Re(S_as**2) / r**2, the paper's formula as
+printed, is reported beside it, ungated.  It is never larger, since
+Re(S**2) <= |S|**2, so it is not an overlap; at N=51 x=2 (r = 8) the two
+overlaps are 0.011673 and 0.011537.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
+from numpy.polynomial.polynomial import polyder, polyroots, polytrim, polyval
 
 from shormeter.numtheory import ShorInstance
 
@@ -41,9 +46,7 @@ __all__ = [
     "hamming_weight_term",
 ]
 
-GRID_POINTS = 2048
-REFINE_TOL = 1e-10
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_EPS = float(np.finfo(np.float64).eps)
 
 
 def hamming_weight_term(w: int, n: int) -> float:
@@ -59,58 +62,6 @@ def hamming_weight_term(w: int, n: int) -> float:
     return lo * hi
 
 
-class _SeedBasis(NamedTuple):
-    """Read-only arrays of the symmetric optimizer that depend only on n and
-    the grid size: the grid, its (points, n + 1) basis
-    cos(alpha/2)**(n-w) * sin(alpha/2)**w, the weights w and n - w."""
-
-    grid: np.ndarray
-    basis: np.ndarray
-    weights: np.ndarray
-    complements: np.ndarray
-
-
-@functools.lru_cache(maxsize=None)
-def _seed_basis(n: int, points: int) -> _SeedBasis:
-    """The `_SeedBasis` of n qubits on `points` grid angles, built once per
-    process: one entry per (n, points), 8 * points * (n + 1) bytes of basis
-    each."""
-    grid = np.linspace(0.0, math.pi, points)
-    c = np.cos(grid / 2.0)
-    s = np.sin(grid / 2.0)
-    w = np.arange(n + 1)
-    basis = (c[:, None] ** (n - w[None, :])) * (s[:, None] ** w[None, :])
-    seed = _SeedBasis(grid, basis, w, n - w)
-    for arr in seed:
-        arr.setflags(write=False)
-    return seed
-
-
-def _overlap_from_coefficients(coeff: np.ndarray, alpha_angle: float) -> complex:
-    seed = _seed_basis(len(coeff) - 1, GRID_POINTS)
-    c = math.cos(alpha_angle / 2.0)
-    s = math.sin(alpha_angle / 2.0)
-    return complex((coeff * (c**seed.complements) * (s**seed.weights)).sum())
-
-
-def _golden_max(f: Callable[[float], float], a: float, b: float, tol: float) -> tuple[float, float]:
-    """Golden-section maximization of f on [a, b] down to interval width tol."""
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
 @dataclass(frozen=True)
 class SymmetricOptimum:
     """Best symmetric-ansatz overlap: E_g value, maximizer, squared overlap."""
@@ -124,25 +75,54 @@ def geometric_entanglement_symmetric(coeff: np.ndarray) -> SymmetricOptimum:
     """1 - max_alpha |<state|eta(alpha)^n>|**2 over the symmetric family.
 
     The state enters only through its n + 1 weight sums `coeff`
-    (`statevec.weight_sums`).  A dense grid over [0, pi] seeds a
-    golden-section refinement, which is enough because the overlap is a
-    low-oscillation trigonometric polynomial in alpha.
+    (`statevec.weight_sums`).  With u = tan(alpha/2) and
+    P(u) = sum_w coeff[w] u**w, the squared overlap is |P(u)|**2 / (1 + u**2)**n,
+    so its stationary points in (0, pi) are the positive real roots of
+
+        g(u) = (|P|**2)'(u) (1 + u**2) - 2 n u |P(u)|**2,
+
+    a real polynomial of degree at most 2n, and the maximum is attained at
+    alpha = 0, at alpha = pi or at one of those roots.  Every root with a
+    positive real part is a candidate: each is scored on the overlap itself,
+    so a spurious one cannot win.  The winning root takes one Newton step.
+    Top coefficients of g at or below `_EPS` times its largest, the size
+    of its rounding, are dropped before the roots are found: kept as the
+    leading coefficient, such a one would scale the companion matrix by its
+    inverse and lose every root that matters.
     """
-    grid, basis, _, _ = _seed_basis(len(coeff) - 1, GRID_POINTS)
-    values = np.abs(basis @ coeff) ** 2
-    best = int(np.argmax(values))
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, GRID_POINTS - 1)]
+    n = len(coeff) - 1
+    # |P(u)|**2 = sum_j a[j + 1] u**j, zero-padded on both ends
+    a = np.zeros(2 * n + 3)
+    a[1:-1] = np.convolve(coeff, coeff.conj()).real
+    k = np.arange(2 * n + 1)
+    g = (k + 1) * a[k + 2] + (k - 1 - 2 * n) * a[k]
+    roots = polyroots(polytrim(g, _EPS * np.abs(g).max()))
+    u = roots.real[roots.real > 0.0]
+    angles = np.concatenate(([0.0, math.pi], 2.0 * np.arctan(u)))
+    best = int(np.argmax(np.abs(_overlaps(coeff, angles)) ** 2))
+    alpha = float(angles[best])
+    if best >= 2:
+        alpha = 2.0 * math.atan(_newton_step(g, float(u[best - 2])))
+    overlap_sq = abs(complex(_overlaps(coeff, np.array([alpha]))[0])) ** 2
+    return SymmetricOptimum(entanglement=1.0 - overlap_sq, alpha_angle=alpha, overlap_sq=overlap_sq)
 
-    def objective(angle: float) -> float:
-        return abs(_overlap_from_coefficients(coeff, angle)) ** 2
 
-    alpha_star, val_star = _golden_max(objective, lo, hi, REFINE_TOL)
-    if values[best] > val_star:
-        alpha_star, val_star = float(grid[best]), float(values[best])
-    return SymmetricOptimum(
-        entanglement=1.0 - val_star, alpha_angle=alpha_star, overlap_sq=val_star
-    )
+def _overlaps(coeff: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """<state|eta(alpha)^n> at each angle: sum_w coeff[w] cos(alpha/2)**(n-w) sin(alpha/2)**w."""
+    n = len(coeff) - 1
+    w = np.arange(n + 1)
+    c = np.cos(angles / 2.0)[:, None]
+    s = np.sin(angles / 2.0)[:, None]
+    return (coeff * c ** (n - w) * s**w).sum(axis=1)
+
+
+def _newton_step(g: np.ndarray, u: float) -> float:
+    """u after one Newton step on the polynomial g.  Beyond u = 1 the step
+    is taken on 1/u, a root of g's reversed coefficients, so that no power
+    of u overflows."""
+    if u > 1.0:
+        return 1.0 / _newton_step(g[::-1], 1.0 / u)
+    return float(u - polyval(u, g) / polyval(u, polyder(g)))
 
 
 class ClosedFormOverlaps(NamedTuple):

@@ -20,7 +20,6 @@ __all__ = [
     "brief",
     "extract_factors",
     "find_order_bruteforce",
-    "make_instance",
     "recover_order",
     "register_sizes",
 ]
@@ -132,14 +131,6 @@ class ShorInstance(RegisterLayout):
         """N**2 <= Q < 2 N**2: the quadratic window, which the sizing formula
         for t can exceed (it does for N=15); reported, never enforced."""
         return self.N**2 <= self.Q < 2 * self.N**2
-
-
-def make_instance(
-    N: int, x: int, *, t: Optional[int] = None, epsilon: float = 0.25
-) -> ShorInstance:
-    """Build a ShorInstance, sizing registers from epsilon unless t is given."""
-    sizes = register_sizes(N, epsilon)
-    return ShorInstance(N=N, x=x, t=sizes.t if t is None else t, L=sizes.L)
 
 
 def _convergent_denominators(k: int, q: int) -> Iterator[int]:

@@ -235,7 +235,7 @@ def final_probabilities(instance: ShorInstance) -> np.ndarray:
 def final_distribution(instance: ShorInstance) -> OutcomeDistribution:
     """The register-A outcome distribution of psi3: `final_probabilities`,
     turned into their CDF in place."""
-    return OutcomeDistribution._handed_over(final_probabilities(instance))
+    return OutcomeDistribution(final_probabilities(instance))
 
 
 def run_order_finding_circuit(instance: ShorInstance) -> tuple[PureState, PureState, PureState]:
@@ -266,25 +266,16 @@ class OutcomeDistribution:
     """The running sums of the register-A outcome probabilities, read-only:
     all that a `sample_outcome` draw reads.
 
-    Construction checks the caller's probabilities and accumulates a copy
-    of them, so the caller's array is never written.  `outcome_distribution`
-    and `final_distribution` hand over the vector they have just built
-    instead (`_handed_over`), which becomes its own CDF: a job holds one
-    Q-long array from the kernel to its last draw.
+    It takes `probabilities` over: a fresh float64 vector that no one else
+    holds, as `outcome_distribution` and `final_distribution` build it.
+    After its checks the vector becomes its own CDF, in place, so a job
+    holds one Q-long array from the kernel to its last draw.
     """
 
     cdf: np.ndarray
 
     def __init__(self, probabilities: np.ndarray) -> None:
-        object.__setattr__(self, "cdf", _running_sums(np.array(probabilities, dtype=np.float64)))
-
-    @classmethod
-    def _handed_over(cls, probabilities: np.ndarray) -> OutcomeDistribution:
-        """The distribution of `probabilities`, a fresh float64 vector that
-        no one else holds, accumulated in place."""
-        distribution = object.__new__(cls)
-        object.__setattr__(distribution, "cdf", _running_sums(probabilities))
-        return distribution
+        object.__setattr__(self, "cdf", _running_sums(probabilities))
 
 
 def _running_sums(probabilities: np.ndarray) -> np.ndarray:
@@ -394,7 +385,7 @@ def outcome_distribution(r: int, q: int) -> OutcomeDistribution:
         raise ValueError(f"dimension must lie in [1, 2**31], got {q}")
     if q & (q - 1):
         raise ValueError(f"dimension must be a power of two, got {q}")
-    return OutcomeDistribution._handed_over(_outcome_probabilities(r, q))
+    return OutcomeDistribution(_outcome_probabilities(r, q))
 
 
 def _sin_squared(phase: np.ndarray, q: int, out: np.ndarray) -> np.ndarray:

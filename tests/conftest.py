@@ -1,6 +1,7 @@
 import pytest
 
-from shormeter import make_instance, run_order_finding_circuit
+from oracles import make_instance
+from shormeter import run_order_finding_circuit
 
 
 @pytest.fixture(scope="session")

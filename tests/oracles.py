@@ -22,9 +22,11 @@ held state, the whole-array form of the closed-form one and its
 unreflected long-double evaluation, loop-summed
 closed-form overlaps, dense all-starts product-family optimizer,
 brute-force product-state search, symmetric optimum and overlap through a
-state's weight sums, weight sums by np.add.at, alpha-peak search)
+state's weight sums, the dense-grid symmetric optimum that certifies the
+library's, weight sums by np.add.at, alpha-peak search)
 the Fraction convergents and the candidate-set order recovery, and small helpers (`as_state`, `support_of`,
-`dense_grid`, `mod_pow`, `register_b_support`, `dump_nonzero_json`) serve only the tests, so they are kept out of the
+`dense_grid`, `mod_pow`, `register_b_support`, `dump_nonzero_json`, `make_instance`,
+`distribution_of`) serve only the tests, so they are kept out of the
 library.
 """
 
@@ -42,7 +44,6 @@ import numpy as np
 from shormeter.entanglement import (
     ClosedFormOverlaps,
     SymmetricOptimum,
-    _overlap_from_coefficients,
     geometric_entanglement_symmetric,
     hamming_weight_term,
 )
@@ -52,8 +53,9 @@ from shormeter.measures import (
     tsallis_coherence_grid,
     validate_alpha,
 )
-from shormeter.numtheory import RegisterLayout, ShorInstance
+from shormeter.numtheory import RegisterLayout, ShorInstance, register_sizes
 from shormeter.statevec import (
+    OutcomeDistribution,
     PureState,
     Support,
     nonzero_support,
@@ -285,6 +287,20 @@ def candidate_set_recover_order(k: int, instance: ShorInstance) -> Optional[int]
         if pow(x, cand, n) == 1:
             return min(e for e in range(1, cand + 1) if cand % e == 0 and pow(x, e, n) == 1)
     return None
+
+
+def make_instance(
+    N: int, x: int, *, t: Optional[int] = None, epsilon: float = 0.25
+) -> ShorInstance:
+    """Build a ShorInstance, sizing registers from epsilon unless t is given."""
+    sizes = register_sizes(N, epsilon)
+    return ShorInstance(N=N, x=x, t=sizes.t if t is None else t, L=sizes.L)
+
+
+def distribution_of(probabilities) -> OutcomeDistribution:
+    """The `OutcomeDistribution` of a float64 copy of `probabilities`: the
+    distribution takes its vector over, and the caller's stays as it is."""
+    return OutcomeDistribution(np.array(probabilities, dtype=np.float64))
 
 
 def from_dense(layout: RegisterLayout, vec: np.ndarray) -> PureState:
@@ -738,8 +754,33 @@ def all_starts_product_entanglement(
 
 
 def symmetric_overlap(state: PureState, alpha_angle: float) -> complex:
-    """<state | eta(alpha)^(tensor n)> from its weight sums."""
-    return _overlap_from_coefficients(weight_sums(state), alpha_angle)
+    """<state | eta(alpha)^(tensor n)> from its weight sums, one angle at a time."""
+    coeff = weight_sums(state)
+    n = len(coeff) - 1
+    w = np.arange(n + 1)
+    c, s = math.cos(alpha_angle / 2.0), math.sin(alpha_angle / 2.0)
+    return complex(np.sum(coeff * (c ** (n - w)) * (s**w)))
+
+
+def dense_symmetric_overlap_sq(coeff: np.ndarray, points: int = 100_001) -> float:
+    """The largest |<state|eta(alpha)^n>|**2 of the weight sums `coeff` on a
+    grid: `points` equispaced alpha in [0, pi/2] and their mirrors pi - alpha.
+
+    By Horner's rule in u = tan(alpha/2) <= 1 up to pi/2, and beyond it in
+    cot(alpha/2), on the reversed sums, so that no power exceeds 1.  A grid
+    maximum is a lower bound of the true one: the symmetric optimizer must
+    reach it.
+    """
+    n = len(coeff) - 1
+    half = np.linspace(0.0, math.pi / 2.0, points) / 2.0
+    u, scale = np.tan(half), np.cos(half) ** n
+    best = 0.0
+    for sums in (coeff, coeff[::-1]):
+        acc = np.zeros(points, dtype=np.complex128)
+        for value in sums[::-1]:
+            acc = acc * u + value
+        best = max(best, float(np.max(np.abs(acc * scale) ** 2)))
+    return best
 
 
 def add_at_weight_sums(state: PureState) -> np.ndarray:

@@ -8,9 +8,9 @@ import math
 import numpy as np
 
 import oracles
-from oracles import ideal_psi3, measurement_probabilities_A, outcome_probability
+from oracles import ideal_psi3, make_instance, measurement_probabilities_A, outcome_probability
 from shormeter import entanglement as ent
-from shormeter import make_instance, measures, run_order_finding_circuit, statevec, theorems
+from shormeter import measures, run_order_finding_circuit, statevec, theorems
 from shormeter.cli import main
 from shormeter.numtheory import RegisterLayout
 

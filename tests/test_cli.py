@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cli_digest
+from oracles import make_instance
 from shormeter import entanglement as ent
 from shormeter.cli import (
     FAST_BYTES_PER_OUTCOME,
@@ -23,7 +24,6 @@ from shormeter.cli import (
     main,
     resolve_config,
 )
-from shormeter.numtheory import make_instance
 
 
 def reject_constant(token):
@@ -77,7 +77,7 @@ def test_simulate_csv_round_trip(tmp_path):
     header = lines[0].split(",")
     assert header[:4] == ["stage", "measure", "param", "numeric"]
     import shormeter.measures as measures
-    from shormeter import make_instance, run_order_finding_circuit, statevec
+    from shormeter import run_order_finding_circuit, statevec
 
     psi1 = run_order_finding_circuit(make_instance(15, 7))[0]
     expected = measures.l1p_coherence_grid(statevec.nonzero_support(psi1), (1.0,))[0]

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from shormeter import entanglement as ent
-from shormeter import make_instance, run_order_finding_circuit
+from oracles import make_instance
+from shormeter import run_order_finding_circuit
 from shormeter.cli import _perturbed
 from shormeter.numtheory import RegisterLayout
 from shormeter.statevec import PureState, weight_sums
@@ -103,53 +106,97 @@ def test_symmetric_entanglement_bell():
     assert opt.entanglement == pytest.approx(0.5, abs=1e-9)
 
 
-def test_symmetric_entanglement_grid_doubling_invariance(monkeypatch, pipeline15):
-    assert ent.GRID_POINTS == 2048
-    coarse = [oracles.symmetric_optimum(state) for state in pipeline15[1:]]
-    # the cache keys on GRID_POINTS as read at call time
-    rows, seed_basis = [], ent._seed_basis
-
-    def recorded(n, points):
-        rows.append(seed_basis(n, points).basis.shape[0])
-        return seed_basis(n, points)
-
-    monkeypatch.setattr(ent, "_seed_basis", recorded)
-    monkeypatch.setattr(ent, "GRID_POINTS", 4096)
-    fine = [oracles.symmetric_optimum(state) for state in pipeline15[1:]]
-    assert rows and set(rows) == {4096}
-    for c, f in zip(coarse, fine):
-        assert abs(c.entanglement - f.entanglement) < 1e-9
-
-
-def test_seed_basis_arrays_are_read_only():
-    seed = ent._seed_basis(15, ent.GRID_POINTS)
-    assert seed.basis.shape == (ent.GRID_POINTS, 16)
-    for arr in seed:
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError):
-            arr[0] = 0
-
-
-def test_symmetric_optimum_is_the_same_from_a_cold_cache():
-    sums = [
-        weight_sums(state)
-        for state in run_order_finding_circuit(make_instance(21, 2, t=10))
-    ]
-    ent.geometric_entanglement_symmetric(sums[0])
-    warm = [ent.geometric_entanglement_symmetric(c) for c in sums]
-    ent._seed_basis.cache_clear()
-    cold = [ent.geometric_entanglement_symmetric(c) for c in sums]
-    assert cold == warm
-
-
 def test_overlap_matches_the_uncached_sum_float_for_float(pipeline15):
-    coeff = weight_sums(pipeline15[2])
+    # the optimizer scores all its candidate angles in one pass; each value
+    # is the one-angle sum of the oracle, float for float
+    state = pipeline15[2]
+    angles = np.linspace(0.0, math.pi, 50)
+    got = ent._overlaps(weight_sums(state), angles)
+    assert got.tolist() == [oracles.symmetric_overlap(state, a) for a in angles.tolist()]
+
+
+def symmetric_slope(coeff, alpha):
+    """d/dalpha |<state|eta(alpha)^n>|**2 at 0 < alpha < pi, from the weight sums."""
     n = len(coeff) - 1
     w = np.arange(n + 1)
-    for angle in np.linspace(0.0, math.pi, 50).tolist():
-        c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
-        expected = complex(np.sum(coeff * (c ** (n - w)) * (s**w)))
-        assert ent._overlap_from_coefficients(coeff, angle) == expected
+    c, s = math.cos(alpha / 2.0), math.sin(alpha / 2.0)
+    overlap = np.sum(coeff * c ** (n - w) * s**w)
+    turn = np.sum(coeff * (w * c ** (n - w + 1) * s ** (w - 1.0) - (n - w) * c ** (n - w - 1.0) * s ** (w + 1)))
+    return float((overlap.conjugate() * turn).real)
+
+
+@pytest.mark.parametrize(
+    "n, x, t", [(15, 7, 8), (21, 2, 10), (51, 2, 12), (17, 3, 8), (17, 3, 15), (129, 5, 9)]
+)
+def test_symmetric_optimum_is_certified_on_the_golden_ladder(n, x, t):
+    # no grid angle beats the optimum, and an interior optimum is polished:
+    # its slope is below 1e-16 here, where the unpolished roots of g left up
+    # to 1.1e-15
+    for state in run_order_finding_circuit(make_instance(n, x, t=t)):
+        coeff = weight_sums(state)
+        opt = ent.geometric_entanglement_symmetric(coeff)
+        assert opt.overlap_sq >= oracles.dense_symmetric_overlap_sq(coeff) - 1e-15
+        assert opt.entanglement == 1.0 - opt.overlap_sq
+        assert 0.0 < opt.alpha_angle < math.pi
+        assert abs(symmetric_slope(coeff, opt.alpha_angle)) <= 3e-16
+
+
+@st.composite
+def weight_vectors(draw):
+    """Weight sums of a normalized state, whose overlaps are then at most 1:
+    sum_w |W_w|**2 / C(n, w) = 1, real or complex, n in [1, 27]."""
+    n = draw(st.integers(1, 27))
+    part = st.lists(st.floats(-1.0, 1.0), min_size=n + 1, max_size=n + 1)
+    coeff = np.array(draw(part), dtype=np.complex128)
+    if draw(st.booleans()):
+        coeff += 1j * np.array(draw(part))
+    norm = math.sqrt(sum(abs(v) ** 2 / math.comb(n, w) for w, v in enumerate(coeff)))
+    assume(norm > 0.0)
+    return coeff / norm
+
+
+@settings(deadline=None, max_examples=150)
+@given(weight_vectors())
+@example(np.array([0.0, 1.0, 3.2e-38]) * math.sqrt(2.0))
+def test_symmetric_optimum_is_certified_on_drawn_weight_sums(coeff):
+    # the example's tiny top weight once led the companion matrix of g and
+    # lost its root u = 1 (alpha = pi/2, overlap 1/2)
+    opt = ent.geometric_entanglement_symmetric(coeff)
+    assert opt.overlap_sq >= oracles.dense_symmetric_overlap_sq(coeff) - 1e-15
+    assert 0.0 <= opt.alpha_angle <= math.pi
+
+
+@pytest.mark.parametrize(
+    "coeff, alpha, overlap_sq",
+    [
+        (np.array([0.6, 0.0, 0.0, 0.0]), 0.0, 0.36),
+        (np.array([0.0, 0.0, 0.0, 0.8j]), math.pi, 0.64),
+        (np.array([1.0, 0.0, 1.0]) / math.sqrt(2.0), None, 0.5),
+    ],
+    ids=["weight-0", "weight-n", "bell"],
+)
+def test_symmetric_optimum_edge_cases(coeff, alpha, overlap_sq):
+    # all mass on w = 0 peaks at alpha = 0 and all on w = n at alpha = pi;
+    # the Bell state's overlap is 1/2 at every angle
+    opt = ent.geometric_entanglement_symmetric(coeff)
+    assert opt.overlap_sq >= oracles.dense_symmetric_overlap_sq(coeff) - 1e-15
+    assert opt.overlap_sq == pytest.approx(overlap_sq, abs=1e-15)
+    if alpha is not None:
+        assert opt.alpha_angle == alpha
+
+
+@pytest.mark.parametrize("alpha", [math.pi / 4, 3 * math.pi / 4])
+def test_dense_oracle_and_optimizer_find_a_symmetric_product_state(alpha):
+    # eta(alpha)^n has weight sums C(n, w) c**(n-w) s**w and overlap 1 at
+    # alpha, a grid angle below pi/2 and one above it
+    n = 12
+    w = np.arange(n + 1)
+    binomials = np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
+    coeff = binomials * math.cos(alpha / 2) ** (n - w) * math.sin(alpha / 2) ** w
+    assert oracles.dense_symmetric_overlap_sq(coeff) == pytest.approx(1.0, abs=1e-14)
+    opt = ent.geometric_entanglement_symmetric(coeff.astype(np.complex128))
+    assert opt.overlap_sq == pytest.approx(1.0, abs=1e-14)
+    assert opt.alpha_angle == pytest.approx(alpha, abs=1e-12)
 
 
 def test_per_weight_maximum_identity():
@@ -197,6 +244,18 @@ def test_closed_form_psi3_value(inst15):
     assert abs(total.imag) < 1e-12
     assert overlaps.psi3 == abs(total) ** 2 / 16
     assert overlaps.psi3_literal == (total * total).real / 16
+
+
+def test_literal_reading_is_not_an_overlap():
+    # at N=51 x=2 (r = 8) S_as leaves the real axis: the two readings differ
+    overlaps = ent.closed_form_overlaps(make_instance(51, 2))
+    assert 1 - overlaps.psi3 == pytest.approx(0.988327, abs=5e-7)
+    assert 1 - overlaps.psi3_literal == pytest.approx(0.988463, abs=5e-7)
+    assert overlaps.psi3 - overlaps.psi3_literal == pytest.approx(1.357e-4, abs=5e-8)
+    # Re(S**2) <= |S|**2 on every r | Q instance of the golden ladder
+    for n, x, t in ((15, 7, 8), (51, 2, 12), (17, 3, 8), (17, 3, 15)):
+        overlaps = ent.closed_form_overlaps(make_instance(n, x, t=t))
+        assert overlaps.psi3_literal <= overlaps.psi3
 
 
 def test_closed_form_overlaps_warn_outside_unit_interval(inst15):

@@ -15,6 +15,7 @@ from oracles import (
     dense_l1p_pure,
     dense_tsallis_pure,
     l1p_coherence_density,
+    make_instance,
     l1p_coherence_pure,
     pure_density,
     relative_entropy_coherence,
@@ -24,7 +25,7 @@ from oracles import (
     tsallis_coherence_density,
     tsallis_coherence_pure,
 )
-from shormeter import make_instance, run_order_finding_circuit, theorems
+from shormeter import run_order_finding_circuit, theorems
 from shormeter.cli import main
 from shormeter.measures import (
     ALPHA_ONE_TOL,

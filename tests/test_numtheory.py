@@ -8,13 +8,17 @@ from hypothesis import strategies as st
 
 import tracemalloc
 
-from oracles import candidate_set_recover_order, continued_fraction_convergents, mod_pow
+from oracles import (
+    candidate_set_recover_order,
+    continued_fraction_convergents,
+    make_instance,
+    mod_pow,
+)
 from shormeter.numtheory import (
     ShorInstance,
     _convergent_denominators,
     extract_factors,
     find_order_bruteforce,
-    make_instance,
     recover_order,
     register_sizes,
 )

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from oracles import (
     add_at_weight_sums,
     column_flat_sum,
+    distribution_of,
     apply_inverse_qft_A,
     apply_qft_A,
     dump_nonzero_json,
@@ -21,6 +22,7 @@ from oracles import (
     hadamard_all_columns,
     ideal_psi3,
     inverse_qft_all_columns,
+    make_instance,
     measurement_probabilities_A,
     modexp_all_columns,
     outcome_probability,
@@ -34,10 +36,9 @@ from oracles import (
 from shormeter import entanglement as ent
 from shormeter import statevec, theorems
 from shormeter.cli import main
-from shormeter.numtheory import RegisterLayout, ShorInstance, make_instance
+from shormeter.numtheory import RegisterLayout, ShorInstance
 from shormeter.statevec import (
     NORM_TOL,
-    OutcomeDistribution,
     PureState,
     final_distribution,
     final_probabilities,
@@ -936,13 +937,13 @@ def test_measurement_distribution_basics():
 )
 def test_distribution_rejects_non_finite_probabilities(probs):
     with pytest.raises(ValueError, match="sum"):
-        OutcomeDistribution(np.array(probs))
+        distribution_of(np.array(probs))
 
 
 @pytest.mark.parametrize("probs", [[1.5, -0.5], [-1e-11, 1.0], [-np.inf, 1.0]])
 def test_distribution_rejects_negative_probabilities(probs):
     with pytest.raises(ValueError, match="negative probability"):
-        OutcomeDistribution(np.array(probs))
+        distribution_of(np.array(probs))
 
 
 @pytest.mark.parametrize("n, x, t", [(49, 3, 10), (255, 2, 4)])
@@ -1067,7 +1068,7 @@ def test_distribution_leaves_the_callers_array_as_it_is(writeable):
     probs = np.array([0.125, 0.0, 0.375, 0.5])
     probs.setflags(write=writeable)
     kept = probs.tobytes()
-    dist = OutcomeDistribution(probs)
+    dist = distribution_of(probs)
     assert dist.cdf.tolist() == [0.125, 0.125, 0.5, 1.0]
     assert probs.tobytes() == kept and probs.flags.writeable == writeable
     assert not dist.cdf.flags.writeable and not np.shares_memory(dist.cdf, probs)
@@ -1095,13 +1096,13 @@ def test_outcome_distribution_checks_its_probabilities_before_it_accumulates(
 
 
 def test_sample_outcome_delta_distribution():
-    dist = OutcomeDistribution(np.array([0.0, 0.0, 1.0, 0.0]))
+    dist = distribution_of(np.array([0.0, 0.0, 1.0, 0.0]))
     for seed in (0, 1, 12345):
         assert sample_outcome(dist, np.random.default_rng(seed)) == 2
 
 
 def test_sample_outcome_frequencies(inst15, pipeline15):
-    dist = OutcomeDistribution(measurement_probabilities_A(pipeline15[2]))
+    dist = distribution_of(measurement_probabilities_A(pipeline15[2]))
     rng = np.random.default_rng(42)
     draws = np.array([sample_outcome(dist, rng) for _ in range(4096)])
     for peak in (0, 512, 1024, 1536):
@@ -1110,7 +1111,7 @@ def test_sample_outcome_frequencies(inst15, pipeline15):
 
 
 def test_sample_outcome_seed_replay(pipeline15):
-    dist = OutcomeDistribution(measurement_probabilities_A(pipeline15[2]))
+    dist = distribution_of(measurement_probabilities_A(pipeline15[2]))
     rng_a = np.random.default_rng(7)
     rng_b = np.random.default_rng(7)
     seq_a = [sample_outcome(dist, rng_a) for _ in range(20)]

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import make_instance
 from shormeter import entanglement as ent
-from shormeter import make_instance, run_order_finding_circuit, theorems
+from shormeter import run_order_finding_circuit, theorems
 
 
 def overlaps_for(inst):
