@@ -8,8 +8,9 @@ sums (`statevec.weight_sums`), and finds the global maximum of the squared
 overlap without a search: the stationary points are the real roots of one
 polynomial of degree at most 2n in u = tan(alpha/2), and every candidate,
 the two endpoints included, is scored on the overlap itself.  Its tests
-hold the optimum at or above a dense-grid oracle's maximum within 1e-15.
-The module builds nothing per process.  Each closed form is 1 - overlap,
+certify the optimum: evaluated exactly, its angle is at least as good as
+the best of a dense grid, within 1e-15.  The module builds nothing per
+process.  Each closed form is 1 - overlap,
 and `closed_form_overlaps` is their one entry point: it evaluates the
 n + 1 per-weight maxima and the r phases once each, and sums them over the
 popcounts of the joint labels into the squared overlaps S_ab**2 / Q
@@ -34,7 +35,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from numpy.polynomial.polynomial import polyder, polyroots, polytrim, polyval
 
 from shormeter.numtheory import ShorInstance
 
@@ -85,10 +85,10 @@ def geometric_entanglement_symmetric(coeff: np.ndarray) -> SymmetricOptimum:
     alpha = 0, at alpha = pi or at one of those roots.  Every root with a
     positive real part is a candidate: each is scored on the overlap itself,
     so a spurious one cannot win.  The winning root takes one Newton step.
-    Top coefficients of g at or below `_EPS` times its largest, the size
-    of its rounding, are dropped before the roots are found: kept as the
-    leading coefficient, such a one would scale the companion matrix by its
-    inverse and lose every root that matters.
+    Top coefficients of g below `_EPS` times its largest, the size of its
+    rounding, are dropped before `np.roots` takes the eigenvalues of its
+    companion matrix: kept as the leading coefficient, such a one would
+    scale that matrix by its inverse and lose every root that matters.
     """
     n = len(coeff) - 1
     # |P(u)|**2 = sum_j a[j + 1] u**j, zero-padded on both ends
@@ -96,7 +96,8 @@ def geometric_entanglement_symmetric(coeff: np.ndarray) -> SymmetricOptimum:
     a[1:-1] = np.convolve(coeff, coeff.conj()).real
     k = np.arange(2 * n + 1)
     g = (k + 1) * a[k + 2] + (k - 1 - 2 * n) * a[k]
-    roots = polyroots(polytrim(g, _EPS * np.abs(g).max()))
+    top = np.flatnonzero(np.abs(g) >= _EPS * np.abs(g).max())[-1]
+    roots = np.roots(g[top::-1])
     u = roots.real[roots.real > 0.0]
     angles = np.concatenate(([0.0, math.pi], 2.0 * np.arctan(u)))
     best = int(np.argmax(np.abs(_overlaps(coeff, angles)) ** 2))
@@ -117,12 +118,17 @@ def _overlaps(coeff: np.ndarray, angles: np.ndarray) -> np.ndarray:
 
 
 def _newton_step(g: np.ndarray, u: float) -> float:
-    """u after one Newton step on the polynomial g.  Beyond u = 1 the step
-    is taken on 1/u, a root of g's reversed coefficients, so that no power
-    of u overflows."""
+    """u after one Newton step on the polynomial with coefficients g, lowest
+    degree first, evaluated with its derivative by Horner's rule.  Beyond
+    u = 1 the step is taken on 1/u, a root of g's reversed coefficients, so
+    that no power of u exceeds 1."""
     if u > 1.0:
         return 1.0 / _newton_step(g[::-1], 1.0 / u)
-    return float(u - polyval(u, g) / polyval(u, polyder(g)))
+    value = slope = 0.0
+    for coefficient in g[::-1].tolist():
+        slope = slope * u + value
+        value = value * u + coefficient
+    return u - value / slope
 
 
 class ClosedFormOverlaps(NamedTuple):

@@ -22,8 +22,8 @@ held state, the whole-array form of the closed-form one and its
 unreflected long-double evaluation, loop-summed
 closed-form overlaps, dense all-starts product-family optimizer,
 brute-force product-state search, symmetric optimum and overlap through a
-state's weight sums, the dense-grid symmetric optimum that certifies the
-library's, weight sums by np.add.at, alpha-peak search)
+state's weight sums, the dense-grid symmetric optimum and the exact
+symmetric overlap that certify the library's, weight sums by np.add.at, alpha-peak search)
 the Fraction convergents and the candidate-set order recovery, and small helpers (`as_state`, `support_of`,
 `dense_grid`, `mod_pow`, `register_b_support`, `dump_nonzero_json`, `make_instance`,
 `distribution_of`) serve only the tests, so they are kept out of the
@@ -762,25 +762,40 @@ def symmetric_overlap(state: PureState, alpha_angle: float) -> complex:
     return complex(np.sum(coeff * (c ** (n - w)) * (s**w)))
 
 
-def dense_symmetric_overlap_sq(coeff: np.ndarray, points: int = 100_001) -> float:
-    """The largest |<state|eta(alpha)^n>|**2 of the weight sums `coeff` on a
-    grid: `points` equispaced alpha in [0, pi/2] and their mirrors pi - alpha.
+def dense_symmetric_argmax(coeff: np.ndarray, points: int = 100_001) -> float:
+    """The grid angle of the largest |<state|eta(alpha)^n>|**2 of the weight
+    sums `coeff`: `points` equispaced alpha in [0, pi/2] and their mirrors
+    pi - alpha.
 
     By Horner's rule in u = tan(alpha/2) <= 1 up to pi/2, and beyond it in
-    cot(alpha/2), on the reversed sums, so that no power exceeds 1.  A grid
-    maximum is a lower bound of the true one: the symmetric optimizer must
-    reach it.
+    cot(alpha/2), on the reversed sums, so that no power exceeds 1.
     """
     n = len(coeff) - 1
-    half = np.linspace(0.0, math.pi / 2.0, points) / 2.0
-    u, scale = np.tan(half), np.cos(half) ** n
-    best = 0.0
+    half = np.linspace(0.0, math.pi / 2.0, points)
+    u, scale = np.tan(half / 2.0), np.cos(half / 2.0) ** n
+    values = []
     for sums in (coeff, coeff[::-1]):
         acc = np.zeros(points, dtype=np.complex128)
         for value in sums[::-1]:
             acc = acc * u + value
-        best = max(best, float(np.max(np.abs(acc * scale) ** 2)))
-    return best
+        values.append(np.abs(acc * scale) ** 2)
+    low, high = values
+    if low.max() >= high.max():
+        return float(half[np.argmax(low)])
+    return float(math.pi - half[np.argmax(high)])
+
+
+def exact_symmetric_overlap_sq(coeff: np.ndarray, alpha_angle: float) -> float:
+    """|<state|eta>|**2 of the weight sums `coeff`, where eta is the unit
+    vector along (c, s), the floats cos(alpha/2) and sin(alpha/2): a member
+    of the symmetric family, evaluated in exact rational arithmetic and
+    rounded once, so that two angles compare free of evaluation rounding."""
+    n = len(coeff) - 1
+    c, s = Fraction(math.cos(alpha_angle / 2.0)), Fraction(math.sin(alpha_angle / 2.0))
+    terms = [c ** (n - w) * s**w for w in range(n + 1)]
+    re = sum(Fraction(float(v.real)) * t for v, t in zip(coeff, terms))
+    im = sum(Fraction(float(v.imag)) * t for v, t in zip(coeff, terms))
+    return float((re * re + im * im) / (c * c + s * s) ** n)
 
 
 def add_at_weight_sums(state: PureState) -> np.ndarray:
