@@ -46,9 +46,6 @@ __all__ = [
     "hamming_weight_term",
 ]
 
-_EPS = float(np.finfo(np.float64).eps)
-
-
 def hamming_weight_term(w: int, n: int) -> float:
     """((n-w)/n)**((n-w)/2) * (w/n)**(w/2), with 0**0 == 1.
 
@@ -85,7 +82,7 @@ def geometric_entanglement_symmetric(coeff: np.ndarray) -> SymmetricOptimum:
     alpha = 0, at alpha = pi or at one of those roots.  Every root with a
     positive real part is a candidate: each is scored on the overlap itself,
     so a spurious one cannot win.  The winning root takes one Newton step.
-    Top coefficients of g below `_EPS` times its largest, the size of its
+    Top coefficients of g below 2**-52 times its largest, the size of its
     rounding, are dropped before `np.roots` takes the eigenvalues of its
     companion matrix: kept as the leading coefficient, such a one would
     scale that matrix by its inverse and lose every root that matters.
@@ -96,7 +93,7 @@ def geometric_entanglement_symmetric(coeff: np.ndarray) -> SymmetricOptimum:
     a[1:-1] = np.convolve(coeff, coeff.conj()).real
     k = np.arange(2 * n + 1)
     g = (k + 1) * a[k + 2] + (k - 1 - 2 * n) * a[k]
-    top = np.flatnonzero(np.abs(g) >= _EPS * np.abs(g).max())[-1]
+    top = np.flatnonzero(np.abs(g) >= np.finfo(np.float64).eps * np.abs(g).max())[-1]
     roots = np.roots(g[top::-1])
     u = roots.real[roots.real > 0.0]
     angles = np.concatenate(([0.0, math.pi], 2.0 * np.arctan(u)))
