@@ -10,8 +10,8 @@ differs, or an exit code other than the case's).  A moved JSON float is
 named by its path from the key of the last list that holds it, list
 indices dropped (``E_g/details/ansatz_alpha`` for
 ``/stages/psi1/measures/E_g/0/details/ansatz_alpha``), or by its whole path
-when no list holds it; a moved CSV cell by its column's header.  Run it before
-regenerating the files, to see what a change moved:
+when no list holds it; a moved CSV cell by its column's header.  Run it
+before regenerating the files, to see what a change moved:
 
     PYTHONPATH=src python tests/golden_delta.py
 """

@@ -23,7 +23,8 @@ unreflected long-double evaluation, loop-summed
 closed-form overlaps, dense all-starts product-family optimizer,
 brute-force product-state search, symmetric optimum and overlap through a
 state's weight sums, the dense-grid symmetric optimum and the exact
-symmetric overlap that certify the library's, weight sums by np.add.at, alpha-peak search)
+symmetric overlap that certify the library's, weight sums by np.add.at,
+alpha-peak search)
 the Fraction convergents and the candidate-set order recovery, and small helpers (`as_state`, `support_of`,
 `dense_grid`, `mod_pow`, `register_b_support`, `dump_nonzero_json`, `make_instance`,
 `distribution_of`) serve only the tests, so they are kept out of the

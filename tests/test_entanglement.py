@@ -143,8 +143,8 @@ def assert_certified(coeff, opt):
 )
 def test_symmetric_optimum_is_certified_on_the_golden_ladder(n, x, t):
     # no grid angle beats the optimum, and an interior optimum is polished:
-    # its slope is below 1e-16 here, where the unpolished roots of g left up
-    # to 1.1e-15
+    # its slope is at most 1.3e-16 here, where the unpolished roots of g
+    # left up to 1.4e-15
     for state in run_order_finding_circuit(make_instance(n, x, t=t)):
         coeff = weight_sums(state)
         opt = ent.geometric_entanglement_symmetric(coeff)
