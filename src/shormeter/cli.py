@@ -48,8 +48,8 @@ EXIT_CONFIG = 2
 # `factor` holds no state: it peaks at a scratch of 2 MiB or 4 columns plus
 # the row sums that then become its CDF in place (3.45 MiB, 0.16 (Q, r)
 # blocks, traced at N=49 x=3 on a cold process); simulate, verify and sweep
-# hold psi1, psi2 and psi3 together and can exceed it when r is close to
-# 2**L.
+# hold one stage at a time but can exceed it when r is close to 2**L (649 MB
+# RSS for verify --n 125 --x 2, at 24 qubits).
 MEMORY_BUDGET_BYTES = 2**28
 # Charge of `factor --fast` per outcome.  It was the traced peak of four
 # Q-long buffers (32.1 bytes at Q = 2**20); the passes now run in
@@ -265,7 +265,8 @@ def cmd_sweep(args: argparse.Namespace, instance: ShorInstance) -> int:
     if not params:
         raise ConfigError(f"grid {_quoted(grid_spec)} has no point with {domain}")
     states = statevec.run_order_finding_circuit(instance)
-    curves = [grid(statevec.nonzero_support(s), params) for s in states]
+    # by map: a comprehension's variable would hold a stage while the next is built
+    curves = list(map(lambda state: grid(statevec.nonzero_support(state), params), states))
     lines = ["param,C_psi1,C_psi2,C_psi3,delta,limit_flag"]
     for param, limit, c1, c2, c3 in zip(params, limits, *curves):
         lines.append(
@@ -320,10 +321,13 @@ def cmd_factor(args: argparse.Namespace, instance: ShorInstance) -> int:
 
 
 def _perturbed(state: statevec.PureState, eps: float) -> statevec.PureState:
-    block = state.block.copy()
-    amps = block.reshape(-1)
-    amps[int(np.argmax(np.abs(amps)))] *= 1.0 + eps
-    amps /= np.sqrt(np.vdot(amps, amps).real)
+    # one F-ordered, read-only copy, which PureState takes over; its first
+    # largest entry and its norm are read in row-major order, as np.vdot ravels
+    block = np.array(state.block, order="F")
+    block[np.unravel_index(np.argmax(np.abs(block)), block.shape)] *= 1.0 + eps
+    amps = block.ravel()
+    block /= np.sqrt(np.vdot(amps, amps).real)
+    block.setflags(write=False)
     try:
         return statevec.PureState(state.layout, block, state.labels)
     except ValueError as exc:
@@ -334,8 +338,8 @@ def cmd_verify(args: argparse.Namespace, instance: ShorInstance) -> int:
     if not math.isfinite(args.debug_perturb):
         raise ConfigError(f"--debug-perturb must be finite, got {args.debug_perturb!r}")
     states = statevec.run_order_finding_circuit(instance)
-    if args.debug_perturb:
-        states = tuple(_perturbed(s, args.debug_perturb) for s in states)
+    if args.debug_perturb:  # by map, whose call holds the unperturbed stage alone
+        states = map(functools.partial(_perturbed, eps=args.debug_perturb), states)
     reports, _ = theorems.verify_all(instance, states)
     lines = []
     for stage, report in reports.items():

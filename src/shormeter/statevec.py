@@ -19,28 +19,28 @@ general Hadamard gate is needed, and the all-column one is a test oracle.
 Modular exponentiation sends row j of psi1's column to label x**j mod N,
 so the image has one column per power of x, holding sqrt(1/Q) on every
 P-th row (`_modexp_columns`, with P the period of x**j below Q).
-`run_order_finding_circuit` writes psi2 from these columns and psi3, the
-inverse Fourier transform on register A, from psi2's block.  Every image
-amplitude is real, so each psi3 column is Hermitian, psi3[Q - k] =
-conj(psi3[k]): a real-input FFT gives rows [0, Q/2], and the other rows are
-their exact conjugates (`_inverse_transform`).  The dense `factor` job holds
-no (Q, r) block: `final_probabilities` transforms the same columns a chunk
-at a time in one real scratch (`_transformed_chunks`) and mirrors the row
-sums.  No array has one element per basis state.  Every sum over a stage is
-defined column by column, so that it does not depend on which chunk of
-columns holds a column: `final_probabilities` adds each column's |c|**2 into
-the row sums in label order, and a flat sum over a state's `Support`, the
-one scan of its exactly nonzero entries that every coherence quantifier
-reads, sums each column and adds the column sums by `math.fsum`.
+Every image amplitude is real, so each column of psi3, the inverse Fourier
+transform on register A, is Hermitian, psi3[Q - k] = conj(psi3[k]): a
+real-input FFT gives rows [0, Q/2], and the other rows are their exact
+conjugates.  One routine transforms the image columns a chunk at a time
+(`_transformed_chunks`): `run_order_finding_circuit`, which yields psi1,
+psi2 and psi3 one at a time, copies the chunks into the psi3 block, and the
+dense `factor` job, which holds no (Q, r) block, adds them into the row sums
+(`final_probabilities`).  No array has one element per basis state.  Every
+sum over a stage is defined column by column, so that it does not depend on
+which chunk of columns holds a column: `final_probabilities` adds each
+column's |c|**2 into the row sums in label order, and a flat sum over a
+state's `Support`, the one scan of its exactly nonzero entries that every
+coherence quantifier reads, sums each column and adds the column sums by
+`math.fsum`.
 `weight_sums`, E_g's input, reads the block in the same column-major order.
-
-States are immutable after construction; every operation returns a fresh
-state.
+States are immutable after construction.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,12 +166,14 @@ _CHUNK_BYTES = 2**21
 _CHUNK_COLUMNS = 4
 
 
-def _transformed_chunks(q: int, exponents: np.ndarray):
-    """Yield rows [0, Q/2] of the inverse transform of the modexp image
-    columns of psi1 (`_modexp_columns`) in column order, a chunk at a time:
-    each chunk is scattered into one reused real scratch, transformed into
-    one reused complex array (`_inverse_transform`) and, once the caller
-    has read it, zeroed by scattering 0.0 onto the same rows."""
+def _transformed_chunks(q: int, exponents: np.ndarray) -> Iterator[np.ndarray]:
+    """Yield rows [0, Q/2], which hold all of a real column's transform, of
+    the inverse transform of the modexp image columns of psi1 in column
+    order, a chunk at a time: each chunk is scattered into one reused real
+    scratch, transformed by one batched real-input FFT into one reused
+    complex array, scaled by fl(1 / sqrt(Q)) through its float64 view (the
+    floats of complex division) and, once the caller has read it, zeroed by
+    scattering 0.0 onto the same rows."""
     k = len(exponents)
     width = min(k, max(_CHUNK_COLUMNS, _CHUNK_BYTES // (16 * q)))
     scratch = np.empty((q, width), order="F")
@@ -182,24 +184,12 @@ def _transformed_chunks(q: int, exponents: np.ndarray):
     amplitude = math.sqrt(1.0 / q)  # psi1's, as `uniform_state` rounds it
     for c0 in range(0, k, width):
         size = min(width, k - c0)
-        chunk = scratch[:, :size]
+        chunk, image = scratch[:, :size], top[:, :size]
         _scatter(chunk, amplitude, exponents, c0)
-        _inverse_transform(chunk, top[:, :size])
-        yield top[:, :size]
+        np.fft.rfft(chunk, axis=0, out=image)
+        image.T.view(np.float64)[...] *= 1.0 / math.sqrt(q)
+        yield image
         _scatter(chunk, 0.0, exponents, c0)
-
-
-def _inverse_transform(columns: np.ndarray, top: np.ndarray) -> None:
-    """Rows [0, Q/2] of the inverse transform of the real (Q, k) `columns`
-    into `top`: one batched real-input FFT, scaled by fl(1 / sqrt(Q))
-    through the float64 view of `top`.T, the floats of complex division.
-
-    A real column's transform is Hermitian, row Q - k the conjugate of row
-    k, so these rows hold it all; `run_order_finding_circuit`, which needs
-    full columns, writes the other rows as their exact conjugates.
-    """
-    np.fft.rfft(columns, axis=0, out=top)
-    top.T.view(np.float64)[...] *= 1.0 / math.sqrt(len(columns))
 
 
 def final_probabilities(instance: ShorInstance) -> np.ndarray:
@@ -238,27 +228,34 @@ def final_distribution(instance: ShorInstance) -> OutcomeDistribution:
     return OutcomeDistribution(final_probabilities(instance))
 
 
-def run_order_finding_circuit(instance: ShorInstance) -> tuple[PureState, PureState, PureState]:
-    """psi1 (the uniform stage) -> modular exponentiation -> inverse QFT.
-
-    psi2 and psi3 are both built from the modexp columns of psi1, found
-    once: psi2 by one scatter, psi3 by one real-input FFT of the real part
-    of psi2's block, a view, into rows [0, Q/2] of the psi3 block.  Rows
-    (Q/2, Q) are then the conjugates of rows Q/2 - 1, ..., 1, in place;
-    conjugation is exact, so psi3 is Hermitian bit for bit.  The peak is
-    the two (Q, k) blocks.
-    """
-    psi1 = uniform_state(instance)
+def run_order_finding_circuit(instance: ShorInstance) -> Iterator[PureState]:
+    """Yield psi1 (the uniform stage), psi2 (after modexp) and psi3 (after
+    the inverse QFT), each built when it is asked for and not held here once
+    yielded, so a caller that drops each stage before asking for the next
+    holds one (Q, k) block at a time.  The modexp columns are found once."""
+    yield uniform_state(instance)
     labels, exponents = _modexp_columns(instance)
     image = np.zeros((instance.Q, len(labels)), dtype=np.complex128, order="F")
-    _scatter(image, psi1.block[0, 0].real, exponents, 0)
-    final = np.empty_like(image, order="F")
-    half = instance.Q // 2
-    _inverse_transform(image.real, final[: half + 1])
-    np.conjugate(final[half - 1 : 0 : -1], out=final[half + 1 :])
-    for block in (image, final):
-        block.setflags(write=False)
-    return psi1, PureState(instance, image, labels), PureState(instance, final, labels)
+    _scatter(image, math.sqrt(1.0 / instance.Q), exponents, 0)
+    image.setflags(write=False)
+    yield PureState(instance, image, labels)
+    del image
+    yield PureState(instance, _final_block(instance.Q, exponents), labels)
+
+
+def _final_block(q: int, exponents: np.ndarray) -> np.ndarray:
+    """psi3's block, read-only: rows [0, Q/2] of each transformed chunk,
+    then rows (Q/2, Q) in place as the conjugates of rows Q/2 - 1, ..., 1.
+    Conjugation is exact, so psi3 is Hermitian bit for bit."""
+    half = q // 2
+    block = np.empty((q, len(exponents)), dtype=np.complex128, order="F")
+    c0 = 0
+    for image in _transformed_chunks(q, exponents):
+        block[: half + 1, c0 : c0 + image.shape[1]] = image
+        c0 += image.shape[1]
+    np.conjugate(block[half - 1 : 0 : -1], out=block[half + 1 :])
+    block.setflags(write=False)
+    return block
 
 
 @dataclass(frozen=True, init=False)

@@ -23,6 +23,7 @@ E_g row also "details"; "pass" is True when every gated row passes.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from typing import Optional
 
 from shormeter import entanglement as ent
@@ -213,9 +214,10 @@ def verify_stage(
 
 
 def verify_all(
-    instance: ShorInstance, states: tuple[statevec.PureState, ...]
+    instance: ShorInstance, states: Iterable[statevec.PureState]
 ) -> tuple[dict[str, dict], Optional[ent.ClosedFormOverlaps]]:
-    """Verify every stage of the simulated circuit `states`.
+    """Verify the stages psi1, psi2 and psi3 that `states` yields in turn,
+    each released before the next one is drawn.
 
     Returns ({"psi1": report, "psi2": report, "psi3": report}, overlaps),
     each report the stage dict of `verify_stage`, in stage order.
@@ -235,8 +237,5 @@ def verify_all(
             (Q, 1.0 - overlaps.psi2, None),
             (instance.r**2, 1.0 - overlaps.psi3, 1.0 - overlaps.psi3_literal),
         ]
-    reports = {
-        stage: verify_stage(stage, state, forms)
-        for stage, state, forms in zip(STAGES, states, table)
-    }
+    reports = dict(zip(STAGES, map(verify_stage, STAGES, states, table)))
     return reports, overlaps

@@ -12,9 +12,11 @@ that keeps the CLI's output prints the same lines as its parent:
     diff before.txt after.txt
 
 The matrix covers every subcommand on instances where r divides Q, where
-it does not and where r > Q, bases drawn from the seed, ``--debug-perturb``
-1e-3 and -1, rejections by argparse, by ``resolve_config`` and by the
-commands, and ``--help`` at 80 columns.
+it does not and where r > Q, two of them (one with r | Q, one without)
+large enough that psi3 and the dense ``factor`` distribution are
+transformed in several chunks of columns, bases drawn from the seed,
+``--debug-perturb`` 1e-3 and -1, rejections by argparse, by
+``resolve_config`` and by the commands, and ``--help`` at 80 columns.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ from pathlib import Path
 from shormeter.cli import main
 
 # (N, x, t): r | Q on the first three, r does not divide Q on the next
-# three, r > Q on the last three
+# three, r > Q on the next three; then psi3 in 4 chunks with r | Q and in 7
+# chunks with r not dividing Q
 INSTANCES = (
     (15, 7, 8),
     (25, 7, 10),
@@ -40,6 +43,8 @@ INSTANCES = (
     (15, 7, 1),
     (21, 2, 2),
     (33, 5, 3),
+    (17, 3, 15),
+    (125, 2, 13),
 )
 COMMANDS = (
     "simulate",

@@ -12,4 +12,4 @@ def inst15():
 @pytest.fixture(scope="session")
 def pipeline15(inst15):
     """(psi1, psi2, psi3) for the N=15, x=7, t=11 reference instance."""
-    return run_order_finding_circuit(inst15)
+    return tuple(run_order_finding_circuit(inst15))

@@ -131,7 +131,7 @@ def test_criterion_10_outcome_distribution_identities(pipeline15):
     # N=15 x=7 has r=4 | Q; N=21 x=2 has r=6, which does not divide Q=1024
     worst_dist = 0.0
     inst21 = make_instance(21, 2, t=10)
-    for psi3, r, q in ((pipeline15[2], 4, 2048), (run_order_finding_circuit(inst21)[2], 6, 1024)):
+    for psi3, r, q in ((pipeline15[2], 4, 2048), (tuple(run_order_finding_circuit(inst21))[2], 6, 1024)):
         simulated = measurement_probabilities_A(psi3)
         closed = statevec._outcome_probabilities(r, q)
         worst_dist = max(worst_dist, float(np.abs(simulated - closed).max()))

@@ -6,6 +6,7 @@ import math
 import os
 import tempfile
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 import cli_digest
 from oracles import make_instance
 from shormeter import entanglement as ent
+from shormeter import statevec
 from shormeter.cli import (
     FAST_BYTES_PER_OUTCOME,
     MAX_ATTEMPTS,
@@ -79,7 +81,7 @@ def test_simulate_csv_round_trip(tmp_path):
     import shormeter.measures as measures
     from shormeter import run_order_finding_circuit, statevec
 
-    psi1 = run_order_finding_circuit(make_instance(15, 7))[0]
+    psi1 = tuple(run_order_finding_circuit(make_instance(15, 7)))[0]
     expected = measures.l1p_coherence_grid(statevec.nonzero_support(psi1), (1.0,))[0]
     row = next(l for l in lines[1:] if l.startswith("psi1,C_1p,1,"))
     numeric = float(row.split(",")[3])
@@ -677,6 +679,60 @@ def test_memory_budget_admits_24_qubit_dense_states():
     assert resolve(20).n == 24
     with pytest.raises(ConfigError, match="25 qubits needs 536870912 bytes"):
         resolve(21)
+
+
+# r = 100 does not divide Q = 2**13, and psi3 is transformed in 7 chunks
+STAGE_RUN = ["--n", "125", "--x", "2", "--t", "13"]
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [(["verify"], 0), (["sweep"], 0), (["verify", "--debug-perturb", "1e-3"], 1)],
+    ids=["verify", "sweep", "verify-perturb"],
+)
+def test_stage_commands_peak_below_three_and_a_half_blocks(argv, exit_code):
+    # each stage is built, measured and dropped before the next one is
+    # built, and --debug-perturb makes one copy of each stage: holding all
+    # three stages peaked at 4.10, 4.10 and 5.05 blocks of 16 * Q * r bytes
+    inst = make_instance(125, 2, t=13)
+    assert inst.r == 100
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv + STAGE_RUN)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == exit_code
+    assert peak < 3.5 * 16 * inst.Q * inst.r
+
+
+@pytest.mark.parametrize(
+    "argv", [["simulate"], ["verify"], ["verify", "--debug-perturb", "1e-3"], ["sweep"]]
+)
+def test_earlier_stages_are_freed_before_psi3_is_transformed(monkeypatch, argv):
+    # the blocks of psi1 and psi2, and of their perturbed copies, are gone
+    # by the time the first chunk of psi3 is transformed
+    blocks, alive = [], []
+    make_state, chunks_of = statevec.PureState, statevec._transformed_chunks
+
+    def recorded_state(*args):
+        state = make_state(*args)
+        blocks.append(weakref.ref(state.block))
+        return state
+
+    def watched_chunks(*args):
+        for image in chunks_of(*args):
+            if not alive:
+                alive.append([ref() is not None for ref in blocks])
+            yield image
+
+    monkeypatch.setattr(statevec, "PureState", recorded_state)
+    monkeypatch.setattr(statevec, "_transformed_chunks", watched_chunks)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        main(argv + ["--n", "21", "--x", "2", "--t", "10"])
+    copies = 2 if "--debug-perturb" in argv else 1
+    assert alive == [[False] * 2 * copies]
 
 
 def test_verify_passes_at_t_19():

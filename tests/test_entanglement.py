@@ -375,7 +375,7 @@ def test_subset_ordering_symmetric_vs_bruteforce():
 
 @pytest.fixture(scope="module")
 def pipeline15_t8():
-    return run_order_finding_circuit(make_instance(15, 7, t=8))
+    return tuple(run_order_finding_circuit(make_instance(15, 7, t=8)))
 
 
 def single_column_state(make_state, t, L, y, rng):
@@ -409,7 +409,7 @@ def test_all_starts_product_entanglement_vanishes_on_random_product_states():
 
 @pytest.mark.parametrize("n, x, t", [(15, 7, 11), (21, 2, 10), (25, 7, 10)])
 def test_product_family_exact_zero_on_psi1_ladder(n, x, t):
-    psi1 = run_order_finding_circuit(make_instance(n, x, t=t))[0]
+    psi1 = tuple(run_order_finding_circuit(make_instance(n, x, t=t)))[0]
     assert oracles.all_starts_product_entanglement(psi1) == 0.0
 
 

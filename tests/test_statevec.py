@@ -343,7 +343,7 @@ def test_modexp_matches_all_column_oracle_on_uniform_stage(n, x):
 def test_modexp_power_table_matches_pow(n, x, t):
     # register-B value 1 holds every row j, and modexp sends it to x**j mod N
     inst = make_instance(n, x, t=t)
-    out = to_dense(run_order_finding_circuit(inst)[1]).reshape(inst.Q, inst.dim_b)
+    out = to_dense(tuple(run_order_finding_circuit(inst))[1]).reshape(inst.Q, inst.dim_b)
     assert np.count_nonzero(out) == inst.Q
     assert np.argmax(out != 0, axis=1).tolist() == [pow(x, j, n) for j in range(inst.Q)]
 
@@ -455,7 +455,7 @@ def test_final_state_and_distribution_are_mirrored_bit_for_bit(n, x, t):
     # is compared by value, since conj(+0.0j) is -0.0j
     inst = make_instance(n, x, t=t)
     q, half = inst.Q, inst.Q // 2
-    block = run_order_finding_circuit(inst)[2].block
+    block = tuple(run_order_finding_circuit(inst))[2].block
     rows = np.array([k for k in range(1, q) if k != half], dtype=np.intp)
     assert block[q - rows].tobytes() == np.conjugate(block[rows]).tobytes()
     assert np.all(block[half].imag == 0)
@@ -500,7 +500,7 @@ def test_circuit_matches_the_dense_oracles_on_drawn_instances(inst, chunk_column
 @pytest.mark.parametrize("n, x, t", FINAL_STAGE_CASES)
 def test_final_distribution_matches_the_distribution_of_the_final_state(n, x, t):
     inst = make_instance(n, x, t=t)
-    expected = measurement_probabilities_A(run_order_finding_circuit(inst)[2])
+    expected = measurement_probabilities_A(tuple(run_order_finding_circuit(inst))[2])
     assert_same_distribution(inst, expected)
 
 
@@ -520,7 +520,7 @@ def test_final_distribution_gates_the_norm_of_the_final_state(monkeypatch, scale
     with pytest.raises(ValueError, match="final state norm"):
         final_distribution(inst)
     with pytest.raises(ValueError, match="norm"):
-        run_order_finding_circuit(inst)
+        tuple(run_order_finding_circuit(inst))
 
 
 def counted_calls(monkeypatch, name):
@@ -538,7 +538,7 @@ def counted_calls(monkeypatch, name):
 
 def test_circuit_finds_the_modexp_targets_once(monkeypatch):
     calls = counted_calls(monkeypatch, "_modexp_columns")
-    run_order_finding_circuit(make_instance(21, 2, t=10))
+    tuple(run_order_finding_circuit(make_instance(21, 2, t=10)))
     assert len(calls) == 1
 
 
@@ -581,13 +581,17 @@ def test_modexp_columns_match_the_full_table(half, t, data):
     check_modexp_columns_on_the_full_table(ShorInstance(N=N, x=x, t=t, L=N.bit_length()))
 
 
-def test_circuit_transforms_psi3_without_the_chunks(monkeypatch):
-    calls = counted_calls(monkeypatch, "_transformed_chunks")
-    inst = make_instance(49, 3, t=10)
-    run_order_finding_circuit(inst)
-    assert calls == []
-    final_distribution(inst)  # the dense factor job still reads the chunks
-    assert len(calls) == 1
+def test_circuit_transforms_psi3_from_the_chunks(monkeypatch):
+    # psi3 is built from the chunk loop that the dense factor job reads, and
+    # only when it is asked for; the modexp columns serve psi2 and psi3
+    chunks = counted_calls(monkeypatch, "_transformed_chunks")
+    targets = counted_calls(monkeypatch, "_modexp_columns")
+    states = run_order_finding_circuit(make_instance(49, 3, t=10))
+    next(states)
+    next(states)
+    assert (len(chunks), len(targets)) == (0, 1)
+    next(states)
+    assert (len(chunks), len(targets)) == (1, 1)
 
 
 def test_each_stage_builds_its_support_once(monkeypatch, tmp_path):
@@ -614,7 +618,7 @@ def test_each_stage_builds_its_support_once(monkeypatch, tmp_path):
     monkeypatch.setattr(statevec, "weight_sums", recorded_sums)
     monkeypatch.setattr(ent, "geometric_entanglement_symmetric", recorded_optimum)
     inst = make_instance(21, 2, t=10)
-    states = run_order_finding_circuit(inst)
+    states = tuple(run_order_finding_circuit(inst))
     theorems.verify_all(inst, states)
     assert len(built) == len(summed) == len(received) == 3
     assert all(scanned is state for scanned, state in zip(built, states))
@@ -865,7 +869,7 @@ def test_a_column_without_an_entry_has_no_start():
 @pytest.mark.parametrize("n, x, t", [(15, 7, 11), (49, 3, 8), (255, 2, 4)])
 def test_measurement_distribution_matches_dense_row_sums_on_circuit_states(n, x, t):
     # N=255 puts register B at width 256: two 128-blocks
-    psi3 = run_order_finding_circuit(make_instance(n, x, t=t))[2]
+    psi3 = tuple(run_order_finding_circuit(make_instance(n, x, t=t)))[2]
     expected = _dense_row_sums(psi3.block, psi3.labels, psi3.layout.dim_b)
     assert measurement_probabilities_A(psi3).tobytes() == expected.tobytes()
 
@@ -890,25 +894,39 @@ def test_dense_factor_peaks_below_half_a_column_block():
 
 
 def test_real_transform_holds_no_more_than_the_stage_blocks():
-    # the real-input FFT reads psi2's real part as a view and writes into
-    # the psi3 block, and the mirror fills it in place: no copy of either
-    # block and no half-column buffer; final_distribution peaked at 4.75 MiB
-    # with the complex scratch of the full transform
+    # each transformed chunk is copied into the psi3 block, and the mirror
+    # fills it in place: no copy of either block and no half-column buffer.
+    # Held together, the stages take the two blocks and one chunk's real
+    # scratch and transform; built after psi2 was dropped, psi3 takes its
+    # own block and the chunk (2.03 blocks when the circuit built all three
+    # stages at once); final_distribution peaked at 4.75 MiB with the
+    # complex scratch of the full transform
     inst = make_instance(49, 3)
     assert (inst.t, inst.r) == (15, 42)
     block_bytes = 16 * inst.Q * inst.r
+
+    def held():
+        return tuple(run_order_finding_circuit(inst))
+
+    def lazy():
+        states = iter(run_order_finding_circuit(inst))
+        next(states)
+        next(states)
+        return next(states)
+
     peaks = []
-    for run in (run_order_finding_circuit, final_distribution):
+    for run in (held, lazy, lambda: final_distribution(inst)):
         tracemalloc.start()
         try:
-            result = run(inst)
+            result = run()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         del result
         peaks.append(peak)
-    assert peaks[0] <= 2 * block_bytes + 2**20
-    assert peaks[1] <= 4.75 * 2**20
+    assert peaks[0] <= 2 * block_bytes + statevec._CHUNK_BYTES + 2**20
+    assert peaks[1] < 1.25 * block_bytes
+    assert peaks[2] <= 4.75 * 2**20
 
 
 def test_circuit_stays_below_one_dense_state_in_memory():
@@ -916,7 +934,7 @@ def test_circuit_stays_below_one_dense_state_in_memory():
     assert inst.n == 21
     tracemalloc.start()
     try:
-        states = run_order_finding_circuit(inst)
+        states = tuple(run_order_finding_circuit(inst))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -995,7 +1013,7 @@ def test_simulated_distribution_matches_closed_form(pipeline15):
 def test_closed_form_distribution_matches_simulation_when_order_does_not_divide(n, x, t):
     inst = make_instance(n, x, t=t)
     assert inst.Q % inst.r != 0
-    simulated = measurement_probabilities_A(run_order_finding_circuit(inst)[2])
+    simulated = measurement_probabilities_A(tuple(run_order_finding_circuit(inst))[2])
     closed = statevec._outcome_probabilities(inst.r, inst.Q)
     assert np.abs(simulated - closed).max() < 1e-12
 
