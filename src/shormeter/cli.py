@@ -47,9 +47,10 @@ EXIT_CONFIG = 2
 # sized from its exponents, so that no 2**t is built on the way.  Dense
 # `factor` holds no state: it peaks at a scratch of 2 MiB or 4 columns plus
 # the row sums that then become its CDF in place (3.45 MiB, 0.16 (Q, r)
-# blocks, traced at N=49 x=3 on a cold process); simulate, verify and sweep
-# hold one stage at a time but can exceed it when r is close to 2**L (649 MB
-# RSS for verify --n 125 --x 2, at 24 qubits).
+# blocks, traced at N=49 x=3 on a cold process).  simulate, verify and sweep
+# hold one stage's nonzero entries and its measure buffers (2.15 blocks traced
+# at N=125 x=2 t=13), above the charge when r is close to 2**L: 470 MB RSS for
+# --n 125 --x 2 at 24 qubits, 565 MB if --debug-perturb builds each block.
 MEMORY_BUDGET_BYTES = 2**28
 # Charge of `factor --fast` per outcome.  It was the traced peak of four
 # Q-long buffers (32.1 bytes at Q = 2**20); the passes now run in
@@ -266,7 +267,7 @@ def cmd_sweep(args: argparse.Namespace, instance: ShorInstance) -> int:
         raise ConfigError(f"grid {_quoted(grid_spec)} has no point with {domain}")
     states = statevec.run_order_finding_circuit(instance)
     # by map: a comprehension's variable would hold a stage while the next is built
-    curves = list(map(lambda state: grid(statevec.nonzero_support(state), params), states))
+    curves = list(map(lambda state: grid(state, params), states))
     lines = ["param,C_psi1,C_psi2,C_psi3,delta,limit_flag"]
     for param, limit, c1, c2, c3 in zip(params, limits, *curves):
         lines.append(
@@ -321,15 +322,8 @@ def cmd_factor(args: argparse.Namespace, instance: ShorInstance) -> int:
 
 
 def _perturbed(state: statevec.PureState, eps: float) -> statevec.PureState:
-    # one F-ordered, read-only copy, which PureState takes over; its first
-    # largest entry and its norm are read in row-major order, as np.vdot ravels
-    block = np.array(state.block, order="F")
-    block[np.unravel_index(np.argmax(np.abs(block)), block.shape)] *= 1.0 + eps
-    amps = block.ravel()
-    block /= np.sqrt(np.vdot(amps, amps).real)
-    block.setflags(write=False)
     try:
-        return statevec.PureState(state.layout, block, state.labels)
+        return statevec.perturbed(state, eps)
     except ValueError as exc:
         raise ConfigError(f"--debug-perturb {eps!r} leaves no valid state: {exc}") from exc
 

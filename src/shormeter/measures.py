@@ -2,14 +2,14 @@
 
 Three measures: the Tsallis relative alpha-entropy of coherence, the
 column-wise l_{1,p} norm of coherence, and geometric coherence.  Zero
-amplitudes add nothing to any measure, so each reads the state's
-`statevec.Support`, its nonzero amplitudes column by column as |c|**2 and
-|c|, built once per state by the caller.  A grid function evaluates a whole
-parameter grid from it.  Each grid point, alpha = 1 included, raises only
-the support values and adds them with `Support.flat_sum`, the one
-definition of a sum over a state: per register-B column, then the column
-sums by `math.fsum`.  The density-matrix oracles, the column-by-column
-reference sums and the single-point wrappers live with the tests.
+amplitudes add nothing to any measure, so each reads the nonzero
+amplitudes that a `statevec.PureState` holds, column by column, and forms
+only the |c|**2 or |c| that it uses.  A grid function evaluates a whole
+parameter grid from them.  Each grid point, alpha = 1 included, raises only
+those values and adds them with `PureState.flat_sum`, the one definition of
+a sum over a state: per register-B column, then the column sums by
+`math.fsum`.  The density-matrix oracles, the column-by-column reference
+sums and the single-point wrappers live with the tests.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from shormeter.statevec import Support
+from shormeter.statevec import PureState
 
 __all__ = [
     "ALPHA_ONE_TOL",
@@ -37,7 +37,7 @@ def validate_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must lie in (0,1) or (1,2], got {alpha}")
 
 
-def tsallis_coherence_grid(support: Support, alphas: Iterable[float]) -> list[float]:
+def tsallis_coherence_grid(state: PureState, alphas: Iterable[float]) -> list[float]:
     """Tsallis relative alpha-entropy of coherence of a pure state, per alpha.
 
     For pure rho the matrix power collapses (rho**alpha == rho), leaving
@@ -47,7 +47,8 @@ def tsallis_coherence_grid(support: Support, alphas: Iterable[float]) -> list[fl
     alphas = [float(alpha) for alpha in alphas]
     for alpha in alphas:
         validate_alpha(alpha)
-    probs = support.probabilities
+    probs = np.square(state.amplitudes.real)  # |c|**2 = re**2 + im**2
+    probs += np.square(state.amplitudes.imag)
     powered = np.empty_like(probs)
     values = []
     for alpha in alphas:
@@ -55,14 +56,14 @@ def tsallis_coherence_grid(support: Support, alphas: Iterable[float]) -> list[fl
             # p log p is taken as +0.0 where |c|**2 underflowed to 0: no log of 0
             powered.fill(0.0)
             np.log(probs, out=powered, where=probs != 0)
-            values.append(-support.flat_sum(np.multiply(powered, probs, out=powered)))
+            values.append(-state.flat_sum(np.multiply(powered, probs, out=powered)))
             continue
         np.power(probs, 1.0 / alpha, out=powered)
-        values.append((support.flat_sum(powered) - 1.0) / (alpha - 1.0))
+        values.append((state.flat_sum(powered) - 1.0) / (alpha - 1.0))
     return values
 
 
-def l1p_coherence_grid(support: Support, ps: Iterable[float]) -> list[float]:
+def l1p_coherence_grid(state: PureState, ps: Iterable[float]) -> list[float]:
     """l_{1,p} coherence of a pure state, per p.
 
     Column j of the off-diagonal part of |psi><psi| has p-norm
@@ -72,19 +73,21 @@ def l1p_coherence_grid(support: Support, ps: Iterable[float]) -> list[float]:
     for p in ps:
         if not 1.0 <= p <= 2.0:
             raise ValueError(f"p must lie in [1, 2], got {p}")
-    modulus = support.moduli
+    modulus = np.abs(state.amplitudes)
     rest = np.empty_like(modulus)
     values = []
     for p in ps:
         np.power(modulus, p, out=rest)
-        np.subtract(support.flat_sum(rest), rest, out=rest)
+        np.subtract(state.flat_sum(rest), rest, out=rest)
         np.clip(rest, 0.0, None, out=rest)
         rest **= 1.0 / p
         rest *= modulus
-        values.append(support.flat_sum(rest))
+        values.append(state.flat_sum(rest))
     return values
 
 
-def geometric_coherence_pure(support: Support) -> float:
+def geometric_coherence_pure(state: PureState) -> float:
     """Geometric coherence of a pure state: 1 - max_i |c_i|**2."""
-    return float(max(0.0, 1.0 - support.probabilities.max(initial=0.0)))
+    probs = np.square(state.amplitudes.real)
+    probs += np.square(state.amplitudes.imag)
+    return float(max(0.0, 1.0 - probs.max(initial=0.0)))

@@ -1,4 +1,4 @@
-"""Pure-state simulation of the order-finding circuit on occupied columns.
+"""Pure-state simulation of the order-finding circuit on its nonzero amplitudes.
 
 Joint basis convention: index = j * 2**L + y, register A (t qubits, value j)
 major, register B (L qubits, value y) minor.  The Hamming weight of a joint
@@ -7,33 +7,30 @@ entanglement closed forms consume.  The split (t, L) is a
 `numtheory.RegisterLayout`; the circuit's states carry their
 `ShorInstance`, which is one.
 
-A state stores only its occupied register-B columns, those holding any
-exactly nonzero amplitude: a (Q, k) block and the k sorted labels of its
-columns.  In the circuit k is 1 before modexp and r (the residues x**a mod
-N) after it.  The block is column-major, so each column is one contiguous
-run of Q amplitudes; its logical row-major order is the dense joint order.
-The circuit is a function of the instance, not of a state: every stage
-follows from x, N and t.  psi1, the Hadamard layer on |0>|1>, is built
-directly (`uniform_state`): one column of sqrt(1/Q), rounded once, so no
-general Hadamard gate is needed, and the all-column one is a test oracle.
+A state holds its exactly nonzero amplitudes, all that the coherence
+quantifiers and E_g's weight sums read: the k sorted register-B labels of
+its occupied columns, a (k, Q) mask of each column's nonzero rows, the
+amplitudes column by column in row order (the column-major order of the
+dense (Q, 2**L) array), and each column's first offset.  In the circuit k
+is 1 before modexp and r (the residues x**a mod N) after it.
+Every stage follows from x, N and t, not from a held state.  psi1, the
+Hadamard layer on |0>|1>, is one column of sqrt(1/Q), rounded once
+(`uniform_state`); the all-column Hadamard gate is a test oracle.
 Modular exponentiation sends row j of psi1's column to label x**j mod N,
-so the image has one column per power of x, holding sqrt(1/Q) on every
-P-th row (`_modexp_columns`, with P the period of x**j below Q).
+so psi2 is Q amplitudes sqrt(1/Q), one column per power of x holding
+every P-th row (`_modexp_columns`, with P the period of x**j below Q).
 Every image amplitude is real, so each column of psi3, the inverse Fourier
 transform on register A, is Hermitian, psi3[Q - k] = conj(psi3[k]): a
 real-input FFT gives rows [0, Q/2], and the other rows are their exact
 conjugates.  One routine transforms the image columns a chunk at a time
 (`_transformed_chunks`): `run_order_finding_circuit`, which yields psi1,
-psi2 and psi3 one at a time, copies the chunks into the psi3 block, and the
-dense `factor` job, which holds no (Q, r) block, adds them into the row sums
-(`final_probabilities`).  No array has one element per basis state.  Every
-sum over a stage is defined column by column, so that it does not depend on
-which chunk of columns holds a column: `final_probabilities` adds each
-column's |c|**2 into the row sums in label order, and a flat sum over a
-state's `Support`, the one scan of its exactly nonzero entries that every
-coherence quantifier reads, sums each column and adds the column sums by
-`math.fsum`.
-`weight_sums`, E_g's input, reads the block in the same column-major order.
+psi2 and psi3 one at a time, gathers each chunk's nonzero entries and
+their mirror into psi3, and the dense `factor` job adds them into the row
+sums (`final_probabilities`).  No stage is held as a (Q, k) block.  Every
+sum over a stage is defined column by column, so that it does not depend
+on the chunking: `final_probabilities` adds each column's |c|**2 into the
+row sums in label order, `PureState.flat_sum` adds the column sums by
+`math.fsum`, and `weight_sums` adds the entries in their stored order.
 States are immutable after construction.
 """
 
@@ -41,7 +38,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,11 +48,10 @@ __all__ = [
     "NORM_TOL",
     "OutcomeDistribution",
     "PureState",
-    "Support",
     "final_distribution",
     "final_probabilities",
-    "nonzero_support",
     "outcome_distribution",
+    "perturbed",
     "run_order_finding_circuit",
     "sample_outcome",
     "uniform_state",
@@ -67,52 +63,60 @@ NORM_TOL = 1e-10
 
 @dataclass(frozen=True)
 class PureState:
-    """Normalized state held as its occupied register-B columns.
+    """Normalized state held as its exactly nonzero amplitudes.
 
-    `block[j, c]` is the amplitude of joint index j * 2**L + labels[c], with
-    strictly increasing register-B labels.  Construction drops every column
-    without an exactly nonzero amplitude and copies the block into a
-    read-only column-major array, except an owned, already read-only
-    column-major array: the circuit hands over its fresh blocks this way
-    instead of paying for a copy.
+    Column c is register-B label labels[c], strictly increasing; mask[c, j]
+    marks the nonzero amplitude of joint index j * 2**L + labels[c], and
+    `amplitudes` holds them column by column in row order, column c's from
+    starts[c].  Construction takes the arrays over, read-only, and drops
+    each column without an entry: `np.add.reduceat` would give the next
+    column's first value, not 0, for an empty segment.
     """
 
     layout: RegisterLayout
-    block: np.ndarray
     labels: np.ndarray
+    mask: np.ndarray
+    amplitudes: np.ndarray
+    starts: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         lay = self.layout
-        block = np.asarray(self.block, dtype=np.complex128)
         labels = np.asarray(self.labels, dtype=np.intp)
-        if labels.ndim != 1 or block.shape != (lay.Q, len(labels)):
-            raise ValueError(
-                f"expected a ({lay.Q}, k) block for k labels, got {block.shape}, {labels.shape}"
-            )
+        mask = np.asarray(self.mask, dtype=bool)
+        amplitudes = np.asarray(self.amplitudes, dtype=np.complex128)
+        if labels.ndim != 1 or mask.shape != (len(labels), lay.Q) or amplitudes.ndim != 1:
+            raise ValueError(f"expected a (k, {lay.Q}) mask for k labels, got {mask.shape}")
         if np.any(labels[1:] <= labels[:-1]) or np.any((labels < 0) | (labels >= lay.dim_b)):
             raise ValueError(f"labels must increase strictly within [0, {lay.dim_b})")
-        occupied = block.any(axis=0)
-        if not occupied.all():
-            block, labels = block[:, occupied], labels[occupied]
-        if block.flags.writeable or not block.flags.owndata or not block.flags.f_contiguous:
-            block = np.array(block, order="F")
-            block.setflags(write=False)
-        # vdot ravels in C order: the transpose is the contiguous view
-        norm = float(np.vdot(block.T, block.T).real)
+        counts = np.count_nonzero(mask, axis=1)
+        if counts.sum() != len(amplitudes):
+            raise ValueError(f"the mask marks {counts.sum()} entries, not {len(amplitudes)}")
+        if not counts.all():
+            labels, mask, counts = labels[counts > 0], mask[counts > 0], counts[counts > 0]
+        norm = float(np.vdot(amplitudes, amplitudes).real)
         if not abs(norm - 1.0) <= NORM_TOL:  # written so that a NaN norm fails
             raise ValueError(f"state norm**2 = {norm!r} is not 1 within {NORM_TOL}")
-        labels = labels.copy()
-        labels.setflags(write=False)
-        object.__setattr__(self, "block", block)
-        object.__setattr__(self, "labels", labels)
+        starts = np.cumsum(counts) - counts
+        arrays = dict(labels=labels, mask=mask, amplitudes=amplitudes, starts=starts)
+        for name, value in arrays.items():
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    def flat_sum(self, values: np.ndarray) -> float:
+        """The sum of `values`, one per entry: numpy's sum of each column's
+        values (`np.add.reduceat`), then the column sums by `math.fsum`, which
+        rounds their exact total once, so the float is the same however the
+        columns are split into chunks.  Where |c| < 1.5e-154, |c|**2
+        underflows to +0.0, which adds nothing."""
+        return math.fsum(np.add.reduceat(values, self.starts).tolist())
 
 
 def uniform_state(layout: RegisterLayout) -> PureState:
     """psi1 = H^t|0>|1>: one column at register-B label 1, every amplitude
     sqrt(1/Q), rounded once (exact for even t)."""
-    block = np.full((layout.Q, 1), math.sqrt(1.0 / layout.Q), dtype=np.complex128, order="F")
-    block.setflags(write=False)
-    return PureState(layout, block, np.array([1]))
+    q = layout.Q
+    amplitudes = np.full(q, math.sqrt(1.0 / q), dtype=np.complex128)
+    return PureState(layout, np.array([1]), np.ones((1, q), dtype=bool), amplitudes)
 
 
 def _modexp_columns(instance: ShorInstance) -> tuple[np.ndarray, np.ndarray]:
@@ -157,6 +161,8 @@ def _scatter(out: np.ndarray, value: float, exponents: np.ndarray, c0: int) -> N
 # complex (Q/2 + 1, width) transform read from it, so that each chunk stays
 # in cache from its scatter to its last read, but of at least
 # _CHUNK_COLUMNS columns, since each np.fft.rfft call has a fixed cost.
+# psi3 gathers each chunk straight into its own mask and entries, with no
+# full-height buffer, so a chunk holds no more than these two.
 # `final_distribution` with chunks of 1, 2, 4, 8 and 16 columns (medians of
 # 15 interleaved runs on a 2-vCPU x86 host) took 23.7, 18.5, 17.5, 19.3 and
 # 22.1 ms at Q = 2**15 (N=49, r = 42), and 255, 254, 244, 245 and 246 ms at
@@ -232,30 +238,46 @@ def run_order_finding_circuit(instance: ShorInstance) -> Iterator[PureState]:
     """Yield psi1 (the uniform stage), psi2 (after modexp) and psi3 (after
     the inverse QFT), each built when it is asked for and not held here once
     yielded, so a caller that drops each stage before asking for the next
-    holds one (Q, k) block at a time.  The modexp columns are found once."""
+    holds one stage at a time.  The modexp columns are found once."""
     yield uniform_state(instance)
     labels, exponents = _modexp_columns(instance)
-    image = np.zeros((instance.Q, len(labels)), dtype=np.complex128, order="F")
-    _scatter(image, math.sqrt(1.0 / instance.Q), exponents, 0)
-    image.setflags(write=False)
-    yield PureState(instance, image, labels)
-    del image
-    yield PureState(instance, _final_block(instance.Q, exponents), labels)
+    q = instance.Q
+    mask = np.zeros((len(labels), q), dtype=bool)
+    _scatter(mask.T, True, exponents, 0)
+    # each row j lies in one column, so psi2 has Q entries, all of psi1's value
+    yield PureState(instance, labels, mask, np.full(q, math.sqrt(1.0 / q), dtype=np.complex128))
+    del mask
+    yield _final_state(instance, labels, exponents)
 
 
-def _final_block(q: int, exponents: np.ndarray) -> np.ndarray:
-    """psi3's block, read-only: rows [0, Q/2] of each transformed chunk,
-    then rows (Q/2, Q) in place as the conjugates of rows Q/2 - 1, ..., 1.
-    Conjugation is exact, so psi3 is Hermitian bit for bit."""
-    half = q // 2
-    block = np.empty((q, len(exponents)), dtype=np.complex128, order="F")
-    c0 = 0
+def _final_state(instance: ShorInstance, labels: np.ndarray, exponents: np.ndarray) -> PureState:
+    """psi3 from its transformed chunks.  Each chunk writes its mask rows:
+    [0, Q/2] where the transform is nonzero, (Q/2, Q) as the mirror of
+    Q/2 - 1, ..., 1.  The entries grow in place by the chunk's count, and
+    each column gathers its nonzero rows [0, Q/2], then the exact conjugates
+    of its entries in rows Q/2 - 1, ..., 1, reversed: psi3 is Hermitian bit
+    for bit."""
+    q, half = instance.Q, instance.Q // 2
+    mask = np.empty((len(labels), q), dtype=bool)
+    amplitudes = np.empty(0, dtype=np.complex128)
+    c0 = end = 0
     for image in _transformed_chunks(q, exponents):
-        block[: half + 1, c0 : c0 + image.shape[1]] = image
+        rows = mask[c0 : c0 + image.shape[1]]
         c0 += image.shape[1]
-    np.conjugate(block[half - 1 : 0 : -1], out=block[half + 1 :])
-    block.setflags(write=False)
-    return block
+        np.not_equal(image.T, 0, out=rows[:, : half + 1])
+        rows[:, half + 1 :] = rows[:, half - 1 : 0 : -1]
+        counts = np.count_nonzero(rows, axis=1).tolist()
+        # no view of the entries outlives its statement, so they may move;
+        # refcheck would also count a profiler's hold on the bound method
+        amplitudes.resize(end + sum(counts), refcheck=False)
+        for column, keep, count in zip(image.T, rows, counts):
+            # rows 0 and Q/2 are their own mirrors; each row in [1, Q/2) comes twice
+            first, last = int(keep[0]), int(keep[half])
+            top = end + (count + first + last) // 2
+            np.compress(keep[: half + 1], column, out=amplitudes[end:top])
+            np.conjugate(amplitudes[end + first : top - last][::-1], out=amplitudes[top : end + count])
+            end += count
+    return PureState(instance, labels, mask, amplitudes)
 
 
 @dataclass(frozen=True, init=False)
@@ -291,65 +313,46 @@ def _running_sums(probabilities: np.ndarray) -> np.ndarray:
     return probabilities
 
 
-@dataclass(frozen=True)
-class Support:
-    """A state's exactly nonzero amplitudes, as |c|**2 and |c|, column by
-    column: register-B columns in label order, each in row order.
-
-    `starts` holds the offset of the first entry of each column that has
-    one.  A column without an entry has no offset: `np.add.reduceat` would
-    give the next column's first value, not 0, for an empty segment.  Where
-    |c| < 1.5e-154, |c|**2 underflows to +0.0, which adds nothing to a flat
-    sum, while the l_{1,p} sums still count that |c|.
-    """
-
-    probabilities: np.ndarray
-    moduli: np.ndarray
-    starts: np.ndarray
-
-    def flat_sum(self, values: np.ndarray) -> float:
-        """The sum of `values`, one per entry: numpy's sum of each column's
-        values (`np.add.reduceat`), then the column sums by `math.fsum`, which
-        rounds their exact total once.  A column's sum depends on that column
-        alone and fsum on no order, so the float is the same however the
-        columns are split into chunks."""
-        return math.fsum(np.add.reduceat(values, self.starts).tolist())
-
-
-def nonzero_support(state: PureState) -> Support:
-    """The `Support` of `state`.
-
-    The transpose of the column-major block is C-contiguous, so one boolean
-    mask over it reads the entries column by column, in memory order.
-    """
-    columns = state.block.T
-    keep = columns != 0
-    amplitudes = columns[keep]
-    counts = np.count_nonzero(keep, axis=1)
-    starts = (np.cumsum(counts) - counts)[counts > 0]
-    return Support(amplitudes.real**2 + amplitudes.imag**2, np.abs(amplitudes), starts)
-
-
 def weight_sums(state: PureState) -> np.ndarray:
     """The n + 1 sums of conj(c) over the amplitudes c of `state`, per Hamming
     weight of the joint index: all that the symmetric E_g optimizer reads.
 
     One bincount each for the real and imaginary parts adds the entries in
-    column-major order, label by label and down each column, zeros
-    included: bincount adds in order from +0.0, and a zero of either sign
-    leaves a sum as it is, so the sums are those of the nonzero entries
-    alone.  A stream of column chunks keeps these floats if it adds each
-    chunk, in order, into the same sums (np.add.at).  The conjugate's
+    their stored order, label by label and down each column, from +0.0: the
+    sums over the column-major dense order, since an exact zero leaves a
+    sum as it is.  A stream of column chunks keeps these floats if it adds
+    each chunk, in order, into the same sums (np.add.at).  The conjugate's
     0.0 - sum keeps a +0.0 sum from turning into -0.0.
     """
     lay = state.layout
-    columns = state.block.T  # C-contiguous: one row per column
-    bins = np.add.outer(np.bitwise_count(state.labels), np.bitwise_count(np.arange(lay.Q)))
-    bins = bins.ravel()
+    rows = np.bitwise_count(np.arange(lay.Q))
+    bins = np.add.outer(np.bitwise_count(state.labels), rows)[state.mask]
     sums = np.empty(lay.n + 1, dtype=np.complex128)
-    sums.real = np.bincount(bins, columns.real.ravel(), minlength=lay.n + 1)
-    sums.imag = 0.0 - np.bincount(bins, columns.imag.ravel(), minlength=lay.n + 1)
+    sums.real = np.bincount(bins, state.amplitudes.real, minlength=lay.n + 1)
+    sums.imag = 0.0 - np.bincount(bins, state.amplitudes.imag, minlength=lay.n + 1)
     return sums
+
+
+def perturbed(state: PureState, eps: float) -> PureState:
+    """`state` with its first largest amplitude in the row-major order of its
+    (Q, k) block scaled by 1 + eps, then divided by the square root of
+    np.vdot over that block; both floats need the C-ordered block, dropped
+    before the entries are scaled.  An entry that becomes exactly 0.0 leaves
+    the state; ValueError if no normalized state is left."""
+    block = np.zeros((state.layout.Q, len(state.labels)), dtype=np.complex128)
+    block.T[state.mask] = state.amplitudes
+    row, column = np.unravel_index(np.argmax(np.abs(block)), block.shape)
+    block[row, column] *= 1.0 + eps
+    norm = np.sqrt(np.vdot(block, block).real)
+    del block
+    amplitudes = state.amplitudes.copy()
+    amplitudes[state.starts[column] + np.count_nonzero(state.mask[column, :row])] *= 1.0 + eps
+    amplitudes /= norm
+    keep, mask = amplitudes != 0, state.mask
+    if not keep.all():
+        mask, amplitudes = mask.copy(), amplitudes[keep]
+        mask[state.mask] = keep
+    return PureState(state.layout, state.labels, mask, amplitudes)
 
 
 def outcome_distribution(r: int, q: int) -> OutcomeDistribution:

@@ -175,9 +175,9 @@ def verify_stage(
     stage's row (d, E_g, literal E_g) of the closed-form table `verify_all`
     builds: d is the count of equal-weight basis states, which fixes the
     coherence closed forms, and the literal reading exists on psi3 only;
-    each is None where no closed form applies.  The state's support is
-    built once and every row reads it: the C_1p and C_alpha rows come from
-    one grid evaluation each.  The E_g row reads the state's weight sums
+    each is None where no closed form applies.  Every row reads the
+    state's nonzero amplitudes: the C_1p and C_alpha rows come from one
+    grid evaluation each.  The E_g row reads the state's weight sums
     (`statevec.weight_sums`), which only this report builds.  Coherence
     rows are gated at COHERENCE_GAP_TOL, or reported as not applicable when
     d is None.  Entanglement rows are never gated: the ansatz optimum and
@@ -188,10 +188,9 @@ def verify_stage(
     def closed(index: int, p: float = 1.0, alpha: float = 1.0) -> Optional[float]:
         return None if d is None else coherence_closed_forms(d, p, alpha)[index]
 
-    support = statevec.nonzero_support(state)
-    p_values = measures.l1p_coherence_grid(support, P_GRID_DEFAULT)
-    alpha_values = measures.tsallis_coherence_grid(support, ALPHA_GRID_DEFAULT)
-    cg = measures.geometric_coherence_pure(support)
+    p_values = measures.l1p_coherence_grid(state, P_GRID_DEFAULT)
+    alpha_values = measures.tsallis_coherence_grid(state, ALPHA_GRID_DEFAULT)
+    cg = measures.geometric_coherence_pure(state)
     opt = ent.geometric_entanglement_symmetric(statevec.weight_sums(state))
     details: dict = {"ansatz_alpha": opt.alpha_angle, "ansatz_overlap_sq": opt.overlap_sq}
     if eg_literal is not None:

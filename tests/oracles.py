@@ -4,9 +4,9 @@ Three kinds live here.  The dense expressions evaluate a pure-state measure
 over the dense (Q, 2**L) array of a state, one register-B column at a time:
 every sum over a state is defined that way (`column_flat_sum`), and
 `shormeter.measures` must reproduce them bit for bit from the nonzero
-support.  The single-point wrappers evaluate a one-element grid on
-`support_of(vector)`, the support of the vector zero-padded to a power of
-two and held as a `PureState` (`as_state`).  The density-matrix measures (eigendecomposition
+amplitudes.  The single-point wrappers evaluate a one-element grid on the
+vector zero-padded to a power of two and held as a `PureState`
+(`as_state`).  The density-matrix measures (eigendecomposition
 based) are independent routes, capped at dim <= 256.  The relative-entropy and skew-information
 coherences are included because the Tsallis family reduces to them at
 alpha -> 1 and alpha = 1/2.  The circuit and entanglement oracles (dense
@@ -25,7 +25,7 @@ brute-force product-state search, symmetric optimum and overlap through a
 state's weight sums, the dense-grid symmetric optimum and the exact
 symmetric overlap that certify the library's, weight sums by np.add.at,
 alpha-peak search)
-the Fraction convergents and the candidate-set order recovery, and small helpers (`as_state`, `support_of`,
+the Fraction convergents and the candidate-set order recovery, and small helpers (`as_state`, `state_of`, `block_of`, `dense_perturbed`,
 `dense_grid`, `mod_pow`, `register_b_support`, `dump_nonzero_json`, `make_instance`,
 `distribution_of`) serve only the tests, so they are kept out of the
 library.
@@ -55,13 +55,7 @@ from shormeter.measures import (
     validate_alpha,
 )
 from shormeter.numtheory import RegisterLayout, ShorInstance, register_sizes
-from shormeter.statevec import (
-    OutcomeDistribution,
-    PureState,
-    Support,
-    nonzero_support,
-    weight_sums,
-)
+from shormeter.statevec import OutcomeDistribution, PureState, weight_sums
 
 ZERO_TOL = 1e-12  # the test helpers count amplitudes below this modulus as zeros
 _DENSITY_DIM_CAP = 256
@@ -142,19 +136,14 @@ def as_state(vec: np.ndarray) -> PureState:
     return from_dense(RegisterLayout(t=size.bit_length() - 2, L=1), padded)
 
 
-def support_of(vec: np.ndarray) -> Support:
-    """The nonzero support that the measures read, of `as_state(vec)`."""
-    return nonzero_support(as_state(vec))
-
-
 def tsallis_coherence_pure(state: np.ndarray, alpha: float) -> float:
     """Tsallis relative alpha-entropy of coherence of a vector at one alpha."""
-    return tsallis_coherence_grid(support_of(state), (alpha,))[0]
+    return tsallis_coherence_grid(as_state(state), (alpha,))[0]
 
 
 def l1p_coherence_pure(state: np.ndarray, p: float) -> float:
     """l_{1,p} coherence of a vector at one p."""
-    return l1p_coherence_grid(support_of(state), (p,))[0]
+    return l1p_coherence_grid(as_state(state), (p,))[0]
 
 
 def pure_density(state: np.ndarray) -> np.ndarray:
@@ -304,23 +293,51 @@ def distribution_of(probabilities) -> OutcomeDistribution:
     return OutcomeDistribution(np.array(probabilities, dtype=np.float64))
 
 
+def state_of(layout: RegisterLayout, block: np.ndarray, labels) -> PureState:
+    """The `PureState` of a (Q, k) block of the columns with register-B
+    labels `labels`: the exactly nonzero amplitudes of each column, in a
+    fresh array, and their mask (all-zero columns dropped)."""
+    columns = np.asarray(block, dtype=np.complex128).T
+    mask = columns != 0
+    return PureState(layout, np.array(labels), mask, columns[mask])
+
+
+def block_of(state: PureState) -> np.ndarray:
+    """The fresh, column-major (Q, k) block of a state's occupied columns,
+    +0.0 where its mask has no entry."""
+    block = np.zeros((state.layout.Q, len(state.labels)), dtype=np.complex128, order="F")
+    block.T[state.mask] = state.amplitudes
+    return block
+
+
+def dense_perturbed(state: PureState, eps: float) -> PureState:
+    """`statevec.perturbed` on the C-ordered (Q, k) block of a state: its
+    first largest entry in row-major order scaled by 1 + eps, then the
+    block divided by the square root of its np.vdot norm, and its exact
+    zeros dropped."""
+    block = np.ascontiguousarray(block_of(state))
+    block[np.unravel_index(np.argmax(np.abs(block)), block.shape)] *= 1.0 + eps
+    block /= np.sqrt(np.vdot(block, block).real)
+    return state_of(state.layout, block, state.labels)
+
+
 def from_dense(layout: RegisterLayout, vec: np.ndarray) -> PureState:
     """Column-stored state of a dense amplitude vector (all-zero columns dropped)."""
     grid = np.asarray(vec, dtype=np.complex128).reshape(layout.Q, layout.dim_b)
-    return PureState(layout, grid, np.arange(layout.dim_b))
+    return state_of(layout, grid, np.arange(layout.dim_b))
 
 
 def to_dense(state: PureState) -> np.ndarray:
-    """All 2**(t+L) amplitudes of a column-stored state."""
+    """All 2**(t+L) amplitudes of a column-stored state, +0.0 off its mask."""
     lay = state.layout
     vec = np.zeros(lay.dim, dtype=np.complex128)
-    vec.reshape(lay.Q, lay.dim_b)[:, state.labels] = state.block
+    vec.reshape(lay.Q, lay.dim_b)[:, state.labels] = block_of(state)
     return vec
 
 
 def register_b_support(state: PureState) -> list[int]:
     """Register-B values carrying probability above ZERO_TOL**2."""
-    marginal = np.sum(np.abs(state.block) ** 2, axis=0)
+    marginal = np.sum(np.abs(block_of(state)) ** 2, axis=0)
     return [int(y) for y in state.labels[marginal > ZERO_TOL**2]]
 
 
@@ -450,12 +467,10 @@ def full_table_modexp_columns(instance: ShorInstance) -> tuple[np.ndarray, np.nd
 def _register_a_gate(state: PureState, transform: Callable[[np.ndarray], np.ndarray]) -> PureState:
     """Apply a register-A transform to the occupied register-B columns.
 
-    ``transform`` maps the read-only (Q, k) column-major block to a fresh
-    column-major array of its images; the labels stay.
+    ``transform`` maps the (Q, k) column-major block to a fresh array of its
+    images; the labels stay.
     """
-    out = transform(state.block)
-    out.setflags(write=False)
-    return PureState(state.layout, out, state.labels)
+    return state_of(state.layout, transform(block_of(state)), state.labels)
 
 
 def _qft_columns(cols: np.ndarray) -> np.ndarray:
@@ -501,7 +516,7 @@ def measurement_probabilities_A(state: PureState) -> np.ndarray:
     `statevec.final_probabilities` must give the same bytes on psi3 without
     holding it.
     """
-    return row_sums_of_squares(state.block)
+    return row_sums_of_squares(block_of(state))
 
 
 def _reflected_sin_squared(phase: np.ndarray, q: int) -> np.ndarray:

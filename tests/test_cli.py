@@ -82,7 +82,7 @@ def test_simulate_csv_round_trip(tmp_path):
     from shormeter import run_order_finding_circuit, statevec
 
     psi1 = tuple(run_order_finding_circuit(make_instance(15, 7)))[0]
-    expected = measures.l1p_coherence_grid(statevec.nonzero_support(psi1), (1.0,))[0]
+    expected = measures.l1p_coherence_grid(psi1, (1.0,))[0]
     row = next(l for l in lines[1:] if l.startswith("psi1,C_1p,1,"))
     numeric = float(row.split(",")[3])
     assert numeric == expected  # 17 significant digits round-trip exactly
@@ -692,8 +692,9 @@ STAGE_RUN = ["--n", "125", "--x", "2", "--t", "13"]
 )
 def test_stage_commands_peak_below_three_and_a_half_blocks(argv, exit_code):
     # each stage is built, measured and dropped before the next one is
-    # built, and --debug-perturb makes one copy of each stage: holding all
-    # three stages peaked at 4.10, 4.10 and 5.05 blocks of 16 * Q * r bytes
+    # built, and --debug-perturb makes one dense block and one perturbed
+    # copy of each stage: holding all three stages peaked at 4.10, 4.10 and
+    # 5.05 blocks of 16 * Q * r bytes
     inst = make_instance(125, 2, t=13)
     assert inst.r == 100
     tracemalloc.start()
@@ -708,17 +709,39 @@ def test_stage_commands_peak_below_three_and_a_half_blocks(argv, exit_code):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [["simulate"], ["verify"], ["sweep"], ["sweep", "--measure", "l1p"]],
+    ids=["simulate", "verify", "sweep-tsallis", "sweep-l1p"],
+)
+def test_stage_commands_peak_below_two_and_a_half_blocks(argv):
+    # a stage is its nonzero entries and their mask, and each measure forms
+    # only the |c|**2 or |c| it reads: 2.06 to 2.15 blocks of 16 * Q * r
+    # bytes, where holding each stage as a zero-filled (Q, k) block and
+    # scanning it into a second copy of its entries peaked at 3.06 to 3.09
+    inst = make_instance(125, 2, t=13)
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv + STAGE_RUN)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 2.5 * 16 * inst.Q * inst.r
+
+
+@pytest.mark.parametrize(
     "argv", [["simulate"], ["verify"], ["verify", "--debug-perturb", "1e-3"], ["sweep"]]
 )
 def test_earlier_stages_are_freed_before_psi3_is_transformed(monkeypatch, argv):
-    # the blocks of psi1 and psi2, and of their perturbed copies, are gone
+    # the entries of psi1 and psi2, and of their perturbed copies, are gone
     # by the time the first chunk of psi3 is transformed
     blocks, alive = [], []
     make_state, chunks_of = statevec.PureState, statevec._transformed_chunks
 
     def recorded_state(*args):
         state = make_state(*args)
-        blocks.append(weakref.ref(state.block))
+        blocks.append(weakref.ref(state.amplitudes))
         return state
 
     def watched_chunks(*args):

@@ -11,7 +11,7 @@ from oracles import make_instance
 from shormeter import run_order_finding_circuit
 from shormeter.cli import _perturbed
 from shormeter.numtheory import RegisterLayout
-from shormeter.statevec import PureState, weight_sums
+from shormeter.statevec import weight_sums
 
 
 def product_state(layout, rng):
@@ -381,7 +381,7 @@ def pipeline15_t8():
 def single_column_state(make_state, t, L, y, rng):
     """make_state's state on t qubits as register A, with register B in |y>."""
     phi = oracles.to_dense(make_state(RegisterLayout(t=t - 1, L=1), rng))
-    return PureState(RegisterLayout(t=t, L=L), phi[:, None], [y])
+    return oracles.state_of(RegisterLayout(t=t, L=L), phi[:, None], [y])
 
 
 def test_product_family_never_exceeds_symmetric(pipeline15, pipeline15_t8):

@@ -20,7 +20,6 @@ from oracles import (
     pure_density,
     relative_entropy_coherence,
     skew_info_coherence,
-    support_of,
     to_dense,
     tsallis_coherence_density,
     tsallis_coherence_pure,
@@ -33,7 +32,7 @@ from shormeter.measures import (
     l1p_coherence_grid,
     tsallis_coherence_grid,
 )
-from shormeter.statevec import nonzero_support, uniform_state
+from shormeter.statevec import uniform_state
 
 PLUS = np.array([1.0, 1.0]) / math.sqrt(2.0)
 
@@ -158,10 +157,10 @@ def test_l1p_density_matches_pure_and_l1_reduction():
 
 
 def test_geometric_coherence_values():
-    assert geometric_coherence_pure(support_of(uniform(2048))) == pytest.approx(
+    assert geometric_coherence_pure(as_state(uniform(2048))) == pytest.approx(
         1 - 1 / 2048, abs=1e-12
     )
-    assert geometric_coherence_pure(support_of(np.array([0, 1], dtype=complex))) == 0.0
+    assert geometric_coherence_pure(as_state(np.array([0, 1], dtype=complex))) == 0.0
 
 
 def test_skew_info_identity():
@@ -192,8 +191,8 @@ def test_diagonal_phase_invariance():
             assert tsallis_coherence_pure(rotated, alpha) == pytest.approx(
                 tsallis_coherence_pure(psi, alpha), abs=1e-9
             )
-        assert geometric_coherence_pure(support_of(rotated)) == pytest.approx(
-            geometric_coherence_pure(support_of(psi)), abs=1e-12
+        assert geometric_coherence_pure(as_state(rotated)) == pytest.approx(
+            geometric_coherence_pure(as_state(psi)), abs=1e-12
         )
 
 
@@ -202,7 +201,7 @@ def test_positive_on_coherent_states():
     psi = random_pure(8, rng)
     assert tsallis_coherence_pure(psi, 1.5) > 1e-6
     assert l1p_coherence_pure(psi, 1.5) > 1e-6
-    assert geometric_coherence_pure(support_of(psi)) > 1e-6
+    assert geometric_coherence_pure(as_state(psi)) > 1e-6
 
 
 def test_modexp_stage_keeps_all_coherences(pipeline15):
@@ -215,8 +214,8 @@ def test_modexp_stage_keeps_all_coherences(pipeline15):
         assert tsallis_coherence_pure(psi2, alpha) == pytest.approx(
             tsallis_coherence_pure(psi1, alpha), abs=1e-9
         )
-    assert geometric_coherence_pure(nonzero_support(pipeline15[1])) == pytest.approx(
-        geometric_coherence_pure(nonzero_support(pipeline15[0])), abs=1e-12
+    assert geometric_coherence_pure(pipeline15[1]) == pytest.approx(
+        geometric_coherence_pure(pipeline15[0]), abs=1e-12
     )
 
 
@@ -225,7 +224,7 @@ def test_density_dim_cap():
         tsallis_coherence_density(np.eye(512, dtype=complex) / 512, 1.5)
 
 
-# --- grids from the nonzero support against the dense expressions ---------
+# --- grids from the nonzero amplitudes against the dense expressions ------
 
 ALPHAS_EDGE = (0.05, 0.5, 1.0 - ALPHA_ONE_TOL / 2, 1.0, 1.0 + ALPHA_ONE_TOL / 2, 1.5, 2.0)
 PS_EDGE = (1.0, 1.25, 1.5, 2.0)
@@ -272,12 +271,9 @@ def test_grids_equal_dense_expressions(psi, alphas, ps):
     # the state drops its all-zero columns; the dense expressions run over
     # the same zero-padded vector
     state = as_state(psi)
-    support = nonzero_support(state)
-    assert tsallis_coherence_grid(support, alphas) == [
-        dense_tsallis_pure(state, a) for a in alphas
-    ]
-    assert l1p_coherence_grid(support, ps) == [dense_l1p_pure(state, p) for p in ps]
-    assert geometric_coherence_pure(support) == dense_geometric_pure(state)
+    assert tsallis_coherence_grid(state, alphas) == [dense_tsallis_pure(state, a) for a in alphas]
+    assert l1p_coherence_grid(state, ps) == [dense_l1p_pure(state, p) for p in ps]
+    assert geometric_coherence_pure(state) == dense_geometric_pure(state)
     assert tsallis_coherence_pure(psi, alphas[0]) == dense_tsallis_pure(state, alphas[0])
     assert l1p_coherence_pure(psi, ps[0]) == dense_l1p_pure(state, ps[0])
 
@@ -295,24 +291,24 @@ def tsallis_rounding(alpha):
 @settings(deadline=None)
 @given(pure_states(), alphas_st, ps_st, st.integers(0, 2**32 - 1))
 def test_measures_invariant_under_permutation(psi, alphas, ps, seed):
-    support = support_of(psi)
-    moved = support_of(psi[np.random.default_rng(seed).permutation(psi.size)])
-    tsallis = tsallis_coherence_grid(support, alphas)
+    state = as_state(psi)
+    moved = as_state(psi[np.random.default_rng(seed).permutation(psi.size)])
+    tsallis = tsallis_coherence_grid(state, alphas)
     for alpha, a, b in zip(alphas, tsallis_coherence_grid(moved, alphas), tsallis):
         assert a == pytest.approx(b, rel=1e-12, abs=tsallis_rounding(alpha))
-    for a, b in zip(l1p_coherence_grid(moved, ps), l1p_coherence_grid(support, ps)):
+    for a, b in zip(l1p_coherence_grid(moved, ps), l1p_coherence_grid(state, ps)):
         assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
-    assert geometric_coherence_pure(moved) == geometric_coherence_pure(support)
+    assert geometric_coherence_pure(moved) == geometric_coherence_pure(state)
 
 
 @settings(deadline=None)
 @given(pure_states(), alphas_st, ps_st)
 def test_measures_stay_within_bounds(psi, alphas, ps):
-    dim, support = psi.size, support_of(psi)
-    assert 0.0 <= geometric_coherence_pure(support) <= 1.0 - 1.0 / dim + 1e-12
-    for alpha, value in zip(alphas, tsallis_coherence_grid(support, alphas)):
+    dim, state = psi.size, as_state(psi)
+    assert 0.0 <= geometric_coherence_pure(state) <= 1.0 - 1.0 / dim + 1e-12
+    for alpha, value in zip(alphas, tsallis_coherence_grid(state, alphas)):
         assert value >= -tsallis_rounding(alpha)
-    for p, value in zip(ps, l1p_coherence_grid(support, ps)):
+    for p, value in zip(ps, l1p_coherence_grid(state, ps)):
         assert 0.0 <= value <= (dim - 1) ** (1.0 / p) * (1.0 + 1e-12)
 
 
@@ -321,10 +317,10 @@ def test_basis_state_has_no_coherence():
         for k in {0, dim - 1}:
             basis = np.zeros(dim, dtype=complex)
             basis[k] = 1.0
-            support = support_of(basis)
-            assert tsallis_coherence_grid(support, ALPHAS_EDGE) == [0.0] * len(ALPHAS_EDGE)
-            assert l1p_coherence_grid(support, PS_EDGE) == [0.0] * len(PS_EDGE)
-            assert geometric_coherence_pure(support) == 0.0
+            state = as_state(basis)
+            assert tsallis_coherence_grid(state, ALPHAS_EDGE) == [0.0] * len(ALPHAS_EDGE)
+            assert l1p_coherence_grid(state, PS_EDGE) == [0.0] * len(PS_EDGE)
+            assert geometric_coherence_pure(state) == 0.0
 
 
 def test_grid_edge_points_closed_forms():
@@ -337,18 +333,18 @@ def test_grid_edge_points_closed_forms():
     nz = probs[probs > 0]
     shannon = -float(np.sum(nz * np.log(nz)))
     near_one = (1.0 - ALPHA_ONE_TOL / 2, 1.0, 1.0 + ALPHA_ONE_TOL / 2)
-    limit = tsallis_coherence_grid(support_of(psi), near_one)
+    limit = tsallis_coherence_grid(as_state(psi), near_one)
     assert limit == pytest.approx([shannon] * 3, rel=1e-12)
-    c1, c2 = l1p_coherence_grid(support_of(psi), (1.0, 2.0))
+    c1, c2 = l1p_coherence_grid(as_state(psi), (1.0, 2.0))
     assert c1 == pytest.approx(mods.sum() ** 2 - probs.sum(), rel=1e-12)
     assert c2 == pytest.approx(float(np.sum(mods * np.sqrt(1.0 - probs))), rel=1e-12)
 
 
 def test_grids_reject_out_of_range_points():
     with pytest.raises(ValueError):
-        tsallis_coherence_grid(support_of(PLUS), (0.5, 2.5))
+        tsallis_coherence_grid(as_state(PLUS), (0.5, 2.5))
     with pytest.raises(ValueError):
-        l1p_coherence_grid(support_of(PLUS), (1.5, 0.9))
+        l1p_coherence_grid(as_state(PLUS), (1.5, 0.9))
 
 
 @pytest.mark.parametrize("n,x,t", [(15, 7, 11), (21, 2, 10), (49, 3, 10)])
@@ -367,12 +363,11 @@ def test_grids_equal_dense_expressions_on_circuit_states(tmp_path, n, x, t):
         for row in sweeps["l1p"]:
             assert row[column] == dense_l1p_pure(state, row[0])
         alphas, ps = theorems.ALPHA_GRID_DEFAULT, theorems.P_GRID_DEFAULT
-        support = nonzero_support(state)
-        assert tsallis_coherence_grid(support, alphas) == [
+        assert tsallis_coherence_grid(state, alphas) == [
             dense_tsallis_pure(state, a) for a in alphas
         ]
-        assert l1p_coherence_grid(support, ps) == [dense_l1p_pure(state, p) for p in ps]
-        assert geometric_coherence_pure(support) == dense_geometric_pure(state)
+        assert l1p_coherence_grid(state, ps) == [dense_l1p_pure(state, p) for p in ps]
+        assert geometric_coherence_pure(state) == dense_geometric_pure(state)
 
 
 def uniform_stage(n, x, t):
@@ -385,9 +380,8 @@ def test_grids_peak_below_four_bytes_per_basis_state():
     assert psi1.layout.n == 19
     tracemalloc.start()
     try:
-        support = nonzero_support(psi1)
-        l1p_coherence_grid(support, theorems.P_GRID_DEFAULT)
-        tsallis_coherence_grid(support, theorems.ALPHA_GRID_DEFAULT)
+        l1p_coherence_grid(psi1, theorems.P_GRID_DEFAULT)
+        tsallis_coherence_grid(psi1, theorems.ALPHA_GRID_DEFAULT)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -404,5 +398,5 @@ def test_l1_coherence_of_the_uniform_stage_meets_the_gate(n, x, t):
     # by 1/sqrt(2) once per qubit drifted from it by 1.75e-9 at t = 19;
     # rounded once, the gap stays within the gate up to t = 22, the largest
     # t the budget admits (N=3 has L = 2)
-    value = l1p_coherence_grid(nonzero_support(uniform_stage(n, x, t)), (1.0,))[0]
+    value = l1p_coherence_grid(uniform_stage(n, x, t), (1.0,))[0]
     assert abs(value - (2**t - 1)) <= theorems.COHERENCE_GAP_TOL

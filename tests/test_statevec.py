@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from oracles import (
     add_at_weight_sums,
+    block_of,
+    dense_perturbed,
     column_flat_sum,
     distribution_of,
     apply_inverse_qft_A,
@@ -29,12 +31,13 @@ from oracles import (
     real_inverse_qft_all_columns,
     register_b_support,
     row_sums_of_squares,
+    state_of,
     to_dense,
     long_double_outcome_probabilities,
     whole_array_outcome_probabilities,
 )
 from shormeter import entanglement as ent
-from shormeter import statevec, theorems
+from shormeter import measures, statevec, theorems
 from shormeter.cli import main
 from shormeter.numtheory import RegisterLayout, ShorInstance
 from shormeter.statevec import (
@@ -42,7 +45,6 @@ from shormeter.statevec import (
     PureState,
     final_distribution,
     final_probabilities,
-    nonzero_support,
     outcome_distribution,
     run_order_finding_circuit,
     sample_outcome,
@@ -60,13 +62,15 @@ def random_state(layout, rng):
 
 
 def assert_same_bytes(got, expected):
-    """`got` is a column-stored state, `expected` a dense vector."""
-    assert to_dense(got).tobytes() == expected.tobytes()
+    """`got` is a column-stored state, `expected` a dense vector: the same
+    exactly nonzero amplitudes, bit for bit, at the same places.  A state
+    stores no zero, so the sign of a zero is not compared."""
+    assert_same_state(got, from_dense(got.layout, expected))
 
 
 def few_column_state(layout, columns, rng):
     block = random_vector(layout.Q * len(columns), rng).reshape(layout.Q, len(columns))
-    return PureState(layout, block, columns)
+    return state_of(layout, block, columns)
 
 
 def initial_vector(layout):
@@ -85,9 +89,10 @@ def test_uniform_state_small():
 def test_uniform_state_reference_layout():
     state = uniform_state(RegisterLayout(t=11, L=4))
     assert state.labels.tolist() == [1]
-    assert state.block.shape == (2048, 1)
-    assert np.all(state.block == math.sqrt(1.0 / 2048))
-    assert abs(np.vdot(state.block, state.block) - 1) < 1e-12
+    assert state.mask.shape == (1, 2048) and state.mask.all()
+    assert state.starts.tolist() == [0]
+    assert np.all(state.amplitudes == math.sqrt(1.0 / 2048))
+    assert abs(np.vdot(state.amplitudes, state.amplitudes) - 1) < 1e-12
 
 
 @pytest.mark.parametrize("t", range(1, 13))
@@ -96,44 +101,43 @@ def test_uniform_state_is_the_once_rounding_hadamard_oracle(t):
     # the oracle on |0>|1> is exact, so both give the same bytes
     lay = RegisterLayout(t=t, L=2)
     state = uniform_state(lay)
-    assert state.block.tobytes() == np.full((lay.Q, 1), math.sqrt(1.0 / lay.Q), complex).tobytes()
+    assert state.amplitudes.tobytes() == np.full(lay.Q, math.sqrt(1.0 / lay.Q), complex).tobytes()
     if t % 2 == 0:
-        assert state.block[0, 0] == 2.0 ** (-t // 2)
+        assert state.amplitudes[0] == 2.0 ** (-t // 2)
     assert_same_bytes(state, hadamard_all_columns(initial_vector(lay), lay))
 
 
 def test_norm_validation():
     lay = RegisterLayout(t=1, L=1)
     with pytest.raises(ValueError):
-        PureState(lay, np.array([[1.0], [1.0]]), [0])
+        PureState(lay, [0], np.ones((1, 2), dtype=bool), [1.0, 1.0])
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, complex(np.nan, 0.5)])
 def test_norm_validation_rejects_a_non_finite_block(value):
     with pytest.raises(ValueError, match="norm"):
-        PureState(RegisterLayout(2, 2), np.full((4, 1), value), [1])
+        PureState(RegisterLayout(2, 2), [1], np.ones((1, 4), dtype=bool), np.full(4, value))
 
 
 def test_states_are_immutable():
     state = uniform_state(RegisterLayout(t=2, L=1))
-    with pytest.raises(ValueError):
-        state.block[0, 0] = 0.5
-    with pytest.raises(ValueError):
-        state.labels[0] = 0
+    for field, index in (("amplitudes", 0), ("mask", (0, 0)), ("labels", 0), ("starts", 0)):
+        with pytest.raises(ValueError):
+            getattr(state, field)[index] = 0
 
 
-def test_state_does_not_share_caller_memory():
+def test_state_takes_its_arrays_over_read_only():
+    # no copy is made: the arrays a state is built from become read-only, so
+    # their holder cannot change the state through them
     lay = RegisterLayout(t=1, L=1)
-    block = np.array([[1.0], [0.0]], dtype=complex)
-    labels = np.array([1])
-    readonly_view = block[:]
-    readonly_view.setflags(write=False)
-    states = [PureState(lay, block, labels), PureState(lay, readonly_view, labels)]
-    block[0, 0] = -1.0
-    labels[0] = 0
-    for state in states:
-        assert state.block[0, 0] == 1.0
-        assert state.labels.tolist() == [1]
+    labels, mask = np.array([1]), np.array([[True, False]])
+    amplitudes = np.array([1.0 + 0.0j])
+    state = PureState(lay, labels, mask, amplitudes)
+    assert state.labels is labels and state.mask is mask and state.amplitudes is amplitudes
+    for array, index in ((labels, 0), (mask, (0, 1)), (amplitudes, 0)):
+        with pytest.raises(ValueError):
+            array[index] = 0
+    assert state.amplitudes.tolist() == [1.0] and state.labels.tolist() == [1]
 
 
 def test_construction_drops_all_zero_columns():
@@ -141,46 +145,59 @@ def test_construction_drops_all_zero_columns():
     block = np.zeros((4, 4), dtype=complex)
     block[1, 1] = 0.6
     block[3, 3] = -0.8j
-    block[2, 2] = -0.0  # a negative zero does not occupy its column
-    state = PureState(lay, block, [0, 2, 5, 7])
+    block[2, 2] = -0.0  # a negative zero is no entry, so its column has none
+    mask = block.T != 0
+    state = PureState(lay, [0, 2, 5, 7], mask, block.T[mask])
     assert state.labels.tolist() == [2, 7]
-    assert state.block.tolist() == [[0, 0], [0.6, 0], [0, 0], [0, -0.8j]]
-    assert state.block.flags.f_contiguous
-    assert to_dense(state).tobytes() == to_dense(from_dense(lay, to_dense(state))).tobytes()
+    assert state.mask.tolist() == [[False, True, False, False], [False, False, False, True]]
+    assert state.amplitudes.tobytes() == np.array([0.6, -0.8j]).tobytes()
+    assert state.starts.tolist() == [0, 1]
+    assert block_of(state).tolist() == [[0, 0], [0.6, 0], [0, 0], [0, -0.8j]]
+    assert_same_state(state_of(lay, block, [0, 2, 5, 7]), state)
+    assert_same_state(from_dense(lay, to_dense(state)), state)
 
 
 @pytest.mark.parametrize("labels", [[3, 1], [2, 2], [-1, 1], [1, 8]])
 def test_construction_rejects_unsorted_duplicate_or_out_of_range_labels(labels):
     lay = RegisterLayout(t=1, L=3)
-    block = np.full((2, 2), 0.5, dtype=complex)
     with pytest.raises(ValueError, match="labels"):
-        PureState(lay, block, labels)
+        PureState(lay, labels, np.ones((2, 2), dtype=bool), np.full(4, 0.5))
 
 
-@pytest.mark.parametrize("shape", [(2,), (4, 1), (2, 2)])
+@pytest.mark.parametrize("shape", [(2,), (1, 4), (2, 2)])
 def test_construction_rejects_a_block_that_does_not_fit(shape):
+    # the mask must be (k, Q) for k labels
     lay = RegisterLayout(t=1, L=3)
-    block = np.zeros(shape, dtype=complex)
-    block.reshape(-1)[0] = 1.0
-    with pytest.raises(ValueError, match="block"):
-        PureState(lay, block, [1])
+    mask = np.zeros(shape, dtype=bool)
+    mask.reshape(-1)[0] = True
+    with pytest.raises(ValueError, match="mask"):
+        PureState(lay, [1], mask, [1.0])
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_construction_rejects_amplitudes_that_do_not_match_the_mask(count):
+    lay = RegisterLayout(t=1, L=3)
+    with pytest.raises(ValueError, match="entries"):
+        PureState(lay, [1], np.ones((1, 2), dtype=bool), np.full(count, 0.5))
 
 
 def test_circuit_stages_and_gate_outputs_are_column_major_and_read_only():
+    # column by column: each stored array is contiguous, owned and read-only
     inst = make_instance(21, 2, t=7)
     rng = np.random.default_rng(13)
     wide = few_column_state(inst, [1, 4, 16], rng)
     outputs = list(run_order_finding_circuit(inst)) + [apply_inverse_qft_A(wide)]
     for state in outputs:
-        assert state.block.flags.f_contiguous and state.block.flags.owndata
-        assert not state.block.flags.writeable
-        assert not state.labels.flags.writeable
+        for array in (state.amplitudes, state.mask):
+            assert array.flags.c_contiguous and array.flags.owndata
+            assert not array.flags.writeable
+        assert not state.labels.flags.writeable and not state.starts.flags.writeable
 
 
 def test_hadamard_layer_uniform(pipeline15):
     psi1 = pipeline15[0]
     assert psi1.labels.tolist() == [1]
-    assert np.all(psi1.block[:, 0] == math.sqrt(1.0 / 2048))
+    assert np.all(psi1.amplitudes == math.sqrt(1.0 / 2048))
     grid = to_dense(psi1).reshape(2048, 16)
     assert np.abs(grid[:, [0] + list(range(2, 16))]).max() == 0.0
 
@@ -206,7 +223,7 @@ def test_modexp_orbit_support(pipeline15):
     psi2 = pipeline15[1]
     assert register_b_support(psi2) == [1, 4, 7, 13]
     assert psi2.labels.tolist() == [1, 4, 7, 13]
-    assert abs(np.vdot(psi2.block, psi2.block).real - 1.0) < 1e-10
+    assert abs(np.vdot(psi2.amplitudes, psi2.amplitudes).real - 1.0) < 1e-10
 
 
 def test_modexp_identity_for_x_equal_one():
@@ -296,7 +313,7 @@ def test_gates_preserve_norm():
         apply_inverse_qft_A,
     ):
         state = op(state)
-        norm = float(np.vdot(state.block, state.block).real)
+        norm = float(np.vdot(state.amplitudes, state.amplitudes).real)
         assert abs(norm - 1.0) < 1e-10
 
 
@@ -367,7 +384,7 @@ def column_stored_states(draw):
     if draw(st.booleans()):
         block[:, rng.random(len(labels)) < 0.5] = 0.0
     block[0, 0] = 1.0  # never all zero
-    return inst, PureState(inst, block / np.linalg.norm(block), labels)
+    return inst, state_of(inst, block / np.linalg.norm(block), labels)
 
 
 @settings(max_examples=60, deadline=None)
@@ -377,14 +394,40 @@ def test_gates_on_column_stored_states_keep_norm_and_match_dense_oracles(case):
     lay = state.layout
     vec = to_dense(state)
     out = apply_inverse_qft_A(state)
-    assert abs(float(np.vdot(out.block, out.block).real) - 1.0) <= NORM_TOL
+    assert abs(float(np.vdot(out.amplitudes, out.amplitudes).real) - 1.0) <= NORM_TOL
     assert_same_bytes(out, inverse_qft_all_columns(vec, lay))
-    assert np.all(np.diff(out.labels) > 0) and np.all(out.block.any(axis=0))
+    assert np.all(np.diff(out.labels) > 0) and np.all(out.mask.any(axis=1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(column_stored_states(), st.integers(0, 63), st.sampled_from([1e-3, 0.5, -0.999, -1.0]))
+def test_perturbed_state_is_the_dense_perturbation_bit_for_bit(case, shift, eps):
+    # the drawn block's largest entry is its first, and rolling its rows
+    # moves it; -1 zeroes it, so it leaves the state, with its column if
+    # that held no other entry; a state left with no entry is refused
+    _, state = case
+    state = state_of(state.layout, np.roll(block_of(state), shift, axis=0), state.labels)
+    try:
+        expected = dense_perturbed(state, eps)
+    except ValueError:
+        with pytest.raises(ValueError):
+            statevec.perturbed(state, eps)
+        return
+    assert_same_state(statevec.perturbed(state, eps), expected)
+
+
+@pytest.mark.parametrize("eps", [1e-3, -1.0])
+@pytest.mark.parametrize("n, x, t", [(49, 3, 10), (51, 2, 12)])
+def test_perturbed_circuit_stages_are_the_dense_perturbation_bit_for_bit(n, x, t, eps):
+    # the largest entries are tied on psi1 and psi2; on psi3 of N=51 (r | Q)
+    # the first of them is row 512 of the second column
+    for state in run_order_finding_circuit(make_instance(n, x, t=t)):
+        assert_same_state(statevec.perturbed(state, eps), dense_perturbed(state, eps))
 
 
 def assert_same_state(got, expected):
-    assert got.block.tobytes() == expected.block.tobytes()
-    assert got.labels.tobytes() == expected.labels.tobytes()
+    for field in ("labels", "mask", "amplitudes", "starts"):
+        assert getattr(got, field).tobytes() == getattr(expected, field).tobytes(), field
 
 
 FINAL_STAGE_CASES = [
@@ -436,8 +479,8 @@ def test_final_state_lies_within_the_fft_bound_of_the_complex_transform(n, x, t)
     _, psi2, psi3 = run_order_finding_circuit(inst)
     expected = apply_inverse_qft_A(psi2)
     assert expected.labels.tobytes() == psi3.labels.tobytes()
-    gaps = np.linalg.norm(psi3.block - expected.block, axis=0)
-    bounds = fft_route_bound(inst.t) * np.linalg.norm(psi2.block, axis=0)
+    gaps = np.linalg.norm(block_of(psi3) - block_of(expected), axis=0)
+    bounds = fft_route_bound(inst.t) * np.linalg.norm(block_of(psi2), axis=0)
     assert np.all(gaps <= bounds), (gaps / bounds).max()
 
 
@@ -451,13 +494,17 @@ HERMITIAN_CASES = FINAL_STAGE_CASES + [
 @pytest.mark.parametrize("n, x, t", HERMITIAN_CASES)
 def test_final_state_and_distribution_are_mirrored_bit_for_bit(n, x, t):
     # every image amplitude is real, so psi3[Q - k] = conj(psi3[k]) for
-    # 0 < k < Q, exactly; row Q/2 is its own mirror and must be real, which
-    # is compared by value, since conj(+0.0j) is -0.0j
+    # 0 < k < Q, exactly: the same rows hold entries, and each entry is the
+    # conjugate of its mirror's; row Q/2 is its own mirror and must be real,
+    # which is compared by value, since conj(+0.0j) is -0.0j
     inst = make_instance(n, x, t=t)
     q, half = inst.Q, inst.Q // 2
-    block = tuple(run_order_finding_circuit(inst))[2].block
+    psi3 = tuple(run_order_finding_circuit(inst))[2]
+    block = block_of(psi3)
     rows = np.array([k for k in range(1, q) if k != half], dtype=np.intp)
-    assert block[q - rows].tobytes() == np.conjugate(block[rows]).tobytes()
+    assert psi3.mask[:, q - rows].tobytes() == psi3.mask[:, rows].tobytes()
+    kept = psi3.mask[:, rows].T
+    assert block[q - rows][kept].tobytes() == np.conjugate(block[rows][kept]).tobytes()
     assert np.all(block[half].imag == 0)
     probabilities = final_probabilities(inst)
     rows = np.arange(1, q)
@@ -595,16 +642,27 @@ def test_circuit_transforms_psi3_from_the_chunks(monkeypatch):
 
 
 def test_each_stage_builds_its_support_once(monkeypatch, tmp_path):
-    # a report scans each stage once for its support and once for the
-    # weight sums that E_g receives, so that a second scan cannot come back
-    # unseen; sweep builds the supports only, and no weight sums
-    built, summed, received = [], [], []
-    build, sums_of = statevec.nonzero_support, statevec.weight_sums
+    # a stage is its nonzero support: the circuit builds each stage once,
+    # and a report hands that one state to each coherence reader and to the
+    # weight sums that E_g receives, once each, so that a second scan cannot
+    # come back unseen; sweep reads each stage by its grid only, and builds
+    # no weight sums
+    built, read, summed, received = [], [], [], []
+    make_state, sums_of = statevec.PureState, statevec.weight_sums
     optimize = ent.geometric_entanglement_symmetric
 
-    def recorded_support(state):
-        built.append(state)
-        return build(state)
+    def recorded_state(*args):
+        built.append(make_state(*args))
+        return built[-1]
+
+    def recorded(name):
+        function = getattr(measures, name)
+
+        def reader(state, *args):
+            read.append((name, state))
+            return function(state, *args)
+
+        monkeypatch.setattr(measures, name, reader)
 
     def recorded_sums(state):
         summed.append((state, sums_of(state)))
@@ -614,24 +672,32 @@ def test_each_stage_builds_its_support_once(monkeypatch, tmp_path):
         received.append(weight_sums)
         return optimize(weight_sums)
 
-    monkeypatch.setattr(statevec, "nonzero_support", recorded_support)
+    readers = ("l1p_coherence_grid", "tsallis_coherence_grid", "geometric_coherence_pure")
+    monkeypatch.setattr(statevec, "PureState", recorded_state)
+    for name in readers:
+        recorded(name)
     monkeypatch.setattr(statevec, "weight_sums", recorded_sums)
     monkeypatch.setattr(ent, "geometric_entanglement_symmetric", recorded_optimum)
     inst = make_instance(21, 2, t=10)
     states = tuple(run_order_finding_circuit(inst))
     theorems.verify_all(inst, states)
     assert len(built) == len(summed) == len(received) == 3
-    assert all(scanned is state for scanned, state in zip(built, states))
+    assert all(made is state for made, state in zip(built, states))
+    assert [(name, id(state)) for name, state in read] == [
+        (name, id(state)) for state in states for name in readers
+    ]
     assert all(scanned is state for (scanned, _), state in zip(summed, states))
     assert all(got is sums for got, (_, sums) in zip(received, summed))
-    built.clear()
     summed.clear()
     received.clear()
     argv = ["sweep", "--n", "21", "--x", "2", "--t", "10", "--out", str(tmp_path / "s.csv")]
     for measure in ("tsallis", "l1p"):
+        built.clear()
+        read.clear()
         assert main(argv + ["--measure", measure]) == 0
         assert [len(state.labels) for state in built] == [1, inst.r, inst.r]
-        built.clear()
+        grid = f"{measure}_coherence_grid"
+        assert [(name, id(state)) for name, state in read] == [(grid, id(s)) for s in built]
     assert summed == received == []
 
 
@@ -642,8 +708,8 @@ def test_weight_sums_match_add_at_over_the_dense_vector(case, real):
     # every imaginary sum at +0.0, which a negated sum would turn to -0.0
     _, state = case
     if real:
-        block = state.block.real
-        state = PureState(state.layout, block / np.linalg.norm(block), state.labels)
+        block = block_of(state).real
+        state = state_of(state.layout, block / np.linalg.norm(block), state.labels)
     got = statevec.weight_sums(state)
     assert got.tobytes() == add_at_weight_sums(state).tobytes()
     if real:
@@ -742,10 +808,10 @@ def test_row_sums_match_numpy_over_the_dense_row(L, q, fill, zero_rows, zero_col
 
 def unnormalised_state(L, t, fill, zero_rows, zero_cols, scale, seed):
     """A random block on the columns of a random label set, with exact zeros
-    in whole rows or columns, held without normalising: `nonzero_support`
-    reads only the block, its labels and the layout, so a block whose
-    |c|**2 may all underflow, or that has an all-zero column, stands in for
-    a state."""
+    in whole rows or columns, held without normalising, so that its |c|**2
+    may all underflow, or a column may hold no entry, but never all zero,
+    since no state is: `stored` gives the entries that a state of it
+    holds."""
     width, q = 2**L, 2**t
     rng = np.random.default_rng(seed)
     labels = np.flatnonzero(rng.random(width) < fill)
@@ -757,8 +823,24 @@ def unnormalised_state(L, t, fill, zero_rows, zero_cols, scale, seed):
         block[rng.random(q) < 0.5, :] = 0.0
     if zero_cols:
         block[:, rng.random(len(labels)) < 0.5] = 0.0
+    if not block.any():
+        block[0, 0] = scale
     block = np.asfortranarray(block)
     return SimpleNamespace(layout=RegisterLayout(t=t, L=L), block=block, labels=labels)
+
+
+def stored(state):
+    """(the `PureState` of the block normalised, the block's own entries in
+    the order that state holds them).  Dividing by the largest modulus,
+    then by the norm, keeps every zero and makes none, so the state's
+    labels, mask and starts are the block's, and its flat sum of values of
+    the unnormalised entries is their flat sum over the block."""
+    block = state.block / np.abs(state.block).max()
+    held = state_of(state.layout, block / np.linalg.norm(block), state.labels)
+    block = state.block
+    entries = block.T[block.T != 0]
+    assert len(entries) == len(held.amplitudes)
+    return held, entries
 
 
 def unnormalised_grid(state):
@@ -790,15 +872,14 @@ def test_flat_sum_matches_numpy_over_the_dense_vector(state):
     # Q * 2**L runs from 4 to 2**18, with zero rows, zero columns and
     # |c|**2 that underflows; the reference sums each column of the dense
     # array with numpy and the column sums by math.fsum
-    support = nonzero_support(state)
+    held, amps = stored(state)
     grid = unnormalised_grid(state)
-    amps = grid.T[grid.T != 0]  # the nonzero amplitudes column by column
-    for got, of in (
-        (support.moduli, np.abs),
-        (support.probabilities, lambda c: c.real**2 + c.imag**2),
-    ):
+    assert amps.tobytes() == grid.T[grid.T != 0].tobytes()  # column by column
+    squared = np.square(amps.real)  # as the measures form |c|**2, in place
+    squared += np.square(amps.imag)
+    for got, of in ((np.abs(amps), np.abs), (squared, lambda c: c.real**2 + c.imag**2)):
         assert got.tobytes() == of(amps).tobytes()
-        assert np.float64(support.flat_sum(got)).tobytes() == (
+        assert np.float64(held.flat_sum(got)).tobytes() == (
             np.float64(column_flat_sum(grid, of(grid))).tobytes()
         )
 
@@ -813,17 +894,17 @@ def test_a_chunked_fold_gives_the_flat_sum_of_the_whole_stage(state, data):
     bounds = [0, *cuts, k]
     chunks = data.draw(st.permutations(list(zip(bounds[:-1], bounds[1:]))))
     alpha = data.draw(st.floats(0.05, 2.0))
-    whole = nonzero_support(state)
-    for values_of in (lambda s: s.moduli, lambda s: s.probabilities ** (1.0 / alpha)):
+    whole, amps = stored(state)
+    for values_of in (np.abs, lambda c: (c.real**2 + c.imag**2) ** (1.0 / alpha)):
         column_sums = []
         for c0, c1 in chunks:
-            part = nonzero_support(
-                SimpleNamespace(
-                    layout=state.layout, block=state.block[:, c0:c1], labels=state.labels[c0:c1]
+            block = state.block[:, c0:c1]
+            if block.any():  # a chunk of empty columns holds no entry
+                part, entries = stored(
+                    SimpleNamespace(layout=state.layout, block=block, labels=state.labels[c0:c1])
                 )
-            )
-            column_sums.extend(np.add.reduceat(values_of(part), part.starts).tolist())
-        assert math.fsum(column_sums) == whole.flat_sum(values_of(whole))
+                column_sums.extend(np.add.reduceat(values_of(entries), part.starts).tolist())
+        assert math.fsum(column_sums) == whole.flat_sum(values_of(amps))
 
 
 # The same draws on every run: the per-column term is the bound of a
@@ -837,40 +918,40 @@ def test_flat_sum_lies_within_the_pairwise_bound_of_the_exact_sum(state, alpha):
     # each column is summed pairwise over at most Q values, which errs by
     # ceil(log2 Q) * 2**-53 * sum|v|; math.fsum rounds the column sums once,
     # and the reference, fsum over every value, rounds once more
-    support = nonzero_support(state)
-    probs, q = support.probabilities, state.layout.Q
+    held, amps = stored(state)
+    probs, q = amps.real**2 + amps.imag**2, state.layout.Q
     for values in (
-        support.moduli,
+        np.abs(amps),
         probs,
         probs ** (1.0 / alpha),
         probs * np.log(np.where(probs > 0, probs, 1.0)),  # the Shannon terms, <= 0
     ):
         exact = math.fsum(values.tolist())
         bound = (math.ceil(math.log2(q)) + 2) * 2.0**-53 * math.fsum(np.abs(values).tolist())
-        assert abs(support.flat_sum(values) - exact) <= bound
+        assert abs(held.flat_sum(values) - exact) <= bound
 
 
 def test_a_column_without_an_entry_has_no_start():
     # np.add.reduceat gives values[i], not 0, for an empty segment, so an
     # offset for the empty middle column would add the last column's first
-    # value twice
+    # value twice; the state drops the column instead
     layout = RegisterLayout(t=2, L=2)
     block = np.zeros((4, 3), dtype=complex, order="F")
     block[:, 0] = [1.0, 2.0, 0.0, 3.0]
     block[:, 2] = [0.0, 4.0, 5.0, 0.0]
-    state = SimpleNamespace(layout=layout, block=block, labels=np.array([0, 1, 3]))
-    support = nonzero_support(state)
-    assert support.starts.tolist() == [0, 3]
-    assert support.moduli.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
-    assert support.flat_sum(support.moduli) == 15.0
-    assert np.add.reduceat(support.moduli, [0, 3, 3]).tolist() == [6.0, 4.0, 9.0]
+    state = state_of(layout, block / math.sqrt(55.0), [0, 1, 3])
+    assert state.labels.tolist() == [0, 3]
+    assert state.starts.tolist() == [0, 3]
+    values = np.arange(1.0, 6.0)
+    assert state.flat_sum(values) == 15.0
+    assert np.add.reduceat(values, [0, 3, 3]).tolist() == [6.0, 4.0, 9.0]
 
 
 @pytest.mark.parametrize("n, x, t", [(15, 7, 11), (49, 3, 8), (255, 2, 4)])
 def test_measurement_distribution_matches_dense_row_sums_on_circuit_states(n, x, t):
     # N=255 puts register B at width 256: two 128-blocks
     psi3 = tuple(run_order_finding_circuit(make_instance(n, x, t=t)))[2]
-    expected = _dense_row_sums(psi3.block, psi3.labels, psi3.layout.dim_b)
+    expected = _dense_row_sums(block_of(psi3), psi3.labels, psi3.layout.dim_b)
     assert measurement_probabilities_A(psi3).tobytes() == expected.tobytes()
 
 
@@ -894,12 +975,12 @@ def test_dense_factor_peaks_below_half_a_column_block():
 
 
 def test_real_transform_holds_no_more_than_the_stage_blocks():
-    # each transformed chunk is copied into the psi3 block, and the mirror
-    # fills it in place: no copy of either block and no half-column buffer.
-    # Held together, the stages take the two blocks and one chunk's real
-    # scratch and transform; built after psi2 was dropped, psi3 takes its
-    # own block and the chunk (2.03 blocks when the circuit built all three
-    # stages at once); final_distribution peaked at 4.75 MiB with the
+    # each transformed chunk is gathered into psi3's mask and entries, which
+    # grow in place: no copy of the entries and no full-height buffer.
+    # Held together, the stages take at most two blocks and one chunk's
+    # real scratch and transform; built after psi2 was dropped, psi3 takes
+    # its own entries and the chunk (2.03 blocks when the circuit built all
+    # three stages at once); final_distribution peaked at 4.75 MiB with the
     # complex scratch of the full transform
     inst = make_instance(49, 3)
     assert (inst.t, inst.r) == (15, 42)
@@ -927,6 +1008,22 @@ def test_real_transform_holds_no_more_than_the_stage_blocks():
     assert peaks[0] <= 2 * block_bytes + statevec._CHUNK_BYTES + 2**20
     assert peaks[1] < 1.25 * block_bytes
     assert peaks[2] <= 4.75 * 2**20
+
+
+def test_psi2_peaks_below_a_quarter_block():
+    # psi2 is Q equal entries and a (r, Q) mask: 1/r + 1/16 of a block of
+    # 16 * Q * r bytes, where its zero-filled block took a whole one
+    inst = make_instance(125, 2, t=13)
+    states = run_order_finding_circuit(inst)
+    next(states)
+    tracemalloc.start()
+    try:
+        psi2 = next(states)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(psi2.amplitudes) == inst.Q and len(psi2.labels) == inst.r == 100
+    assert peak < 0.25 * 16 * inst.Q * inst.r
 
 
 def test_circuit_stays_below_one_dense_state_in_memory():
@@ -1147,4 +1244,4 @@ def test_dump_nonzero_json_sorted():
 
 def test_run_circuit_returns_three_normalized_stages(pipeline15):
     for state in pipeline15:
-        assert abs(np.vdot(state.block, state.block).real - 1.0) < 1e-10
+        assert abs(np.vdot(state.amplitudes, state.amplitudes).real - 1.0) < 1e-10
