@@ -54,9 +54,12 @@ EXIT_CONFIG = 2
 MEMORY_BUDGET_BYTES = 2**28
 # Charge of `factor --fast` per outcome.  It was the traced peak of four
 # Q-long buffers (32.1 bytes at Q = 2**20); the passes now run in
-# cache-sized windows and the probabilities become their CDF in place, so
-# the peak is one Q-long array and the windows (8.38 bytes traced at
-# Q = 2**20), but the charge stays, so that no input changes its exit code.
+# cache-sized windows, their sin**2 table lives in the output's tail and
+# the probabilities become their CDF in place, so the peak is one Q-long
+# array and the windows: the distribution traces 8.38 bytes per outcome at
+# Q = 2**20 for odd and even r (r = 35, 41, 40, 42), and a whole job 8.38
+# (N=213 x=100, r = 35) and 9.28 (N=129 x=5, r = 42).  The charge stays, so
+# that no input changes its exit code.
 FAST_BYTES_PER_OUTCOME = 33
 MAX_GRID_POINTS = 100_000  # a tiny --grid STEP exits 2 instead of listing unbounded points
 # Each failing factor attempt costs about 40 us at N = 49 and 0.8 KB of

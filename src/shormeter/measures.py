@@ -4,12 +4,14 @@ Three measures: the Tsallis relative alpha-entropy of coherence, the
 column-wise l_{1,p} norm of coherence, and geometric coherence.  Zero
 amplitudes add nothing to any measure, so each reads the nonzero
 amplitudes that a `statevec.PureState` holds, column by column, and forms
-only the |c|**2 or |c| that it uses.  A grid function evaluates a whole
-parameter grid from them.  Each grid point, alpha = 1 included, raises only
-those values and adds them with `PureState.flat_sum`, the one definition of
-a sum over a state: per register-B column, then the column sums by
-`math.fsum`.  The density-matrix oracles, the column-by-column reference
-sums and the single-point wrappers live with the tests.
+only the |c|**2 or |c| that it uses; a report takes the Tsallis grid and
+geometric coherence from one |c|**2 array.  A grid function evaluates a
+whole parameter grid from them.  Each grid point, alpha = 1 included,
+raises only those values and adds them with `PureState.flat_sum`, the one
+definition of a sum over a state: per register-B column, then the column
+sums by `math.fsum`.  The density-matrix oracles, the column-by-column
+reference sums, the single-point wrappers and the single-state geometric
+coherence live with the tests.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from shormeter.statevec import PureState
 
 __all__ = [
     "ALPHA_ONE_TOL",
-    "geometric_coherence_pure",
     "l1p_coherence_grid",
+    "tsallis_and_geometric_coherence",
     "tsallis_coherence_grid",
     "validate_alpha",
 ]
@@ -44,11 +46,31 @@ def tsallis_coherence_grid(state: PureState, alphas: Iterable[float]) -> list[fl
     (sum_i |c_i|**(2/alpha) - 1) / (alpha - 1); the alpha -> 1 limit is the
     diagonal Shannon entropy in nats.
     """
+    return _tsallis_values(state, _squared_moduli(state), alphas)
+
+
+def tsallis_and_geometric_coherence(
+    state: PureState, alphas: Iterable[float]
+) -> tuple[list[float], float]:
+    """The `tsallis_coherence_grid` values and the geometric coherence
+    1 - max_i |c_i|**2 of a pure state, both read from one |c|**2 array."""
+    probs = _squared_moduli(state)
+    return _tsallis_values(state, probs, alphas), float(max(0.0, 1.0 - probs.max(initial=0.0)))
+
+
+def _squared_moduli(state: PureState) -> np.ndarray:
+    """|c|**2 = re**2 + im**2 of each entry, in a fresh array."""
+    probs = np.square(state.amplitudes.real)
+    probs += np.square(state.amplitudes.imag)
+    return probs
+
+
+def _tsallis_values(state: PureState, probs: np.ndarray, alphas: Iterable[float]) -> list[float]:
+    """The Tsallis grid read from the entries' |c|**2, `probs`, which it
+    leaves as they are."""
     alphas = [float(alpha) for alpha in alphas]
     for alpha in alphas:
         validate_alpha(alpha)
-    probs = np.square(state.amplitudes.real)  # |c|**2 = re**2 + im**2
-    probs += np.square(state.amplitudes.imag)
     powered = np.empty_like(probs)
     values = []
     for alpha in alphas:
@@ -84,10 +106,3 @@ def l1p_coherence_grid(state: PureState, ps: Iterable[float]) -> list[float]:
         rest *= modulus
         values.append(state.flat_sum(rest))
     return values
-
-
-def geometric_coherence_pure(state: PureState) -> float:
-    """Geometric coherence of a pure state: 1 - max_i |c_i|**2."""
-    probs = np.square(state.amplitudes.real)
-    probs += np.square(state.amplitudes.imag)
-    return float(max(0.0, 1.0 - probs.max(initial=0.0)))

@@ -372,12 +372,14 @@ def outcome_distribution(r: int, q: int) -> OutcomeDistribution:
     its phase m reflected to min(m, Q - m), the same value in exact
     arithmetic and a float argument of at most pi / 2, so every p_k is
     accurate to a few ulps for every Q; then p_k repeats with period P and
-    p_(P - k) = p_k, bit for bit, and only k in [0, P/2] is evaluated.  Q
-    must be a power of two, so a phase reduces mod Q with a mask; it is
-    capped at 2**31, so the phase products fit int64.  The passes run a
-    window of outcomes at a time in four small buffers, and the distribution
-    accumulates the probabilities in place, so the one Q-long array is the
-    probabilities, then their CDF.
+    p_(P - k) = p_k, bit for bit, and only k in [0, P/2] is evaluated.
+    Every phase is a multiple of gcd(r, Q), so the sines are taken once, as a
+    table of P/2 + 1 entries (at most P) that the passes read.  Q must be a
+    power of two, so a phase reduces mod Q with a mask; it is capped at
+    2**31, so the phase products fit int64.  The passes run a window of
+    outcomes at a time in four small buffers, the table lives in the unused
+    tail of the output, and the distribution accumulates the probabilities
+    in place, so the one Q-long array is the probabilities, then their CDF.
     """
     if r < 1:
         raise ValueError(f"order must be >= 1, got {r}")
@@ -402,7 +404,8 @@ def _sin_squared(phase: np.ndarray, q: int, out: np.ndarray) -> np.ndarray:
 
 
 # `_outcome_probabilities` runs its passes over windows of this many
-# outcomes, on four buffers of 64 KiB that stay in cache
+# outcomes, on four buffers of 64 KiB that stay in cache, and builds its
+# sin**2 table this many entries at a time
 _WINDOW = 2**13
 
 
@@ -410,44 +413,71 @@ def _outcome_probabilities(r: int, q: int) -> np.ndarray:
     """The p_k of `outcome_distribution`, in a fresh array that the caller
     owns.
 
-    p_k reads k only through the phases r k mod Q and n r k mod Q, so it
-    repeats with the period P = Q / gcd(r, Q), float for float; and with
-    every phase reflected (`_sin_squared`), k and P - k give the same
-    phases, so p_{P - k} = p_k bit for bit.  The passes therefore run on
-    k in [0, P/2] only, whose one peak is k = 0; one reversed copy fills
-    (P/2, P), and copies of [0, P), doubling, fill the rest.  Each window of
-    outcomes runs the same per-element passes that one Q-long array would,
-    on small reused buffers, so the floats do not depend on the window; only
-    the output is Q long.
+    With g = gcd(r, Q), every phase r k mod Q and n r k mod Q is g j for a j
+    in [0, P), P = Q / g, and reflected (`_sin_squared`) it is g min(j, P - j).
+    So p_k repeats with the period P, float for float, and k and P - k give
+    the same phases: p_{P - k} = p_k bit for bit.  The passes therefore run
+    on k in [0, P/2] only, whose one peak is k = 0; one reversed copy fills
+    (P/2, P), and copies of [0, P), doubling, fill the rest.
+
+    Each sine is read from a table T[j] = sin(pi g j / Q)**2, j in [0, head),
+    head = min(P, P/2 + 1), that `_sin_squared` builds a window at a time: one
+    sine per entry, and each lookup returns the float a sine pass at that
+    phase would.  The passes work in units of g: a phase mod P, reflected to
+    min(j, P - j), is its own table index, read by `np.take`.  The table is
+    held in the last head slots of the output, which the copies overwrite
+    after the last lookup; when P = Q it also covers the last outcomes
+    [Q - head, head), at most two, whose window runs in a scratch and is
+    copied in after the last lookup.  Each window of outcomes runs the same
+    per-element passes that one Q-long array would, on small reused
+    buffers, so the floats do not depend on the window; only the output is
+    Q long.
     """
     n0, rho = divmod(q, r)
-    mask = q - 1
-    period = q // math.gcd(r, q)  # r k = 0 (mod Q) at the multiples of period
+    shift = math.gcd(r, q).bit_length() - 1
+    period = q >> shift  # r k = 0 (mod Q) at the multiples of period
+    mask = period - 1
     head = min(period, period // 2 + 1)  # k in [0, P/2]
     terms = [(n, count) for n, count in ((n0 + 1, rho), (n0, r - rho)) if n and count]
     width = min(head, _WINDOW)
     offsets = np.arange(width, dtype=np.int64)
     steps, phases = np.empty(width, dtype=np.int64), np.empty(width, dtype=np.int64)
     inv_dens, ratios = np.empty(width), np.empty(width)
+    mirrors = ratios.view(np.int64)  # ratio holds nothing while a phase is reflected
     total = np.empty(q)
-    for c0 in range(0, head, width):
-        size = min(width, head - c0)
-        window = total[c0 : c0 + size]
-        step, phase = steps[:size], phases[:size]
+    table = total[q - head :]
+    for j0 in range(0, head, width):
+        size = min(width, head - j0)
+        step = steps[:size]
+        np.add(offsets[:size], j0, out=step)
+        step <<= shift  # g j <= Q/2, its own reflection
+        _sin_squared(step, q, table[j0 : j0 + size])
+    split = min(head, q - head)  # the outcomes below the table
+    last = np.empty(head - split)
+    windows = [(c0, total[c0 : min(c0 + width, split)]) for c0 in range(0, split, width)]
+    windows += [(c0, last[c0 - split : c0 - split + width]) for c0 in range(split, head, width)]
+    for c0, window in windows:
+        size = len(window)
+        step, phase, mirror = steps[:size], phases[:size], mirrors[:size]
         inv_den, ratio = inv_dens[:size], ratios[:size]
         np.add(offsets[:size], c0, out=step)
-        step *= r & mask
+        step *= (r >> shift) & mask
         step &= mask
-        _sin_squared(step, q, inv_den)
+        np.subtract(period, step, out=mirror)
+        np.minimum(step, mirror, out=step)
+        np.take(table, step, out=inv_den, mode="clip")
         if c0 == 0:
             inv_den[0] = 1.0  # keeps 1/0 out; the peak takes n**2 below
         np.divide(1.0, inv_den, out=inv_den)
         for index, (n, count) in enumerate(terms):
-            # n r k = n (r k mod Q) (mod Q); the first term fills the window
+            # n (r k mod Q) = n r k (mod Q), and reflecting r k first leaves
+            # the reflected phase as it is; the first term fills the window
             out = ratio if index else window
             np.multiply(step, n & mask, out=phase)
             phase &= mask
-            _sin_squared(phase, q, out)
+            np.subtract(period, phase, out=mirror)
+            np.minimum(phase, mirror, out=phase)
+            np.take(table, phase, out=out, mode="clip")
             out *= inv_den
             if c0 == 0:
                 out[0] = float(n * n)
@@ -455,6 +485,7 @@ def _outcome_probabilities(r: int, q: int) -> np.ndarray:
             if index:
                 window += ratio
         window /= float(q) * q
+    total[split:head] = last
     total[head:period] = total[period - head : 0 : -1]
     while period < q:
         total[period : 2 * period] = total[:period]

@@ -176,8 +176,9 @@ def verify_stage(
     builds: d is the count of equal-weight basis states, which fixes the
     coherence closed forms, and the literal reading exists on psi3 only;
     each is None where no closed form applies.  Every row reads the
-    state's nonzero amplitudes: the C_1p and C_alpha rows come from one
-    grid evaluation each.  The E_g row reads the state's weight sums
+    state's nonzero amplitudes: the C_1p rows come from one grid
+    evaluation, and the C_alpha rows and C_g from one |c|**2 array.  The
+    E_g row reads the state's weight sums
     (`statevec.weight_sums`), which only this report builds.  Coherence
     rows are gated at COHERENCE_GAP_TOL, or reported as not applicable when
     d is None.  Entanglement rows are never gated: the ansatz optimum and
@@ -189,8 +190,7 @@ def verify_stage(
         return None if d is None else coherence_closed_forms(d, p, alpha)[index]
 
     p_values = measures.l1p_coherence_grid(state, P_GRID_DEFAULT)
-    alpha_values = measures.tsallis_coherence_grid(state, ALPHA_GRID_DEFAULT)
-    cg = measures.geometric_coherence_pure(state)
+    alpha_values, cg = measures.tsallis_and_geometric_coherence(state, ALPHA_GRID_DEFAULT)
     opt = ent.geometric_entanglement_symmetric(statevec.weight_sums(state))
     details: dict = {"ansatz_alpha": opt.alpha_angle, "ansatz_overlap_sq": opt.overlap_sq}
     if eg_literal is not None:

@@ -126,6 +126,16 @@ def dense_geometric_pure(state: PureState) -> float:
     return float(max(0.0, 1.0 - _pure_probs(to_dense(state)).max()))
 
 
+def geometric_coherence_pure(state: PureState) -> float:
+    """Geometric coherence of a pure state, 1 - max_i |c_i|**2, from its own
+    |c|**2 = re**2 + im**2 of the entries.  `theorems.verify_stage` takes
+    C_g from the |c|**2 array of its Tsallis grid and must give the same
+    float."""
+    probs = np.square(state.amplitudes.real)
+    probs += np.square(state.amplitudes.imag)
+    return float(max(0.0, 1.0 - probs.max(initial=0.0)))
+
+
 def as_state(vec: np.ndarray) -> PureState:
     """A normalized vector as a `PureState` with L = 1, zero-padded to 2**m >= 4
     amplitudes; `to_dense` gives back the padded vector."""

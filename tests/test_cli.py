@@ -510,21 +510,25 @@ def test_over_long_argument_exits_two_with_short_lines(capsys, argv):
 
 
 def test_fast_factor_peaks_below_its_budgeted_bytes():
-    # r = 42 does not divide Q, so both geometric-series terms run
-    inst = make_instance(129, 5, t=20)
-    assert inst.Q % inst.r != 0
-    tracemalloc.start()
-    try:
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = main(["factor", "--fast", "--n", "129", "--x", "5", "--t", "20"])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert code in (0, 1)
-    assert peak < FAST_BYTES_PER_OUTCOME * 2**20
-    # the passes run in cache-sized windows: the probabilities and their CDF
-    # are the only Q-long arrays (four Q-long buffers peaked at 32.1 * Q)
-    assert peak < 17 * inst.Q
+    # r = 42 and r = 35 do not divide Q, so both geometric-series terms run;
+    # odd r = 35 has the period P = Q, where the sin**2 table held in the
+    # probabilities' tail overlaps the last outcomes it computes
+    for n, x, r in ((129, 5, 42), (213, 100, 35)):
+        inst = make_instance(n, x, t=20)
+        assert inst.r == r and inst.Q % r != 0
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(["factor", "--fast", "--n", str(n), "--x", str(x), "--t", "20"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code in (0, 1)
+        assert peak < FAST_BYTES_PER_OUTCOME * 2**20
+        # the passes run in cache-sized windows: the probabilities and their
+        # CDF are the only Q-long arrays (four Q-long buffers peaked at
+        # 32.1 * Q)
+        assert peak < 17 * inst.Q, r
 
 
 def test_memory_budget_admits_fast_factor_up_to_t_22():

@@ -14,6 +14,7 @@ from oracles import (
     dense_grid,
     dense_l1p_pure,
     dense_tsallis_pure,
+    geometric_coherence_pure,
     l1p_coherence_density,
     make_instance,
     l1p_coherence_pure,
@@ -24,12 +25,12 @@ from oracles import (
     tsallis_coherence_density,
     tsallis_coherence_pure,
 )
-from shormeter import run_order_finding_circuit, theorems
+from shormeter import measures, run_order_finding_circuit, statevec, theorems
 from shormeter.cli import main
 from shormeter.measures import (
     ALPHA_ONE_TOL,
-    geometric_coherence_pure,
     l1p_coherence_grid,
+    tsallis_and_geometric_coherence,
     tsallis_coherence_grid,
 )
 from shormeter.statevec import uniform_state
@@ -368,6 +369,35 @@ def test_grids_equal_dense_expressions_on_circuit_states(tmp_path, n, x, t):
         ]
         assert l1p_coherence_grid(state, ps) == [dense_l1p_pure(state, p) for p in ps]
         assert geometric_coherence_pure(state) == dense_geometric_pure(state)
+
+
+@pytest.mark.parametrize("n,x,t", [(15, 7, 11), (21, 2, 10), (49, 3, 10)])
+def test_a_report_forms_each_stage_squares_once(monkeypatch, n, x, t):
+    # C_alpha and C_g of a report come from one |c|**2 array per stage, with
+    # the floats of the Tsallis grid and of geometric coherence read alone;
+    # the perturbed psi3 has a single largest entry
+    formed = []
+    squared_moduli = measures._squared_moduli
+
+    def recorded(state):
+        formed.append(state)
+        return squared_moduli(state)
+
+    monkeypatch.setattr(measures, "_squared_moduli", recorded)
+    states = tuple(run_order_finding_circuit(make_instance(n, x, t=t)))
+    rng = np.random.default_rng(n)
+    drawn = [as_state(random_pure(dim, rng)) for dim in (2, 7, 64)]
+    alphas = theorems.ALPHA_GRID_DEFAULT
+    for state in states + (statevec.perturbed(states[2], 1e-3), *drawn):
+        formed.clear()
+        rows = theorems.verify_stage("psi3", state, (None, None, None))["measures"]
+        assert len(formed) == 1 and formed[0] is state
+        assert [row["numeric"] for row in rows["C_alpha"]] == tsallis_coherence_grid(state, alphas)
+        assert rows["C_g"][0]["numeric"] == geometric_coherence_pure(state)
+        assert tsallis_and_geometric_coherence(state, alphas) == (
+            tsallis_coherence_grid(state, alphas),
+            geometric_coherence_pure(state),
+        )
 
 
 def uniform_stage(n, x, t):

@@ -672,9 +672,9 @@ def test_each_stage_builds_its_support_once(monkeypatch, tmp_path):
         received.append(weight_sums)
         return optimize(weight_sums)
 
-    readers = ("l1p_coherence_grid", "tsallis_coherence_grid", "geometric_coherence_pure")
+    readers = ("l1p_coherence_grid", "tsallis_and_geometric_coherence")
     monkeypatch.setattr(statevec, "PureState", recorded_state)
-    for name in readers:
+    for name in readers + ("tsallis_coherence_grid",):
         recorded(name)
     monkeypatch.setattr(statevec, "weight_sums", recorded_sums)
     monkeypatch.setattr(ent, "geometric_entanglement_symmetric", recorded_optimum)
@@ -731,6 +731,33 @@ def test_windowed_outcome_probabilities_match_the_whole_array_form(monkeypatch, 
         for r in list(range(1, 41)) + [64, 100, 257, 513, 1000, 2**14 + 3]:
             got = statevec._outcome_probabilities(r, q)
             assert got.tobytes() == whole_array_outcome_probabilities(r, q).tobytes(), (r, q)
+
+
+@pytest.mark.parametrize("r", [41, 42, 40, 255])
+def test_outcome_probabilities_match_the_whole_array_form_at_the_benchmark_size(r):
+    # Q = 2**19 and the default window: r = 41 (P = Q, so the table covers
+    # the last two outcomes of [0, P/2]), r = 42 (g = 2), 40 (g = 8) and 255
+    q = 2**19
+    got = statevec._outcome_probabilities(r, q)
+    assert got.tobytes() == whole_array_outcome_probabilities(r, q).tobytes()
+
+
+@pytest.mark.parametrize("r", [41, 42, 40, 255])
+@pytest.mark.parametrize("q", [2**12, 2**19], ids=["below-window", "2**19"])
+def test_outcome_probabilities_take_one_sine_per_table_entry(monkeypatch, r, q):
+    # every phase is read from a table of sin**2 over [0, P/2], one sine per
+    # entry; a sine pass per term would take (1 + terms) phases per outcome
+    taken = []
+    sin_squared = statevec._sin_squared
+
+    def counted(phase, q, out):
+        taken.append(len(phase))
+        return sin_squared(phase, q, out)
+
+    monkeypatch.setattr(statevec, "_sin_squared", counted)
+    statevec._outcome_probabilities(r, q)
+    period = q // math.gcd(r, q)
+    assert sum(taken) == min(period, period // 2 + 1)
 
 
 @pytest.mark.parametrize("r", [1, 40, 41, 42, 2**14 + 3])
@@ -1166,16 +1193,19 @@ def test_final_distribution_accumulates_the_floats_of_a_fresh_cumsum(n, x, t):
 
 def test_fast_distribution_holds_one_outcome_long_array():
     # the probabilities become their own CDF: 16.0 bytes per outcome were
-    # traced while a fresh CDF was accumulated beside them
+    # traced while a fresh CDF was accumulated beside them; the sin**2 table
+    # lives in the probabilities, for odd r (P = Q) and even r alike
     q = 2**19
-    tracemalloc.start()
-    try:
-        dist = outcome_distribution(41, q)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(dist.cdf) == q
-    assert peak < 10 * q
+    for r in (41, 42):
+        tracemalloc.start()
+        try:
+            dist = outcome_distribution(r, q)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(dist.cdf) == q
+        assert peak < 10 * q, r
+        del dist
 
 
 @pytest.mark.parametrize("writeable", [False, True])
