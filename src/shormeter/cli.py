@@ -48,9 +48,11 @@ EXIT_CONFIG = 2
 # `factor` holds no state: it peaks at a scratch of 2 MiB or 4 columns plus
 # the row sums that then become its CDF in place (3.45 MiB, 0.16 (Q, r)
 # blocks, traced at N=49 x=3 on a cold process).  simulate, verify and sweep
-# hold one stage's nonzero entries and its measure buffers (2.15 blocks traced
-# at N=125 x=2 t=13), above the charge when r is close to 2**L: 470 MB RSS for
-# --n 125 --x 2 at 24 qubits, 565 MB if --debug-perturb builds each block.
+# hold one stage's nonzero entries, psi3's rows [0, Q/2] only, and its measure
+# buffers (1.03 to 1.09 blocks traced at N=125 x=2 t=13), close to the
+# charge when r is close to 2**L: 252 MiB RSS for simulate and verify --n 125
+# --x 2 at 24 qubits, 471 MiB if --debug-perturb builds each block and a
+# full-storage copy of each stage.
 MEMORY_BUDGET_BYTES = 2**28
 # Charge of `factor --fast` per outcome.  It was the traced peak of four
 # Q-long buffers (32.1 bytes at Q = 2**20); the passes now run in

@@ -22,14 +22,19 @@ every P-th row (`_modexp_columns`, with P the period of x**j below Q).
 Every image amplitude is real, so each column of psi3, the inverse Fourier
 transform on register A, is Hermitian, psi3[Q - k] = conj(psi3[k]): a
 real-input FFT gives rows [0, Q/2], and the other rows are their exact
-conjugates.  One routine transforms the image columns a chunk at a time
+conjugates.  So psi3 is held as its rows [0, Q/2] alone, a (k, Q/2 + 1)
+mask marked `mirrored`: each of its rows in [1, Q/2) stands for itself and
+for its conjugate mirror, and rows 0 and Q/2 are their own mirrors.  The
+format is known here alone: the norm check, `PureState.flat_sum` and
+`weight_sums` count the mirrors, and `perturbed` writes them out first.
+One routine transforms the image columns a chunk at a time
 (`_transformed_chunks`): `run_order_finding_circuit`, which yields psi1,
-psi2 and psi3 one at a time, gathers each chunk's nonzero entries and
-their mirror into psi3, and the dense `factor` job adds them into the row
-sums (`final_probabilities`).  No stage is held as a (Q, k) block.  Every
-sum over a stage is defined column by column, so that it does not depend
-on the chunking: `final_probabilities` adds each column's |c|**2 into the
-row sums in label order, `PureState.flat_sum` adds the column sums by
+psi2 and psi3 one at a time, gathers each chunk's nonzero entries into
+psi3, and the dense `factor` job adds them into the row sums
+(`final_probabilities`).  No stage is held as a (Q, k) block.  Every sum
+over a stage is defined column by column, so that it does not depend on
+the chunking: `final_probabilities` adds each column's |c|**2 into the row
+sums in label order, `PureState.flat_sum` adds the column sums by
 `math.fsum`, and `weight_sums` adds the entries in their stored order.
 States are immutable after construction.
 """
@@ -68,24 +73,31 @@ class PureState:
     Column c is register-B label labels[c], strictly increasing; mask[c, j]
     marks the nonzero amplitude of joint index j * 2**L + labels[c], and
     `amplitudes` holds them column by column in row order, column c's from
-    starts[c].  Construction takes the arrays over, read-only, and drops
-    each column without an entry: `np.add.reduceat` would give the next
-    column's first value, not 0, for an empty segment.
+    starts[c].  A `mirrored` state holds rows [0, Q/2] of Hermitian columns,
+    a (k, Q/2 + 1) mask: row Q - j is the conjugate of row j, so each entry
+    of a row in [1, Q/2) counts twice, and the entries of rows 0 and Q/2,
+    their own mirrors, at `self_mirrors`, once.  Construction takes the
+    arrays over, read-only, and drops each column without an entry:
+    `np.add.reduceat` would give the next column's first value, not 0, for
+    an empty segment.
     """
 
     layout: RegisterLayout
     labels: np.ndarray
     mask: np.ndarray
     amplitudes: np.ndarray
+    mirrored: bool = False
     starts: np.ndarray = field(init=False)
+    self_mirrors: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         lay = self.layout
         labels = np.asarray(self.labels, dtype=np.intp)
         mask = np.asarray(self.mask, dtype=bool)
         amplitudes = np.asarray(self.amplitudes, dtype=np.complex128)
-        if labels.ndim != 1 or mask.shape != (len(labels), lay.Q) or amplitudes.ndim != 1:
-            raise ValueError(f"expected a (k, {lay.Q}) mask for k labels, got {mask.shape}")
+        rows = lay.Q // 2 + 1 if self.mirrored else lay.Q
+        if labels.ndim != 1 or mask.shape != (len(labels), rows) or amplitudes.ndim != 1:
+            raise ValueError(f"expected a (k, {rows}) mask for k labels, got {mask.shape}")
         if np.any(labels[1:] <= labels[:-1]) or np.any((labels < 0) | (labels >= lay.dim_b)):
             raise ValueError(f"labels must increase strictly within [0, {lay.dim_b})")
         counts = np.count_nonzero(mask, axis=1)
@@ -93,22 +105,35 @@ class PureState:
             raise ValueError(f"the mask marks {counts.sum()} entries, not {len(amplitudes)}")
         if not counts.all():
             labels, mask, counts = labels[counts > 0], mask[counts > 0], counts[counts > 0]
+        starts = np.cumsum(counts) - counts
+        self_mirrors = np.empty(0, dtype=np.intp)
         norm = float(np.vdot(amplitudes, amplitudes).real)
+        if self.mirrored:  # the entries of rows 0 and Q/2, each the first or last of its column
+            self_mirrors = np.concatenate((starts[mask[:, 0]], (starts + counts - 1)[mask[:, -1]]))
+            ends = amplitudes[self_mirrors]
+            norm = 2.0 * norm - float(np.vdot(ends, ends).real)
         if not abs(norm - 1.0) <= NORM_TOL:  # written so that a NaN norm fails
             raise ValueError(f"state norm**2 = {norm!r} is not 1 within {NORM_TOL}")
-        starts = np.cumsum(counts) - counts
-        arrays = dict(labels=labels, mask=mask, amplitudes=amplitudes, starts=starts)
+        arrays = dict(
+            labels=labels, mask=mask, amplitudes=amplitudes, starts=starts, self_mirrors=self_mirrors
+        )
         for name, value in arrays.items():
             value.setflags(write=False)
             object.__setattr__(self, name, value)
 
     def flat_sum(self, values: np.ndarray) -> float:
-        """The sum of `values`, one per entry: numpy's sum of each column's
-        values (`np.add.reduceat`), then the column sums by `math.fsum`, which
-        rounds their exact total once, so the float is the same however the
-        columns are split into chunks.  Where |c| < 1.5e-154, |c|**2
-        underflows to +0.0, which adds nothing."""
-        return math.fsum(np.add.reduceat(values, self.starts).tolist())
+        """The sum of `values`, one per entry, over the whole state: numpy's
+        sum of each column's values (`np.add.reduceat`), then the column sums
+        by `math.fsum`, which rounds their exact total once, so the float is
+        the same however the columns are split into chunks.  A mirrored
+        column adds its sum doubled, an exact product, less its values in
+        rows 0 and Q/2, all as terms of the one `math.fsum`.  Where
+        |c| < 1.5e-154, |c|**2 underflows to +0.0, which adds nothing."""
+        sums = np.add.reduceat(values, self.starts)
+        if not self.mirrored:
+            return math.fsum(sums.tolist())
+        sums *= 2.0
+        return math.fsum(sums.tolist() + np.negative(values[self.self_mirrors]).tolist())
 
 
 def uniform_state(layout: RegisterLayout) -> PureState:
@@ -206,8 +231,9 @@ def final_probabilities(instance: ShorInstance) -> np.ndarray:
     |column|**2 is added into those row sums column by column, in label
     order, so the floats do not depend on the chunking.  |conj(c)|**2 is
     |c|**2, so p_(Q - k) = p_k, and a reversed copy fills rows (Q/2, Q): the
-    floats of the row sums of the held, mirrored psi3.  The sum of the p_k,
-    the norm**2 of psi3, must be 1 within NORM_TOL, the gate of `PureState`.
+    floats of the row sums of the held psi3 with its mirror rows written
+    out.  The sum of the p_k, the norm**2 of psi3, must be 1 within
+    NORM_TOL, the gate of `PureState`.
     The peak is the scratch, its transform and the probabilities.
     """
     _, exponents = _modexp_columns(instance)
@@ -251,33 +277,33 @@ def run_order_finding_circuit(instance: ShorInstance) -> Iterator[PureState]:
 
 
 def _final_state(instance: ShorInstance, labels: np.ndarray, exponents: np.ndarray) -> PureState:
-    """psi3 from its transformed chunks.  Each chunk writes its mask rows:
-    [0, Q/2] where the transform is nonzero, (Q/2, Q) as the mirror of
-    Q/2 - 1, ..., 1.  The entries grow in place by the chunk's count, and
-    each column gathers its nonzero rows [0, Q/2], then the exact conjugates
-    of its entries in rows Q/2 - 1, ..., 1, reversed: psi3 is Hermitian bit
-    for bit."""
-    q, half = instance.Q, instance.Q // 2
-    mask = np.empty((len(labels), q), dtype=bool)
+    """psi3 from its transformed chunks, held as its rows [0, Q/2], the
+    whole of a real column's transform (a mirrored `PureState`).  Each chunk
+    writes its mask rows where the transform is nonzero, the entries grow by
+    the chunk's count, and one gather writes them in column order."""
+    q = instance.Q
+    mask = np.empty((len(labels), q // 2 + 1), dtype=bool)
     amplitudes = np.empty(0, dtype=np.complex128)
     c0 = end = 0
     for image in _transformed_chunks(q, exponents):
         rows = mask[c0 : c0 + image.shape[1]]
         c0 += image.shape[1]
-        np.not_equal(image.T, 0, out=rows[:, : half + 1])
-        rows[:, half + 1 :] = rows[:, half - 1 : 0 : -1]
-        counts = np.count_nonzero(rows, axis=1).tolist()
-        # no view of the entries outlives its statement, so they may move;
-        # refcheck would also count a profiler's hold on the bound method
-        amplitudes.resize(end + sum(counts), refcheck=False)
-        for column, keep, count in zip(image.T, rows, counts):
-            # rows 0 and Q/2 are their own mirrors; each row in [1, Q/2) comes twice
-            first, last = int(keep[0]), int(keep[half])
-            top = end + (count + first + last) // 2
-            np.compress(keep[: half + 1], column, out=amplitudes[end:top])
-            np.conjugate(amplitudes[end + first : top - last][::-1], out=amplitudes[top : end + count])
-            end += count
-    return PureState(instance, labels, mask, amplitudes)
+        np.not_equal(image.T, 0, out=rows)
+        count = np.count_nonzero(rows)
+        _grow(amplitudes, end + count)
+        amplitudes[end : end + count] = image.T[rows]
+        end += count
+    return PureState(instance, labels, mask, amplitudes, mirrored=True)
+
+
+def _grow(entries: np.ndarray, size: int) -> None:
+    """Resize the entries in place to `size`, their new tail unwritten: numpy
+    zero-fills the grown part of a writeable array only, and the caller
+    overwrites it.  No view of the entries outlives its statement, so they
+    may move; refcheck would also count a profiler's hold on the method."""
+    entries.flags.writeable = False
+    entries.resize(size, refcheck=False)
+    entries.flags.writeable = True
 
 
 @dataclass(frozen=True, init=False)
@@ -322,36 +348,75 @@ def weight_sums(state: PureState) -> np.ndarray:
     sums over the column-major dense order, since an exact zero leaves a
     sum as it is.  A stream of column chunks keeps these floats if it adds
     each chunk, in order, into the same sums (np.add.at).  The conjugate's
-    0.0 - sum keeps a +0.0 sum from turning into -0.0.
+    0.0 - sum keeps a +0.0 sum from turning into -0.0.  A mirrored state
+    then adds each entry c of a row j in [1, Q/2) a second time, as its
+    mirror conj(c) in row Q - j: c, at the weight of Q - j.
     """
     lay = state.layout
-    rows = np.bitwise_count(np.arange(lay.Q))
-    bins = np.add.outer(np.bitwise_count(state.labels), rows)[state.mask]
+    weights = np.bitwise_count(state.labels)
+    rows = np.arange(state.mask.shape[1])
+    # cast once: np.bincount copies uint8 bins to intp on every call, and
+    # beside the strided real view that took 4.1 ms instead of 1.2 ms on
+    # psi3 of N=125 x=2 t=13 (410k entries, 2-vCPU x86 host)
+    bins = np.add.outer(weights, np.bitwise_count(rows))[state.mask].astype(np.intp)
     sums = np.empty(lay.n + 1, dtype=np.complex128)
     sums.real = np.bincount(bins, state.amplitudes.real, minlength=lay.n + 1)
     sums.imag = 0.0 - np.bincount(bins, state.amplitudes.imag, minlength=lay.n + 1)
+    if state.mirrored:
+        mirrors = np.bitwise_count(lay.Q - rows)
+        mirrors[[0, -1]] = lay.n + 1  # rows 0 and Q/2 are their own mirrors: bins past n
+        bins = np.add.outer(weights, mirrors)[state.mask].astype(np.intp)
+        sums.real += np.bincount(bins, state.amplitudes.real, minlength=lay.n + 1)[: lay.n + 1]
+        sums.imag += np.bincount(bins, state.amplitudes.imag, minlength=lay.n + 1)[: lay.n + 1]
     return sums
 
 
+def _unfolded(state: PureState) -> tuple[np.ndarray, np.ndarray]:
+    """The (k, Q) mask and a fresh copy of the entries of `state` in full
+    storage: a mirrored column's stored rows, then the exact conjugates of
+    its entries in rows Q/2 - 1, ..., 1, reversed, as rows (Q/2, Q)."""
+    if not state.mirrored:
+        return state.mask, state.amplitudes.copy()
+    q, half = state.layout.Q, state.layout.Q // 2
+    mask = np.empty((len(state.labels), q), dtype=bool)
+    mask[:, : half + 1] = state.mask
+    mask[:, half + 1 :] = state.mask[:, half - 1 : 0 : -1]
+    amplitudes = np.empty(np.count_nonzero(mask), dtype=np.complex128)
+    stops = np.append(state.starts[1:], len(state.amplitudes))
+    end = 0
+    for start, stop, keep in zip(state.starts.tolist(), stops.tolist(), state.mask):
+        column = state.amplitudes[start:stop]
+        amplitudes[end : end + len(column)] = column
+        end += len(column)
+        paired = column[int(keep[0]) : len(column) - int(keep[-1])]
+        np.conjugate(paired[::-1], out=amplitudes[end : end + len(paired)])
+        end += len(paired)
+    return mask, amplitudes
+
+
 def perturbed(state: PureState, eps: float) -> PureState:
-    """`state` with its first largest amplitude in the row-major order of its
-    (Q, k) block scaled by 1 + eps, then divided by the square root of
-    np.vdot over that block; both floats need the C-ordered block, dropped
-    before the entries are scaled.  An entry that becomes exactly 0.0 leaves
-    the state; ValueError if no normalized state is left."""
-    block = np.zeros((state.layout.Q, len(state.labels)), dtype=np.complex128)
-    block.T[state.mask] = state.amplitudes
+    """`state`, in full storage, with its first largest amplitude in the
+    row-major order of its (Q, k) block scaled by 1 + eps, then divided by
+    the square root of np.vdot over that block; both floats need the
+    C-ordered block, dropped before the entries are written out
+    (`_unfolded`) and scaled.  An entry that becomes exactly 0.0 leaves the
+    state; ValueError if no normalized state is left."""
+    q = state.layout.Q
+    block = np.zeros((q, len(state.labels)), dtype=np.complex128)
+    block.T[:, : state.mask.shape[1]][state.mask] = state.amplitudes
+    if state.mirrored:  # the unmarked mirror rows read -0.0j, which no float below sees
+        np.conjugate(block[q // 2 - 1 : 0 : -1], out=block[q // 2 + 1 :])
     row, column = np.unravel_index(np.argmax(np.abs(block)), block.shape)
     block[row, column] *= 1.0 + eps
     norm = np.sqrt(np.vdot(block, block).real)
     del block
-    amplitudes = state.amplitudes.copy()
-    amplitudes[state.starts[column] + np.count_nonzero(state.mask[column, :row])] *= 1.0 + eps
+    full, amplitudes = _unfolded(state)
+    amplitudes[np.count_nonzero(full[:column]) + np.count_nonzero(full[column, :row])] *= 1.0 + eps
     amplitudes /= norm
-    keep, mask = amplitudes != 0, state.mask
+    keep, mask = amplitudes != 0, full
     if not keep.all():
         mask, amplitudes = mask.copy(), amplitudes[keep]
-        mask[state.mask] = keep
+        mask[full] = keep
     return PureState(state.layout, state.labels, mask, amplitudes)
 
 

@@ -25,7 +25,8 @@ brute-force product-state search, symmetric optimum and overlap through a
 state's weight sums, the dense-grid symmetric optimum and the exact
 symmetric overlap that certify the library's, weight sums by np.add.at,
 alpha-peak search)
-the Fraction convergents and the candidate-set order recovery, and small helpers (`as_state`, `state_of`, `block_of`, `dense_perturbed`,
+the Fraction convergents and the candidate-set order recovery, and small helpers (`as_state`, `state_of`, `block_of`, `unfolded`,
+`mirrored_half`, `dense_perturbed`,
 `dense_grid`, `mod_pow`, `register_b_support`, `dump_nonzero_json`, `make_instance`,
 `distribution_of`) serve only the tests, so they are kept out of the
 library.
@@ -74,18 +75,26 @@ def _shannon_nats(p: np.ndarray) -> float:
     return float(-np.sum(nz * np.log(nz)))
 
 
-def column_flat_sum(grid: np.ndarray, values: np.ndarray) -> float:
+def column_flat_sum(grid: np.ndarray, values: np.ndarray, mirrored: bool = False) -> float:
     """The flat sum of `values` over the exactly nonzero entries of the dense
     (Q, 2**L) amplitude array `grid`, by its definition: each register-B
     column's values in row order, summed as np.add.reduceat sums a segment
     (its first value plus numpy's sum of the rest), then the column sums by
-    math.fsum.  A column without a nonzero entry adds nothing."""
-    sums = []
+    math.fsum.  A column without a nonzero entry adds nothing.  A mirrored
+    state stores rows [0, Q/2] of each column: their sum, doubled, and the
+    negated values of rows 0 and Q/2 are the column's terms of the fsum."""
+    q = grid.shape[0]
+    terms = []
     for amplitudes, column in zip(grid.T, values.T):
+        if mirrored:
+            amplitudes, column = amplitudes[: q // 2 + 1], column[: q // 2 + 1]
         v = column[amplitudes != 0]
         if v.size:
-            sums.append(v[0] + np.sum(v[1:]))
-    return math.fsum(sums)
+            terms.append(v[0] + np.sum(v[1:]))
+        if mirrored and v.size:
+            terms[-1] *= 2.0
+            terms.extend(-column[row] for row in (0, q // 2) if amplitudes[row] != 0)
+    return math.fsum(terms)
 
 
 def dense_grid(state: PureState) -> np.ndarray:
@@ -102,8 +111,8 @@ def dense_tsallis_pure(state: PureState, alpha: float) -> float:
     if abs(alpha - 1.0) <= ALPHA_ONE_TOL:
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = np.where(p > 0.0, p * np.log(p), 0.0)
-        return -column_flat_sum(grid, terms)
-    return (column_flat_sum(grid, p ** (1.0 / alpha)) - 1.0) / (alpha - 1.0)
+        return -column_flat_sum(grid, terms, state.mirrored)
+    return (column_flat_sum(grid, p ** (1.0 / alpha), state.mirrored) - 1.0) / (alpha - 1.0)
 
 
 def dense_l1p_pure(state: PureState, p: float) -> float:
@@ -114,11 +123,11 @@ def dense_l1p_pure(state: PureState, p: float) -> float:
     grid = dense_grid(state)
     a = np.abs(grid)
     rest = a**p
-    np.subtract(column_flat_sum(grid, rest), rest, out=rest)
+    np.subtract(column_flat_sum(grid, rest, state.mirrored), rest, out=rest)
     np.clip(rest, 0.0, None, out=rest)
     rest **= 1.0 / p
     rest *= a
-    return column_flat_sum(grid, rest)
+    return column_flat_sum(grid, rest, state.mirrored)
 
 
 def dense_geometric_pure(state: PureState) -> float:
@@ -314,10 +323,33 @@ def state_of(layout: RegisterLayout, block: np.ndarray, labels) -> PureState:
 
 def block_of(state: PureState) -> np.ndarray:
     """The fresh, column-major (Q, k) block of a state's occupied columns,
-    +0.0 where its mask has no entry."""
-    block = np.zeros((state.layout.Q, len(state.labels)), dtype=np.complex128, order="F")
-    block.T[state.mask] = state.amplitudes
+    +0.0 where its mask has no entry.  A mirrored state's stored rows are
+    [0, Q/2], and row Q - j, 0 < j < Q/2, is the conjugate of row j where
+    the mask marks row j, written by explicit index."""
+    q = state.layout.Q
+    block = np.zeros((q, len(state.labels)), dtype=np.complex128, order="F")
+    block.T[:, : state.mask.shape[1]][state.mask] = state.amplitudes
+    if state.mirrored:
+        rows = np.arange(1, q // 2)
+        kept = state.mask[:, rows].T
+        mirror = block[q - rows]
+        mirror[kept] = np.conjugate(block[rows][kept])
+        block[q - rows] = mirror
     return block
+
+
+def unfolded(state: PureState) -> PureState:
+    """A mirrored state in full storage, from its `block_of`; any other
+    state as it is."""
+    return state_of(state.layout, block_of(state), state.labels) if state.mirrored else state
+
+
+def mirrored_half(state: PureState) -> PureState:
+    """The mirrored state of a full-storage state whose columns are
+    Hermitian: the exactly nonzero amplitudes of its rows [0, Q/2]."""
+    columns = block_of(state)[: state.layout.Q // 2 + 1].T
+    mask = columns != 0
+    return PureState(state.layout, state.labels, mask, columns[mask], mirrored=True)
 
 
 def dense_perturbed(state: PureState, eps: float) -> PureState:
@@ -827,12 +859,24 @@ def exact_symmetric_overlap_sq(coeff: np.ndarray, alpha_angle: float) -> float:
 def add_at_weight_sums(state: PureState) -> np.ndarray:
     """Conjugated amplitude sums per Hamming weight of the joint index: np.add.at
     over the exactly nonzero entries of the dense (Q, 2**L) array in
-    column-major order, down each register-B column in label order."""
+    column-major order, down each register-B column in label order.  For a
+    mirrored state, the entries of its stored rows [0, Q/2] in that order,
+    plus the sums, added the same way, of its mirror rows Q - j, 0 < j < Q/2,
+    taken column by column in the order of j."""
     lay = state.layout
+    q, half = lay.Q, lay.Q // 2
     columns = dense_grid(state).T
+    if state.mirrored:
+        columns = columns[:, : half + 1]
     labels, rows = np.nonzero(columns)  # row-major over the transpose
     sums = np.zeros(lay.n + 1, dtype=np.complex128)
     np.add.at(sums, np.bitwise_count(rows * lay.dim_b + labels), columns[labels, rows].conj())
+    if state.mirrored:
+        paired = (rows > 0) & (rows < half)
+        labels, rows = labels[paired], q - rows[paired]
+        mirrors = np.zeros(lay.n + 1, dtype=np.complex128)
+        np.add.at(mirrors, np.bitwise_count(rows * lay.dim_b + labels), columns[labels, q - rows])
+        sums += mirrors
     return sums
 
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from oracles import (
     add_at_weight_sums,
     block_of,
+    dense_grid,
     dense_perturbed,
     column_flat_sum,
     distribution_of,
@@ -21,6 +22,7 @@ from oracles import (
     dump_nonzero_json,
     from_dense,
     full_table_modexp_columns,
+    mirrored_half,
     hadamard_all_columns,
     ideal_psi3,
     inverse_qft_all_columns,
@@ -33,6 +35,7 @@ from oracles import (
     row_sums_of_squares,
     state_of,
     to_dense,
+    unfolded,
     long_double_outcome_probabilities,
     whole_array_outcome_probabilities,
 )
@@ -63,9 +66,11 @@ def random_state(layout, rng):
 
 def assert_same_bytes(got, expected):
     """`got` is a column-stored state, `expected` a dense vector: the same
-    exactly nonzero amplitudes, bit for bit, at the same places.  A state
-    stores no zero, so the sign of a zero is not compared."""
-    assert_same_state(got, from_dense(got.layout, expected))
+    exactly nonzero amplitudes, bit for bit, at the same places, or, for a
+    mirrored state, those of rows [0, Q/2].  A state stores no zero, so the
+    sign of a zero is not compared."""
+    want = from_dense(got.layout, expected)
+    assert_same_state(got, mirrored_half(want) if got.mirrored else want)
 
 
 def few_column_state(layout, columns, rng):
@@ -117,6 +122,27 @@ def test_norm_validation():
 def test_norm_validation_rejects_a_non_finite_block(value):
     with pytest.raises(ValueError, match="norm"):
         PureState(RegisterLayout(2, 2), [1], np.ones((1, 4), dtype=bool), np.full(4, value))
+
+
+def test_a_mirrored_state_counts_rows_between_0_and_half_twice():
+    # Q = 4 holds rows 0, 1 and 2: row 1 stands for row 3 as well, so its
+    # entry counts twice in the norm, and rows 0 and 2 once
+    lay = RegisterLayout(t=2, L=1)
+    mask = np.ones((1, 3), dtype=bool)
+    state = PureState(lay, [1], mask, [0.5, 0.5j, -0.5], mirrored=True)
+    assert state.self_mirrors.tolist() == [0, 2]
+    assert state.flat_sum(np.array([1.0, 2.0, 4.0])) == 1.0 + 2 * 2.0 + 4.0
+    with pytest.raises(ValueError, match="norm"):
+        PureState(lay, [1], mask, np.full(3, math.sqrt(1 / 3)), mirrored=True)
+    with pytest.raises(ValueError, match="mask"):  # a mirrored mask has Q/2 + 1 rows
+        PureState(lay, [1], np.ones((1, 4), dtype=bool), np.full(4, 0.5), mirrored=True)
+
+
+def test_grown_entries_keep_their_values_and_stay_writeable():
+    entries = np.arange(3, dtype=np.complex128)
+    statevec._grow(entries, 5)
+    assert entries.shape == (5,) and entries.flags.writeable and entries.flags.owndata
+    assert entries[:3].tolist() == [0, 1, 2]
 
 
 def test_states_are_immutable():
@@ -426,6 +452,7 @@ def test_perturbed_circuit_stages_are_the_dense_perturbation_bit_for_bit(n, x, t
 
 
 def assert_same_state(got, expected):
+    assert got.mirrored == expected.mirrored
     for field in ("labels", "mask", "amplitudes", "starts"):
         assert getattr(got, field).tobytes() == getattr(expected, field).tobytes(), field
 
@@ -494,18 +521,25 @@ HERMITIAN_CASES = FINAL_STAGE_CASES + [
 @pytest.mark.parametrize("n, x, t", HERMITIAN_CASES)
 def test_final_state_and_distribution_are_mirrored_bit_for_bit(n, x, t):
     # every image amplitude is real, so psi3[Q - k] = conj(psi3[k]) for
-    # 0 < k < Q, exactly: the same rows hold entries, and each entry is the
-    # conjugate of its mirror's; row Q/2 is its own mirror and must be real,
-    # which is compared by value, since conj(+0.0j) is -0.0j
+    # 0 < k < Q, exactly, and psi3 holds rows [0, Q/2] alone.  Written out
+    # in full storage, the state that `perturbed` starts from: the same rows
+    # hold entries, and each entry is the conjugate of its mirror's; rows 0
+    # and Q/2 are their own mirrors and must be real, which is compared by
+    # value, since conj(+0.0j) is -0.0j.  The oracle's unfolding, by
+    # explicit index, gives the same bytes
     inst = make_instance(n, x, t=t)
     q, half = inst.Q, inst.Q // 2
     psi3 = tuple(run_order_finding_circuit(inst))[2]
-    block = block_of(psi3)
+    assert psi3.mirrored and psi3.mask.shape == (len(psi3.labels), half + 1)
+    mask, amplitudes = statevec._unfolded(psi3)
+    full = PureState(inst, psi3.labels, mask, amplitudes)
+    assert_same_state(full, unfolded(psi3))
+    block = block_of(full)
     rows = np.array([k for k in range(1, q) if k != half], dtype=np.intp)
-    assert psi3.mask[:, q - rows].tobytes() == psi3.mask[:, rows].tobytes()
-    kept = psi3.mask[:, rows].T
+    assert full.mask[:, q - rows].tobytes() == full.mask[:, rows].tobytes()
+    kept = full.mask[:, rows].T
     assert block[q - rows][kept].tobytes() == np.conjugate(block[rows][kept]).tobytes()
-    assert np.all(block[half].imag == 0)
+    assert np.all(block[[0, half]].imag == 0)
     probabilities = final_probabilities(inst)
     rows = np.arange(1, q)
     assert probabilities[q - rows].tobytes() == probabilities[rows].tobytes()
@@ -651,8 +685,8 @@ def test_each_stage_builds_its_support_once(monkeypatch, tmp_path):
     make_state, sums_of = statevec.PureState, statevec.weight_sums
     optimize = ent.geometric_entanglement_symmetric
 
-    def recorded_state(*args):
-        built.append(make_state(*args))
+    def recorded_state(*args, **kwargs):
+        built.append(make_state(*args, **kwargs))
         return built[-1]
 
     def recorded(name):
@@ -956,6 +990,119 @@ def test_flat_sum_lies_within_the_pairwise_bound_of_the_exact_sum(state, alpha):
         exact = math.fsum(values.tolist())
         bound = (math.ceil(math.log2(q)) + 2) * 2.0**-53 * math.fsum(np.abs(values).tolist())
         assert abs(held.flat_sum(values) - exact) <= bound
+
+
+@st.composite
+def mirrored_states(draw):
+    """Rows [0, Q/2] of random Hermitian columns as a mirrored state: Q = 2
+    (rows 0 and Q/2 alone) to 128, rows 0 and Q/2 real, exact zeros in
+    entries, whole rows or whole columns, never all zero."""
+    t, L = draw(st.integers(1, 7)), draw(st.integers(1, 5))
+    lay = RegisterLayout(t=t, L=L)
+    half = lay.Q // 2
+    labels = sorted(draw(st.sets(st.integers(0, lay.dim_b - 1), min_size=1, max_size=lay.dim_b)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    top = rng.standard_normal((half + 1, len(labels))) + 1j * rng.standard_normal((half + 1, len(labels)))
+    top[[0, half]] = top[[0, half]].real
+    top[rng.random(top.shape) < draw(st.sampled_from((0.0, 0.3, 0.9)))] = 0.0
+    if draw(st.booleans()):
+        top[rng.random(half + 1) < 0.5, :] = 0.0
+    if draw(st.booleans()):
+        top[:, rng.random(len(labels)) < 0.5] = 0.0
+    top[0, 0] = 1.0
+    squares = np.abs(top) ** 2
+    top /= math.sqrt(2 * squares.sum() - squares[[0, half]].sum())
+    columns = top.T
+    return PureState(lay, labels, columns != 0, columns[columns != 0], mirrored=True)
+
+
+MIRRORED_EDGES = [
+    PureState(RegisterLayout(t=1, L=1), [0], [[True, True]], [0.6, -0.8], mirrored=True),  # Q = 2
+    PureState(  # Q = 4: row 1 stands for row 3
+        RegisterLayout(t=2, L=2), [1, 3], [[True, True, False], [False, True, True]],
+        [0.5, 0.25 + 0.25j, -0.25 + 0.25j, -0.5], mirrored=True,
+    ),
+]
+
+
+def mirrored_sum_terms(state):
+    """(the values whose flat sum is taken, of each stored entry, and the
+    same values over the unfolded dense array), for the values the measures
+    sum: |c|, |c|**2, a power and the Shannon terms."""
+    stored, grid = state.amplitudes, dense_grid(state)
+    for of in (
+        np.abs,
+        lambda c: c.real**2 + c.imag**2,
+        lambda c: (c.real**2 + c.imag**2) ** 0.7,
+        lambda c: (lambda p: p * np.log(np.where(p > 0, p, 1.0)))(c.real**2 + c.imag**2),
+    ):
+        yield of(stored), grid, of(grid)
+
+
+def check_mirrored_flat_sum(state):
+    # a mirrored column adds its stored sum doubled: pairwise over at most
+    # Q/2 + 1 values, it errs by ceil(log2(Q/2 + 1)) * 2**-53 times the sum
+    # of the stored |v|, which doubled is at most twice the sum of |v| over
+    # the unfolded column; math.fsum rounds the total once.  The unfolded
+    # column sums, pairwise over Q values, meet their own bound, so the two
+    # floats lie within the sum of both bounds of each other.  The oracle's
+    # mirrored column sums give the same float bit for bit
+    q = state.layout.Q
+    for values, grid, unfolded_values in mirrored_sum_terms(state):
+        kept = unfolded_values[grid != 0]
+        exact, scale = math.fsum(kept.tolist()), math.fsum(np.abs(kept).tolist())
+        mirrored = (2 * math.ceil(math.log2(q // 2 + 1)) + 1) * 2.0**-53 * scale
+        whole = (math.ceil(math.log2(q)) + 2) * 2.0**-53 * scale
+        got = state.flat_sum(values)
+        assert abs(got - exact) <= mirrored
+        assert abs(got - column_flat_sum(grid, unfolded_values)) <= mirrored + whole
+        assert got == column_flat_sum(grid, unfolded_values, mirrored=True)
+
+
+@settings(max_examples=120, deadline=None)
+@given(mirrored_states())
+@example(MIRRORED_EDGES[0])
+@example(MIRRORED_EDGES[1])
+def test_mirrored_flat_sum_lies_within_the_pairwise_bound_of_the_unfolded_sum(state):
+    check_mirrored_flat_sum(state)
+
+
+@pytest.mark.parametrize("n, x, t", HERMITIAN_CASES)
+def test_final_state_flat_sum_lies_within_the_pairwise_bound_of_the_unfolded_sum(n, x, t):
+    # Q = 2, Q = 4 = r and Q = 4 < r = 6 among them
+    check_mirrored_flat_sum(tuple(run_order_finding_circuit(make_instance(n, x, t=t)))[2])
+
+
+@settings(max_examples=80, deadline=None)
+@given(mirrored_states())
+@example(MIRRORED_EDGES[0])
+@example(MIRRORED_EDGES[1])
+def test_mirrored_weight_sums_add_each_mirror_row_as_its_conjugate(state):
+    # bit for bit the stored rows' sums plus the mirror rows' sums, each by
+    # np.add.at; within rounding of the sums of the unfolded state
+    got = statevec.weight_sums(state)
+    assert got.tobytes() == add_at_weight_sums(state).tobytes()
+    assert np.abs(got - add_at_weight_sums(unfolded(state))).max() <= 1e-15 * state.layout.Q
+
+
+@settings(max_examples=80, deadline=None)
+@given(mirrored_states(), st.sampled_from([1e-3, 0.5, -0.999, -1.0]))
+@example(MIRRORED_EDGES[0], -1.0)
+@example(MIRRORED_EDGES[1], 0.5)
+def test_perturbed_mirrored_state_is_the_dense_perturbation_of_its_unfolding(state, eps):
+    # the unfolded entries are the oracle's, and the perturbed state is held
+    # in full storage, since the perturbation is not Hermitian
+    mask, amplitudes = statevec._unfolded(state)
+    expected = unfolded(state)
+    assert mask.tobytes() == expected.mask.tobytes()
+    assert amplitudes.tobytes() == expected.amplitudes.tobytes()
+    try:
+        expected = dense_perturbed(state, eps)
+    except ValueError:
+        with pytest.raises(ValueError):
+            statevec.perturbed(state, eps)
+        return
+    assert_same_state(statevec.perturbed(state, eps), expected)
 
 
 def test_a_column_without_an_entry_has_no_start():
@@ -1274,4 +1421,5 @@ def test_dump_nonzero_json_sorted():
 
 def test_run_circuit_returns_three_normalized_stages(pipeline15):
     for state in pipeline15:
-        assert abs(np.vdot(state.amplitudes, state.amplitudes).real - 1.0) < 1e-10
+        vec = to_dense(state)
+        assert abs(np.vdot(vec, vec).real - 1.0) < 1e-10
