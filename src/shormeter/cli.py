@@ -48,11 +48,14 @@ EXIT_CONFIG = 2
 # `factor` holds no state: it peaks at a scratch of 2 MiB or 4 columns plus
 # the row sums that then become its CDF in place (3.45 MiB, 0.16 (Q, r)
 # blocks, traced at N=49 x=3 on a cold process).  simulate, verify and sweep
-# hold one stage's nonzero entries, psi3's rows [0, Q/2] only, and its measure
-# buffers (1.03 to 1.09 blocks traced at N=125 x=2 t=13), close to the
-# charge when r is close to 2**L: 252 MiB RSS for simulate and verify --n 125
-# --x 2 at 24 qubits, 471 MiB if --debug-perturb builds each block and a
-# full-storage copy of each stage.
+# hold one stage's nonzero entries, psi3's rows [0, Q/2f] only, f = gcd(r,
+# Q/2, 4), and its measure buffers: traced at t=13, 0.31 to 0.34 blocks at
+# N=125 x=2 (f = 4) and 0.52 to 0.55 at N=121 x=2 (f = 2), where the
+# Hermitian half (f = 1, as for every odd r) took 1.03 to 1.09.  At 24
+# qubits that is 91 and 157 MiB RSS for simulate and verify on them (252
+# and 274 MiB as the Hermitian half), and 491 MiB for verify --debug-perturb
+# --n 125 --x 2, which builds each block and a full-storage copy of each
+# stage.
 MEMORY_BUDGET_BYTES = 2**28
 # Charge of `factor --fast` per outcome.  It was the traced peak of four
 # Q-long buffers (32.1 bytes at Q = 2**20); the passes now run in

@@ -19,14 +19,20 @@ Hadamard layer on |0>|1>, is one column of sqrt(1/Q), rounded once
 Modular exponentiation sends row j of psi1's column to label x**j mod N,
 so psi2 is Q amplitudes sqrt(1/Q), one column per power of x holding
 every P-th row (`_modexp_columns`, with P the period of x**j below Q).
-Every image amplitude is real, so each column of psi3, the inverse Fourier
-transform on register A, is Hermitian, psi3[Q - k] = conj(psi3[k]): a
-real-input FFT gives rows [0, Q/2], and the other rows are their exact
-conjugates.  So psi3 is held as its rows [0, Q/2] alone, a (k, Q/2 + 1)
-mask marked `mirrored`: each of its rows in [1, Q/2) stands for itself and
-for its conjugate mirror, and rows 0 and Q/2 are their own mirrors.  The
-format is known here alone: the norm check, `PureState.flat_sum` and
-`weight_sums` count the mirrors, and `perturbed` writes them out first.
+Every image column is a real comb of stride P, so each column of psi3, the
+inverse Fourier transform on register A, is Hermitian, psi3[Q - k] =
+conj(psi3[k]), and for each f dividing P it repeats every R = Q/f rows up
+to a phase: psi3[k + R] = w**a psi3[k], w = exp(-2 pi i / f), with a the
+column's exponent.  With f = gcd(P, Q/2, 4) (`_fold`) that phase is 1, -1
+or +-i, so each image of a held float is exact: a sign change or a swap of
+its real and imaginary parts, and a conjugation.  So psi3 is held as
+rows [0, R/2] of the real-input FFT alone, a (k, Q/2f + 1) mask marked
+`mirrored` with fold f and each column's class a mod f: each of its rows
+in [1, R/2) stands for its f translations and their conjugate mirrors,
+and rows 0 and R/2 for their translations.  For odd r, f = 1: the
+Hermitian half.  The format is known here alone: the norm check,
+`PureState.flat_sum` and `weight_sums` count the images, `perturbed`
+writes them out first, and `final_probabilities` reads the same rows.
 One routine transforms the image columns a chunk at a time
 (`_transformed_chunks`): `run_order_finding_circuit`, which yields psi1,
 psi2 and psi3 one at a time, gathers each chunk's nonzero entries into
@@ -73,13 +79,17 @@ class PureState:
     Column c is register-B label labels[c], strictly increasing; mask[c, j]
     marks the nonzero amplitude of joint index j * 2**L + labels[c], and
     `amplitudes` holds them column by column in row order, column c's from
-    starts[c].  A `mirrored` state holds rows [0, Q/2] of Hermitian columns,
-    a (k, Q/2 + 1) mask: row Q - j is the conjugate of row j, so each entry
-    of a row in [1, Q/2) counts twice, and the entries of rows 0 and Q/2,
-    their own mirrors, at `self_mirrors`, once.  Construction takes the
-    arrays over, read-only, and drops each column without an entry:
-    `np.add.reduceat` would give the next column's first value, not 0, for
-    an empty segment.
+    starts[c].  A `mirrored` state with fold f, a power of two that divides
+    Q/2, holds rows [0, Q/2f] of columns with both symmetries of psi3, a
+    (k, Q/2f + 1) mask: with R = Q/f, row j + m R is w**(a m) times row j,
+    w = exp(-2 pi i / f) and a = classes[c] the column's exponent mod f,
+    and row Q - j - m R its conjugate, for m in [0, f).  Both are exact, a
+    sign change or a swap of the real and imaginary parts, so each entry of
+    a row in [1, Q/2f) counts 2f times, and the entries of rows 0 and Q/2f,
+    at `ends`, whose mirrors are among their translations, f times.  f = 1
+    is the Hermitian half.  Construction takes the arrays over, read-only,
+    and drops each column without an entry: `np.add.reduceat` would give
+    the next column's first value, not 0, for an empty segment.
     """
 
     layout: RegisterLayout
@@ -87,15 +97,23 @@ class PureState:
     mask: np.ndarray
     amplitudes: np.ndarray
     mirrored: bool = False
+    fold: int = 1
+    classes: np.ndarray | None = None
     starts: np.ndarray = field(init=False)
-    self_mirrors: np.ndarray = field(init=False, repr=False)
+    ends: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        lay = self.layout
+        lay, fold = self.layout, self.fold
         labels = np.asarray(self.labels, dtype=np.intp)
         mask = np.asarray(self.mask, dtype=bool)
         amplitudes = np.asarray(self.amplitudes, dtype=np.complex128)
-        rows = lay.Q // 2 + 1 if self.mirrored else lay.Q
+        classes = np.zeros(len(labels), dtype=np.intp) if self.classes is None else self.classes
+        classes = np.asarray(classes, dtype=np.intp)
+        if fold < 1 or fold & (fold - 1) or (fold > 1 and not self.mirrored) or lay.Q % (2 * fold):
+            raise ValueError(f"fold {fold} is not a power of two dividing Q/2 of a mirrored state")
+        if classes.shape != labels.shape or np.any((classes < 0) | (classes >= fold)):
+            raise ValueError(f"expected one class in [0, {fold}) per label")
+        rows = lay.Q // (2 * fold) + 1 if self.mirrored else lay.Q
         if labels.ndim != 1 or mask.shape != (len(labels), rows) or amplitudes.ndim != 1:
             raise ValueError(f"expected a (k, {rows}) mask for k labels, got {mask.shape}")
         if np.any(labels[1:] <= labels[:-1]) or np.any((labels < 0) | (labels >= lay.dim_b)):
@@ -104,18 +122,20 @@ class PureState:
         if counts.sum() != len(amplitudes):
             raise ValueError(f"the mask marks {counts.sum()} entries, not {len(amplitudes)}")
         if not counts.all():
-            labels, mask, counts = labels[counts > 0], mask[counts > 0], counts[counts > 0]
+            occupied = counts > 0
+            labels, mask, classes, counts = (a[occupied] for a in (labels, mask, classes, counts))
         starts = np.cumsum(counts) - counts
-        self_mirrors = np.empty(0, dtype=np.intp)
+        ends = np.empty(0, dtype=np.intp)
         norm = float(np.vdot(amplitudes, amplitudes).real)
-        if self.mirrored:  # the entries of rows 0 and Q/2, each the first or last of its column
-            self_mirrors = np.concatenate((starts[mask[:, 0]], (starts + counts - 1)[mask[:, -1]]))
-            ends = amplitudes[self_mirrors]
-            norm = 2.0 * norm - float(np.vdot(ends, ends).real)
+        if self.mirrored:  # the entries of rows 0 and Q/2f, each the first or last of its column
+            ends = np.concatenate((starts[mask[:, 0]], (starts + counts - 1)[mask[:, -1]]))
+            end_values = amplitudes[ends]
+            norm = fold * (2.0 * norm - float(np.vdot(end_values, end_values).real))
         if not abs(norm - 1.0) <= NORM_TOL:  # written so that a NaN norm fails
             raise ValueError(f"state norm**2 = {norm!r} is not 1 within {NORM_TOL}")
         arrays = dict(
-            labels=labels, mask=mask, amplitudes=amplitudes, starts=starts, self_mirrors=self_mirrors
+            labels=labels, mask=mask, amplitudes=amplitudes, classes=classes, starts=starts,
+            ends=ends,
         )
         for name, value in arrays.items():
             value.setflags(write=False)
@@ -127,13 +147,14 @@ class PureState:
         by `math.fsum`, which rounds their exact total once, so the float is
         the same however the columns are split into chunks.  A mirrored
         column adds its sum doubled, an exact product, less its values in
-        rows 0 and Q/2, all as terms of the one `math.fsum`.  Where
+        rows 0 and Q/2f, all as terms of the one `math.fsum`, whose float f
+        times is exact: column sums weighted by 2f and end rows by f.  Where
         |c| < 1.5e-154, |c|**2 underflows to +0.0, which adds nothing."""
         sums = np.add.reduceat(values, self.starts)
         if not self.mirrored:
             return math.fsum(sums.tolist())
         sums *= 2.0
-        return math.fsum(sums.tolist() + np.negative(values[self.self_mirrors]).tolist())
+        return self.fold * math.fsum(sums.tolist() + np.negative(values[self.ends]).tolist())
 
 
 def uniform_state(layout: RegisterLayout) -> PureState:
@@ -197,14 +218,22 @@ _CHUNK_BYTES = 2**21
 _CHUNK_COLUMNS = 4
 
 
-def _transformed_chunks(q: int, exponents: np.ndarray) -> Iterator[np.ndarray]:
-    """Yield rows [0, Q/2], which hold all of a real column's transform, of
-    the inverse transform of the modexp image columns of psi1 in column
-    order, a chunk at a time: each chunk is scattered into one reused real
-    scratch, transformed by one batched real-input FFT into one reused
-    complex array, scaled by fl(1 / sqrt(Q)) through its float64 view (the
-    floats of complex division) and, once the caller has read it, zeroed by
-    scattering 0.0 onto the same rows."""
+def _fold(q: int, period: int) -> int:
+    """The fold f = gcd(P, Q/2, 4) of psi3: every image column is a comb of
+    stride P, so its transform repeats up to the phase w**a every Q/f rows
+    for each f dividing P, and f also divides Q/2, so that rows [0, Q/2f]
+    are at least two."""
+    return math.gcd(period, q // 2, 4)
+
+
+def _transformed_chunks(q: int, exponents: np.ndarray, rows: int) -> Iterator[np.ndarray]:
+    """Yield rows [0, rows), rows <= Q/2 + 1, of the inverse transform of the
+    modexp image columns of psi1 in column order, a chunk at a time: each
+    chunk is scattered into one reused real scratch, transformed by one
+    batched real-input FFT into one reused complex array, whose first rows
+    are scaled by fl(1 / sqrt(Q)) through their float64 view (the floats of
+    complex division) and, once the caller has read them, the scratch is
+    zeroed by scattering 0.0 onto the same rows."""
     k = len(exponents)
     width = min(k, max(_CHUNK_COLUMNS, _CHUNK_BYTES // (16 * q)))
     scratch = np.empty((q, width), order="F")
@@ -218,6 +247,7 @@ def _transformed_chunks(q: int, exponents: np.ndarray) -> Iterator[np.ndarray]:
         chunk, image = scratch[:, :size], top[:, :size]
         _scatter(chunk, amplitude, exponents, c0)
         np.fft.rfft(chunk, axis=0, out=image)
+        image = image[:rows]
         image.T.view(np.float64)[...] *= 1.0 / math.sqrt(q)
         yield image
         _scatter(chunk, 0.0, exponents, c0)
@@ -227,27 +257,34 @@ def final_probabilities(instance: ShorInstance) -> np.ndarray:
     """The register-A outcome probabilities of psi3, without holding psi3,
     in a fresh array that the caller owns.
 
-    Each transformed chunk, rows [0, Q/2] of its columns, is read in place:
-    |column|**2 is added into those row sums column by column, in label
-    order, so the floats do not depend on the chunking.  |conj(c)|**2 is
-    |c|**2, so p_(Q - k) = p_k, and a reversed copy fills rows (Q/2, Q): the
-    floats of the row sums of the held psi3 with its mirror rows written
-    out.  The sum of the p_k, the norm**2 of psi3, must be 1 within
-    NORM_TOL, the gate of `PureState`.
+    Each transformed chunk's rows [0, Q/2f], those that psi3 holds, are read
+    in place: |column|**2 is added into those row sums column by column, in
+    label order, so the floats do not depend on the chunking.  A row's
+    translations by Q/f and their mirrors hold w**(a m) c and its conjugate,
+    whose |.|**2 is the float of |c|**2, so p_(j + m Q/f) = p_j and
+    p_(Q/f - j) = p_j: a reversed copy fills rows (Q/2f, Q/f) and copies
+    of [0, Q/f), doubling, the rest, as `_outcome_probabilities` fills its
+    period.  These are the floats of the row sums of the held psi3 with its
+    images written out.  The sum of the p_k, the norm**2 of psi3, must be 1
+    within NORM_TOL, the gate of `PureState`.
     The peak is the scratch, its transform and the probabilities.
     """
     _, exponents = _modexp_columns(instance)
     q = instance.Q
-    half = q // 2
+    period = q // _fold(q, len(exponents))
+    half = period // 2
     probabilities = np.zeros(q)
     head = probabilities[: half + 1]
     col = np.empty(half + 1)
-    for image in _transformed_chunks(q, exponents):
+    for image in _transformed_chunks(q, exponents, half + 1):
         for column in image.T:
             np.abs(column, out=col)
             np.square(col, out=col)
             head += col
-    probabilities[half + 1 :] = probabilities[half - 1 : 0 : -1]
+    probabilities[half + 1 : period] = probabilities[half - 1 : 0 : -1]
+    while period < q:
+        probabilities[period : 2 * period] = probabilities[:period]
+        period *= 2
     norm = float(probabilities.sum())
     if not abs(norm - 1.0) <= NORM_TOL:  # written so that a NaN norm fails
         raise ValueError(f"final state norm**2 = {norm!r} is not 1 within {NORM_TOL}")
@@ -277,15 +314,17 @@ def run_order_finding_circuit(instance: ShorInstance) -> Iterator[PureState]:
 
 
 def _final_state(instance: ShorInstance, labels: np.ndarray, exponents: np.ndarray) -> PureState:
-    """psi3 from its transformed chunks, held as its rows [0, Q/2], the
-    whole of a real column's transform (a mirrored `PureState`).  Each chunk
-    writes its mask rows where the transform is nonzero, the entries grow by
-    the chunk's count, and one gather writes them in column order."""
+    """psi3 from its transformed chunks, held as its rows [0, Q/2f], with f
+    its `_fold` (a mirrored `PureState`, whose classes are the exponents mod
+    f).  Each chunk writes its mask rows where the transform is nonzero, the
+    entries grow by the chunk's count, and one gather writes them in column
+    order."""
     q = instance.Q
-    mask = np.empty((len(labels), q // 2 + 1), dtype=bool)
+    fold = _fold(q, len(exponents))
+    mask = np.empty((len(labels), q // (2 * fold) + 1), dtype=bool)
     amplitudes = np.empty(0, dtype=np.complex128)
     c0 = end = 0
-    for image in _transformed_chunks(q, exponents):
+    for image in _transformed_chunks(q, exponents, mask.shape[1]):
         rows = mask[c0 : c0 + image.shape[1]]
         c0 += image.shape[1]
         np.not_equal(image.T, 0, out=rows)
@@ -293,7 +332,8 @@ def _final_state(instance: ShorInstance, labels: np.ndarray, exponents: np.ndarr
         _grow(amplitudes, end + count)
         amplitudes[end : end + count] = image.T[rows]
         end += count
-    return PureState(instance, labels, mask, amplitudes, mirrored=True)
+    classes = exponents % fold
+    return PureState(instance, labels, mask, amplitudes, mirrored=True, fold=fold, classes=classes)
 
 
 def _grow(entries: np.ndarray, size: int) -> None:
@@ -343,54 +383,107 @@ def weight_sums(state: PureState) -> np.ndarray:
     """The n + 1 sums of conj(c) over the amplitudes c of `state`, per Hamming
     weight of the joint index: all that the symmetric E_g optimizer reads.
 
-    One bincount each for the real and imaginary parts adds the entries in
-    their stored order, label by label and down each column, from +0.0: the
+    A bincount of the real parts and one of the imaginary parts add the
+    entries in their stored order, label by label and down each column,
+    from +0.0, into bins keyed by the column's class and the weight: the
     sums over the column-major dense order, since an exact zero leaves a
     sum as it is.  A stream of column chunks keeps these floats if it adds
-    each chunk, in order, into the same sums (np.add.at).  The conjugate's
-    0.0 - sum keeps a +0.0 sum from turning into -0.0.  A mirrored state
-    then adds each entry c of a row j in [1, Q/2) a second time, as its
-    mirror conj(c) in row Q - j: c, at the weight of Q - j.
+    each chunk, in order, into the same bins (np.add.at).  A mirrored state
+    with fold f takes a second pair, over rows j in [1, Q/2f) at the weight
+    of their mirror Q/f - j.  The images of a row j < Q/f by whole periods
+    add no carries: row j + m Q/f has the weight popcount(j) + popcount(m),
+    and its mirror Q - j - m Q/f the weight popcount(Q/f - j) +
+    popcount(f - 1 - m).  So translation m adds w**(-a m) conj(class a's
+    sums), shifted by popcount(m), and its mirror w**(a m) times the mirror
+    pass's, shifted by popcount(f - 1 - m), each phase an exact quarter
+    turn (`_turned`): into +0.0, the translations, then the mirrors, m and
+    then a ascending.  For full storage and f = 1 that is conj(the sums)
+    plus the mirror pass's; the conjugate's 0.0 + -sum keeps a +0.0 sum
+    from turning into -0.0.
     """
-    lay = state.layout
-    weights = np.bitwise_count(state.labels)
+    fold, size = state.fold, state.layout.n + 1
     rows = np.arange(state.mask.shape[1])
-    # cast once: np.bincount copies uint8 bins to intp on every call, and
-    # beside the strided real view that took 4.1 ms instead of 1.2 ms on
-    # psi3 of N=125 x=2 t=13 (410k entries, 2-vCPU x86 host)
-    bins = np.add.outer(weights, np.bitwise_count(rows))[state.mask].astype(np.intp)
-    sums = np.empty(lay.n + 1, dtype=np.complex128)
-    sums.real = np.bincount(bins, state.amplitudes.real, minlength=lay.n + 1)
-    sums.imag = 0.0 - np.bincount(bins, state.amplitudes.imag, minlength=lay.n + 1)
+    kind = np.min_scalar_type(fold * size)
+    keys = (np.bitwise_count(state.labels) + size * state.classes).astype(kind)
+    # one intp bin per entry, and then one contiguous float per entry, reused
+    # by every pass: np.bincount copies small bins to intp, and a strided
+    # real or imaginary view, on every call
+    bins = np.empty(len(state.amplitudes), dtype=np.intp)
+
+    def binned(row_weights: np.ndarray) -> None:
+        bins[...] = np.add.outer(keys, row_weights.astype(kind))[state.mask]
+
+    def counted(part: np.ndarray) -> np.ndarray:
+        return np.bincount(bins, part, minlength=fold * size)[: fold * size].reshape(fold, size)
+
+    direct = np.empty((fold, size), dtype=np.complex128)
+    binned(np.bitwise_count(rows))
+    part = state.amplitudes.real.copy()
+    direct.real = counted(part)
+    part[...] = state.amplitudes.imag
+    direct.imag = counted(part)
+    images = [(np.conjugate(direct), 1, range(fold))]
     if state.mirrored:
-        mirrors = np.bitwise_count(lay.Q - rows)
-        mirrors[[0, -1]] = lay.n + 1  # rows 0 and Q/2 are their own mirrors: bins past n
-        bins = np.add.outer(weights, mirrors)[state.mask].astype(np.intp)
-        sums.real += np.bincount(bins, state.amplitudes.real, minlength=lay.n + 1)[: lay.n + 1]
-        sums.imag += np.bincount(bins, state.amplitudes.imag, minlength=lay.n + 1)[: lay.n + 1]
+        mirror = np.empty((fold, size), dtype=np.complex128)
+        binned(np.bitwise_count(state.layout.Q // fold - rows))
+        bins[state.ends] = fold * size  # rows 0 and Q/2f: a bin past the last
+        mirror.imag = counted(part)  # `part` still holds the imaginary parts
+        part[...] = state.amplitudes.real
+        mirror.real = counted(part)
+        images.append((mirror, -1, range(fold - 1, -1, -1)))
+    sums = np.zeros(size, dtype=np.complex128)
+    for class_sums, sign, shifts in images:  # shift: popcount(m) or popcount(f - 1 - m)
+        for m, shift in enumerate(shifts):
+            weight = shift.bit_count()
+            for a in range(fold):  # w**(-a m) = 1j**(4 a m / f)
+                sums[weight:] += _turned(class_sums[a, : size - weight], sign * 4 * a * m // fold)
     return sums
+
+
+def _turned(values: np.ndarray, turns: int) -> np.ndarray:
+    """values * 1j**turns, exactly: a sign change, or a swap of the real and
+    imaginary parts with one sign change; `values` itself for no turn."""
+    turns %= 4
+    if not turns:
+        return values
+    out = np.empty_like(values)
+    if turns == 2:
+        return np.negative(values, out=out)
+    out.real = -values.imag if turns == 1 else values.imag
+    out.imag = values.real if turns == 1 else -values.real
+    return out
 
 
 def _unfolded(state: PureState) -> tuple[np.ndarray, np.ndarray]:
     """The (k, Q) mask and a fresh copy of the entries of `state` in full
-    storage: a mirrored column's stored rows, then the exact conjugates of
-    its entries in rows Q/2 - 1, ..., 1, reversed, as rows (Q/2, Q)."""
+    storage.  With R = Q/f, a mirrored column's period m, rows [m R,
+    (m + 1) R), holds its stored rows turned by w**(a m), then, as rows
+    m R + (R/2, R), the mirrors of translation f - 1 - m: the conjugates of
+    its stored entries in rows R/2 - 1, ..., 1, turned by w**(a (f - 1 - m)),
+    reversed."""
     if not state.mirrored:
         return state.mask, state.amplitudes.copy()
-    q, half = state.layout.Q, state.layout.Q // 2
+    q, fold = state.layout.Q, state.fold
+    period = q // fold
+    half = period // 2
     mask = np.empty((len(state.labels), q), dtype=bool)
     mask[:, : half + 1] = state.mask
-    mask[:, half + 1 :] = state.mask[:, half - 1 : 0 : -1]
+    mask[:, half + 1 : period] = state.mask[:, half - 1 : 0 : -1]
+    for m in range(1, fold):
+        mask[:, m * period : (m + 1) * period] = mask[:, :period]
     amplitudes = np.empty(np.count_nonzero(mask), dtype=np.complex128)
     stops = np.append(state.starts[1:], len(state.amplitudes))
+    columns = zip(state.starts.tolist(), stops.tolist(), state.mask, state.classes.tolist())
     end = 0
-    for start, stop, keep in zip(state.starts.tolist(), stops.tolist(), state.mask):
+    for start, stop, keep, a in columns:
         column = state.amplitudes[start:stop]
-        amplitudes[end : end + len(column)] = column
-        end += len(column)
-        paired = column[int(keep[0]) : len(column) - int(keep[-1])]
-        np.conjugate(paired[::-1], out=amplitudes[end : end + len(paired)])
-        end += len(paired)
+        paired = column[int(keep[0]) : len(column) - int(keep[-1])][::-1]
+        for m in range(fold):  # w**(a m) = 1j**(-4 a m / f)
+            amplitudes[end : end + len(column)] = _turned(column, -4 * a * m // fold)
+            end += len(column)
+            mirror = _turned(paired, -4 * a * (fold - 1 - m) // fold)
+            np.conjugate(mirror, out=amplitudes[end : end + len(paired)])
+            end += len(paired)
     return mask, amplitudes
 
 
@@ -400,16 +493,27 @@ def perturbed(state: PureState, eps: float) -> PureState:
     the square root of np.vdot over that block; both floats need the
     C-ordered block, dropped before the entries are written out
     (`_unfolded`) and scaled.  An entry that becomes exactly 0.0 leaves the
-    state; ValueError if no normalized state is left."""
+    state; ValueError, before any division, if the block's norm is 0, and
+    if no normalized state is left."""
     q = state.layout.Q
     block = np.zeros((q, len(state.labels)), dtype=np.complex128)
     block.T[:, : state.mask.shape[1]][state.mask] = state.amplitudes
-    if state.mirrored:  # the unmarked mirror rows read -0.0j, which no float below sees
-        np.conjugate(block[q // 2 - 1 : 0 : -1], out=block[q // 2 + 1 :])
+    if state.mirrored:  # the images by exact phases; no float below sees the sign of a zero
+        period = q // state.fold
+        half = period // 2
+        quarter = np.array([1, 1j, -1, -1j])
+        turns = -4 * state.classes // state.fold
+        np.conjugate(block[half - 1 : 0 : -1], out=block[half + 1 : period])
+        block[half + 1 : period] *= quarter[-turns * (state.fold - 1) % 4]
+        for m in range(1, state.fold):
+            translation = block[m * period : (m + 1) * period]
+            np.multiply(block[:period], quarter[turns * m % 4], out=translation)
     row, column = np.unravel_index(np.argmax(np.abs(block)), block.shape)
     block[row, column] *= 1.0 + eps
-    norm = np.sqrt(np.vdot(block, block).real)
+    norm = float(np.sqrt(np.vdot(block, block).real))
     del block
+    if not norm > 0.0:
+        raise ValueError(f"the perturbed state has norm {norm!r}, which no division normalizes")
     full, amplitudes = _unfolded(state)
     amplitudes[np.count_nonzero(full[:column]) + np.count_nonzero(full[column, :row])] *= 1.0 + eps
     amplitudes /= norm

@@ -16,7 +16,8 @@ it does not and where r > Q, two of them (one with r | Q, one without)
 large enough that psi3 and the dense ``factor`` distribution are
 transformed in several chunks of columns, bases drawn from the seed,
 ``--debug-perturb`` 1e-3 and -1, rejections by argparse, by
-``resolve_config`` and by the commands, and ``--help`` at 80 columns.
+``resolve_config`` and by the commands, ``--help`` at 80 columns, and an
+instance of odd r, whose psi3 is held as its Hermitian half (fold 1).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from shormeter.cli import main
 
 # (N, x, t): r | Q on the first three, r does not divide Q on the next
 # three, r > Q on the next three; then psi3 in 4 chunks with r | Q and in 7
-# chunks with r not dividing Q
+# chunks with r not dividing Q; last an odd r = 21, whose psi3 has fold 1
 INSTANCES = (
     (15, 7, 8),
     (25, 7, 10),
@@ -45,6 +46,7 @@ INSTANCES = (
     (33, 5, 3),
     (17, 3, 15),
     (125, 2, 13),
+    (49, 2, 10),
 )
 COMMANDS = (
     "simulate",

@@ -75,25 +75,29 @@ def _shannon_nats(p: np.ndarray) -> float:
     return float(-np.sum(nz * np.log(nz)))
 
 
-def column_flat_sum(grid: np.ndarray, values: np.ndarray, mirrored: bool = False) -> float:
+def column_flat_sum(
+    grid: np.ndarray, values: np.ndarray, mirrored: bool = False, fold: int = 1
+) -> float:
     """The flat sum of `values` over the exactly nonzero entries of the dense
     (Q, 2**L) amplitude array `grid`, by its definition: each register-B
     column's values in row order, summed as np.add.reduceat sums a segment
     (its first value plus numpy's sum of the rest), then the column sums by
     math.fsum.  A column without a nonzero entry adds nothing.  A mirrored
-    state stores rows [0, Q/2] of each column: their sum, doubled, and the
-    negated values of rows 0 and Q/2 are the column's terms of the fsum."""
+    state with fold f stores rows [0, Q/2f] of each column: their sum times
+    2f and the values of rows 0 and Q/2f times -f are the column's terms of
+    the fsum."""
     q = grid.shape[0]
+    half = q // (2 * fold)
     terms = []
     for amplitudes, column in zip(grid.T, values.T):
         if mirrored:
-            amplitudes, column = amplitudes[: q // 2 + 1], column[: q // 2 + 1]
+            amplitudes, column = amplitudes[: half + 1], column[: half + 1]
         v = column[amplitudes != 0]
         if v.size:
             terms.append(v[0] + np.sum(v[1:]))
         if mirrored and v.size:
-            terms[-1] *= 2.0
-            terms.extend(-column[row] for row in (0, q // 2) if amplitudes[row] != 0)
+            terms[-1] *= 2.0 * fold
+            terms.extend(-fold * column[row] for row in (0, half) if amplitudes[row] != 0)
     return math.fsum(terms)
 
 
@@ -111,8 +115,8 @@ def dense_tsallis_pure(state: PureState, alpha: float) -> float:
     if abs(alpha - 1.0) <= ALPHA_ONE_TOL:
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = np.where(p > 0.0, p * np.log(p), 0.0)
-        return -column_flat_sum(grid, terms, state.mirrored)
-    return (column_flat_sum(grid, p ** (1.0 / alpha), state.mirrored) - 1.0) / (alpha - 1.0)
+        return -column_flat_sum(grid, terms, state.mirrored, state.fold)
+    return (column_flat_sum(grid, p ** (1.0 / alpha), state.mirrored, state.fold) - 1.0) / (alpha - 1.0)
 
 
 def dense_l1p_pure(state: PureState, p: float) -> float:
@@ -123,11 +127,11 @@ def dense_l1p_pure(state: PureState, p: float) -> float:
     grid = dense_grid(state)
     a = np.abs(grid)
     rest = a**p
-    np.subtract(column_flat_sum(grid, rest, state.mirrored), rest, out=rest)
+    np.subtract(column_flat_sum(grid, rest, state.mirrored, state.fold), rest, out=rest)
     np.clip(rest, 0.0, None, out=rest)
     rest **= 1.0 / p
     rest *= a
-    return column_flat_sum(grid, rest, state.mirrored)
+    return column_flat_sum(grid, rest, state.mirrored, state.fold)
 
 
 def dense_geometric_pure(state: PureState) -> float:
@@ -321,20 +325,38 @@ def state_of(layout: RegisterLayout, block: np.ndarray, labels) -> PureState:
     return PureState(layout, np.array(labels), mask, columns[mask])
 
 
+def quarter_turn(values: np.ndarray, turns: np.ndarray) -> np.ndarray:
+    """values * 1j**turns, elementwise, from the rotated real and imaginary
+    parts: negating a part changes the sign of a zero as well."""
+    turns = np.broadcast_to(np.asarray(turns) % 4, values.shape)
+    re, im = values.real, values.imag
+    out = np.empty_like(values)
+    out.real = np.choose(turns, [re, -im, -re, im])
+    out.imag = np.choose(turns, [im, re, -im, -re])
+    return out
+
+
 def block_of(state: PureState) -> np.ndarray:
     """The fresh, column-major (Q, k) block of a state's occupied columns,
-    +0.0 where its mask has no entry.  A mirrored state's stored rows are
-    [0, Q/2], and row Q - j, 0 < j < Q/2, is the conjugate of row j where
-    the mask marks row j, written by explicit index."""
+    +0.0 where its mask has no entry.  A mirrored state with fold f stores
+    rows [0, R/2], R = Q/f: every other row k is written by explicit index,
+    where the mask marks its source.  If k mod R <= R/2, k = j + m R is
+    translation m of row j = k mod R, w**(a m) times it, with w = exp(-2 pi
+    i / f) and a the column's class; otherwise Q - k is such a translation,
+    and row k its conjugate."""
     q = state.layout.Q
     block = np.zeros((q, len(state.labels)), dtype=np.complex128, order="F")
     block.T[:, : state.mask.shape[1]][state.mask] = state.amplitudes
     if state.mirrored:
-        rows = np.arange(1, q // 2)
-        kept = state.mask[:, rows].T
-        mirror = block[q - rows]
-        mirror[kept] = np.conjugate(block[rows][kept])
-        block[q - rows] = mirror
+        period = q // state.fold
+        rows = np.arange(period // 2 + 1, q)
+        mirror = rows % period > period // 2
+        source = np.where(mirror, q - rows, rows)
+        stored, m = source % period, source // period
+        for c, a in enumerate(state.classes.tolist()):
+            kept = state.mask[c, stored]
+            values = quarter_turn(block[stored[kept], c], -4 * a * m[kept] // state.fold)
+            block[rows[kept], c] = np.where(mirror[kept], np.conjugate(values), values)
     return block
 
 
@@ -344,22 +366,28 @@ def unfolded(state: PureState) -> PureState:
     return state_of(state.layout, block_of(state), state.labels) if state.mirrored else state
 
 
-def mirrored_half(state: PureState) -> PureState:
-    """The mirrored state of a full-storage state whose columns are
-    Hermitian: the exactly nonzero amplitudes of its rows [0, Q/2]."""
-    columns = block_of(state)[: state.layout.Q // 2 + 1].T
+def mirrored_half(state: PureState, fold: int = 1, classes=None) -> PureState:
+    """The mirrored state with fold `fold` and column classes `classes` of a
+    full-storage state whose columns have both symmetries: the exactly
+    nonzero amplitudes of its rows [0, Q/2f]."""
+    columns = block_of(state)[: state.layout.Q // (2 * fold) + 1].T
     mask = columns != 0
-    return PureState(state.layout, state.labels, mask, columns[mask], mirrored=True)
+    return PureState(
+        state.layout, state.labels, mask, columns[mask], mirrored=True, fold=fold, classes=classes
+    )
 
 
 def dense_perturbed(state: PureState, eps: float) -> PureState:
     """`statevec.perturbed` on the C-ordered (Q, k) block of a state: its
     first largest entry in row-major order scaled by 1 + eps, then the
-    block divided by the square root of its np.vdot norm, and its exact
-    zeros dropped."""
+    block divided by the square root of its np.vdot norm, ValueError if
+    that is 0, and its exact zeros dropped."""
     block = np.ascontiguousarray(block_of(state))
     block[np.unravel_index(np.argmax(np.abs(block)), block.shape)] *= 1.0 + eps
-    block /= np.sqrt(np.vdot(block, block).real)
+    norm = np.sqrt(np.vdot(block, block).real)
+    if not norm > 0.0:
+        raise ValueError(f"the perturbed block has norm {norm!r}")
+    block /= norm
     return state_of(state.layout, block, state.labels)
 
 
@@ -860,23 +888,38 @@ def add_at_weight_sums(state: PureState) -> np.ndarray:
     """Conjugated amplitude sums per Hamming weight of the joint index: np.add.at
     over the exactly nonzero entries of the dense (Q, 2**L) array in
     column-major order, down each register-B column in label order.  For a
-    mirrored state, the entries of its stored rows [0, Q/2] in that order,
-    plus the sums, added the same way, of its mirror rows Q - j, 0 < j < Q/2,
-    taken column by column in the order of j."""
+    mirrored state with fold f and R = Q/f, the stored entries j in [0, R/2]
+    of each class a, in that order, stand for images: for each translation m,
+    the entry of the unfolded array at row j + m R, and for each mirror m,
+    0 < j < R/2, the one at row Q - j - m R, each row written by explicit
+    index and each image added at its own weight.  Every image's class sums
+    are added into +0.0: the translations, then the mirrors, m and then a
+    ascending."""
     lay = state.layout
-    q, half = lay.Q, lay.Q // 2
     columns = dense_grid(state).T
-    if state.mirrored:
-        columns = columns[:, : half + 1]
-    labels, rows = np.nonzero(columns)  # row-major over the transpose
+    if not state.mirrored:
+        labels, rows = np.nonzero(columns)  # row-major over the transpose
+        sums = np.zeros(lay.n + 1, dtype=np.complex128)
+        np.add.at(sums, np.bitwise_count(rows * lay.dim_b + labels), columns[labels, rows].conj())
+        return sums
+    q, fold = lay.Q, state.fold
+    period = q // fold
+    half = period // 2
+    labels, rows = np.nonzero(columns[:, : half + 1])
+    classes = np.zeros(lay.dim_b, dtype=np.intp)
+    classes[state.labels] = state.classes
+    classes = classes[labels]
+    paired = (rows > 0) & (rows < half)
     sums = np.zeros(lay.n + 1, dtype=np.complex128)
-    np.add.at(sums, np.bitwise_count(rows * lay.dim_b + labels), columns[labels, rows].conj())
-    if state.mirrored:
-        paired = (rows > 0) & (rows < half)
-        labels, rows = labels[paired], q - rows[paired]
-        mirrors = np.zeros(lay.n + 1, dtype=np.complex128)
-        np.add.at(mirrors, np.bitwise_count(rows * lay.dim_b + labels), columns[labels, q - rows])
-        sums += mirrors
+    for mirror in (False, True):
+        for m in range(fold):
+            for a in range(fold):
+                pick = (classes == a) & paired if mirror else classes == a
+                images = q - rows[pick] - m * period if mirror else rows[pick] + m * period
+                part = np.zeros(lay.n + 1, dtype=np.complex128)
+                weights = np.bitwise_count(images * lay.dim_b + labels[pick])
+                np.add.at(part, weights, columns[labels[pick], images].conj())
+                sums += part
     return sums
 
 
