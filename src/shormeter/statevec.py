@@ -487,6 +487,25 @@ def _unfolded(state: PureState) -> tuple[np.ndarray, np.ndarray]:
     return mask, amplitudes
 
 
+def _write_images(block: np.ndarray, state: PureState) -> None:
+    """Write the images of a mirrored state's stored rows into its (Q, k)
+    block, class by class, as `_unfolded` writes them."""
+    fold = state.fold
+    period = state.layout.Q // fold
+    half = period // 2
+    for a in range(fold):
+        columns = slice(None) if fold == 1 else np.flatnonzero(state.classes == a)
+        stored = block[: half + 1, columns]
+        paired = stored[half - 1 : 0 : -1]
+        for m in range(fold):  # w**(a m) = 1j**(-4 a m / f)
+            at = m * period
+            block[at : at + half + 1, columns] = _turned(stored, -4 * a * m // fold)
+            # a view for f = 1, conjugated in place; for f > 1 a copy, written back
+            mirrors = block[at + half + 1 : at + period, columns]
+            np.conjugate(_turned(paired, -4 * a * (fold - 1 - m) // fold), out=mirrors)
+            block[at + half + 1 : at + period, columns] = mirrors
+
+
 def perturbed(state: PureState, eps: float) -> PureState:
     """`state`, in full storage, with its first largest amplitude in the
     row-major order of its (Q, k) block scaled by 1 + eps, then divided by
@@ -498,16 +517,8 @@ def perturbed(state: PureState, eps: float) -> PureState:
     q = state.layout.Q
     block = np.zeros((q, len(state.labels)), dtype=np.complex128)
     block.T[:, : state.mask.shape[1]][state.mask] = state.amplitudes
-    if state.mirrored:  # the images by exact phases; no float below sees the sign of a zero
-        period = q // state.fold
-        half = period // 2
-        quarter = np.array([1, 1j, -1, -1j])
-        turns = -4 * state.classes // state.fold
-        np.conjugate(block[half - 1 : 0 : -1], out=block[half + 1 : period])
-        block[half + 1 : period] *= quarter[-turns * (state.fold - 1) % 4]
-        for m in range(1, state.fold):
-            translation = block[m * period : (m + 1) * period]
-            np.multiply(block[:period], quarter[turns * m % 4], out=translation)
+    if state.mirrored:
+        _write_images(block, state)
     row, column = np.unravel_index(np.argmax(np.abs(block)), block.shape)
     block[row, column] *= 1.0 + eps
     norm = float(np.sqrt(np.vdot(block, block).real))

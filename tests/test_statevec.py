@@ -552,9 +552,11 @@ def test_final_state_and_distribution_are_mirrored_bit_for_bit(n, x, t):
     # Written out in full storage, the state that `perturbed` starts from:
     # the same rows hold entries, each translation is its row turned by
     # w**a, and each row off the multiples of R/2 is the conjugate of its
-    # mirror's; a turn or a conjugation changes the sign of a zero, so
-    # values are compared where a zero may sit.  The oracle's unfolding, by
-    # explicit index, gives the same bytes
+    # mirror's; rows 0 and Q/2 are real, row Q/2 for f > 1 as row 0 turned
+    # by (-1)**a.  The entries are compared bit for bit where the mask marks
+    # them, and by value everywhere, since a turn or a conjugation changes
+    # the sign of a zero.  The oracle's unfolding, by explicit index, gives
+    # the same bytes
     inst = make_instance(n, x, t=t)
     labels, exponents = full_table_modexp_columns(inst)
     q, fold = inst.Q, math.gcd(len(exponents), inst.Q // 2, 4)
@@ -575,6 +577,9 @@ def test_final_state_and_distribution_are_mirrored_bit_for_bit(n, x, t):
     rows = np.array([k for k in range(1, q) if k % (period // 2)], dtype=np.intp)
     assert full.mask[:, q - rows].tobytes() == full.mask[:, rows].tobytes()
     assert np.array_equal(block[q - rows], np.conjugate(block[rows]))
+    kept = full.mask[:, rows].T
+    assert block[q - rows][kept].tobytes() == np.conjugate(block[rows][kept]).tobytes()
+    assert np.all(block[[0, q // 2]].imag == 0)
     probabilities = final_probabilities(inst)
     rows = np.arange(1, q)
     assert probabilities[q - rows].tobytes() == probabilities[rows].tobytes()
