@@ -54,8 +54,8 @@ EXIT_CONFIG = 2
 # Hermitian half (f = 1, as for every odd r) took 1.03 to 1.09.  At 24
 # qubits that is 91 and 157 MiB RSS for simulate and verify on them (252
 # and 274 MiB as the Hermitian half), and 491 MiB for verify --debug-perturb
-# --n 125 --x 2, which builds each block and a full-storage copy of each
-# stage.
+# --n 125 --x 2, which builds a full-storage copy of each stage and
+# measures it.
 MEMORY_BUDGET_BYTES = 2**28
 # Charge of `factor --fast` per outcome.  It was the traced peak of four
 # Q-long buffers (32.1 bytes at Q = 2**20); the passes now run in

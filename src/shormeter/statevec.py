@@ -31,13 +31,15 @@ rows [0, R/2] of the real-input FFT alone, a (k, Q/2f + 1) mask marked
 in [1, R/2) stands for its f translations and their conjugate mirrors,
 and rows 0 and R/2 for their translations.  For odd r, f = 1: the
 Hermitian half.  The format is known here alone: the norm check,
-`PureState.flat_sum` and `weight_sums` count the images, `perturbed`
-writes them out first, and `final_probabilities` reads the same rows.
+`PureState.flat_sum` and `weight_sums` count the images, `_unfolded`
+alone writes them out, for `perturbed`, and `final_probabilities` reads
+the same rows.
 One routine transforms the image columns a chunk at a time
 (`_transformed_chunks`): `run_order_finding_circuit`, which yields psi1,
 psi2 and psi3 one at a time, gathers each chunk's nonzero entries into
 psi3, and the dense `factor` job adds them into the row sums
-(`final_probabilities`).  No stage is held as a (Q, k) block.  Every sum
+(`final_probabilities`).  No stage is held as a (Q, k) block, not even
+by `perturbed`, which finds its entry from the stored ones.  Every sum
 over a stage is defined column by column, so that it does not depend on
 the chunking: `final_probabilities` adds each column's |c|**2 into the row
 sums in label order, `PureState.flat_sum` adds the column sums by
@@ -262,10 +264,9 @@ def final_probabilities(instance: ShorInstance) -> np.ndarray:
     label order, so the floats do not depend on the chunking.  A row's
     translations by Q/f and their mirrors hold w**(a m) c and its conjugate,
     whose |.|**2 is the float of |c|**2, so p_(j + m Q/f) = p_j and
-    p_(Q/f - j) = p_j: a reversed copy fills rows (Q/2f, Q/f) and copies
-    of [0, Q/f), doubling, the rest, as `_outcome_probabilities` fills its
-    period.  These are the floats of the row sums of the held psi3 with its
-    images written out.  The sum of the p_k, the norm**2 of psi3, must be 1
+    p_(Q/f - j) = p_j: `_mirror_and_repeat` fills the other rows.  These
+    are the floats of the row sums of the held psi3 with its images written
+    out.  The sum of the p_k, the norm**2 of psi3, must be 1
     within NORM_TOL, the gate of `PureState`.
     The peak is the scratch, its transform and the probabilities.
     """
@@ -281,10 +282,7 @@ def final_probabilities(instance: ShorInstance) -> np.ndarray:
             np.abs(column, out=col)
             np.square(col, out=col)
             head += col
-    probabilities[half + 1 : period] = probabilities[half - 1 : 0 : -1]
-    while period < q:
-        probabilities[period : 2 * period] = probabilities[:period]
-        period *= 2
+    _mirror_and_repeat(probabilities, period)
     norm = float(probabilities.sum())
     if not abs(norm - 1.0) <= NORM_TOL:  # written so that a NaN norm fails
         raise ValueError(f"final state norm**2 = {norm!r} is not 1 within {NORM_TOL}")
@@ -454,6 +452,16 @@ def _turned(values: np.ndarray, turns: int) -> np.ndarray:
     return out
 
 
+def _mirror_and_repeat(values: np.ndarray, period: int) -> None:
+    """Fill the last axis of `values` from its entries [0, P/2], P = `period`
+    a power of two dividing its length: entry P - k = entry k for k in
+    (0, P/2), then copies of [0, P), doubling."""
+    values[..., period // 2 + 1 : period] = values[..., (period - 1) // 2 : 0 : -1]
+    while period < values.shape[-1]:
+        values[..., period : 2 * period] = values[..., :period]
+        period *= 2
+
+
 def _unfolded(state: PureState) -> tuple[np.ndarray, np.ndarray]:
     """The (k, Q) mask and a fresh copy of the entries of `state` in full
     storage.  With R = Q/f, a mirrored column's period m, rows [m R,
@@ -468,9 +476,7 @@ def _unfolded(state: PureState) -> tuple[np.ndarray, np.ndarray]:
     half = period // 2
     mask = np.empty((len(state.labels), q), dtype=bool)
     mask[:, : half + 1] = state.mask
-    mask[:, half + 1 : period] = state.mask[:, half - 1 : 0 : -1]
-    for m in range(1, fold):
-        mask[:, m * period : (m + 1) * period] = mask[:, :period]
+    _mirror_and_repeat(mask, period)
     amplitudes = np.empty(np.count_nonzero(mask), dtype=np.complex128)
     stops = np.append(state.starts[1:], len(state.amplitudes))
     columns = zip(state.starts.tolist(), stops.tolist(), state.mask, state.classes.tolist())
@@ -487,46 +493,28 @@ def _unfolded(state: PureState) -> tuple[np.ndarray, np.ndarray]:
     return mask, amplitudes
 
 
-def _write_images(block: np.ndarray, state: PureState) -> None:
-    """Write the images of a mirrored state's stored rows into its (Q, k)
-    block, class by class, as `_unfolded` writes them."""
-    fold = state.fold
-    period = state.layout.Q // fold
-    half = period // 2
-    for a in range(fold):
-        columns = slice(None) if fold == 1 else np.flatnonzero(state.classes == a)
-        stored = block[: half + 1, columns]
-        paired = stored[half - 1 : 0 : -1]
-        for m in range(fold):  # w**(a m) = 1j**(-4 a m / f)
-            at = m * period
-            block[at : at + half + 1, columns] = _turned(stored, -4 * a * m // fold)
-            # a view for f = 1, conjugated in place; for f > 1 a copy, written back
-            mirrors = block[at + half + 1 : at + period, columns]
-            np.conjugate(_turned(paired, -4 * a * (fold - 1 - m) // fold), out=mirrors)
-            block[at + half + 1 : at + period, columns] = mirrors
-
-
 def perturbed(state: PureState, eps: float) -> PureState:
-    """`state`, in full storage, with its first largest amplitude in the
-    row-major order of its (Q, k) block scaled by 1 + eps, then divided by
-    the square root of np.vdot over that block; both floats need the
-    C-ordered block, dropped before the entries are written out
-    (`_unfolded`) and scaled.  An entry that becomes exactly 0.0 leaves the
-    state; ValueError, before any division, if the block's norm is 0, and
-    if no normalized state is left."""
-    q = state.layout.Q
-    block = np.zeros((q, len(state.labels)), dtype=np.complex128)
-    block.T[:, : state.mask.shape[1]][state.mask] = state.amplitudes
-    if state.mirrored:
-        _write_images(block, state)
-    row, column = np.unravel_index(np.argmax(np.abs(block)), block.shape)
-    block[row, column] *= 1.0 + eps
-    norm = float(np.sqrt(np.vdot(block, block).real))
-    del block
-    if not norm > 0.0:
-        raise ValueError(f"the perturbed state has norm {norm!r}, which no division normalizes")
+    """`state`, in full storage (`_unfolded`), with its first largest
+    amplitude in the row-major order of its (Q, k) block scaled by 1 + eps,
+    then divided by the square root of np.vdot over the unfolded entries,
+    as the norm check of `PureState` adds them.  That entry is found from
+    the stored entries alone: the first row where any column reaches the
+    largest |c|, then the first such column in that row.  Every image of a
+    stored row j, with the same |c|, lies at a row >= j: with R = Q/f, its
+    translations at j + m R and its mirrors at Q - j - m R >= R - j >= j.
+    An entry that becomes exactly 0.0 leaves the state; ValueError, before
+    any division, if the norm is 0, and if no normalized state is left."""
+    magnitudes = np.abs(state.amplitudes)
+    peaks = np.zeros(state.mask.shape, dtype=bool)
+    peaks[state.mask] = magnitudes == magnitudes.max()
+    row = int(np.argmax(peaks.any(axis=0)))
+    column = int(np.argmax(peaks[:, row]))
+    del magnitudes, peaks  # freed before the full-storage copy, the peak
     full, amplitudes = _unfolded(state)
     amplitudes[np.count_nonzero(full[:column]) + np.count_nonzero(full[column, :row])] *= 1.0 + eps
+    norm = float(np.sqrt(np.vdot(amplitudes, amplitudes).real))
+    if not norm > 0.0:
+        raise ValueError(f"the perturbed state has norm {norm!r}, which no division normalizes")
     amplitudes /= norm
     keep, mask = amplitudes != 0, full
     if not keep.all():
@@ -597,8 +585,8 @@ def _outcome_probabilities(r: int, q: int) -> np.ndarray:
     in [0, P), P = Q / g, and reflected (`_sin_squared`) it is g min(j, P - j).
     So p_k repeats with the period P, float for float, and k and P - k give
     the same phases: p_{P - k} = p_k bit for bit.  The passes therefore run
-    on k in [0, P/2] only, whose one peak is k = 0; one reversed copy fills
-    (P/2, P), and copies of [0, P), doubling, fill the rest.
+    on k in [0, P/2] only, whose one peak is k = 0, and `_mirror_and_repeat`
+    fills the rest.
 
     Each sine is read from a table T[j] = sin(pi g j / Q)**2, j in [0, head),
     head = min(P, P/2 + 1), that `_sin_squared` builds a window at a time: one
@@ -666,10 +654,7 @@ def _outcome_probabilities(r: int, q: int) -> np.ndarray:
                 window += ratio
         window /= float(q) * q
     total[split:head] = last
-    total[head:period] = total[period - head : 0 : -1]
-    while period < q:
-        total[period : 2 * period] = total[:period]
-        period *= 2
+    _mirror_and_repeat(total, period)
     return total
 
 

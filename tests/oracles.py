@@ -26,7 +26,7 @@ state's weight sums, the dense-grid symmetric optimum and the exact
 symmetric overlap that certify the library's, weight sums by np.add.at,
 alpha-peak search)
 the Fraction convergents and the candidate-set order recovery, and small helpers (`as_state`, `state_of`, `block_of`, `unfolded`,
-`mirrored_half`, `dense_perturbed`,
+`mirrored_half`, `dense_perturbed`, `full_mask`,
 `dense_grid`, `mod_pow`, `register_b_support`, `dump_nonzero_json`, `make_instance`,
 `distribution_of`) serve only the tests, so they are kept out of the
 library.
@@ -380,15 +380,30 @@ def mirrored_half(state: PureState, fold: int = 1, classes=None) -> PureState:
 def dense_perturbed(state: PureState, eps: float) -> PureState:
     """`statevec.perturbed` on the C-ordered (Q, k) block of a state: its
     first largest entry in row-major order scaled by 1 + eps, then the
-    block divided by the square root of its np.vdot norm, ValueError if
-    that is 0, and its exact zeros dropped."""
+    block divided by the square root of np.vdot over its entries in
+    column-major order where the state's mask and its images mark them
+    (`full_mask`), zeros included, ValueError if that is 0, and its exact
+    zeros dropped."""
     block = np.ascontiguousarray(block_of(state))
     block[np.unravel_index(np.argmax(np.abs(block)), block.shape)] *= 1.0 + eps
-    norm = np.sqrt(np.vdot(block, block).real)
+    entries = block.T[full_mask(state)]
+    norm = np.sqrt(np.vdot(entries, entries).real)
     if not norm > 0.0:
         raise ValueError(f"the perturbed block has norm {norm!r}")
     block /= norm
     return state_of(state.layout, block, state.labels)
+
+
+def full_mask(state: PureState) -> np.ndarray:
+    """The (k, Q) mask of a state in full storage: a mirrored state's row k
+    is marked where its mask marks the stored row k mod R, R = Q/f, if that
+    is at most R/2, and otherwise (Q - k) mod R, the row whose translation
+    it mirrors."""
+    if not state.mirrored:
+        return state.mask
+    q, period = state.layout.Q, state.layout.Q // state.fold
+    rows = np.arange(q)
+    return state.mask[:, np.where(rows % period > period // 2, q - rows, rows) % period]
 
 
 def from_dense(layout: RegisterLayout, vec: np.ndarray) -> PureState:

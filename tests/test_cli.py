@@ -696,9 +696,9 @@ STAGE_RUN = ["--n", "125", "--x", "2", "--t", "13"]
 )
 def test_stage_commands_peak_below_three_and_a_half_blocks(argv, exit_code):
     # each stage is built, measured and dropped before the next one is
-    # built, and --debug-perturb makes one dense block and one perturbed
-    # copy of each stage: holding all three stages peaked at 4.10, 4.10 and
-    # 5.05 blocks of 16 * Q * r bytes
+    # built, and --debug-perturb makes one perturbed copy of each stage, in
+    # full storage: holding all three stages peaked at 4.10, 4.10 and 5.05
+    # blocks of 16 * Q * r bytes
     inst = make_instance(125, 2, t=13)
     assert inst.r == 100
     tracemalloc.start()

@@ -461,12 +461,34 @@ def test_perturbed_refuses_a_zero_norm_before_it_divides(state):
 
 
 @pytest.mark.parametrize("eps", [1e-3, -1.0])
-@pytest.mark.parametrize("n, x, t", [(49, 3, 10), (51, 2, 12)])
+@pytest.mark.parametrize("n, x, t", [(49, 3, 10), (51, 2, 12), (49, 2, 10)])
 def test_perturbed_circuit_stages_are_the_dense_perturbation_bit_for_bit(n, x, t, eps):
     # the largest entries are tied on psi1 and psi2; on psi3 of N=51 (r | Q)
-    # the first of them is row 512 of the second column
+    # the first of them is row 512 of the second column; N=49 x=2 has the
+    # odd r = 21, so its psi3 is the Hermitian half (f = 1)
     for state in run_order_finding_circuit(make_instance(n, x, t=t)):
         assert_same_state(statevec.perturbed(state, eps), dense_perturbed(state, eps))
+
+
+@pytest.mark.parametrize(
+    "n, stage, blocks",
+    [(51, 1, 0.25), (49, 1, 0.25), (51, 2, 0.25), (49, 2, 1.25)],
+    ids=["psi2-n51", "psi2-n49", "psi3-n51", "psi3-n49"],
+)
+def test_perturbed_peak_is_its_full_storage_alone(n, stage, blocks):
+    # the entry to scale is found from the stored entries, so the traced
+    # peak is the state written out in full storage, and not a (Q, k)
+    # block: building the zero-filled block and its |c| peaked at 1.50
+    # blocks of 16 * Q * k bytes on all four.  psi3 of N=51 (r = 8 | Q)
+    # has r entries per column, and of N=49 (r = 21) nearly Q
+    state = tuple(run_order_finding_circuit(make_instance(n, 2, t=13)))[stage]
+    tracemalloc.start()
+    try:
+        statevec.perturbed(state, 1e-3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < blocks * 16 * state.layout.Q * len(state.labels)
 
 
 def assert_same_state(got, expected):
@@ -1085,6 +1107,17 @@ MIRRORED_EDGES = [
 ]
 
 
+# Q = 8, f = 1: |c| is largest, and the same, at stored row 2 of column 0
+# and row 1 of columns 1 and 2, so the first in row-major order is row 1 of
+# column 1, and the first in column-major order row 2 of column 0
+TIED_PEAKS = PureState(
+    RegisterLayout(t=3, L=2), [0, 1, 2],
+    [[False, False, True, False, False], [False, True, False, False, False],
+     [False, True, False, False, False]],
+    [math.sqrt(1 / 6), -1j * math.sqrt(1 / 6), 1j * math.sqrt(1 / 6)], mirrored=True,
+)
+
+
 def mirrored_sum_terms(state):
     """(the values whose flat sum is taken, of each stored entry, and the
     same values over the unfolded dense array), for the values the measures
@@ -1160,6 +1193,7 @@ def test_mirrored_weight_sums_add_each_mirror_row_as_its_conjugate(state):
 @example(MIRRORED_EDGES[2], -0.999)
 @example(MIRRORED_EDGES[3], -1.0)
 @example(MIRRORED_EDGES[4], 1e-3)
+@example(TIED_PEAKS, 0.5)
 def test_perturbed_mirrored_state_is_the_dense_perturbation_of_its_unfolding(state, eps):
     # the unfolded entries are the oracle's, and the perturbed state is held
     # in full storage, since the perturbation breaks both symmetries
